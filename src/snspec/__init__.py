@@ -26,7 +26,6 @@ from .fisher import (
 )
 from .synthesis import (
     AcquisitionConfig,
-    AveragedSpectrum,
     Spectrum,
     TimeSeries,
     average_spectra,

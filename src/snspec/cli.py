@@ -5,10 +5,12 @@ recovers parameters from a spectrum file, validate runs the Monte Carlo
 comparison against the covariance bound, crb evaluates the bound alone, scan
 maps it over the (n, P) plane, kstats computes cumulant statistics of a sample
 file. Every command is deterministic given (config, seed); no output carries a
-timestamp.
+timestamp. Spectrum files are read and written only through io, which knows
+their CSV and JSON layouts.
 
-Exit codes: 0 success, 2 usage or config error, 3 I/O error, 4 numerical
-failure.
+Exit codes: 0 success, 2 usage or config error (including a malformed
+spectrum file), 3 I/O error, 4 numerical failure (NumericalError, or any
+ValueError still uncaught).
 """
 from __future__ import annotations
 
@@ -25,15 +27,15 @@ from .estimation import k2, k4, mle_fit, var_k2
 from .fisher import fisher_integral, wishart_std
 from .io import (
     matrix_to_rows,
-    read_json,
     read_spectrum_csv,
+    read_spectrum_json,
     write_json,
     write_scan_csv,
     write_spectrum_csv,
+    write_spectrum_json,
 )
 from .montecarlo import run_validation, trial_spectrum
 from .scan import find_optimum, scan_grid
-from .synthesis import AveragedSpectrum
 
 __all__ = ["main"]
 
@@ -83,39 +85,19 @@ def cmd_synth(args) -> int:
         written.append(path)
     if "json" in formats:
         path = _outpath(args, cfg, "spectrum.json")
-        write_json(
-            path,
-            {
-                "nu_hz": [float(x) for x in sp.nu],
-                "psd_uv2_per_hz": [float(x) for x in sp.s_bar],
-                "n_eff": sp.n_eff,
-                "synthesis": cfg.synthesis,
-                **_provenance(cfg, seed, 1),
-            },
-        )
+        write_spectrum_json(path, sp, synthesis=cfg.synthesis, **_provenance(cfg, seed, 1))
         written.append(path)
     print(f"synth: {sp.nu.size} bins, n_eff={sp.n_eff}, wrote {', '.join(written)}")
     return 0
 
 
-def _load_spectrum_file(path, n_eff: int) -> AveragedSpectrum:
-    if str(path).endswith(".json"):
-        doc = read_json(path)
-        for key in ("nu_hz", "psd_uv2_per_hz", "n_eff"):
-            if key not in doc:
-                raise ConfigError(f"{path}: missing spectrum key '{key}'")
-        return AveragedSpectrum(
-            nu=np.asarray(doc["nu_hz"], dtype=float),
-            s_bar=np.asarray(doc["psd_uv2_per_hz"], dtype=float),
-            n_eff=int(doc["n_eff"]),
-        )
-    return read_spectrum_csv(path, n_eff=n_eff)
-
-
 def cmd_fit(args) -> int:
     cfg = load_config(args.config)
     acq = cfg.require_acquisition()
-    sp = _load_spectrum_file(args.spectrum, acq.n_eff)
+    if str(args.spectrum).endswith(".json"):
+        sp = read_spectrum_json(args.spectrum)
+    else:
+        sp = read_spectrum_csv(args.spectrum, n_eff=acq.n_eff)
     result = mle_fit(sp, (acq.fit_lo, acq.fit_hi))
     v = result.v_hat
     payload = {
@@ -324,13 +306,15 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as exc:
+    except (ConfigError, UnicodeDecodeError) as exc:  # a file that is not text is bad input
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return 3
-    except NumericalError as exc:
+    except (NumericalError, ValueError) as exc:
+        # a ValueError that no layer turned into a ConfigError is a numerical
+        # failure, such as a fit that overflows its parameters
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 4
 

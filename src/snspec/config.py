@@ -17,11 +17,10 @@ from .errors import ConfigError
 from .io import read_json
 from .model import ExperimentConditions, InstrumentConstants, SpectralParams, params_from_conditions
 from .profiles import PROFILES, REFERENCE_INSTRUMENT
-from .synthesis import AcquisitionConfig
+from .synthesis import SYNTHESIS_ROUTES, AcquisitionConfig
 
 __all__ = ["ScanSpec", "RunConfig", "load_config", "config_from_dict"]
 
-_SYNTH_ROUTES = ("timeseries", "gamma")
 _FORMATS = ("csv", "json")
 
 
@@ -105,6 +104,13 @@ class _Section:
             return value
         raise AssertionError(f"unhandled kind {kind}")
 
+    def build(self, cls, **fields):
+        """cls(**fields), with the range errors of its constructor named by section."""
+        try:
+            return cls(**fields)
+        except ValueError as exc:
+            raise ConfigError(f"{self.path}: {exc}") from exc
+
     def finish(self) -> None:
         unknown = sorted(set(self.doc) - self.seen)
         if unknown:
@@ -130,7 +136,8 @@ def _parse_model(section: dict[str, Any]):
         if inst_raw is not None:
             raise ConfigError("config.model: 'instrument' only applies to 'conditions'")
         p = _Section("config.model.spectral_params", sp)
-        params = SpectralParams(
+        params = p.build(
+            SpectralParams,
             s_ph=p.take("s_ph_uv2_per_hz", float, required=True),
             nu_l=p.take("nu_l_hz", float, required=True),
             s_at=p.take("s_at_uv2_per_hz", float, required=True),
@@ -139,7 +146,8 @@ def _parse_model(section: dict[str, Any]):
         p.finish()
         return params, None, None
     c = _Section("config.model.conditions", cond)
-    conditions = ExperimentConditions(
+    conditions = c.build(
+        ExperimentConditions,
         n=c.take("n_per_cm3", float, required=True),
         p=c.take("p_mw", float, required=True) * 1e-3,
         xi2=c.take("xi2", float, default=1.0),
@@ -159,7 +167,8 @@ def _parse_instrument(raw) -> InstrumentConstants:
             )
         return PROFILES[raw]
     i = _Section("config.model.instrument", raw)
-    constants = InstrumentConstants(
+    constants = i.build(
+        InstrumentConstants,
         g=i.take("g_v_per_a", float, required=True),
         q=i.take("q_c", float, required=True),
         eta=i.take("eta", float, required=True),
@@ -231,9 +240,9 @@ def config_from_dict(doc: dict[str, Any], origin: str = "config") -> RunConfig:
     m.finish()
     if n_trials < 1:
         raise ConfigError(f"{origin}.monte_carlo.n_trials: must be at least 1")
-    if synthesis not in _SYNTH_ROUTES:
+    if synthesis not in SYNTHESIS_ROUTES:
         raise ConfigError(
-            f"{origin}.monte_carlo.synthesis: expected one of {_SYNTH_ROUTES}, got {synthesis!r}"
+            f"{origin}.monte_carlo.synthesis: {synthesis!r} is not one of {SYNTHESIS_ROUTES}"
         )
     if threads < 1:
         raise ConfigError(f"{origin}.monte_carlo.threads: must be at least 1")

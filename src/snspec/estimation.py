@@ -17,7 +17,7 @@ from scipy.optimize import least_squares, minimize
 
 from .errors import ConfigError
 from .model import SpectralParams, eval_psd, grad_log_psd
-from .synthesis import AveragedSpectrum
+from .synthesis import Spectrum
 
 __all__ = [
     "FitResult",
@@ -68,7 +68,7 @@ class SampleCovariance:
             raise ValueError("gamma diagonal must be nonnegative")
 
 
-def _window_slice(sp: AveragedSpectrum, window) -> np.ndarray:
+def _window_slice(sp: Spectrum, window) -> np.ndarray:
     lo, hi = window
     if not (0.0 <= lo < hi):
         raise ConfigError(f"bad fit window [{lo}, {hi}]")
@@ -76,7 +76,7 @@ def _window_slice(sp: AveragedSpectrum, window) -> np.ndarray:
     return np.flatnonzero(mask)
 
 
-def chi_squared(v: SpectralParams, sp: AveragedSpectrum, window) -> float:
+def chi_squared(v: SpectralParams, sp: Spectrum, window) -> float:
     """sum over window bins of (1 - S_bar_i/f(nu_i, v))^2."""
     idx = _window_slice(sp, window)
     f = eval_psd(v, sp.nu[idx])
@@ -84,7 +84,7 @@ def chi_squared(v: SpectralParams, sp: AveragedSpectrum, window) -> float:
     return float(r @ r)
 
 
-def initial_guess(sp: AveragedSpectrum, window) -> SpectralParams:
+def initial_guess(sp: Spectrum, window) -> SpectralParams:
     """Moment-style starting point for mle_fit.
 
     s_ph from the median over the outer quartiles of the window (the line
@@ -136,7 +136,7 @@ def _unpack(theta: np.ndarray) -> SpectralParams:
     )
 
 
-def mle_fit(sp: AveragedSpectrum, window, guess: SpectralParams | None = None) -> FitResult:
+def mle_fit(sp: Spectrum, window, guess: SpectralParams | None = None) -> FitResult:
     """Minimize chi_squared from guess (or initial_guess) inside window.
 
     Trust-region least squares on r_i = 1 - S_bar_i/f_i with the analytic

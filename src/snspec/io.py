@@ -1,5 +1,9 @@
 """File formats: CSV for grids and surfaces, JSON for structured reports.
 
+Spectrum files are CSV (nu_hz, psd_uv2_per_hz; the caller supplies n_eff) or
+JSON (the same columns as lists, n_eff, provenance keys); only this module
+knows either layout. Readers report a malformed file as a ConfigError.
+
 Floats are written with repr-exact precision so every emitted file re-ingests
 bit-identically; writers emit LF newlines and sorted JSON keys so identical
 inputs give byte-identical files.
@@ -13,11 +17,13 @@ from typing import Any
 import numpy as np
 
 from .errors import ConfigError
-from .synthesis import AveragedSpectrum, Spectrum
+from .synthesis import Spectrum
 
 __all__ = [
     "write_spectrum_csv",
     "read_spectrum_csv",
+    "write_spectrum_json",
+    "read_spectrum_json",
     "write_scan_csv",
     "read_scan_csv",
     "write_json",
@@ -33,34 +39,64 @@ def _fmt(x: float) -> str:
     return format(float(x), ".17g")
 
 
-def write_spectrum_csv(path, sp) -> None:
-    """Spectrum or AveragedSpectrum to two-column CSV."""
-    values = sp.s_bar if isinstance(sp, AveragedSpectrum) else sp.s
-    with open(path, "w", newline="\n") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(SPECTRUM_HEADER)
-        for nu, s in zip(sp.nu, values):
-            w.writerow([_fmt(nu), _fmt(s)])
-
-
-def read_spectrum_csv(path, n_eff: int | None = None):
-    """CSV back to a Spectrum (n_eff None) or AveragedSpectrum."""
+def _read_csv(path, header, what) -> np.ndarray:
+    """Rows under the given header as a (rows, columns) float array."""
     with open(path, newline="") as fh:
         rows = list(csv.reader(fh))
-    if not rows or rows[0] != SPECTRUM_HEADER:
+    if not rows or rows[0] != header:
         raise ConfigError(
-            f"{path}: expected header {','.join(SPECTRUM_HEADER)}, "
+            f"{path}: expected header {','.join(header)}, "
             f"got {','.join(rows[0]) if rows else 'empty file'}"
         )
     try:
-        data = np.array([[float(a), float(b)] for a, b in rows[1:]])
-    except (ValueError, TypeError) as exc:
-        raise ConfigError(f"{path}: non-numeric spectrum row ({exc})") from exc
+        data = np.array(rows[1:], dtype=float)
+    except ValueError as exc:
+        raise ConfigError(f"{path}: non-numeric or ragged {what} rows ({exc})") from exc
     if data.size == 0:
         raise ConfigError(f"{path}: no data rows")
-    if n_eff is None:
-        return Spectrum(nu=data[:, 0], s=data[:, 1])
-    return AveragedSpectrum(nu=data[:, 0], s_bar=data[:, 1], n_eff=n_eff)
+    if data.shape[1] != len(header):
+        raise ConfigError(f"{path}: {what} rows must have {len(header)} columns")
+    return data
+
+
+def _spectrum(path, nu, s_bar, n_eff) -> Spectrum:
+    try:
+        return Spectrum(nu=nu, s_bar=s_bar, n_eff=n_eff)
+    except (ValueError, OverflowError) as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
+
+
+def write_spectrum_csv(path, sp: Spectrum) -> None:
+    """Spectrum to two-column CSV; n_eff is not stored."""
+    with open(path, "w", newline="\n") as fh:
+        w = csv.writer(fh, lineterminator="\n")
+        w.writerow(SPECTRUM_HEADER)
+        for nu, s in zip(sp.nu, sp.s_bar):
+            w.writerow([_fmt(nu), _fmt(s)])
+
+
+def read_spectrum_csv(path, n_eff: int = 1) -> Spectrum:
+    """Two-column CSV back to a Spectrum with the given n_eff."""
+    data = _read_csv(path, SPECTRUM_HEADER, "spectrum")
+    return _spectrum(path, data[:, 0], data[:, 1], n_eff)
+
+
+def write_spectrum_json(path, sp: Spectrum, **extra) -> None:
+    """Spectrum to JSON with n_eff; extra keys (provenance) go alongside."""
+    write_json(
+        path,
+        {"nu_hz": sp.nu.tolist(), "psd_uv2_per_hz": sp.s_bar.tolist(), "n_eff": sp.n_eff, **extra},
+    )
+
+
+def read_spectrum_json(path) -> Spectrum:
+    """JSON from write_spectrum_json back to a Spectrum; other keys are ignored."""
+    doc = read_json(path)
+    for key in ("nu_hz", "psd_uv2_per_hz"):
+        # json yields int, float or bool for a literal; bool is not a number here
+        if not (isinstance(doc.get(key), list) and all(type(x) in (int, float) for x in doc[key])):
+            raise ConfigError(f"{path}: '{key}' must be a list of numbers")
+    return _spectrum(path, doc["nu_hz"], doc["psd_uv2_per_hz"], doc.get("n_eff"))
 
 
 def write_scan_csv(path, sg) -> None:
@@ -75,19 +111,7 @@ def write_scan_csv(path, sg) -> None:
 
 def read_scan_csv(path):
     """Long-format CSV back to (n_values, p_values, surfaces (4, Nn, Np))."""
-    with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
-    if not rows or rows[0] != SCAN_HEADER:
-        raise ConfigError(
-            f"{path}: expected header {','.join(SCAN_HEADER)}, "
-            f"got {','.join(rows[0]) if rows else 'empty file'}"
-        )
-    try:
-        data = np.array([[float(x) for x in row] for row in rows[1:]])
-    except (ValueError, TypeError) as exc:
-        raise ConfigError(f"{path}: non-numeric scan row ({exc})") from exc
-    if data.size == 0:
-        raise ConfigError(f"{path}: no data rows")
+    data = _read_csv(path, SCAN_HEADER, "scan")
     n_values = np.unique(data[:, 0])
     p_values = np.unique(data[:, 1])
     if data.shape[0] != n_values.size * p_values.size:

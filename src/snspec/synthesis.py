@@ -6,6 +6,10 @@ route synthesizes a stationary Gaussian record and runs it through the same
 periodogram used for measured data. Agreement of the two is itself a test
 target, so neither may be expressed through the other.
 
+Both routes return a Spectrum: a uniform grid, the bin means s_bar and the
+count n_eff of raw periodogram values behind each bin (1 for a raw
+periodogram). Averaging records or coarse-graining bins multiplies n_eff.
+
 Conventions, fixed across the package:
   - one-sided PSD, S(nu) = 2*delta*|DFT|^2 / M in uV^2/Hz, so the PSD sums
     to the record variance: sum_i S_i * nu_t = var(y)
@@ -25,9 +29,9 @@ from .errors import ConfigError
 from .model import eval_psd
 
 __all__ = [
+    "SYNTHESIS_ROUTES",
     "AcquisitionConfig",
     "Spectrum",
-    "AveragedSpectrum",
     "TimeSeries",
     "sample_periodogram_exact",
     "synthesize_timeseries",
@@ -35,6 +39,8 @@ __all__ = [
     "coarse_grain",
     "average_spectra",
 ]
+
+SYNTHESIS_ROUTES = ("timeseries", "gamma")
 
 # relative slack when checking t_total/delta against an integer
 _RECORD_LENGTH_TOL = 1e-6
@@ -123,34 +129,13 @@ def _block_mean(x: np.ndarray, width: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Spectrum:
-    """Raw one-sided spectrum on a uniform grid. nu in Hz, s in uV^2/Hz."""
-
-    nu: np.ndarray
-    s: np.ndarray
-
-    def __post_init__(self) -> None:
-        nu = np.asarray(self.nu, dtype=float)
-        s = np.asarray(self.s, dtype=float)
-        object.__setattr__(self, "nu", nu)
-        object.__setattr__(self, "s", s)
-        if nu.ndim != 1 or nu.shape != s.shape:
-            raise ValueError("nu and s must be 1-d arrays of equal length")
-        if nu.size >= 2:
-            d = np.diff(nu)
-            if not np.all(d > 0.0):
-                raise ValueError("frequency grid must be strictly increasing")
-            if not np.allclose(d, d[0], rtol=1e-9, atol=0.0):
-                raise ValueError("frequency grid must be uniformly spaced")
-
-
-@dataclass(frozen=True)
-class AveragedSpectrum:
-    """Averaged spectrum: each bin is a mean of n_eff raw periodogram values,
-    so its variance is s_bar^2/n_eff. nu in Hz, s_bar in uV^2/Hz."""
+    """One-sided spectrum on a uniform grid. Each bin is the mean of n_eff raw
+    periodogram values, so its variance is s_bar^2/n_eff; a raw periodogram
+    has n_eff = 1. nu in Hz, s_bar in uV^2/Hz, finite, s_bar >= 0."""
 
     nu: np.ndarray
     s_bar: np.ndarray
-    n_eff: int
+    n_eff: int = 1
 
     def __post_init__(self) -> None:
         nu = np.asarray(self.nu, dtype=float)
@@ -159,11 +144,22 @@ class AveragedSpectrum:
         object.__setattr__(self, "s_bar", s_bar)
         if nu.ndim != 1 or nu.shape != s_bar.shape:
             raise ValueError("nu and s_bar must be 1-d arrays of equal length")
-        if nu.size >= 2 and not np.all(np.diff(nu) > 0.0):
-            raise ValueError("frequency grid must be strictly increasing")
-        if not (isinstance(self.n_eff, (int, np.integer)) and self.n_eff >= 1):
-            raise ValueError(f"n_eff must be an integer >= 1, got {self.n_eff!r}")
-        object.__setattr__(self, "n_eff", int(self.n_eff))
+        if not (np.isfinite(nu).all() and np.isfinite(s_bar).all()):
+            raise ValueError("nu and s_bar must be finite")
+        if (s_bar < 0.0).any():
+            raise ValueError("s_bar must be nonnegative")
+        if nu.size >= 2:
+            d = np.diff(nu)
+            lo, hi, d0 = d.min(), d.max(), d[0]
+            if lo <= 0.0:
+                raise ValueError("frequency grid must be strictly increasing")
+            # every step within rtol 1e-9 of the first
+            if hi - d0 > 1e-9 * d0 or d0 - lo > 1e-9 * d0:
+                raise ValueError("frequency grid must be uniformly spaced")
+        n_eff = self.n_eff
+        if isinstance(n_eff, bool) or not (isinstance(n_eff, (int, np.integer)) and n_eff >= 1):
+            raise ValueError(f"n_eff must be an integer >= 1, got {n_eff!r}")
+        object.__setattr__(self, "n_eff", int(n_eff))
 
 
 @dataclass(frozen=True)
@@ -185,7 +181,7 @@ class TimeSeries:
             raise ValueError("time series contains non-finite samples")
 
 
-def sample_periodogram_exact(v, cfg: AcquisitionConfig, seed) -> AveragedSpectrum:
+def sample_periodogram_exact(v, cfg: AcquisitionConfig, seed) -> Spectrum:
     """Draw an averaged spectrum directly from its sampling distribution.
 
     Each raw periodogram bin of a Gaussian record is exponential with mean
@@ -199,7 +195,7 @@ def sample_periodogram_exact(v, cfg: AcquisitionConfig, seed) -> AveragedSpectru
     f = eval_psd(v, nu)
     n_eff = cfg.n_eff
     s_bar = rng.gamma(shape=float(n_eff), scale=f / n_eff)
-    return AveragedSpectrum(nu=nu, s_bar=s_bar, n_eff=n_eff)
+    return Spectrum(nu=nu, s_bar=s_bar, n_eff=n_eff)
 
 
 def synthesize_timeseries(v, cfg: AcquisitionConfig, seed) -> TimeSeries:
@@ -239,51 +235,40 @@ def periodogram(ts: TimeSeries) -> Spectrum:
     coeff = np.fft.rfft(ts.y)
     s = (2.0 * ts.delta / m) * np.abs(coeff[1 : m // 2]) ** 2
     nu = np.arange(1, m // 2, dtype=float) / (m * ts.delta)
-    return Spectrum(nu=nu, s=s)
+    return Spectrum(nu=nu, s_bar=s)
 
 
-def coarse_grain(sp, n_bin: int) -> AveragedSpectrum:
+def coarse_grain(sp: Spectrum, n_bin: int) -> Spectrum:
     """Average n_bin adjacent bins; a trailing remainder is dropped.
 
-    Accepts a raw Spectrum (result n_eff = n_bin) or an AveragedSpectrum
-    (n_eff multiplies). Centers are the means of the constituent frequencies.
+    The result carries n_eff = n_bin * sp.n_eff. Centers are the means of the
+    constituent frequencies.
     """
     if not (isinstance(n_bin, (int, np.integer)) and n_bin >= 1):
         raise ValueError(f"n_bin must be an integer >= 1, got {n_bin!r}")
     n_bin = int(n_bin)
-    values = sp.s_bar if isinstance(sp, AveragedSpectrum) else sp.s
-    base = sp.n_eff if isinstance(sp, AveragedSpectrum) else 1
     if sp.nu.size // n_bin < 1:
         raise ValueError(f"need at least n_bin = {n_bin} bins, got {sp.nu.size}")
-    return AveragedSpectrum(
+    return Spectrum(
         nu=_block_mean(sp.nu, n_bin),
-        s_bar=_block_mean(values, n_bin),
-        n_eff=n_bin * base,
+        s_bar=_block_mean(sp.s_bar, n_bin),
+        n_eff=n_bin * sp.n_eff,
     )
 
 
-def average_spectra(spectra) -> AveragedSpectrum:
+def average_spectra(spectra) -> Spectrum:
     """Pointwise mean of spectra on identical grids with identical n_eff.
 
-    A raw Spectrum counts as n_eff = 1. The result carries
-    n_eff = len(spectra) * common n_eff.
+    The result carries n_eff = len(spectra) * common n_eff.
     """
     spectra = list(spectra)
     if not spectra:
         raise ValueError("need at least one spectrum")
-
-    def parts(sp):
-        if isinstance(sp, AveragedSpectrum):
-            return sp.nu, sp.s_bar, sp.n_eff
-        return sp.nu, sp.s, 1
-
-    nu0, _, n0 = parts(spectra[0])
-    stack = []
+    nu0, n0 = spectra[0].nu, spectra[0].n_eff
     for sp in spectra:
-        nu, s, n = parts(sp)
-        if not np.array_equal(nu, nu0):
+        if not np.array_equal(sp.nu, nu0):
             raise ValueError("spectra are on different frequency grids")
-        if n != n0:
-            raise ValueError(f"mixed n_eff in average: {n} != {n0}")
-        stack.append(s)
-    return AveragedSpectrum(nu=nu0, s_bar=np.mean(stack, axis=0), n_eff=n0 * len(stack))
+        if sp.n_eff != n0:
+            raise ValueError(f"mixed n_eff in average: {sp.n_eff} != {n0}")
+    s_bar = np.mean([sp.s_bar for sp in spectra], axis=0)
+    return Spectrum(nu=nu0, s_bar=s_bar, n_eff=n0 * len(spectra))

@@ -104,7 +104,7 @@ def test_criterion_3_periodogram_statistics():
         periodogram(synthesize_timeseries(flat, cfg, np.random.default_rng((3, k))))
         for k in range(20)
     ]
-    x = records[0].s
+    x = records[0].s_bar
     if x.size != 100000:
         failures.append(f"expected 1e5 raw bins, got {x.size}")
     r1 = x.var() / x.mean() ** 2

@@ -64,6 +64,15 @@ def run(*argv):
     return main([str(a) for a in argv])
 
 
+def nan_bin(rows):
+    rows[400][1] = "nan"  # bin 400 is centred at 40051 Hz, inside the fit window
+
+
+def negate_psd(rows):
+    for row in rows:
+        row[1] = "-" + row[1]
+
+
 class TestSynth:
     def test_writes_both_formats(self, tmp_path):
         cfg = write_config(tmp_path, BASE)
@@ -137,6 +146,35 @@ class TestFit:
         for key in ("s_ph_uv2_per_hz", "nu_l_hz", "s_at_uv2_per_hz", "delta_nu_hz", "chi2"):
             assert a[key] == b[key], key
 
+    @pytest.mark.parametrize(
+        "fmt, spoil",
+        [
+            ("csv", nan_bin),
+            ("csv", negate_psd),
+            ("json", {"n_eff": "abc"}),
+            ("json", {"n_eff": 1.5}),
+            ("json", {"nu_hz": "x"}),
+            ("json", {"nu_hz": [10**400]}),  # an integer no float can hold
+        ],
+        ids=["csv-nan", "csv-negated", "json-n_eff-text", "json-n_eff-fraction", "json-nu-text",
+             "json-nu-overflow"],
+    )
+    def test_malformed_spectrum_exits_config(self, tmp_path, capsys, fmt, spoil):
+        cfg = write_config(tmp_path, BASE)
+        assert run("synth", "--config", cfg, "--out", tmp_path) == 0
+        path = tmp_path / f"spectrum.{fmt}"
+        if fmt == "csv":
+            header, *lines = path.read_text().splitlines()
+            rows = [line.split(",") for line in lines]
+            spoil(rows)
+            path.write_text("\n".join([header] + [",".join(row) for row in rows]) + "\n")
+        else:
+            doc = json.loads(path.read_text())
+            doc.update(spoil)
+            path.write_text(json.dumps(doc))
+        assert run("fit", path, "--config", cfg, "--out", tmp_path / "fit") == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
     def test_missing_spectrum_file(self, tmp_path):
         cfg = write_config(tmp_path, BASE)
         assert run("fit", tmp_path / "absent.csv", "--config", cfg) == 3
@@ -174,6 +212,16 @@ class TestValidate:
         b = json.loads((tmp_path / "b" / "validate.json").read_text())
         assert a["gamma_exp"] == b["gamma_exp"]
         assert b["threads_used"] == 3
+
+    def test_weak_line_overflow_exits_numerical(self, tmp_path, capsys):
+        # one of the first 100 gamma-route fits at seed 0 overflows exp when
+        # it unpacks its log-parameters, and SpectralParams raises ValueError
+        body = copy.deepcopy(BASE)
+        body["model"]["spectral_params"]["s_at_uv2_per_hz"] = 0.05
+        body["monte_carlo"]["n_trials"] = 100
+        cfg = write_config(tmp_path, body)
+        assert run("validate", "--config", cfg, "--seed", 0, "--out", tmp_path) == 4
+        assert capsys.readouterr().err.startswith("numerical failure: ")
 
     def test_zero_threads_rejected(self, tmp_path):
         cfg = write_config(tmp_path, BASE)
@@ -277,6 +325,14 @@ class TestKstats:
 class TestErrorPaths:
     def test_missing_config_file(self, tmp_path):
         assert run("synth", "--config", tmp_path / "none.json") == 3
+
+    def test_undecodable_file_is_a_config_error(self, tmp_path):
+        # UnicodeDecodeError is a ValueError, yet not a numerical failure
+        cfg = write_config(tmp_path, BASE)
+        for name in ("binary.json", "binary.csv"):
+            (tmp_path / name).write_bytes(b"\xff\xfe\x00{")
+            assert run("fit", tmp_path / name, "--config", cfg) == 2
+        assert run("synth", "--config", tmp_path / "binary.json") == 2
 
     def test_json_syntax_error_reports_position(self, tmp_path, capsys):
         path = tmp_path / "bad.json"

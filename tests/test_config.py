@@ -202,6 +202,11 @@ class TestTypesAndValues:
             config_from_dict(doc(monte_carlo__threads=0))
         with pytest.raises(ConfigError):
             config_from_dict(doc(scan__n_points=0))
+        # range errors of the model constructors name their config section
+        with pytest.raises(ConfigError, match="config.model.conditions"):
+            config_from_dict(doc(model__conditions__p_mw=0.0))
+        with pytest.raises(ConfigError, match="config.model.spectral_params"):
+            config_from_dict(doc(PARAMS_ONLY, model__spectral_params__s_ph_uv2_per_hz=-1.0))
 
     def test_missing_required_field_names_it(self):
         with pytest.raises(ConfigError, match="fit_hi_hz"):

@@ -16,7 +16,7 @@ from snspec.estimation import (
     sample_covariance,
     var_k2,
 )
-from snspec.synthesis import AcquisitionConfig, AveragedSpectrum, sample_periodogram_exact
+from snspec.synthesis import AcquisitionConfig, Spectrum, sample_periodogram_exact
 
 V = SpectralParams(s_ph=1.2, nu_l=42600.0, s_at=4.8, delta_nu=1500.0)
 CFG = AcquisitionConfig(
@@ -27,7 +27,7 @@ WINDOW = (CFG.fit_lo, CFG.fit_hi)
 
 def noiseless_spectrum(v=V, cfg=CFG, n_eff=None):
     nu = cfg.coarse_grid()
-    return AveragedSpectrum(nu=nu, s_bar=eval_psd(v, nu), n_eff=n_eff or cfg.n_eff)
+    return Spectrum(nu=nu, s_bar=eval_psd(v, nu), n_eff=n_eff or cfg.n_eff)
 
 
 class TestChiSquared:
@@ -36,7 +36,7 @@ class TestChiSquared:
 
     def test_single_bin_hand_value(self):
         flat = SpectralParams(s_ph=1.0, nu_l=10.0, s_at=0.0, delta_nu=1.0)
-        sp = AveragedSpectrum(nu=np.array([1.0]), s_bar=np.array([2.0]), n_eff=1)
+        sp = Spectrum(nu=np.array([1.0]), s_bar=np.array([2.0]), n_eff=1)
         assert chi_squared(flat, sp, (0.5, 1.5)) == pytest.approx(1.0, rel=1e-15)
 
     def test_expectation_is_bins_over_n_eff(self):

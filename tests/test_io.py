@@ -16,7 +16,7 @@ from snspec.io import (
     write_spectrum_csv,
 )
 from snspec.scan import ScanGrid
-from snspec.synthesis import AveragedSpectrum, Spectrum
+from snspec.synthesis import Spectrum
 
 
 def awkward_floats(n, seed=0):
@@ -29,24 +29,25 @@ class TestSpectrumCsv:
     def test_round_trip_is_bit_exact(self, tmp_path):
         path = tmp_path / "sp.csv"
         nu = 2.0 * np.arange(1, 50)
-        sp = Spectrum(nu=nu, s=awkward_floats(49))
+        sp = Spectrum(nu=nu, s_bar=awkward_floats(49))
         write_spectrum_csv(path, sp)
         back = read_spectrum_csv(path)
         assert isinstance(back, Spectrum)
         np.testing.assert_array_equal(back.nu, sp.nu)
-        np.testing.assert_array_equal(back.s, sp.s)
+        np.testing.assert_array_equal(back.s_bar, sp.s_bar)
+        assert back.n_eff == 1
 
     def test_header_line(self, tmp_path):
         path = tmp_path / "sp.csv"
-        write_spectrum_csv(path, Spectrum(nu=np.array([1.0, 2.0]), s=np.ones(2)))
+        write_spectrum_csv(path, Spectrum(nu=np.array([1.0, 2.0]), s_bar=np.ones(2)))
         assert path.read_text().splitlines()[0] == "nu_hz,psd_uv2_per_hz"
 
     def test_averaged_round_trip(self, tmp_path):
         path = tmp_path / "sp.csv"
-        sp = AveragedSpectrum(nu=np.arange(1.0, 9.0), s_bar=awkward_floats(8), n_eff=50)
+        sp = Spectrum(nu=np.arange(1.0, 9.0), s_bar=awkward_floats(8), n_eff=50)
         write_spectrum_csv(path, sp)
         back = read_spectrum_csv(path, n_eff=50)
-        assert isinstance(back, AveragedSpectrum)
+        assert isinstance(back, Spectrum)
         assert back.n_eff == 50
         np.testing.assert_array_equal(back.s_bar, sp.s_bar)
 
@@ -105,6 +106,12 @@ class TestScanCsv:
         lines = path.read_text().splitlines()
         path.write_text("\n".join(lines[:-1]) + "\n")  # drop one cell
         with pytest.raises(ConfigError):
+            read_scan_csv(path)
+
+    def test_rejects_short_rows(self, tmp_path):
+        path = tmp_path / "scan.csv"
+        path.write_text("n_cm3,p_w,gamma11,gamma22,gamma33,gamma44\n1,2,3,4,5\n")
+        with pytest.raises(ConfigError, match="6 columns"):
             read_scan_csv(path)
 
     def test_rejects_wrong_header(self, tmp_path):

@@ -6,7 +6,7 @@ import pytest
 from snspec.errors import ConfigError
 from snspec.model import SpectralParams
 from snspec.montecarlo import run_validation, trial_spectrum
-from snspec.synthesis import AcquisitionConfig, AveragedSpectrum
+from snspec.synthesis import AcquisitionConfig, Spectrum
 
 V = SpectralParams(s_ph=1.0, nu_l=42600.0, s_at=4.0, delta_nu=1000.0)
 CFG = AcquisitionConfig(
@@ -17,7 +17,7 @@ CFG = AcquisitionConfig(
 class TestTrialSpectrum:
     def test_gamma_route_geometry(self):
         sp = trial_spectrum(V, CFG, seed=(0, 0), synthesis="gamma")
-        assert isinstance(sp, AveragedSpectrum)
+        assert isinstance(sp, Spectrum)
         np.testing.assert_array_equal(sp.nu, CFG.coarse_grid())
         assert sp.n_eff == CFG.n_eff
 

@@ -11,7 +11,6 @@ from snspec.errors import ConfigError
 from snspec.model import SpectralParams, eval_psd
 from snspec.synthesis import (
     AcquisitionConfig,
-    AveragedSpectrum,
     Spectrum,
     TimeSeries,
     average_spectra,
@@ -83,21 +82,38 @@ class TestAcquisitionConfig:
 class TestContainers:
     def test_spectrum_rejects_nonuniform_grid(self):
         with pytest.raises(ValueError):
-            Spectrum(nu=np.array([1.0, 2.0, 4.0]), s=np.ones(3))
+            Spectrum(nu=np.array([1.0, 2.0, 4.0]), s_bar=np.ones(3))
 
     def test_spectrum_rejects_decreasing_grid(self):
         with pytest.raises(ValueError):
-            Spectrum(nu=np.array([2.0, 1.0]), s=np.ones(2))
+            Spectrum(nu=np.array([2.0, 1.0]), s_bar=np.ones(2))
 
     def test_spectrum_rejects_shape_mismatch(self):
         with pytest.raises(ValueError):
-            Spectrum(nu=np.arange(3.0), s=np.ones(4))
+            Spectrum(nu=np.arange(3.0), s_bar=np.ones(4))
 
     def test_averaged_spectrum_requires_integer_n_eff(self):
         with pytest.raises(ValueError):
-            AveragedSpectrum(nu=np.array([1.0, 2.0]), s_bar=np.ones(2), n_eff=1.5)
+            Spectrum(nu=np.array([1.0, 2.0]), s_bar=np.ones(2), n_eff=1.5)
         with pytest.raises(ValueError):
-            AveragedSpectrum(nu=np.array([1.0, 2.0]), s_bar=np.ones(2), n_eff=0)
+            Spectrum(nu=np.array([1.0, 2.0]), s_bar=np.ones(2), n_eff=0)
+        with pytest.raises(ValueError):
+            Spectrum(nu=np.array([1.0, 2.0]), s_bar=np.ones(2), n_eff=True)
+
+    @pytest.mark.parametrize(
+        "nu, s_bar",
+        [
+            ([1.0, np.nan, 3.0], [1.0, 1.0, 1.0]),
+            ([1.0, 2.0, np.inf], [1.0, 1.0, 1.0]),
+            ([np.inf], [1.0]),
+            ([1.0, 2.0, 3.0], [1.0, np.nan, 1.0]),
+            ([1.0, 2.0, 3.0], [1.0, np.inf, 1.0]),
+            ([1.0, 2.0, 3.0], [1.0, -1e-300, 1.0]),
+        ],
+    )
+    def test_spectrum_rejects_nonfinite_or_negative_values(self, nu, s_bar):
+        with pytest.raises(ValueError):
+            Spectrum(nu=nu, s_bar=s_bar)
 
     def test_timeseries_rejects_bad_records(self):
         with pytest.raises(ValueError):
@@ -158,7 +174,7 @@ class TestTimeSeriesSynthesis:
         # sum_i S_i * nu_t = mean(y^2), the one-sided normalization contract
         ts = synthesize_timeseries(V, self.CFG, seed=11)
         ps = periodogram(ts)
-        assert np.sum(ps.s) * self.CFG.nu_t == pytest.approx(
+        assert np.sum(ps.s_bar) * self.CFG.nu_t == pytest.approx(
             np.mean(ts.y**2), rel=1e-12
         )
 
@@ -166,7 +182,7 @@ class TestTimeSeriesSynthesis:
         acc = np.zeros(self.CFG.record_length // 2 - 1)
         n_seeds = 2000
         for k in range(n_seeds):
-            acc += periodogram(synthesize_timeseries(V, self.CFG, seed=(42, k))).s
+            acc += periodogram(synthesize_timeseries(V, self.CFG, seed=(42, k))).s_bar
         z = acc / n_seeds / eval_psd(V, self.CFG.raw_grid()) - 1.0
         assert np.sqrt(np.mean(z**2)) < 0.03  # expected 1/sqrt(2000) = 0.022
         assert np.max(np.abs(z)) < 6.0 / np.sqrt(n_seeds)
@@ -175,7 +191,7 @@ class TestTimeSeriesSynthesis:
         ts = synthesize_timeseries(V, self.CFG, seed=9)
         rolled = TimeSeries(t0=ts.t0, delta=ts.delta, y=np.roll(ts.y, 137))
         np.testing.assert_allclose(
-            periodogram(rolled).s, periodogram(ts).s, rtol=1e-9
+            periodogram(rolled).s_bar, periodogram(ts).s_bar, rtol=1e-9
         )
 
     def test_deterministic_in_seed(self):
@@ -192,8 +208,8 @@ class TestPeriodogram:
         ts = TimeSeries(t0=0.0, delta=delta, y=a_tone * np.cos(2 * np.pi * k * t))
         ps = periodogram(ts)
         assert ps.nu[k - 1] == pytest.approx(float(k), rel=1e-12)
-        assert ps.s[k - 1] == pytest.approx(a_tone**2 * (m * delta) / 2, rel=1e-9)
-        others = np.delete(ps.s, k - 1)
+        assert ps.s_bar[k - 1] == pytest.approx(a_tone**2 * (m * delta) / 2, rel=1e-9)
+        others = np.delete(ps.s_bar, k - 1)
         assert np.max(others) < 1e-12
 
     def test_white_noise_level(self):
@@ -202,11 +218,11 @@ class TestPeriodogram:
         ts = TimeSeries(t0=0.0, delta=2e-4, y=sigma * rng.standard_normal(20000))
         ps = periodogram(ts)
         # flat PSD 2*delta*sigma^2; mean over ~1e4 bins has ~1% noise
-        assert np.mean(ps.s) == pytest.approx(2 * 2e-4 * sigma**2, rel=0.05)
+        assert np.mean(ps.s_bar) == pytest.approx(2 * 2e-4 * sigma**2, rel=0.05)
 
     def test_zero_record_gives_zero_spectrum(self):
         ps = periodogram(TimeSeries(t0=0.0, delta=1e-3, y=np.zeros(8)))
-        np.testing.assert_array_equal(ps.s, 0.0)
+        np.testing.assert_array_equal(ps.s_bar, 0.0)
 
     def test_rejects_odd_or_short_records(self):
         with pytest.raises(ValueError):
@@ -217,28 +233,28 @@ class TestPeriodogram:
 
 class TestCoarseGrain:
     def test_block_mean_values(self):
-        sp = Spectrum(nu=np.array([1.0, 2.0, 3.0, 4.0]), s=np.array([1.0, 3.0, 2.0, 4.0]))
+        sp = Spectrum(nu=np.array([1.0, 2.0, 3.0, 4.0]), s_bar=np.array([1.0, 3.0, 2.0, 4.0]))
         out = coarse_grain(sp, 2)
         np.testing.assert_allclose(out.nu, [1.5, 3.5])
         np.testing.assert_allclose(out.s_bar, [2.0, 3.0])
         assert out.n_eff == 2
 
     def test_identity_at_width_one(self):
-        sp = Spectrum(nu=np.arange(1.0, 6.0), s=np.arange(5.0))
+        sp = Spectrum(nu=np.arange(1.0, 6.0), s_bar=np.arange(5.0))
         out = coarse_grain(sp, 1)
-        np.testing.assert_array_equal(out.s_bar, sp.s)
+        np.testing.assert_array_equal(out.s_bar, sp.s_bar)
         assert out.n_eff == 1
 
     def test_remainder_dropped(self):
-        sp = Spectrum(nu=np.arange(1.0, 8.0), s=np.ones(7))
+        sp = Spectrum(nu=np.arange(1.0, 8.0), s_bar=np.ones(7))
         assert coarse_grain(sp, 3).nu.size == 2
 
     def test_n_eff_multiplies_on_averaged_input(self):
-        sp = AveragedSpectrum(nu=np.arange(1.0, 5.0), s_bar=np.ones(4), n_eff=5)
+        sp = Spectrum(nu=np.arange(1.0, 5.0), s_bar=np.ones(4), n_eff=5)
         assert coarse_grain(sp, 2).n_eff == 10
 
     def test_rejects_bad_width(self):
-        sp = Spectrum(nu=np.arange(1.0, 5.0), s=np.ones(4))
+        sp = Spectrum(nu=np.arange(1.0, 5.0), s_bar=np.ones(4))
         for bad in (0, -1, 2.5):
             with pytest.raises(ValueError):
                 coarse_grain(sp, bad)
@@ -249,8 +265,8 @@ class TestCoarseGrain:
 class TestAverageSpectra:
     def test_pointwise_mean_and_count(self):
         nu = np.arange(1.0, 4.0)
-        a = Spectrum(nu=nu, s=np.array([1.0, 2.0, 3.0]))
-        b = Spectrum(nu=nu, s=np.array([3.0, 2.0, 1.0]))
+        a = Spectrum(nu=nu, s_bar=np.array([1.0, 2.0, 3.0]))
+        b = Spectrum(nu=nu, s_bar=np.array([3.0, 2.0, 1.0]))
         out = average_spectra([a, b])
         np.testing.assert_allclose(out.s_bar, [2.0, 2.0, 2.0])
         assert out.n_eff == 2
@@ -258,21 +274,21 @@ class TestAverageSpectra:
     def test_counts_multiply(self):
         nu = np.arange(1.0, 4.0)
         parts = [
-            AveragedSpectrum(nu=nu, s_bar=np.full(3, float(k)), n_eff=20)
+            Spectrum(nu=nu, s_bar=np.full(3, float(k)), n_eff=20)
             for k in range(5)
         ]
         assert average_spectra(parts).n_eff == 100
 
     def test_rejects_mismatched_grids(self):
-        a = Spectrum(nu=np.arange(1.0, 4.0), s=np.ones(3))
-        b = Spectrum(nu=np.arange(2.0, 5.0), s=np.ones(3))
+        a = Spectrum(nu=np.arange(1.0, 4.0), s_bar=np.ones(3))
+        b = Spectrum(nu=np.arange(2.0, 5.0), s_bar=np.ones(3))
         with pytest.raises(ValueError):
             average_spectra([a, b])
 
     def test_rejects_mixed_counts(self):
         nu = np.arange(1.0, 4.0)
-        a = AveragedSpectrum(nu=nu, s_bar=np.ones(3), n_eff=2)
-        b = AveragedSpectrum(nu=nu, s_bar=np.ones(3), n_eff=3)
+        a = Spectrum(nu=nu, s_bar=np.ones(3), n_eff=2)
+        b = Spectrum(nu=nu, s_bar=np.ones(3), n_eff=3)
         with pytest.raises(ValueError):
             average_spectra([a, b])
 
@@ -295,7 +311,7 @@ def test_adjacent_bins_uncorrelated():
     # independence of neighboring raw bins across 4000 independent records
     cfg = make_cfg(delta=0.05, t_total=0.4, fit_lo=1.0, fit_hi=9.0)  # M = 8
     rows = np.array(
-        [periodogram(synthesize_timeseries(FLAT, cfg, seed=(99, k))).s for k in range(4000)]
+        [periodogram(synthesize_timeseries(FLAT, cfg, seed=(99, k))).s_bar for k in range(4000)]
     )
     c = np.corrcoef(rows, rowvar=False)
     off_diag = c[~np.eye(c.shape[0], dtype=bool)]
