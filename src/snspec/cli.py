@@ -40,7 +40,7 @@ from .scan import find_optimum, scan_grid
 __all__ = ["main"]
 
 
-def _provenance(cfg: RunConfig, seed: int, threads: int) -> dict:
+def _provenance(cfg: RunConfig, seed: int, threads: int = 1) -> dict:
     return {
         "config": cfg.raw,
         "master_seed_used": seed,
@@ -63,14 +63,6 @@ def _seed(args, cfg: RunConfig) -> int:
     return args.seed if args.seed is not None else cfg.master_seed
 
 
-def _threads(args, cfg: RunConfig) -> int:
-    if args.threads is not None:
-        if args.threads < 1:
-            raise ConfigError("--threads must be at least 1")
-        return args.threads
-    return cfg.threads
-
-
 def cmd_synth(args) -> int:
     cfg = load_config(args.config)
     acq = cfg.require_acquisition()
@@ -85,7 +77,7 @@ def cmd_synth(args) -> int:
         written.append(path)
     if "json" in formats:
         path = _outpath(args, cfg, "spectrum.json")
-        write_spectrum_json(path, sp, synthesis=cfg.synthesis, **_provenance(cfg, seed, 1))
+        write_spectrum_json(path, sp, synthesis=cfg.synthesis, **_provenance(cfg, seed))
         written.append(path)
     print(f"synth: {sp.nu.size} bins, n_eff={sp.n_eff}, wrote {', '.join(written)}")
     return 0
@@ -109,7 +101,7 @@ def cmd_fit(args) -> int:
         "converged": result.converged,
         "n_iter": result.n_iter,
         "window_hz": list(result.window),
-        **_provenance(cfg, _seed(args, cfg), 1),
+        **_provenance(cfg, cfg.master_seed),
     }
     path = _outpath(args, cfg, "fit.json")
     write_json(path, payload)
@@ -125,10 +117,8 @@ def cmd_fit(args) -> int:
 def cmd_validate(args) -> int:
     cfg = load_config(args.config)
     acq = cfg.require_acquisition()
-    if cfg.n_trials < 2:
-        raise ConfigError("config.monte_carlo.n_trials: validate needs at least 2")
     seed = _seed(args, cfg)
-    threads = _threads(args, cfg)
+    threads = args.threads if args.threads is not None else cfg.threads
     report = run_validation(
         cfg.spectral_params(), acq, cfg.n_trials, seed, threads=threads, synthesis=cfg.synthesis
     )
@@ -175,7 +165,7 @@ def cmd_crb(args) -> int:
         "nu_t_hz": result.nu_t,
         "window_hz": list(result.window),
         "method": result.method,
-        **_provenance(cfg, _seed(args, cfg), 1),
+        **_provenance(cfg, cfg.master_seed),
     }
     path = _outpath(args, cfg, "crb.json")
     write_json(path, payload)
@@ -197,8 +187,7 @@ def cmd_scan(args) -> int:
             "config.model: scan requires 'conditions' with an instrument, "
             "not direct spectral parameters"
         )
-    threads = _threads(args, cfg)
-    sg = scan_grid(spec.n_values, spec.p_values, cfg.instrument, acq, spec.xi2, threads=threads)
+    sg = scan_grid(spec.n_values, spec.p_values, cfg.instrument, acq, spec.xi2)
     formats = _formats(args, cfg)
     written = []
     if "csv" in formats:
@@ -216,7 +205,7 @@ def cmd_scan(args) -> int:
             "interior": report.interior,
         }
     path = _outpath(args, cfg, "optima.json")
-    write_json(path, {"optima": optima, "xi2": sg.xi2, **_provenance(cfg, _seed(args, cfg), threads)})
+    write_json(path, {"optima": optima, "xi2": sg.xi2, **_provenance(cfg, cfg.master_seed)})
     written.append(path)
     for name, o in optima.items():
         print(
@@ -264,17 +253,23 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, config_required=True):
-        p.add_argument("--config", required=config_required, help="JSON run configuration")
-        p.add_argument("--seed", type=int, default=None, help="override monte_carlo.master_seed")
-        p.add_argument("--threads", type=int, default=None, help="override monte_carlo.threads")
+    # each command takes only the flags that change what it writes
+    def common(p, seed=False, threads=False, fmt=False):
+        p.add_argument("--config", required=True, help="JSON run configuration")
         p.add_argument("--out", default=None, help="override output.directory")
-        p.add_argument(
-            "--format", choices=["csv", "json"], default=None, help="restrict output format"
-        )
+        if seed:
+            p.add_argument(
+                "--seed", type=int, default=None, help="override monte_carlo.master_seed"
+            )
+        if threads:
+            p.add_argument("--threads", type=int, default=None, help="override monte_carlo.threads")
+        if fmt:
+            p.add_argument(
+                "--format", choices=["csv", "json"], default=None, help="restrict output format"
+            )
 
     p = sub.add_parser("synth", help="write one synthetic averaged spectrum")
-    common(p)
+    common(p, seed=True, fmt=True)
     p.set_defaults(func=cmd_synth)
 
     p = sub.add_parser("fit", help="fit a spectrum file")
@@ -283,7 +278,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_fit)
 
     p = sub.add_parser("validate", help="Monte Carlo covariance vs theory")
-    common(p)
+    common(p, seed=True, threads=True)
     p.set_defaults(func=cmd_validate)
 
     p = sub.add_parser("crb", help="covariance bound for the configured model")
@@ -291,7 +286,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_crb)
 
     p = sub.add_parser("scan", help="map the bound over the (n, P) plane")
-    common(p)
+    common(p, fmt=True)
     p.set_defaults(func=cmd_scan)
 
     p = sub.add_parser("kstats", help="cumulant statistics of a sample file")

@@ -238,8 +238,9 @@ def config_from_dict(doc: dict[str, Any], origin: str = "config") -> RunConfig:
     synthesis = m.take("synthesis", str, default="timeseries")
     threads = m.take("threads", int, default=1)
     m.finish()
-    if n_trials < 1:
-        raise ConfigError(f"{origin}.monte_carlo.n_trials: must be at least 1")
+    if n_trials < 2:
+        # validate forms a covariance and crb a Wishart spread from n_trials samples
+        raise ConfigError(f"{origin}.monte_carlo.n_trials: must be at least 2")
     if synthesis not in SYNTHESIS_ROUTES:
         raise ConfigError(
             f"{origin}.monte_carlo.synthesis: {synthesis!r} is not one of {SYNTHESIS_ROUTES}"

@@ -76,6 +76,14 @@ def _window_slice(sp: Spectrum, window) -> np.ndarray:
     return np.flatnonzero(mask)
 
 
+def _fit_bins(sp: Spectrum, window) -> tuple[np.ndarray, np.ndarray]:
+    """(nu, s_bar) of the bins inside window; too few bins to fit is a ConfigError."""
+    idx = _window_slice(sp, window)
+    if idx.size < _MIN_WINDOW_BINS:
+        raise ConfigError(f"fit window holds {idx.size} bins, need at least {_MIN_WINDOW_BINS}")
+    return sp.nu[idx], sp.s_bar[idx]
+
+
 def chi_squared(v: SpectralParams, sp: Spectrum, window) -> float:
     """sum over window bins of (1 - S_bar_i/f(nu_i, v))^2."""
     idx = _window_slice(sp, window)
@@ -92,14 +100,8 @@ def initial_guess(sp: Spectrum, window) -> SpectralParams:
     delta_nu from the half-maximum crossings (falling back to a quarter of
     the window when the peak is unresolved).
     """
-    idx = _window_slice(sp, window)
-    if idx.size < _MIN_WINDOW_BINS:
-        raise ConfigError(
-            f"fit window holds {idx.size} bins, need at least {_MIN_WINDOW_BINS}"
-        )
-    nu = sp.nu[idx]
-    s = sp.s_bar[idx]
-    q = max(idx.size // 4, 1)
+    nu, s = _fit_bins(sp, window)
+    q = max(s.size // 4, 1)
     s_ph = float(np.median(np.concatenate([s[:q], s[-q:]])))
     if s_ph <= 0.0:
         s_ph = max(float(np.mean(np.abs(s))), _S_AT_FLOOR_FRACTION)
@@ -149,13 +151,7 @@ def mle_fit(sp: Spectrum, window, guess: SpectralParams | None = None) -> FitRes
     the center and width estimates are unbiased at that order. Covariances
     are unaffected since they subtract the sample mean.
     """
-    idx = _window_slice(sp, window)
-    if idx.size < _MIN_WINDOW_BINS:
-        raise ConfigError(
-            f"fit window holds {idx.size} bins, need at least {_MIN_WINDOW_BINS}"
-        )
-    nu = sp.nu[idx]
-    s = sp.s_bar[idx]
+    nu, s = _fit_bins(sp, window)
     v0 = guess if guess is not None else initial_guess(sp, window)
     theta0 = _pack(v0)
     width = window[1] - window[0]

@@ -9,7 +9,6 @@ minimum inside the plane.
 """
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -88,13 +87,11 @@ def scan_grid(
     k: InstrumentConstants,
     cfg: AcquisitionConfig,
     xi2: float = 1.0,
-    threads: int = 1,
 ) -> ScanGrid:
     """Evaluate the four diagonal covariance surfaces over the (n, P) grid.
 
     Singular cells become NaN rather than raising, so one degenerate corner
-    does not void a scan. Output is bit-identical for any thread count: cells
-    are written by index.
+    does not void a scan.
     """
     n_values = np.asarray(n_values, dtype=float)
     p_values = np.asarray(p_values, dtype=float)
@@ -106,18 +103,9 @@ def scan_grid(
     nu_t = cfg.coarse_spacing
     n_eff = cfg.n_eff
     surfaces = np.empty((4, n_values.size, p_values.size))
-    cells = [(i, j) for i in range(n_values.size) for j in range(p_values.size)]
-
-    def fill(cell):
-        i, j = cell
-        surfaces[:, i, j] = _cell_diag(n_values[i], p_values[j], xi2, k, window, nu_t, n_eff)
-
-    if threads == 1:
-        for cell in cells:
-            fill(cell)
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(fill, cells))
+    for i, n in enumerate(n_values):
+        for j, p in enumerate(p_values):
+            surfaces[:, i, j] = _cell_diag(n, p, xi2, k, window, nu_t, n_eff)
     return ScanGrid(n_values=n_values, p_values=p_values, xi2=xi2, surfaces=surfaces)
 
 

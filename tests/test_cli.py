@@ -252,6 +252,13 @@ class TestCrb:
         cfg = write_config(tmp_path, body)
         assert run("crb", "--config", cfg) == 4
 
+    def test_single_trial_is_a_config_error(self, tmp_path, capsys):
+        # the Wishart spread of the bound needs at least 2 samples
+        body = copy.deepcopy(BASE)
+        body["monte_carlo"]["n_trials"] = 1
+        assert run("crb", "--config", write_config(tmp_path, body)) == 2
+        assert "n_trials" in capsys.readouterr().err
+
 
 class TestScan:
     def test_outputs_and_round_trip(self, tmp_path):
@@ -276,14 +283,6 @@ class TestScan:
         for entry in optima.values():
             assert entry["gamma_min"] > 0
             assert isinstance(entry["interior"], bool)
-
-    def test_thread_flag_keeps_bytes(self, tmp_path):
-        cfg = write_config(tmp_path, SCAN)
-        run("scan", "--config", cfg, "--out", tmp_path / "a")
-        run("scan", "--config", cfg, "--threads", 4, "--out", tmp_path / "b")
-        assert (tmp_path / "a" / "scan.csv").read_bytes() == (
-            tmp_path / "b" / "scan.csv"
-        ).read_bytes()
 
     def test_requires_conditions_model(self, tmp_path):
         body = copy.deepcopy(BASE)
@@ -350,6 +349,25 @@ class TestErrorPaths:
         del body["acquisition"]["fit_hi_hz"]
         assert run("synth", "--config", write_config(tmp_path, body)) == 2
         assert "fit_hi_hz" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["scan", "--threads", "2"],
+            ["synth", "--threads", "2"],
+            ["crb", "--seed", "5"],
+            ["fit", "spectrum.csv", "--format", "csv"],
+            ["validate", "--format", "json"],
+        ],
+        ids=["scan-threads", "synth-threads", "crb-seed", "fit-format", "validate-format"],
+    )
+    def test_flag_the_command_ignores_is_rejected(self, tmp_path, capsys, argv):
+        cfg = write_config(tmp_path, SCAN if argv[0] == "scan" else BASE)
+        with pytest.raises(SystemExit) as exc:
+            run(*argv, "--config", cfg, "--out", tmp_path)
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {' '.join(argv[-2:])}" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == [tmp_path / "run.json"]
 
     def test_validate_without_acquisition(self, tmp_path):
         body = {"model": BASE["model"]}

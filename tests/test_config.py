@@ -198,6 +198,8 @@ class TestTypesAndValues:
     def test_nonpositive_counts_rejected(self):
         with pytest.raises(ConfigError):
             config_from_dict(doc(monte_carlo__n_trials=0))
+        with pytest.raises(ConfigError, match="n_trials: must be at least 2"):
+            config_from_dict(doc(monte_carlo__n_trials=1))
         with pytest.raises(ConfigError):
             config_from_dict(doc(monte_carlo__threads=0))
         with pytest.raises(ConfigError):
