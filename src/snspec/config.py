@@ -214,6 +214,9 @@ def _parse_scan(section: dict[str, Any]) -> ScanSpec:
         raise ConfigError("config.scan: ranges must satisfy min < max")
     if n_points < 1 or p_points < 1:
         raise ConfigError("config.scan: point counts must be at least 1")
+    # the grids ascend, so the two corners bound every cell's conditions
+    for n, p_mw in ((n_min, p_min), (n_max, p_max)):
+        s.build(ExperimentConditions, n=n, p=p_mw * 1e-3, xi2=xi2)
     return ScanSpec(
         n_values=np.linspace(n_min, n_max, n_points),
         p_values=np.linspace(p_min, p_max, p_points) * 1e-3,

@@ -11,6 +11,7 @@ inputs give byte-identical files.
 from __future__ import annotations
 
 import csv
+import io
 import json
 from typing import Any
 
@@ -42,18 +43,26 @@ def _fmt(x: float) -> str:
 def _read_csv(path, header, what) -> np.ndarray:
     """Rows under the given header as a (rows, columns) float array."""
     with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
-    if not rows or rows[0] != header:
+        line = fh.readline()
+        body = fh.read()
+    first = next(csv.reader([line]), [])
+    if first != header:
         raise ConfigError(
             f"{path}: expected header {','.join(header)}, "
-            f"got {','.join(rows[0]) if rows else 'empty file'}"
+            f"got {','.join(first) if line else 'empty file'}"
         )
+    if not body:
+        raise ConfigError(f"{path}: no data rows")
+    # loadtxt skips empty lines, which csv reads as rows with no fields
+    body = body.replace("\r\n", "\n").replace("\r", "\n")
+    if body.startswith("\n") or "\n\n" in body:
+        raise ConfigError(f"{path}: blank line among the {what} rows")
     try:
-        data = np.array(rows[1:], dtype=float)
+        data = np.loadtxt(
+            io.StringIO(body), delimiter=",", ndmin=2, comments=None, quotechar='"'
+        )
     except ValueError as exc:
         raise ConfigError(f"{path}: non-numeric or ragged {what} rows ({exc})") from exc
-    if data.size == 0:
-        raise ConfigError(f"{path}: no data rows")
     if data.shape[1] != len(header):
         raise ConfigError(f"{path}: {what} rows must have {len(header)} columns")
     return data

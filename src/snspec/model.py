@@ -155,18 +155,29 @@ def grad_log_psd(v: SpectralParams, nu) -> np.ndarray:
     resonance (the spectrum there is s_ph + s_at regardless of nu_l, delta_nu)
     and the whole nu_l / delta_nu pair vanishes identically when s_at = 0.
     """
+    return grad_log_psd_array(v.s_ph, v.nu_l, v.s_at, v.delta_nu, nu)
+
+
+def grad_log_psd_array(s_ph, nu_l, s_at, delta_nu, nu) -> np.ndarray:
+    """grad_log_psd on parameter arrays that broadcast against nu.
+
+    The result has the broadcast shape plus a trailing axis of length 4, so a
+    stack of parameter vectors, each with its own frequency row, gives the
+    gradients of all of them in one pass. No validation: the caller passes
+    valid parameters.
+    """
     nu = np.asarray(nu, dtype=float)
-    d = v.delta_nu
+    d = delta_nu
     d2 = d * d
-    off = nu - v.nu_l
+    off = nu - nu_l
     q = 4.0 * off * off + d2
     lor = d2 / q
-    f = v.s_ph + v.s_at * lor
-    g = np.empty(nu.shape + (4,))
+    f = s_ph + s_at * lor
+    g = np.empty(np.shape(f) + (4,))
     g[..., 0] = 1.0 / f
-    g[..., 1] = 8.0 * v.s_at * d2 * off / (q * q * f)
+    g[..., 1] = 8.0 * s_at * d2 * off / (q * q * f)
     g[..., 2] = lor / f
-    g[..., 3] = 8.0 * v.s_at * d * off * off / (q * q * f)
+    g[..., 3] = 8.0 * s_at * d * off * off / (q * q * f)
     return g
 
 
@@ -195,25 +206,41 @@ def params_from_conditions(
     Note s_at * delta_nu does not depend on how the broadening splits among
     the three contributions.
     """
-    delta_nu = (k.gamma0 + k.alpha * c.n + k.beta * c.p) / math.pi
-    if not (delta_nu > 0):
-        raise NumericalError(f"forward model produced delta_nu = {delta_nu} <= 0")
+    theta = params_from_conditions_array(c.n, c.p, c.xi2, k)
+    if not (theta[3] > 0):
+        raise NumericalError(f"forward model produced delta_nu = {theta[3]} <= 0")
+    return SpectralParams.from_array(theta)
+
+
+def params_from_conditions_array(n, p, xi2, k: InstrumentConstants) -> np.ndarray:
+    """params_from_conditions on condition arrays that broadcast together.
+
+    Returns the broadcast shape plus a trailing axis of length 4 holding
+    (s_ph, nu_l, s_at, delta_nu). No validation: the caller passes valid
+    conditions.
+    """
+    n = np.asarray(n, dtype=float)
+    p = np.asarray(p, dtype=float)
+    delta_nu = (k.gamma0 + k.alpha * n + k.beta * p) / math.pi
     responsivity = k.eta * k.q / k.e_ph  # A/W
-    photocurrent = responsivity * c.p  # A
-    s_ph = 2.0 * k.g**2 * k.q * photocurrent * c.xi2
+    photocurrent = responsivity * p  # A
+    s_ph = 2.0 * k.g**2 * k.q * photocurrent * xi2
+    # float_power calls C pow, as a Python float's ** does; np.power squares,
+    # which differs from pow in the last bit for about 1 value in 1200
     s_at = (
         8.0
         * k.g**2
-        * photocurrent**2
+        * np.float_power(photocurrent, 2)
         * k.kappa2
         * k.a_eff
         * k.l_cell
-        * (k.isotope_fraction * c.n)
+        * (k.isotope_fraction * n)
         / (math.pi * delta_nu)
     )
-    return SpectralParams(
-        s_ph=s_ph * V2_PER_HZ_TO_UV2_PER_HZ,
-        nu_l=k.nu_l_fixed,
-        s_at=s_at * V2_PER_HZ_TO_UV2_PER_HZ,
-        delta_nu=delta_nu,
-    )
+    s_ph, s_at, delta_nu = np.broadcast_arrays(s_ph, s_at, delta_nu)
+    theta = np.empty(s_ph.shape + (4,))
+    theta[..., 0] = s_ph * V2_PER_HZ_TO_UV2_PER_HZ
+    theta[..., 1] = k.nu_l_fixed
+    theta[..., 2] = s_at * V2_PER_HZ_TO_UV2_PER_HZ
+    theta[..., 3] = delta_nu
+    return theta

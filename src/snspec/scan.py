@@ -1,11 +1,12 @@
 """Covariance-bound maps over the (density, power) plane.
 
-Each grid cell evaluates the forward model at (n, P), computes the integral
-form of the information matrix under the acquisition geometry, and stores the
-four diagonal covariance entries. The surfaces expose the sensitivity
-optimum: photon shot noise falls with power while power and collision
-broadening grow, so the variances of the line parameters pass through a
-minimum inside the plane.
+The forward model maps the whole (n, P) grid to one stack of spectral
+parameter vectors, and `fisher.integral_covariance_stack` turns the stack
+into the integral-form covariance bounds under the acquisition geometry, in
+a few array passes rather than one call per cell; the scan keeps the four
+diagonal entries. The surfaces expose the sensitivity optimum: photon shot
+noise falls with power while power and collision broadening grow, so the
+variances of the line parameters pass through a minimum inside the plane.
 """
 from __future__ import annotations
 
@@ -14,8 +15,13 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import ConfigError, NumericalError
-from .fisher import fisher_integral
-from .model import ExperimentConditions, InstrumentConstants, params_from_conditions
+from .fisher import fisher_integral, integral_covariance_stack
+from .model import (
+    ExperimentConditions,
+    InstrumentConstants,
+    params_from_conditions,
+    params_from_conditions_array,
+)
 from .synthesis import AcquisitionConfig
 
 __all__ = ["ScanGrid", "OptimumReport", "scan_grid", "find_optimum", "squeezing_gain"]
@@ -70,17 +76,6 @@ def _check_index(param_index: int) -> None:
         raise ConfigError(f"param_index must be 1..4, got {param_index!r}")
 
 
-def _cell_diag(n, p, xi2, k, window, nu_t, n_eff):
-    try:
-        v = params_from_conditions(ExperimentConditions(n=n, p=p, xi2=xi2), k)
-        result = fisher_integral(v, window, nu_t, n_eff)
-    except NumericalError:
-        return np.full(4, np.nan)
-    if result.gamma_th is None or result.rank < 4:
-        return np.full(4, np.nan)
-    return np.diag(result.gamma_th)
-
-
 def scan_grid(
     n_values,
     p_values,
@@ -91,21 +86,27 @@ def scan_grid(
     """Evaluate the four diagonal covariance surfaces over the (n, P) grid.
 
     Singular cells become NaN rather than raising, so one degenerate corner
-    does not void a scan.
+    does not void a scan. Both grids must be sorted strictly ascending; then
+    the forward model and its range checks are monotone in n and P, so the
+    (min, min) and (max, max) corners stand for every cell.
     """
     n_values = np.asarray(n_values, dtype=float)
     p_values = np.asarray(p_values, dtype=float)
     if n_values.size == 0 or p_values.size == 0:
         raise ConfigError("scan grids must be nonempty")
-    if np.any(np.diff(n_values) <= 0.0) or np.any(np.diff(p_values) <= 0.0):
+    if not (np.all(np.diff(n_values) > 0.0) and np.all(np.diff(p_values) > 0.0)):
         raise ConfigError("scan grids must be sorted strictly ascending")
-    window = (cfg.fit_lo, cfg.fit_hi)
-    nu_t = cfg.coarse_spacing
-    n_eff = cfg.n_eff
-    surfaces = np.empty((4, n_values.size, p_values.size))
-    for i, n in enumerate(n_values):
-        for j, p in enumerate(p_values):
-            surfaces[:, i, j] = _cell_diag(n, p, xi2, k, window, nu_t, n_eff)
+    for n, p in ((n_values[0], p_values[0]), (n_values[-1], p_values[-1])):
+        try:
+            c = ExperimentConditions(n=float(n), p=float(p), xi2=xi2)
+        except ValueError as exc:
+            raise ConfigError(f"scan range: {exc}") from exc
+        params_from_conditions(c, k)  # raises where the forward model leaves its range
+    theta = params_from_conditions_array(n_values[:, None], p_values[None, :], xi2, k)
+    gamma = integral_covariance_stack(
+        theta.reshape(-1, 4), (cfg.fit_lo, cfg.fit_hi), cfg.coarse_spacing, cfg.n_eff
+    )
+    surfaces = np.diagonal(gamma, axis1=1, axis2=2).T.reshape(4, n_values.size, p_values.size)
     return ScanGrid(n_values=n_values, p_values=p_values, xi2=xi2, surfaces=surfaces)
 
 

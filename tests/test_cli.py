@@ -296,6 +296,14 @@ class TestScan:
         cfg = write_config(tmp_path, body)
         assert run("scan", "--config", cfg) == 2
 
+    def test_out_of_range_grid_exits_config(self, tmp_path, capsys):
+        body = copy.deepcopy(SCAN)
+        body["scan"]["p_min_mw"] = 0.0
+        cfg = write_config(tmp_path, body)
+        assert run("scan", "--config", cfg, "--out", tmp_path / "s") == 2
+        assert "config.scan" in capsys.readouterr().err
+        assert not (tmp_path / "s" / "scan.csv").exists()
+
 
 class TestKstats:
     def test_known_sample(self, tmp_path, capsys):

@@ -189,6 +189,20 @@ class TestTypesAndValues:
         with pytest.raises(ConfigError, match="min < max"):
             config_from_dict(doc(scan__n_min_per_cm3=3e13))
 
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            dict(scan__p_min_mw=0.0),
+            dict(scan__n_min_per_cm3=-1e12),
+            dict(scan__xi2=0.0),
+            dict(scan__xi2=float("nan")),
+        ],
+    )
+    def test_scan_corner_out_of_range_rejected(self, edit):
+        # every cell's conditions lie between the two grid corners
+        with pytest.raises(ConfigError, match="config.scan"):
+            config_from_dict(doc(**edit))
+
     def test_bad_format_rejected(self):
         with pytest.raises(ConfigError, match="unknown format"):
             config_from_dict(doc(output__formats=["csv", "xml"]))

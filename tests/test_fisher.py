@@ -11,6 +11,7 @@ from snspec.fisher import (
     fisher_discrete,
     fisher_integral,
     invert_psd_matrix,
+    invert_psd_stack,
     normalized_deviation,
     wishart_std,
 )
@@ -179,6 +180,42 @@ class TestInvertPsdMatrix:
         inv, rank = invert_psd_matrix(a)
         assert inv is None
         assert rank == 2
+
+
+class TestInvertPsdStack:
+    def stack(self):
+        rng = np.random.default_rng(11)
+        regular = [x @ x.T for x in rng.normal(size=(5, 4, 6))]
+        d = 10.0 ** np.array([-6.0, 0.0, 3.0, 6.0])
+        scaled = [np.outer(d, d) * regular[0], np.outer(d[::-1], d[::-1]) * regular[1]]
+        deficient = [x @ x.T for x in (rng.normal(size=(4, r)) for r in (1, 2, 3))]
+        zero_diag = regular[2].copy()
+        zero_diag[1, :] = zero_diag[:, 1] = 0.0
+        non_finite = regular[3].copy()
+        non_finite[0, 0] = np.nan
+        mats = regular + scaled + deficient + [zero_diag, np.zeros((4, 4)), non_finite]
+        ranks = [4] * 7 + [1, 2, 3, 3, 0, 0]
+        return np.array(mats), ranks
+
+    def test_each_entry_matches_the_one_matrix_call(self):
+        mats, ranks = self.stack()
+        inverses, got = invert_psd_stack(mats)
+        assert got.tolist() == ranks
+        for a, inv, rank in zip(mats, inverses, got):
+            want, want_rank = invert_psd_matrix(a)
+            assert rank == want_rank
+            if want is None:
+                assert np.all(np.isnan(inv))
+            else:
+                np.testing.assert_array_equal(inv, want)
+
+    def test_entries_do_not_depend_on_their_neighbours(self):
+        mats, _ = self.stack()
+        inverses, ranks = invert_psd_stack(mats)
+        order = np.random.default_rng(3).permutation(len(mats))
+        shuffled, shuffled_ranks = invert_psd_stack(mats[order])
+        np.testing.assert_array_equal(shuffled, inverses[order])
+        np.testing.assert_array_equal(shuffled_ranks, ranks[order])
 
 
 class TestWishartStd:

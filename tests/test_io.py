@@ -63,6 +63,18 @@ class TestSpectrumCsv:
         with pytest.raises(ConfigError):
             read_spectrum_csv(path)
 
+    @pytest.mark.parametrize(
+        "body",
+        ["1,2\n\n3,4\n", "1,2\r\n\r\n3,4\r\n", "\n1,2\n3,4\n", "1,2\n3,4\n\n"],
+        ids=["between-rows", "between-crlf-rows", "after-header", "after-last-row"],
+    )
+    def test_rejects_blank_line(self, tmp_path, body):
+        # csv reads a blank line as a row with no fields: a ragged file
+        path = tmp_path / "bad.csv"
+        path.write_bytes(("nu_hz,psd_uv2_per_hz\n" + body).encode())
+        with pytest.raises(ConfigError, match="blank line"):
+            read_spectrum_csv(path)
+
     def test_rejects_empty(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("")

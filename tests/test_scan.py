@@ -1,10 +1,19 @@
 """Covariance surfaces over the (n, P) plane, optima, squeezing ratios."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from snspec import fisher
 from snspec.errors import ConfigError, NumericalError
-from snspec.model import ExperimentConditions, InstrumentConstants
+from snspec.fisher import fisher_integral
+from snspec.model import (
+    ExperimentConditions,
+    InstrumentConstants,
+    params_from_conditions,
+    params_from_conditions_array,
+)
 from snspec.profiles import REFERENCE_ACQUISITION, REFERENCE_INSTRUMENT
 from snspec.scan import OptimumReport, ScanGrid, find_optimum, scan_grid, squeezing_gain
 
@@ -90,6 +99,65 @@ class TestScanGridOp:
             scan_grid(N_SMALL[::-1], P_SMALL, k, cfg)
         with pytest.raises(ConfigError):
             scan_grid(np.array([1e12, 1e12]), P_SMALL, k, cfg)
+
+    @pytest.mark.parametrize(
+        "n_values, p_values, xi2",
+        [
+            (np.array([-1e12, 4e12]), P_SMALL, 1.0),  # negative density corner
+            (N_SMALL, np.array([0.0, 1e-3]), 1.0),  # zero power corner
+            (N_SMALL, np.array([1e-3, np.inf]), 1.0),  # infinite power corner
+            (np.array([1e12, np.nan, 4e12]), P_SMALL, 1.0),  # NaN inside the grid
+            (N_SMALL, P_SMALL, 0.0),
+            (N_SMALL, P_SMALL, np.nan),
+        ],
+    )
+    def test_rejects_out_of_range_conditions(self, n_values, p_values, xi2):
+        with pytest.raises(ConfigError):
+            scan_grid(n_values, p_values, REFERENCE_INSTRUMENT, REFERENCE_ACQUISITION, xi2)
+
+
+def per_cell_surfaces(n_values, p_values, k, cfg, xi2):
+    """The reference route: one forward model and one fisher_integral per cell."""
+    out = np.full((4, n_values.size, p_values.size), np.nan)
+    for i, n in enumerate(n_values):
+        for j, p in enumerate(p_values):
+            v = params_from_conditions(ExperimentConditions(n=n, p=p, xi2=xi2), k)
+            try:
+                result = fisher_integral(v, (cfg.fit_lo, cfg.fit_hi), cfg.coarse_spacing, cfg.n_eff)
+            except NumericalError:
+                continue
+            if result.gamma_th is not None:
+                out[:, i, j] = np.diag(result.gamma_th)
+    return out
+
+
+class TestBatchedScanEqualsPerCell:
+    # gamma0 = 5 s^-1: at low n and P the line is 1.7-4 Hz wide, has all 8
+    # panels inside the window and needs quadrature orders 128 and 256; at
+    # high n and P it is kHz wide with 4 or 6 panels. n = 0 is a singular row,
+    # and the 88 cells span more than one block.
+    K = replace(REFERENCE_INSTRUMENT, gamma0=5.0)
+    N = np.array([0.0, 1e9, 1e10, 1e11, 1e12, 4e12, 1e13, 4e13])
+    P = np.geomspace(1e-6, 1e-2, 11)
+
+    @pytest.mark.parametrize("xi2", [1.0, 0.55])
+    def test_bit_identical(self, xi2):
+        sg = scan_grid(self.N, self.P, self.K, REFERENCE_ACQUISITION, xi2)
+        want = per_cell_surfaces(self.N, self.P, self.K, REFERENCE_ACQUISITION, xi2)
+        np.testing.assert_array_equal(sg.surfaces, want)
+
+    def test_grid_covers_the_hard_cells(self, monkeypatch):
+        cfg = REFERENCE_ACQUISITION
+        assert self.N.size * self.P.size > fisher._BLOCK_CELLS
+        theta = params_from_conditions_array(self.N[:, None], self.P[None, :], 1.0, self.K)
+        _, counts = fisher._panel_edges(cfg.fit_lo, cfg.fit_hi, theta[..., 1].ravel(), theta[..., 3].ravel())
+        assert np.unique(counts).size >= 3
+        nan_cells = np.isnan(scan_grid(self.N, self.P, self.K, cfg).surfaces).sum()
+        assert nan_cells == 4 * self.P.size  # the n = 0 row only
+        # cutting the order ladder short voids the cells that needed the cut orders
+        for orders in ((32, 64), (32, 64, 128)):
+            monkeypatch.setattr(fisher, "_ORDERS", orders)
+            assert np.isnan(scan_grid(self.N, self.P, self.K, cfg).surfaces).sum() > nan_cells
 
 
 class TestFindOptimum:
