@@ -1,7 +1,7 @@
 """Map attainable precision over vapor density and probe power.
 
-The 25x25 grid here takes about 0.05 s and the shipped CLI scan config's
-50x50 grid about 0.2 s (2-core x86 host, BLAS on one thread). The forward
+The 25x25 grid here takes about 0.02 s and the shipped CLI scan config's
+50x50 grid about 0.07 s (2-core x86 host, BLAS on one thread). The forward
 model turns every (n, P) cell into a spectrum, and the information matrix
 gives the best-case variance of each fitted parameter.
 The center-frequency and linewidth variances have interior optima; the two

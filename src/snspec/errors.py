@@ -11,4 +11,4 @@ class ConfigError(Exception):
 
 
 class NumericalError(RuntimeError):
-    """A numerical procedure failed (singular matrix, non-convergent quadrature)."""
+    """A numerical procedure failed (for example, a singular matrix)."""

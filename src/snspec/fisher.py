@@ -6,7 +6,8 @@ they can cross-check each other:
 * a discrete sum over the fitted frequency bins, info = (n_eff + 2) *
   sum_i g_i g_i^T with g_i the log-spectrum gradient, and
 * a continuous-frequency approximation, info = (n_eff + 2) / nu_t *
-  integral of g g^T over the fit window, evaluated by adaptive quadrature.
+  integral of g g^T over the fit window, evaluated by one fixed-order
+  Gauss-Legendre rule on panels that double in width away from the line.
 
 `nu_t` is the frequency spacing of the grid actually fit (after any
 coarse-graining), not necessarily 1/T of the raw record. The covariance
@@ -14,17 +15,16 @@ bound is the inverse information matrix; rank-deficient information is
 reported instead of pseudo-inverted.
 
 The quadrature and the inverse work on stacks: `_outer_integral` integrates
-many parameter vectors at once, each on its own panels and to its own
-converged order, and `invert_psd_stack` inverts many matrices in one
-eigen-factorization call. `fisher_integral` and `invert_psd_matrix` are their
-one-item cases, and `integral_covariance_stack` is the bound of a whole stack
-(the (n, P) scan), equal bit for bit to `fisher_integral` cell by cell.
+many parameter vectors at once, each on its own panels, and
+`invert_psd_stack` inverts many matrices in one eigen-factorization call.
+`fisher_integral` and `invert_psd_matrix` are their one-item cases, and
+`integral_covariance_stack` is the bound of a whole stack (the (n, P) scan),
+equal bit for bit to `fisher_integral` cell by cell.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -133,92 +133,44 @@ def fisher_discrete(v: SpectralParams, bins, n_eff: float) -> FisherResult:
     return _result(info, n_eff, spacing, (bins[0], bins[-1]), "discrete-sum")
 
 
-@lru_cache(maxsize=32)
-def _gl_nodes(order: int):
-    x, w = np.polynomial.legendre.leggauss(order)
-    return x, w
-
-
-# Panel edges graded toward the resonance, in linewidths from nu_l.
-_PANEL_OFFSETS = np.array([-25.0, -5.0, -1.0, 0.0, 1.0, 5.0, 25.0])
-_ORDERS = (32, 64, 128, 256, 512)
-# Quadrature nodes evaluated in one array pass (32 cells x 4 panels x order
-# 64) and cells integrated and inverted together: they bound the memory of a
-# stack of cells whatever its size and however high its orders go.
-_MAX_NODES = 32 * 4 * 64
+# One fixed Gauss-Legendre rule for every panel, and the cells integrated and
+# inverted together: the block size is what bounds the memory of a stack.
+_GL_X, _GL_W = np.polynomial.legendre.leggauss(16)
 _BLOCK_CELLS = 64
 
 
-def _panel_edges(lo: float, hi: float, nu_l: np.ndarray, delta_nu: np.ndarray):
-    """Sorted distinct panel edges of each cell, +inf-padded, and their counts.
-
-    Each cell's edges are lo, hi and the graded points nu_l + k delta_nu that
-    fall inside [lo, hi].
-    """
-    edges = np.empty((nu_l.size, 2 + _PANEL_OFFSETS.size))
-    edges[:, 0] = lo
-    edges[:, 1] = hi
-    edges[:, 2:] = nu_l[:, None] + _PANEL_OFFSETS * delta_nu[:, None]
-    edges[~((edges >= lo) & (edges <= hi))] = np.inf
-    edges.sort(axis=1)
-    edges[:, 1:][edges[:, 1:] == edges[:, :-1]] = np.inf
-    edges.sort(axis=1)
-    return edges, np.isfinite(edges).sum(axis=1)
-
-
-def _panel_sums(theta, a, b, x, w):
-    """half-width times the weighted sum of g g^T over each panel [a, b]."""
-    half = 0.5 * (b - a)
-    nodes = (0.5 * (a + b))[:, None] + half[:, None] * x
-    t = theta[:, None, :]
-    g = grad_log_psd_array(t[..., 0], t[..., 1], t[..., 2], t[..., 3], nodes)
-    return half[:, None, None] * np.einsum("i,pij,pik->pjk", w, g, g)
-
-
-def _outer_integral(theta: np.ndarray, lo: float, hi: float, rel_tol: float) -> np.ndarray:
+def _outer_integral(theta: np.ndarray, lo: float, hi: float) -> np.ndarray:
     """Integral over [lo, hi] of the 4x4 outer product of grad_log_psd, per cell.
 
     theta holds one parameter vector (s_ph, nu_l, s_at, delta_nu) per row;
-    the result has shape (rows, 4, 4), NaN for a cell that did not converge.
-    Composite Gauss-Legendre on each cell's resonance-graded panels, doubling
-    the order until every element is stable to rel_tol (elementwise,
-    normalized by sqrt(diag_j diag_k) so near-zero antisymmetric elements do
-    not stall convergence on a meaningless relative scale). A cell leaves the
-    active set at the first order where its own check passes, and its panels
-    are summed in ascending order, so every cell gets the value it would get
-    alone.
+    the result has shape (rows, 4, 4). In u = 2 (nu - nu_l) / delta_nu the
+    panel edges are 0, +-1, +-2, +-4, ... +-2^K, with 2^K beyond both window
+    ends for every row, clipped to the window; each panel gets the same
+    16-point Gauss-Legendre rule. The integrand is rational in u with poles
+    only at u = +-i and u = +-i sqrt(1 + s_at / s_ph), so every pole lies at
+    least one panel width away from each panel, and order 16 is accurate to
+    rounding on every panel. A clipped panel has zero width and adds exactly
+    zero, and each row's panels add in ascending order, so a row gets the
+    same bits alone or in any stack.
     """
-    edges, counts = _panel_edges(lo, hi, theta[:, 1], theta[:, 3])
-    result = np.full((theta.shape[0], 4, 4), np.nan)
-    active = np.arange(theta.shape[0])
-    previous = None
-    for order in _ORDERS:
-        x, w = _gl_nodes(order)
-        # the active cells' panels, cell-major, ascending within a cell
-        cell, pos = np.nonzero(np.arange(edges.shape[1] - 1) < counts[active, None] - 1)
-        rows = active[cell]
-        a, b = edges[rows, pos], edges[rows, pos + 1]
-        total = np.zeros((active.size, 4, 4))
-        step = max(1, _MAX_NODES // order)
-        for s in range(0, cell.size, step):
-            sl = slice(s, s + step)
-            sums = _panel_sums(theta[rows[sl]], a[sl], b[sl], x, w)
-            # chunks follow the cell-major order, so a cell's panels still
-            # add in ascending order when the cell spans two chunks
-            for k in range(pos[sl].max() + 1):
-                at = pos[sl] == k
-                total[cell[sl][at]] += sums[at]
-        if previous is not None:
-            d = np.sqrt(np.clip(np.diagonal(total, axis1=1, axis2=2), 0.0, None))
-            norm = d[:, :, None] * d[:, None, :]
-            norm[norm == 0] = np.inf
-            done = np.max(np.abs(total - previous) / norm, axis=(1, 2)) <= rel_tol
-            result[active[done]] = total[done]
-            active, total = active[~done], total[~done]
-            if active.size == 0:
-                break
-        previous = total
-    return result
+    nu_l, half = theta[:, 1:2], 0.5 * theta[:, 3:4]
+    # reach < 2^e_reach and half >= 2^(e_half - 1), so half * 2^k passes the
+    # reach at k = e_reach - e_half + 1; working on exponents rather than on
+    # reach / half keeps a tiny linewidth from overflowing u
+    reach = np.maximum(np.abs(lo - nu_l), np.abs(hi - nu_l))
+    k = max(0, int(np.max(np.frexp(reach)[1] - np.frexp(half)[1])) + 1)
+    offsets = np.ldexp(half, np.arange(k + 1))
+    edges = np.clip(np.hstack([nu_l - offsets[:, ::-1], nu_l, nu_l + offsets]), lo, hi)
+    a, b = edges[:, :-1], edges[:, 1:]
+    width = 0.5 * (b - a)
+    nodes = (0.5 * (a + b))[..., None] + width[..., None] * _GL_X
+    t = theta[:, None, None, :]
+    g = grad_log_psd_array(t[..., 0], t[..., 1], t[..., 2], t[..., 3], nodes)
+    sums = width[..., None, None] * (np.swapaxes(g * _GL_W[:, None], -1, -2) @ g)
+    total = np.zeros((theta.shape[0], 4, 4))
+    for panel in range(sums.shape[1]):
+        total += sums[:, panel]
+    return total
 
 
 def _check_integral_args(window, nu_t, n_eff):
@@ -233,11 +185,7 @@ def _check_integral_args(window, nu_t, n_eff):
 
 
 def fisher_integral(
-    v: SpectralParams,
-    window: tuple[float, float],
-    nu_t: float,
-    n_eff: float,
-    rel_tol: float = 1e-9,
+    v: SpectralParams, window: tuple[float, float], nu_t: float, n_eff: float
 ) -> FisherResult:
     """Fisher information in the continuous-frequency approximation.
 
@@ -247,33 +195,27 @@ def fisher_integral(
     linewidth spans many grid steps.
     """
     lo, hi = _check_integral_args(window, nu_t, n_eff)
-    integral = _outer_integral(v.as_array()[None], lo, hi, rel_tol)[0]
-    if np.isnan(integral).any():
-        raise NumericalError(
-            f"quadrature did not converge to {rel_tol} on window ({lo}, {hi})"
-        )
-    info = (n_eff + 2.0) / nu_t * integral
+    info = (n_eff + 2.0) / nu_t * _outer_integral(v.as_array()[None], lo, hi)[0]
     return _result(info, n_eff, nu_t, (lo, hi), "integral")
 
 
 def integral_covariance_stack(
-    theta, window: tuple[float, float], nu_t: float, n_eff: float, rel_tol: float = 1e-9
+    theta, window: tuple[float, float], nu_t: float, n_eff: float
 ) -> np.ndarray:
     """fisher_integral's covariance bound for a stack of parameter vectors.
 
     theta has shape (m, 4), one (s_ph, nu_l, s_at, delta_nu) row per cell;
     the parameters must be valid. Returns the (m, 4, 4) bounds, NaN for a
-    cell whose information is singular or whose quadrature did not converge.
-    Each bound equals fisher_integral(...).gamma_th bit for bit.
+    cell whose information is singular. Each bound equals
+    fisher_integral(...).gamma_th bit for bit.
     """
     lo, hi = _check_integral_args(window, nu_t, n_eff)
     theta = np.asarray(theta, dtype=float)
-    gamma = np.full((theta.shape[0], 4, 4), np.nan)
+    gamma = np.empty((theta.shape[0], 4, 4))
     for s in range(0, theta.shape[0], _BLOCK_CELLS):
         block = slice(s, s + _BLOCK_CELLS)
-        info = _symmetrize((n_eff + 2.0) / nu_t * _outer_integral(theta[block], lo, hi, rel_tol))
-        ok = ~np.isnan(info).any(axis=(1, 2))
-        gamma[block][ok] = invert_psd_stack(info[ok])[0]
+        info = _symmetrize((n_eff + 2.0) / nu_t * _outer_integral(theta[block], lo, hi))
+        gamma[block] = invert_psd_stack(info)[0]
     return gamma
 
 

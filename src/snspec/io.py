@@ -123,11 +123,12 @@ def read_scan_csv(path):
     data = _read_csv(path, SCAN_HEADER, "scan")
     n_values = np.unique(data[:, 0])
     p_values = np.unique(data[:, 1])
-    if data.shape[0] != n_values.size * p_values.size:
-        raise ConfigError(f"{path}: rows do not form a complete (n, P) grid")
-    surfaces = np.full((4, n_values.size, p_values.size), np.nan)
     ni = np.searchsorted(n_values, data[:, 0])
     pj = np.searchsorted(p_values, data[:, 1])
+    cells = np.unique(ni * p_values.size + pj).size
+    if not (cells == data.shape[0] == n_values.size * p_values.size):
+        raise ConfigError(f"{path}: rows do not form a complete (n, P) grid, one row per cell")
+    surfaces = np.full((4, n_values.size, p_values.size), np.nan)
     for a in range(4):
         surfaces[a, ni, pj] = data[:, 2 + a]
     return n_values, p_values, surfaces

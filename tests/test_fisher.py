@@ -1,9 +1,12 @@
 """Fisher information routes, covariance bounds, Wishart error bars."""
 
+import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
+from scipy.integrate import IntegrationWarning, quad
 
 from snspec.errors import NumericalError
 from snspec.fisher import (
@@ -33,6 +36,46 @@ def window_bins(cfg=CFG):
 def norm_diff(a, b):
     d = np.sqrt(np.outer(np.diag(b), np.diag(b)))
     return np.max(np.abs(a - b) / d)
+
+
+def log_gradient(v, nu):
+    """grad ln f at one frequency in plain float arithmetic (test oracle)."""
+    off = nu - v.nu_l
+    q = 4.0 * off * off + v.delta_nu * v.delta_nu
+    lor = v.delta_nu * v.delta_nu / q
+    f = v.s_ph + v.s_at * lor
+    c = 8.0 * v.s_at * v.delta_nu * off / (q * q * f)
+    return (1.0 / f, c * v.delta_nu, lor / f, c * off)
+
+
+def quad_information(v, window, nu_t, n_eff):
+    """fisher_integral's info by scipy quad, one matrix entry at a time.
+
+    Breakpoints at nu_l +- 4^k delta_nu: the integrand changes on every scale
+    from the linewidth to the window width. With breakpoints only out to
+    +-25 linewidths, quad itself is off by 1e-4 (normalized) for a 0.3 Hz
+    line in a 99 kHz window.
+    """
+    lo, hi = window
+    points = [v.nu_l + s * 4.0**k * v.delta_nu for k in range(13) for s in (-1, 1)]
+    points = sorted(x for x in points if lo < x < hi) or None
+    integral = np.zeros((4, 4))
+    with warnings.catch_warnings():
+        # entries that cancel to about zero cannot meet epsrel; the
+        # comparison below is normalized by the diagonal, not by the entry
+        warnings.simplefilter("ignore", IntegrationWarning)
+        for j, k in itertools.combinations_with_replacement(range(4), 2):
+            value, _ = quad(
+                lambda nu: (g := log_gradient(v, nu))[j] * g[k],
+                lo,
+                hi,
+                points=points,
+                epsabs=0.0,
+                epsrel=1e-13,
+                limit=500,
+            )
+            integral[j, k] = integral[k, j] = value
+    return (n_eff + 2.0) / nu_t * integral
 
 
 class TestDiscreteRoute:
@@ -100,6 +143,40 @@ class TestIntegralRoute:
         assert r.window == WINDOW
         assert r.nu_t == 100.0
         assert r.n_eff == 50.0
+
+    # line centred in the window, 3 linewidths above it, far above it, on
+    # its lower edge, and in a window from zero; nu_l is the line centre plus
+    # widths * delta_nu
+    @pytest.mark.parametrize(
+        "window, centre, widths",
+        [
+            (WINDOW, 42.5e3, 0),
+            (WINDOW, 52e3, 3),
+            (WINDOW, 60e3, 0),
+            (WINDOW, 33e3, 0),
+            ((0.0, 99e3), 42.6e3, 0),
+        ],
+        ids=["centred", "3-widths-above", "at-60-kHz", "lower-edge", "from-zero"],
+    )
+    def test_matches_adaptive_quadrature_oracle(self, window, centre, widths):
+        worst = (0.0, None)
+        for r, delta_nu in itertools.product(
+            [1e-6, 1e-4, 1e-2, 1.0, 1e2, 1e3, 1e5], [0.3, 3.0, 300.0, 2e4]
+        ):
+            v = SpectralParams(1.0, centre + widths * delta_nu, r, delta_nu)
+            want = quad_information(v, window, 100.0, 50)
+            err = norm_diff(fisher_integral(v, window, 100.0, 50).info, want)
+            worst = max(worst, (err, v), key=lambda x: x[0])
+        assert worst[0] <= 1e-9, worst
+
+    def test_background_only_information(self):
+        flat = SpectralParams(s_ph=2.0, nu_l=42600.0, s_at=0.0, delta_nu=500.0)
+        r = fisher_integral(flat, WINDOW, 100.0, 50)
+        assert r.info[0, 0] == pytest.approx(52 / 100.0 * (WINDOW[1] - WINDOW[0]) / 4.0, rel=1e-12)
+        # center and width carry no information at all; the matrix is singular
+        assert np.all(r.info[[1, 3], :] == 0) and np.all(r.info[:, [1, 3]] == 0)
+        assert r.rank == 2
+        assert r.gamma_th is None
 
     def test_rejects_bad_window_and_spacing(self):
         with pytest.raises(ValueError):

@@ -116,9 +116,11 @@ class TestScanCsv:
         path = tmp_path / "scan.csv"
         write_scan_csv(path, self.make_grid())
         lines = path.read_text().splitlines()
-        path.write_text("\n".join(lines[:-1]) + "\n")  # drop one cell
-        with pytest.raises(ConfigError):
-            read_scan_csv(path)
+        # drop one cell; repeat the first cell in place of the last one
+        for body in (lines[1:-1], lines[1:-1] + lines[1:2]):
+            path.write_text("\n".join(lines[:1] + body) + "\n")
+            with pytest.raises(ConfigError, match="complete"):
+                read_scan_csv(path)
 
     def test_rejects_short_rows(self, tmp_path):
         path = tmp_path / "scan.csv"

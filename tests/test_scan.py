@@ -122,20 +122,19 @@ def per_cell_surfaces(n_values, p_values, k, cfg, xi2):
     for i, n in enumerate(n_values):
         for j, p in enumerate(p_values):
             v = params_from_conditions(ExperimentConditions(n=n, p=p, xi2=xi2), k)
-            try:
-                result = fisher_integral(v, (cfg.fit_lo, cfg.fit_hi), cfg.coarse_spacing, cfg.n_eff)
-            except NumericalError:
-                continue
+            result = fisher_integral(v, (cfg.fit_lo, cfg.fit_hi), cfg.coarse_spacing, cfg.n_eff)
             if result.gamma_th is not None:
                 out[:, i, j] = np.diag(result.gamma_th)
     return out
 
 
 class TestBatchedScanEqualsPerCell:
-    # gamma0 = 5 s^-1: at low n and P the line is 1.7-4 Hz wide, has all 8
-    # panels inside the window and needs quadrature orders 128 and 256; at
-    # high n and P it is kHz wide with 4 or 6 panels. n = 0 is a singular row,
-    # and the 88 cells span more than one block.
+    # gamma0 = 5 s^-1: at low n and P the line is 1.7-4 Hz wide and the fit
+    # window spans 2^14 half-widths on one side; at high n and P it is kHz
+    # wide and spans 2^3. So the cells of one block need different panel
+    # depths, and the shallow ones are padded with zero-width panels in the
+    # stack but not alone. n = 0 is a singular row, and the 88 cells span
+    # more than one block.
     K = replace(REFERENCE_INSTRUMENT, gamma0=5.0)
     N = np.array([0.0, 1e9, 1e10, 1e11, 1e12, 4e12, 1e13, 4e13])
     P = np.geomspace(1e-6, 1e-2, 11)
@@ -146,18 +145,17 @@ class TestBatchedScanEqualsPerCell:
         want = per_cell_surfaces(self.N, self.P, self.K, REFERENCE_ACQUISITION, xi2)
         np.testing.assert_array_equal(sg.surfaces, want)
 
-    def test_grid_covers_the_hard_cells(self, monkeypatch):
+    def test_grid_covers_the_hard_cells(self):
         cfg = REFERENCE_ACQUISITION
         assert self.N.size * self.P.size > fisher._BLOCK_CELLS
         theta = params_from_conditions_array(self.N[:, None], self.P[None, :], 1.0, self.K)
-        _, counts = fisher._panel_edges(cfg.fit_lo, cfg.fit_hi, theta[..., 1].ravel(), theta[..., 3].ravel())
-        assert np.unique(counts).size >= 3
+        nu_l, half = theta[..., 1].ravel(), 0.5 * theta[..., 3].ravel()
+        reach = np.maximum(np.abs(cfg.fit_lo - nu_l), np.abs(cfg.fit_hi - nu_l))
+        depth = np.maximum(np.ceil(np.log2(reach / half)), 0)  # least K with 2^K >= |u|
+        for s in range(0, depth.size, fisher._BLOCK_CELLS):
+            assert np.unique(depth[s : s + fisher._BLOCK_CELLS]).size >= 3
         nan_cells = np.isnan(scan_grid(self.N, self.P, self.K, cfg).surfaces).sum()
         assert nan_cells == 4 * self.P.size  # the n = 0 row only
-        # cutting the order ladder short voids the cells that needed the cut orders
-        for orders in ((32, 64), (32, 64, 128)):
-            monkeypatch.setattr(fisher, "_ORDERS", orders)
-            assert np.isnan(scan_grid(self.N, self.P, self.K, cfg).surfaces).sum() > nan_cells
 
 
 class TestFindOptimum:
