@@ -309,7 +309,7 @@ def main(argv=None) -> int:
         return 3
     except (NumericalError, ValueError) as exc:
         # a ValueError that no layer turned into a ConfigError is a numerical
-        # failure, such as a fit that overflows its parameters
+        # failure, such as a forward model that overflows
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 4
 

@@ -6,17 +6,18 @@ the true parameters, which makes the objective a likelihood surrogate whose
 curvature reproduces the Fisher information treated in the fisher module.
 
 Positivity of s_ph, s_at, delta_nu is enforced by fitting their logs; nu_l is
-fitted directly, bounded to the window padded by one window width.
+fitted directly, bounded to the window padded by one window width, in one
+trust-region solve. A fit that diverges reports converged=False, never raises.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import least_squares, minimize
+from scipy.optimize import least_squares
 
 from .errors import ConfigError
-from .model import SpectralParams, eval_psd, grad_log_psd
+from .model import SpectralParams, grad_log_psd_array, psd_array
 from .synthesis import Spectrum
 
 __all__ = [
@@ -38,7 +39,7 @@ _S_AT_FLOOR_FRACTION = 1e-6
 
 @dataclass(frozen=True)
 class FitResult:
-    """Converged (or best-so-far) fit of a spectrum."""
+    """Fit of a spectrum: converged, best so far, or the start of a diverged solve."""
 
     v_hat: SpectralParams
     chi2: float
@@ -84,11 +85,15 @@ def _fit_bins(sp: Spectrum, window) -> tuple[np.ndarray, np.ndarray]:
     return sp.nu[idx], sp.s_bar[idx]
 
 
+def _residuals(p, nu, s) -> np.ndarray:
+    """r_i = 1 - S_bar_i/f(nu_i, p) for p = (s_ph, nu_l, s_at, delta_nu)."""
+    return 1.0 - s / psd_array(*p, nu)
+
+
 def chi_squared(v: SpectralParams, sp: Spectrum, window) -> float:
     """sum over window bins of (1 - S_bar_i/f(nu_i, v))^2."""
     idx = _window_slice(sp, window)
-    f = eval_psd(v, sp.nu[idx])
-    r = 1.0 - sp.s_bar[idx] / f
+    r = _residuals(v.as_array(), sp.nu[idx], sp.s_bar[idx])
     return float(r @ r)
 
 
@@ -125,26 +130,20 @@ def initial_guess(sp: Spectrum, window) -> SpectralParams:
     return SpectralParams(s_ph=s_ph, nu_l=nu_l, s_at=s_at, delta_nu=width)
 
 
-def _pack(v: SpectralParams) -> np.ndarray:
-    return np.array([np.log(v.s_ph), v.nu_l, np.log(v.s_at), np.log(v.delta_nu)])
-
-
-def _unpack(theta: np.ndarray) -> SpectralParams:
-    return SpectralParams(
-        s_ph=float(np.exp(theta[0])),
-        nu_l=float(theta[1]),
-        s_at=float(np.exp(theta[2])),
-        delta_nu=float(np.exp(theta[3])),
-    )
+def _params(theta: np.ndarray) -> np.ndarray:
+    """(s_ph, nu_l, s_at, delta_nu) at theta, unvalidated: exp may overflow or underflow."""
+    return np.array([np.exp(theta[0]), theta[1], np.exp(theta[2]), np.exp(theta[3])])
 
 
 def mle_fit(sp: Spectrum, window, guess: SpectralParams | None = None) -> FitResult:
     """Minimize chi_squared from guess (or initial_guess) inside window.
 
-    Trust-region least squares on r_i = 1 - S_bar_i/f_i with the analytic
-    Jacobian; if the Jacobian at the start is rank-deficient (flat spectrum,
-    s_at at its floor) the quadratic model is useless and a simplex search
-    takes over. converged=False reports best-so-far rather than raising.
+    One trust-region least-squares solve (scipy's trf) on r_i = 1 - S_bar_i/f_i
+    with the analytic Jacobian; trf shrinks its trust region on a trial step
+    with non-finite residuals. A solve that leaves the model's range (a
+    non-finite Jacobian at an accepted point, or an invalid end point) returns
+    converged=False with the start point as v_hat and chi2 taken there.
+    n_iter counts the residual evaluations.
 
     The relative-residual weighting carries a multiplicative amplitude bias
     of order 1/n_eff (a pure scale fit gives E[s_hat] = s (1 + 1/n_eff));
@@ -153,56 +152,45 @@ def mle_fit(sp: Spectrum, window, guess: SpectralParams | None = None) -> FitRes
     """
     nu, s = _fit_bins(sp, window)
     v0 = guess if guess is not None else initial_guess(sp, window)
-    theta0 = _pack(v0)
+    theta0 = np.array([np.log(v0.s_ph), v0.nu_l, np.log(v0.s_at), np.log(v0.delta_nu)])
     width = window[1] - window[0]
     lo = np.array([-np.inf, window[0] - width, -np.inf, -np.inf])
     hi = np.array([np.inf, window[1] + width, np.inf, np.inf])
     theta0[1] = np.clip(theta0[1], lo[1], hi[1])
+    window = (float(window[0]), float(window[1]))
+    nfev = 0
 
     def residuals(theta):
-        f = eval_psd(_unpack(theta), nu)
-        return 1.0 - s / f
+        nonlocal nfev
+        nfev += 1
+        return _residuals(_params(theta), nu, s)
 
     def jacobian(theta):
-        v = _unpack(theta)
-        f = eval_psd(v, nu)
-        g = grad_log_psd(v, nu)
-        scale = np.array([v.s_ph, 1.0, v.s_at, v.delta_nu])
+        p = _params(theta)
+        scale = np.array([p[0], 1.0, p[2], p[3]])
         # d r_i / d theta_j = (S_bar_i/f_i) * dlogf_i/dv_j * dv_j/dtheta_j
-        return (s / f)[:, None] * g * scale[None, :]
+        jac = (s / psd_array(*p, nu))[:, None] * grad_log_psd_array(*p, nu) * scale
+        if not np.all(np.isfinite(jac)):
+            raise ValueError("the model's Jacobian is not finite")
+        return jac
 
-    j0 = jacobian(theta0)
-    rank = np.linalg.matrix_rank(j0, tol=1e-10 * max(1.0, float(np.abs(j0).max())))
-    if rank < 4:
-        out = minimize(
-            lambda th: float(np.sum(residuals(th) ** 2)),
-            theta0,
-            method="Nelder-Mead",
-            options={"maxiter": 2000, "xatol": 1e-10, "fatol": 1e-12},
-        )
-        theta, chi2 = out.x, float(out.fun)
-        n_iter, converged = int(out.nit), bool(out.success)
-    else:
-        out = least_squares(
-            residuals,
-            theta0,
-            jac=jacobian,
-            bounds=(lo, hi),
-            method="trf",
-            ftol=1e-12,
-            xtol=1e-10,
-            gtol=None,
-            max_nfev=500,
-        )
-        theta, chi2 = out.x, float(2.0 * out.cost)
-        n_iter, converged = int(out.nfev), bool(out.status > 0)
-    return FitResult(
-        v_hat=_unpack(theta),
-        chi2=chi2,
-        n_iter=n_iter,
-        converged=converged,
-        window=(float(window[0]), float(window[1])),
-    )
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        try:
+            out = least_squares(
+                residuals,
+                theta0,
+                jac=jacobian,
+                bounds=(lo, hi),
+                method="trf",
+                ftol=1e-12,
+                xtol=1e-10,
+                gtol=None,
+                max_nfev=500,
+            )
+            v_hat = SpectralParams.from_array(_params(out.x))
+        except ValueError:  # the jacobian above, or from_array on the end point
+            return FitResult(v0, chi_squared(v0, sp, window), nfev, False, window)
+    return FitResult(v_hat, float(2.0 * out.cost), nfev, bool(out.status > 0), window)
 
 
 def sample_covariance(fits) -> SampleCovariance:
@@ -254,7 +242,6 @@ def k4(x) -> float:
 
 def var_k2(x) -> float:
     """Unbiased estimator of var(k2): (2 m k2^2 + (m-1) k4) / (m (m+1))."""
-    m = np.asarray(x).size
-    if m < 4:
-        raise ValueError(f"var_k2 needs at least 4 samples, got {m}")
-    return (2.0 * m * k2(x) ** 2 + (m - 1) * k4(x)) / (m * (m + 1.0))
+    m = np.asarray(x).size  # k4 checks m >= 4
+    # float_power is C pow, as float ** is, but overflows to inf instead of raising
+    return float((2.0 * m * np.float_power(k2(x), 2) + (m - 1) * k4(x)) / (m * (m + 1.0)))

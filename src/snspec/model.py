@@ -141,10 +141,15 @@ def eval_psd(v: SpectralParams, nu):
     Strictly positive for any valid parameter vector since s_ph > 0 and the
     Lorentzian term is nonnegative.
     """
-    nu = np.asarray(nu, dtype=float)
-    d2 = v.delta_nu * v.delta_nu
-    out = v.s_ph + v.s_at * d2 / (4.0 * (nu - v.nu_l) ** 2 + d2)
+    out = psd_array(v.s_ph, v.nu_l, v.s_at, v.delta_nu, nu)
     return float(out) if out.ndim == 0 else out
+
+
+def psd_array(s_ph, nu_l, s_at, delta_nu, nu):
+    """eval_psd on parameter arrays that broadcast against nu; no validation."""
+    nu = np.asarray(nu, dtype=float)
+    d2 = delta_nu * delta_nu
+    return s_ph + s_at * d2 / (4.0 * (nu - nu_l) ** 2 + d2)
 
 
 def grad_log_psd(v: SpectralParams, nu) -> np.ndarray:

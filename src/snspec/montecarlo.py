@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, NumericalError
 from .estimation import k2, mle_fit, sample_covariance, var_k2
 from .fisher import fisher_integral, normalized_deviation, wishart_std
 from .model import SpectralParams
@@ -94,12 +94,17 @@ def run_validation(
 
     Trials whose fit does not converge are counted as failures and excluded
     from the covariance; the report flags the count rather than raising, since
-    a rare non-convergence is a property of the data, not a tool fault.
+    a rare non-convergence is a property of the data, not a tool fault. A
+    singular information matrix raises NumericalError before any trial runs.
     """
     if n_trials < 2:
         raise ConfigError(f"n_trials must be at least 2, got {n_trials}")
     if threads < 1:
         raise ConfigError(f"threads must be at least 1, got {threads}")
+    window = (cfg.fit_lo, cfg.fit_hi)
+    gamma_th = fisher_integral(v, window, cfg.coarse_spacing, cfg.n_eff).gamma_th
+    if gamma_th is None:
+        raise NumericalError("information matrix is singular for this model: no bound to test")
 
     if threads == 1:
         fits = [_one_trial(v, cfg, master_seed, k, synthesis) for k in range(n_trials)]
@@ -116,14 +121,14 @@ def run_validation(
             f"only {len(good)} of {n_trials} fits converged, cannot form a covariance"
         )
     cov = sample_covariance(good)
-    window = (cfg.fit_lo, cfg.fit_hi)
-    gamma_th = fisher_integral(v, window, cfg.coarse_spacing, cfg.n_eff).gamma_th
     sigma_th = wishart_std(gamma_th, cov.n_samples)
     dev = normalized_deviation(cov.gamma, gamma_th, cov.n_samples)
 
     samples = np.array([g.as_array() for g in good])
-    k2_diag = np.array([k2(samples[:, j]) for j in range(4)])
-    k2_stderr = np.sqrt([max(var_k2(samples[:, j]), 0.0) for j in range(4)])
+    # a converged fit onto a sub-bin line (s_at ~ 1e138) overflows these: inf/NaN
+    with np.errstate(over="ignore", invalid="ignore"):
+        k2_diag = np.array([k2(samples[:, j]) for j in range(4)])
+        k2_stderr = np.sqrt([max(var_k2(samples[:, j]), 0.0) for j in range(4)])
 
     return ValidationReport(
         gamma_exp=cov.gamma,

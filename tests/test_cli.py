@@ -213,15 +213,27 @@ class TestValidate:
         assert a["gamma_exp"] == b["gamma_exp"]
         assert b["threads_used"] == 3
 
-    def test_weak_line_overflow_exits_numerical(self, tmp_path, capsys):
-        # one of the first 100 gamma-route fits at seed 0 overflows exp when
-        # it unpacks its log-parameters, and SpectralParams raises ValueError
+    def test_weak_line_overflow_counts_a_failure(self, tmp_path):
+        # trial 56 of the first 100 gamma-route fits at seed 0 steps out of
+        # the model's range; its fit reports converged=False and the run
+        # counts it instead of aborting
         body = copy.deepcopy(BASE)
         body["model"]["spectral_params"]["s_at_uv2_per_hz"] = 0.05
         body["monte_carlo"]["n_trials"] = 100
         cfg = write_config(tmp_path, body)
-        assert run("validate", "--config", cfg, "--seed", 0, "--out", tmp_path) == 4
-        assert capsys.readouterr().err.startswith("numerical failure: ")
+        assert run("validate", "--config", cfg, "--seed", 0, "--out", tmp_path) == 0
+        doc = json.loads((tmp_path / "validate.json").read_text())
+        assert doc["n_trials"] == 100
+        assert doc["n_failures"] >= 1
+
+    def test_singular_bound_exits_before_fitting(self, tmp_path, capsys):
+        body = copy.deepcopy(BASE)
+        body["model"]["spectral_params"]["s_at_uv2_per_hz"] = 0.0
+        body["monte_carlo"]["n_trials"] = 5
+        cfg = write_config(tmp_path, body)
+        assert run("validate", "--config", cfg, "--out", tmp_path / "v") == 4
+        assert "singular" in capsys.readouterr().err
+        assert not (tmp_path / "v" / "validate.json").exists()
 
     def test_zero_threads_rejected(self, tmp_path):
         cfg = write_config(tmp_path, BASE)
@@ -251,6 +263,17 @@ class TestCrb:
         body["model"]["spectral_params"]["s_at_uv2_per_hz"] = 0.0
         cfg = write_config(tmp_path, body)
         assert run("crb", "--config", cfg) == 4
+
+    def test_forward_model_overflow_exits_numerical(self, tmp_path, capsys):
+        # the photocurrent squared overflows, and SpectralParams rejects the
+        # infinite s_at with a ValueError that no layer catches
+        body = copy.deepcopy(SCAN)
+        del body["scan"]
+        body["model"]["conditions"]["p_mw"] = 1e200
+        cfg = write_config(tmp_path, body)
+        with np.errstate(over="ignore"):
+            assert run("crb", "--config", cfg, "--out", tmp_path) == 4
+        assert capsys.readouterr().err.startswith("numerical failure: ")
 
     def test_single_trial_is_a_config_error(self, tmp_path, capsys):
         # the Wishart spread of the bound needs at least 2 samples

@@ -16,6 +16,8 @@ from snspec.estimation import (
     sample_covariance,
     var_k2,
 )
+from snspec.montecarlo import trial_spectrum
+from snspec.profiles import REFERENCE_ACQUISITION
 from snspec.synthesis import AcquisitionConfig, Spectrum, sample_periodogram_exact
 
 V = SpectralParams(s_ph=1.2, nu_l=42600.0, s_at=4.8, delta_nu=1500.0)
@@ -134,6 +136,18 @@ class TestMleFit:
         assert abs(sc.mean[1] - V.nu_l) < 5 * se[1]
         assert abs(sc.mean[3] - V.delta_nu) < 5 * se[3]
 
+    def test_fit_that_leaves_the_model_range_reports_its_start(self):
+        # weak-line gamma-route trial 56 of seed 0: trial steps overflow exp,
+        # and the Jacobian at an accepted point (s_at near 3e307) is not finite
+        v = SpectralParams(s_ph=1.0, nu_l=42600.0, s_at=0.05, delta_nu=1000.0)
+        sp = trial_spectrum(v, REFERENCE_ACQUISITION, (0, 56), "gamma")
+        window = (REFERENCE_ACQUISITION.fit_lo, REFERENCE_ACQUISITION.fit_hi)
+        r = mle_fit(sp, window)
+        assert not r.converged
+        assert np.all(np.isfinite(r.v_hat.as_array()))
+        assert r.v_hat == initial_guess(sp, window)
+        assert r.chi2 == chi_squared(r.v_hat, sp, window)
+
     def test_too_few_bins_rejected(self):
         with pytest.raises(ConfigError):
             mle_fit(noiseless_spectrum(), (42600.0, 42600.0 + 3 * CFG.coarse_spacing))
@@ -190,6 +204,11 @@ class TestCumulants:
         assert k2([1.0, 2.0, 3.0, 4.0]) == pytest.approx(5.0 / 3.0, rel=1e-14)
         assert k4([1.0, 2.0, 3.0, 4.0]) == pytest.approx(-10.0 / 3.0, rel=1e-13)
         assert var_k2([1.0, 2.0, 3.0, 4.0]) == pytest.approx(11.0 / 18.0, rel=1e-13)
+
+    def test_overflow_is_non_finite_not_an_exception(self):
+        # k2 is about 5e299 here, so its square leaves the float range
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert not np.isfinite(var_k2([1e150, -1e150, 3.0, 4.0, 5.0]))
 
     def test_minimum_sample_sizes(self):
         with pytest.raises(ValueError):
