@@ -42,6 +42,7 @@ from .estimation import (
     k2,
     k4,
     mle_fit,
+    mle_fit_stack,
     sample_covariance,
     var_k2,
 )

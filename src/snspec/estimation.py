@@ -1,22 +1,24 @@
 """Spectral fitting and cumulant estimators.
 
-The fit minimizes chi^2 = sum_i (1 - S_bar_i/f(nu_i, v))^2 over the bins in
-the fit window. Residuals r_i = 1 - S_bar_i/f_i have variance 1/n_eff each at
-the true parameters, which makes the objective a likelihood surrogate whose
-curvature reproduces the Fisher information treated in the fisher module.
-
-Positivity of s_ph, s_at, delta_nu is enforced by fitting their logs; nu_l is
-fitted directly, bounded to the window padded by one window width, in one
-trust-region solve. A fit that diverges reports converged=False, never raises.
+The fit minimizes Whittle's W = sum_i (ln f_i + S_bar_i/f_i) over the bins of
+the fit window: an averaged bin follows a Gamma(n_eff) law with mean f_i, and
+n_eff W is its negative log-likelihood up to a constant, so the estimate is
+unbiased to leading order at any n_eff. The solver is damped Fisher scoring
+(Levenberg-Marquardt) on theta = (ln s_ph, nu_l, ln s_at, ln delta_nu), nu_l
+clipped to the window padded by one width. With J = d ln f / d theta (the
+model's log-gradient times the log-scale factors) each step solves
+(J^T J + lambda diag(J^T J)) delta = J^T (S_bar/f - 1) through
+fisher.invert_psd_stack, one lambda per spectrum. mle_fit_stack fits spectra
+stacked on one grid, each row with its bits alone; mle_fit is its one-row case.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import least_squares
 
 from .errors import ConfigError
+from .fisher import invert_psd_stack
 from .model import SpectralParams, grad_log_psd_array, psd_array
 from .synthesis import Spectrum
 
@@ -26,6 +28,7 @@ __all__ = [
     "chi_squared",
     "initial_guess",
     "mle_fit",
+    "mle_fit_stack",
     "sample_covariance",
     "k2",
     "k4",
@@ -35,11 +38,19 @@ __all__ = [
 _MIN_WINDOW_BINS = 8
 # floor for the s_at guess when the spectrum shows no peak, uV^2/Hz
 _S_AT_FLOOR_FRACTION = 1e-6
+# A row stops once its objective falls (or a rejected step promised to) by at
+# most _STOP_DECREASE per bin, 1e-6 of the log-likelihood n_eff W at the
+# reference; after _MAX_STEPS steps a row keeps its best point, unconverged.
+# _BLOCK_BINS, rows times bins solved together, bounds the memory.
+_STOP_DECREASE = 1e-10
+_MAX_STEPS = 200
+_LAMBDA_START = 1e-3
+_BLOCK_BINS = 1 << 18
 
 
 @dataclass(frozen=True)
 class FitResult:
-    """Fit of a spectrum: converged, best so far, or the start of a diverged solve."""
+    """Fit of a spectrum: converged, best so far, or the start of a failed solve."""
 
     v_hat: SpectralParams
     chi2: float
@@ -69,32 +80,47 @@ class SampleCovariance:
             raise ValueError("gamma diagonal must be nonnegative")
 
 
-def _window_slice(sp: Spectrum, window) -> np.ndarray:
+def _fit_bins(nu: np.ndarray, window, min_bins: int = _MIN_WINDOW_BINS) -> np.ndarray:
+    """Indices of the bins inside window; fewer than min_bins is a ConfigError."""
     lo, hi = window
     if not (0.0 <= lo < hi):
         raise ConfigError(f"bad fit window [{lo}, {hi}]")
-    mask = (sp.nu >= lo) & (sp.nu <= hi)
-    return np.flatnonzero(mask)
+    idx = np.flatnonzero((nu >= lo) & (nu <= hi))
+    if idx.size < min_bins:
+        raise ConfigError(f"fit window holds {idx.size} bins, need at least {min_bins}")
+    return idx
 
 
-def _fit_bins(sp: Spectrum, window) -> tuple[np.ndarray, np.ndarray]:
-    """(nu, s_bar) of the bins inside window; too few bins to fit is a ConfigError."""
-    idx = _window_slice(sp, window)
-    if idx.size < _MIN_WINDOW_BINS:
-        raise ConfigError(f"fit window holds {idx.size} bins, need at least {_MIN_WINDOW_BINS}")
-    return sp.nu[idx], sp.s_bar[idx]
-
-
-def _residuals(p, nu, s) -> np.ndarray:
-    """r_i = 1 - S_bar_i/f(nu_i, p) for p = (s_ph, nu_l, s_at, delta_nu)."""
-    return 1.0 - s / psd_array(*p, nu)
+def _chi2(p: np.ndarray, nu: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """sum_i (1 - S_bar_i/f_i)^2 per row, for p of shape (m, 4) and s of (m, K)."""
+    r = 1.0 - s / psd_array(*p.T[..., None], nu)
+    return np.sum(r * r, axis=1)
 
 
 def chi_squared(v: SpectralParams, sp: Spectrum, window) -> float:
     """sum over window bins of (1 - S_bar_i/f(nu_i, v))^2."""
-    idx = _window_slice(sp, window)
-    r = _residuals(v.as_array(), sp.nu[idx], sp.s_bar[idx])
-    return float(r @ r)
+    idx = _fit_bins(sp.nu, window, 0)
+    return float(_chi2(v.as_array()[None], sp.nu[idx], sp.s_bar[idx][None])[0])
+
+
+def _initial_guess_stack(nu: np.ndarray, s: np.ndarray, window) -> np.ndarray:
+    """initial_guess for every row of s, as an (m, 4) parameter array."""
+    m, k_bins = s.shape
+    q = max(k_bins // 4, 1)
+    s_ph = np.median(np.concatenate([s[:, :q], s[:, -q:]], axis=1), axis=1)
+    s_ph = np.where(s_ph > 0.0, s_ph, np.maximum(np.mean(np.abs(s), axis=1), _S_AT_FLOOR_FRACTION))
+    k = np.argmax(s, axis=1)
+    s_at = s[np.arange(m), k] - s_ph
+    s_at = np.where(s_at > 0.0, s_at, _S_AT_FLOOR_FRACTION * s_ph)
+    # width from the outermost half-maximum crossings around the peak: the
+    # nearest bin below half maximum on each side of it bounds the run
+    below = s < (s_ph + 0.5 * s_at)[:, None]
+    j = np.arange(k_bins)
+    left = np.max(np.where(below & (j < k[:, None]), j, -1), axis=1) + 1
+    right = np.min(np.where(below & (j > k[:, None]), j, k_bins), axis=1) - 1
+    width = nu[right] - nu[left]
+    width = np.where(width > 0.0, width, 0.25 * (window[1] - window[0]))
+    return np.column_stack([s_ph, nu[k], s_at, width])
 
 
 def initial_guess(sp: Spectrum, window) -> SpectralParams:
@@ -105,92 +131,103 @@ def initial_guess(sp: Spectrum, window) -> SpectralParams:
     delta_nu from the half-maximum crossings (falling back to a quarter of
     the window when the peak is unresolved).
     """
-    nu, s = _fit_bins(sp, window)
-    q = max(s.size // 4, 1)
-    s_ph = float(np.median(np.concatenate([s[:q], s[-q:]])))
-    if s_ph <= 0.0:
-        s_ph = max(float(np.mean(np.abs(s))), _S_AT_FLOOR_FRACTION)
-    k = int(np.argmax(s))
-    nu_l = float(nu[k])
-    s_at = float(s[k] - s_ph)
-    if s_at <= 0.0:
-        s_at = _S_AT_FLOOR_FRACTION * s_ph
-    # width from the outermost half-maximum crossings around the peak
-    half = s_ph + 0.5 * s_at
-    above = s >= half
-    left = k
-    while left > 0 and above[left - 1]:
-        left -= 1
-    right = k
-    while right < s.size - 1 and above[right + 1]:
-        right += 1
-    width = nu[right] - nu[left]
-    if width <= 0.0:
-        width = 0.25 * (window[1] - window[0])
-    return SpectralParams(s_ph=s_ph, nu_l=nu_l, s_at=s_at, delta_nu=width)
+    idx = _fit_bins(sp.nu, window)
+    return SpectralParams.from_array(_initial_guess_stack(sp.nu[idx], sp.s_bar[idx][None], window)[0])
+
+
+_LOG = np.array([True, False, True, True])  # the entries of theta that are logs
 
 
 def _params(theta: np.ndarray) -> np.ndarray:
-    """(s_ph, nu_l, s_at, delta_nu) at theta, unvalidated: exp may overflow or underflow."""
-    return np.array([np.exp(theta[0]), theta[1], np.exp(theta[2]), np.exp(theta[3])])
+    """(s_ph, nu_l, s_at, delta_nu) per row of theta, unvalidated: exp may overflow or underflow."""
+    return np.where(_LOG, np.exp(theta), theta)
+
+
+def _score(theta: np.ndarray, nu: np.ndarray, s: np.ndarray):
+    """Objective W, normal matrix J^T J, score J^T (S/f - 1), and whether the
+    row is usable: all finite (their sum is), no zero column (an exp underflow)."""
+    p = _params(theta)
+    g = grad_log_psd_array(*p.T[..., None], nu)
+    ratio = s * g[..., 0]
+    objective = np.sum(ratio - np.log(g[..., 0]), axis=1)
+    p[:, 1] = 1.0
+    jac_t = np.swapaxes(np.multiply(g, p[:, None, :], out=g), 1, 2)
+    normal = jac_t @ np.swapaxes(jac_t, 1, 2)
+    score = (jac_t @ (ratio - 1.0)[..., None])[..., 0]
+    ok = np.isfinite(objective + score.sum(axis=1) + normal.sum(axis=(1, 2)))
+    return objective, normal, score, ok & (np.diagonal(normal, axis1=1, axis2=2) > 0.0).all(axis=1)
+
+
+def mle_fit_stack(nu, s_bar, window, guess=None) -> list[FitResult]:
+    """Whittle fit of every row of s_bar, an (m, len(nu)) stack of spectra.
+
+    guess is None (initial_guess of each row) or m SpectralParams. A row
+    leaves the active set once its objective stops falling; n_iter counts its
+    steps. A trial step out of the model's range (a non-finite objective or
+    normal matrix, or an exp that underflows) is rejected and the damping
+    raised. A row whose start is out of range or whose damped normal matrix
+    is rank-deficient returns converged=False with its start point as v_hat.
+    """
+    nu = np.asarray(nu, dtype=float)
+    idx = _fit_bins(nu, window)
+    nu, s = nu[idx], np.asarray(s_bar, dtype=float)[:, idx]
+    window = (float(window[0]), float(window[1]))
+    v0 = _initial_guess_stack(nu, s, window) if guess is None else np.array([g.as_array() for g in guess])
+    bounds = (2.0 * window[0] - window[1], 2.0 * window[1] - window[0])  # padded by one width
+    rows = max(1, _BLOCK_BINS // nu.size)
+    with np.errstate(all="ignore"):
+        theta = np.where(_LOG, np.log(v0), np.clip(v0, *bounds))
+        done = [_solve(theta[b : b + rows], nu, s[b : b + rows], bounds) for b in range(0, len(s), rows)]
+        steps, converged, failed = (np.concatenate(x) for x in zip(*done))
+        p = np.where(failed[:, None], v0, _params(theta))
+        chi2 = _chi2(p, nu, s)
+    return [
+        FitResult(SpectralParams.from_array(p[i]), float(chi2[i]), int(steps[i]), bool(converged[i]), window)
+        for i in range(len(s))
+    ]
+
+
+def _solve(theta, nu, s, bounds):
+    """Damped scoring of every row of theta, in place; returns (steps, converged, failed)."""
+    objective, normal, score, ok = _score(theta, nu, s)
+    lam, grow, steps = np.full(len(s), _LAMBDA_START), np.full(len(s), 2.0), np.zeros(len(s), dtype=int)
+    failed, converged, active = ~ok, np.zeros(len(s), dtype=bool), ok
+    while active.any():
+        a = np.flatnonzero(active)
+        diag = np.diagonal(normal[a], axis1=1, axis2=2)
+        inverse, rank = invert_psd_stack(normal[a] + (lam[a, None] * diag)[:, None, :] * np.eye(4))
+        delta = (inverse @ score[a, :, None])[..., 0]
+        # the decrease of W that the scoring model predicts for this step
+        predicted = 0.5 * np.sum(delta * (lam[a, None] * diag * delta + score[a]), axis=1)
+        trial = theta[a] + delta
+        trial[:, 1] = np.clip(trial[:, 1], *bounds)
+        t_objective, t_normal, t_score, t_ok = _score(trial, nu, s[a])
+        gain = (objective[a] - t_objective) / predicted
+        accept = (rank == 4) & t_ok & (gain > 0.0)
+        tol = _STOP_DECREASE * nu.size
+        stop = np.where(accept, objective[a] - t_objective <= tol, ~(predicted > tol))
+        # Madsen, Nielsen & Tingleff's damping update
+        lam[a] *= np.where(accept, np.maximum(1.0 / 3.0, 1.0 - (2.0 * gain - 1.0) ** 3), grow[a])
+        grow[a] = np.where(accept, 2.0, 2.0 * grow[a])
+        took = a[accept]
+        theta[took], objective[took] = trial[accept], t_objective[accept]
+        normal[took], score[took] = t_normal[accept], t_score[accept]
+        steps[a] += 1
+        failed[a[rank < 4]] = True
+        converged[a[stop & (rank == 4)]] = True
+        active = ~failed & ~converged & (steps < _MAX_STEPS)
+    return steps, converged, failed
 
 
 def mle_fit(sp: Spectrum, window, guess: SpectralParams | None = None) -> FitResult:
-    """Minimize chi_squared from guess (or initial_guess) inside window.
+    """Whittle fit of one spectrum from guess (or initial_guess) inside window.
 
-    One trust-region least-squares solve (scipy's trf) on r_i = 1 - S_bar_i/f_i
-    with the analytic Jacobian; trf shrinks its trust region on a trial step
-    with non-finite residuals. A solve that leaves the model's range (a
-    non-finite Jacobian at an accepted point, or an invalid end point) returns
-    converged=False with the start point as v_hat and chi2 taken there.
-    n_iter counts the residual evaluations.
-
-    The relative-residual weighting carries a multiplicative amplitude bias
-    of order 1/n_eff (a pure scale fit gives E[s_hat] = s (1 + 1/n_eff));
-    the center and width estimates are unbiased at that order. Covariances
-    are unaffected since they subtract the sample mean.
+    The one-row case of mle_fit_stack, with the same bits. Unlike the relative
+    least squares sum (1 - S_bar/f)^2, whose minimum sits a factor about
+    (1 + 1/n_eff) high in amplitude, the estimate has no 1/n_eff bias; that
+    sum is still reported as chi2. A failed fit returns converged=False.
     """
-    nu, s = _fit_bins(sp, window)
-    v0 = guess if guess is not None else initial_guess(sp, window)
-    theta0 = np.array([np.log(v0.s_ph), v0.nu_l, np.log(v0.s_at), np.log(v0.delta_nu)])
-    width = window[1] - window[0]
-    lo = np.array([-np.inf, window[0] - width, -np.inf, -np.inf])
-    hi = np.array([np.inf, window[1] + width, np.inf, np.inf])
-    theta0[1] = np.clip(theta0[1], lo[1], hi[1])
-    window = (float(window[0]), float(window[1]))
-    nfev = 0
-
-    def residuals(theta):
-        nonlocal nfev
-        nfev += 1
-        return _residuals(_params(theta), nu, s)
-
-    def jacobian(theta):
-        p = _params(theta)
-        scale = np.array([p[0], 1.0, p[2], p[3]])
-        # d r_i / d theta_j = (S_bar_i/f_i) * dlogf_i/dv_j * dv_j/dtheta_j
-        jac = (s / psd_array(*p, nu))[:, None] * grad_log_psd_array(*p, nu) * scale
-        if not np.all(np.isfinite(jac)):
-            raise ValueError("the model's Jacobian is not finite")
-        return jac
-
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        try:
-            out = least_squares(
-                residuals,
-                theta0,
-                jac=jacobian,
-                bounds=(lo, hi),
-                method="trf",
-                ftol=1e-12,
-                xtol=1e-10,
-                gtol=None,
-                max_nfev=500,
-            )
-            v_hat = SpectralParams.from_array(_params(out.x))
-        except ValueError:  # the jacobian above, or from_array on the end point
-            return FitResult(v0, chi_squared(v0, sp, window), nfev, False, window)
-    return FitResult(v_hat, float(2.0 * out.cost), nfev, bool(out.status > 0), window)
+    return mle_fit_stack(sp.nu, sp.s_bar[None], window, None if guess is None else [guess])[0]
 
 
 def sample_covariance(fits) -> SampleCovariance:

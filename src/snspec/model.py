@@ -169,7 +169,7 @@ def grad_log_psd_array(s_ph, nu_l, s_at, delta_nu, nu) -> np.ndarray:
     The result has the broadcast shape plus a trailing axis of length 4, so a
     stack of parameter vectors, each with its own frequency row, gives the
     gradients of all of them in one pass. No validation: the caller passes
-    valid parameters.
+    valid parameters. The line terms avoid q^2, which underflows for tiny delta_nu.
     """
     nu = np.asarray(nu, dtype=float)
     d = delta_nu
@@ -180,9 +180,9 @@ def grad_log_psd_array(s_ph, nu_l, s_at, delta_nu, nu) -> np.ndarray:
     f = s_ph + s_at * lor
     g = np.empty(np.shape(f) + (4,))
     g[..., 0] = 1.0 / f
-    g[..., 1] = 8.0 * s_at * d2 * off / (q * q * f)
+    g[..., 1] = 8.0 * s_at * off * lor / (q * f)
     g[..., 2] = lor / f
-    g[..., 3] = 8.0 * s_at * d * off * off / (q * q * f)
+    g[..., 3] = 8.0 * s_at * off * off * lor / (d * q * f)
     return g
 
 

@@ -10,7 +10,8 @@ inspect a discrepancy.
 
 Seeding contract: trial k draws from numpy's default_rng seeded with
 (master_seed, k). Results are therefore independent of execution order and of
-the thread count, and any single trial can be replayed in isolation.
+the thread count, and any single trial can be replayed in isolation. All
+trials are fitted in one stacked solve, bit for bit as if each were alone.
 """
 from __future__ import annotations
 
@@ -20,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, NumericalError
-from .estimation import k2, mle_fit, sample_covariance, var_k2
+from .estimation import k2, mle_fit_stack, sample_covariance, var_k2
 from .fisher import fisher_integral, normalized_deviation, wishart_std
 from .model import SpectralParams
 from .synthesis import (
@@ -77,11 +78,6 @@ def trial_spectrum(v: SpectralParams, cfg: AcquisitionConfig, seed, synthesis: s
     return coarse_grain(average_spectra(records), cfg.n_bin)
 
 
-def _one_trial(v, cfg, master_seed, k, synthesis):
-    sp = trial_spectrum(v, cfg, (master_seed, k), synthesis)
-    return mle_fit(sp, (cfg.fit_lo, cfg.fit_hi))
-
-
 def run_validation(
     v: SpectralParams,
     cfg: AcquisitionConfig,
@@ -92,10 +88,12 @@ def run_validation(
 ) -> ValidationReport:
     """Synthesize and fit n_trials spectra, then compare scatter to theory.
 
-    Trials whose fit does not converge are counted as failures and excluded
-    from the covariance; the report flags the count rather than raising, since
-    a rare non-convergence is a property of the data, not a tool fault. A
-    singular information matrix raises NumericalError before any trial runs.
+    threads > 1 synthesizes the spectra in a thread pool; one mle_fit_stack
+    call fits them all. Trials whose fit does not converge count as failures,
+    excluded from the covariance; the report flags the count rather than
+    raising, since a rare non-convergence is a property of the data, not a
+    tool fault. A singular information matrix raises NumericalError before
+    any trial runs.
     """
     if n_trials < 2:
         raise ConfigError(f"n_trials must be at least 2, got {n_trials}")
@@ -106,13 +104,17 @@ def run_validation(
     if gamma_th is None:
         raise NumericalError("information matrix is singular for this model: no bound to test")
 
+    s_bar = np.empty((n_trials, cfg.coarse_grid().size))
+
+    def synthesize(k):
+        s_bar[k] = trial_spectrum(v, cfg, (master_seed, k), synthesis).s_bar
+
     if threads == 1:
-        fits = [_one_trial(v, cfg, master_seed, k, synthesis) for k in range(n_trials)]
+        list(map(synthesize, range(n_trials)))
     else:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            fits = list(
-                pool.map(lambda k: _one_trial(v, cfg, master_seed, k, synthesis), range(n_trials))
-            )
+            list(pool.map(synthesize, range(n_trials)))
+    fits = mle_fit_stack(cfg.coarse_grid(), s_bar, window)
 
     good = [f.v_hat for f in fits if f.converged]
     n_failures = n_trials - len(good)

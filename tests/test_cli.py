@@ -6,10 +6,14 @@ checked without subprocess overhead.
 
 import copy
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import snspec
 from snspec.cli import main
 from snspec.fisher import wishart_std
 from snspec.io import read_scan_csv, read_spectrum_csv
@@ -71,6 +75,14 @@ def nan_bin(rows):
 def negate_psd(rows):
     for row in rows:
         row[1] = "-" + row[1]
+
+
+def test_import_does_not_load_scipy():
+    # the runtime needs numpy only; scipy is a test dependency
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(snspec.__file__)))
+    code = "import sys, snspec.cli; print('scipy' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"
 
 
 class TestSynth:
@@ -194,6 +206,15 @@ class TestValidate:
         assert doc["master_seed_used"] == 0
         assert doc["max_deviation"] < 30.0  # 6 trials only, loose sanity
 
+    @pytest.mark.parametrize("route", ["gamma", "timeseries"])
+    def test_rerun_writes_identical_bytes(self, tmp_path, route):
+        body = copy.deepcopy(BASE)
+        body["monte_carlo"]["synthesis"] = route
+        cfg = write_config(tmp_path, body)
+        for out in ("a", "b"):
+            assert run("validate", "--config", cfg, "--seed", 4, "--out", tmp_path / out) == 0
+        assert (tmp_path / "a" / "validate.json").read_bytes() == (tmp_path / "b" / "validate.json").read_bytes()
+
     def test_seed_changes_scatter_not_theory(self, tmp_path):
         cfg = write_config(tmp_path, BASE)
         run("validate", "--config", cfg, "--seed", 1, "--out", tmp_path / "a")
@@ -214,9 +235,9 @@ class TestValidate:
         assert b["threads_used"] == 3
 
     def test_weak_line_overflow_counts_a_failure(self, tmp_path):
-        # trial 56 of the first 100 gamma-route fits at seed 0 steps out of
-        # the model's range; its fit reports converged=False and the run
-        # counts it instead of aborting
+        # trial 94 of the first 100 gamma-route fits at seed 0 is still
+        # going at the step limit; its fit reports converged=False and the
+        # run counts it instead of aborting
         body = copy.deepcopy(BASE)
         body["model"]["spectral_params"]["s_at_uv2_per_hz"] = 0.05
         body["monte_carlo"]["n_trials"] = 100

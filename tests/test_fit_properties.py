@@ -1,5 +1,6 @@
-"""Property test of the fit: on any valid line and any gamma-route spectrum,
-mle_fit returns a finite result and never raises."""
+"""Property test of the fit: on any valid line, any acquisition (bin width and
+average count) and any gamma-route spectrum, mle_fit returns a finite result
+and never raises."""
 
 import dataclasses
 
@@ -28,11 +29,12 @@ levels = st.floats(1e-3, 10.0)
     nu_l=st.floats(*WINDOW),
     delta_nu=st.floats(30.0, 6e3),
     n_bin=st.sampled_from([5, 50]),
+    n_ave=st.sampled_from([1, 4]),
     seed=st.integers(0, 2**32 - 1),
 )
-def test_fit_never_raises_and_is_finite(s_ph, s_at, nu_l, delta_nu, n_bin, seed):
+def test_fit_never_raises_and_is_finite(s_ph, s_at, nu_l, delta_nu, n_bin, n_ave, seed):
     v = SpectralParams(s_ph, nu_l, s_at, delta_nu)
-    cfg = dataclasses.replace(REFERENCE_ACQUISITION, n_bin=n_bin)
+    cfg = dataclasses.replace(REFERENCE_ACQUISITION, n_bin=n_bin, n_ave=n_ave)
     r = mle_fit(sample_periodogram_exact(v, cfg, seed), WINDOW)
     assert np.all(np.isfinite(r.v_hat.as_array()))
     assert np.isfinite(r.chi2)
