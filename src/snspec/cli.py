@@ -55,10 +55,6 @@ def _outpath(args, cfg: RunConfig, name: str) -> str:
     return os.path.join(out_dir, name)
 
 
-def _formats(args, cfg: RunConfig) -> tuple[str, ...]:
-    return (args.format,) if args.format else cfg.formats
-
-
 def _seed(args, cfg: RunConfig) -> int:
     return args.seed if args.seed is not None else cfg.master_seed
 
@@ -69,17 +65,11 @@ def cmd_synth(args) -> int:
     v = cfg.spectral_params()
     seed = _seed(args, cfg)
     sp = trial_spectrum(v, acq, (seed, 0), cfg.synthesis)
-    formats = _formats(args, cfg)
-    written = []
-    if "csv" in formats:
-        path = _outpath(args, cfg, "spectrum.csv")
-        write_spectrum_csv(path, sp)
-        written.append(path)
-    if "json" in formats:
-        path = _outpath(args, cfg, "spectrum.json")
-        write_spectrum_json(path, sp, synthesis=cfg.synthesis, **_provenance(cfg, seed))
-        written.append(path)
-    print(f"synth: {sp.nu.size} bins, n_eff={sp.n_eff}, wrote {', '.join(written)}")
+    csv_path = _outpath(args, cfg, "spectrum.csv")
+    write_spectrum_csv(csv_path, sp)
+    json_path = _outpath(args, cfg, "spectrum.json")
+    write_spectrum_json(json_path, sp, synthesis=cfg.synthesis, **_provenance(cfg, seed))
+    print(f"synth: {sp.nu.size} bins, n_eff={sp.n_eff}, wrote {csv_path}, {json_path}")
     return 0
 
 
@@ -188,12 +178,8 @@ def cmd_scan(args) -> int:
             "not direct spectral parameters"
         )
     sg = scan_grid(spec.n_values, spec.p_values, cfg.instrument, acq, spec.xi2)
-    formats = _formats(args, cfg)
-    written = []
-    if "csv" in formats:
-        path = _outpath(args, cfg, "scan.csv")
-        write_scan_csv(path, sg)
-        written.append(path)
+    csv_path = _outpath(args, cfg, "scan.csv")
+    write_scan_csv(csv_path, sg)
     optima = {}
     for index in (1, 2, 3, 4):
         report = find_optimum(sg, index)
@@ -204,15 +190,14 @@ def cmd_scan(args) -> int:
             "gamma_min": report.gamma_min,
             "interior": report.interior,
         }
-    path = _outpath(args, cfg, "optima.json")
-    write_json(path, {"optima": optima, "xi2": sg.xi2, **_provenance(cfg, cfg.master_seed)})
-    written.append(path)
+    json_path = _outpath(args, cfg, "optima.json")
+    write_json(json_path, {"optima": optima, "xi2": sg.xi2, **_provenance(cfg, cfg.master_seed)})
     for name, o in optima.items():
         print(
             f"{name}: min={o['gamma_min']:.6g} at n={o['n_opt_per_cm3']:.4g} cm^-3, "
             f"P={o['p_opt_w']*1e3:.4g} mW, interior={o['interior']}"
         )
-    print(f"scan: wrote {', '.join(written)}")
+    print(f"scan: wrote {csv_path}, {json_path}")
     return 0
 
 
@@ -254,7 +239,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     # each command takes only the flags that change what it writes
-    def common(p, seed=False, threads=False, fmt=False):
+    def common(p, seed=False, threads=False):
         p.add_argument("--config", required=True, help="JSON run configuration")
         p.add_argument("--out", default=None, help="override output.directory")
         if seed:
@@ -263,13 +248,9 @@ def build_parser() -> argparse.ArgumentParser:
             )
         if threads:
             p.add_argument("--threads", type=int, default=None, help="override monte_carlo.threads")
-        if fmt:
-            p.add_argument(
-                "--format", choices=["csv", "json"], default=None, help="restrict output format"
-            )
 
     p = sub.add_parser("synth", help="write one synthetic averaged spectrum")
-    common(p, seed=True, fmt=True)
+    common(p, seed=True)
     p.set_defaults(func=cmd_synth)
 
     p = sub.add_parser("fit", help="fit a spectrum file")
@@ -286,7 +267,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_crb)
 
     p = sub.add_parser("scan", help="map the bound over the (n, P) plane")
-    common(p, fmt=True)
+    common(p)
     p.set_defaults(func=cmd_scan)
 
     p = sub.add_parser("kstats", help="cumulant statistics of a sample file")

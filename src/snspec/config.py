@@ -21,9 +21,6 @@ from .synthesis import SYNTHESIS_ROUTES, AcquisitionConfig
 
 __all__ = ["ScanSpec", "RunConfig", "load_config", "config_from_dict"]
 
-_FORMATS = ("csv", "json")
-
-
 @dataclass(frozen=True)
 class ScanSpec:
     n_values: np.ndarray
@@ -45,7 +42,6 @@ class RunConfig:
     threads: int
     scan: ScanSpec | None
     out_dir: str
-    formats: tuple[str, ...]
     raw: dict[str, Any]
 
     def spectral_params(self) -> SpectralParams:
@@ -97,10 +93,6 @@ class _Section:
         if kind is dict:
             if not isinstance(value, dict):
                 raise ConfigError(f"{self.path}.{key}: expected an object, got {value!r}")
-            return value
-        if kind is list:
-            if not isinstance(value, list):
-                raise ConfigError(f"{self.path}.{key}: expected a list, got {value!r}")
             return value
         raise AssertionError(f"unhandled kind {kind}")
 
@@ -253,13 +245,7 @@ def config_from_dict(doc: dict[str, Any], origin: str = "config") -> RunConfig:
 
     o = _Section(f"{origin}.output", out)
     out_dir = o.take("directory", str, default=".")
-    formats = tuple(o.take("formats", list, default=list(_FORMATS)))
     o.finish()
-    for fmt in formats:
-        if fmt not in _FORMATS:
-            raise ConfigError(f"{origin}.output.formats: unknown format {fmt!r}")
-    if not formats:
-        raise ConfigError(f"{origin}.output.formats: must name at least one format")
 
     return RunConfig(
         params=params,
@@ -272,7 +258,6 @@ def config_from_dict(doc: dict[str, Any], origin: str = "config") -> RunConfig:
         threads=threads,
         scan=_parse_scan(scan) if scan is not None else None,
         out_dir=out_dir,
-        formats=formats,
         raw=doc,
     )
 

@@ -62,7 +62,7 @@ def _symmetrize(a: np.ndarray) -> np.ndarray:
     return 0.5 * (a + np.swapaxes(a, -1, -2))
 
 
-def invert_psd_matrix(a: np.ndarray, rel_tol: float = RANK_TOL):
+def invert_psd_matrix(a: np.ndarray):
     """Invert a symmetric positive-semidefinite matrix with a rank check.
 
     Returns (inverse, rank); inverse is None when the matrix is numerically
@@ -72,12 +72,12 @@ def invert_psd_matrix(a: np.ndarray, rel_tol: float = RANK_TOL):
     near machine precision. This is the one-matrix case of invert_psd_stack.
     """
     a = np.asarray(a, dtype=float)
-    inverse, rank = invert_psd_stack(a[None], rel_tol)
+    inverse, rank = invert_psd_stack(a[None])
     rank = int(rank[0])
     return (inverse[0] if rank == a.shape[0] else None), rank
 
 
-def invert_psd_stack(a: np.ndarray, rel_tol: float = RANK_TOL):
+def invert_psd_stack(a: np.ndarray):
     """invert_psd_matrix over a stack of matrices with shape (m, n, n).
 
     Returns (inverses, ranks): inverses has shape (m, n, n) and holds NaN for
@@ -98,7 +98,7 @@ def invert_psd_stack(a: np.ndarray, rel_tol: float = RANK_TOL):
     corr[~np.isfinite(corr).all(axis=(1, 2))] = 0.0
     w, q = np.linalg.eigh(corr)
     top = w[:, -1:]
-    rank = np.where(top[:, 0] > 0, np.sum(w > rel_tol * top, axis=1), 0)
+    rank = np.where(top[:, 0] > 0, np.sum(w > RANK_TOL * top, axis=1), 0)
     inverse = np.full(a.shape, np.nan)
     full = rank == n
     q, w = q[full], w[full]

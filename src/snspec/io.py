@@ -4,9 +4,10 @@ Spectrum files are CSV (nu_hz, psd_uv2_per_hz; the caller supplies n_eff) or
 JSON (the same columns as lists, n_eff, provenance keys); only this module
 knows either layout. Readers report a malformed file as a ConfigError.
 
-Floats are written with repr-exact precision so every emitted file re-ingests
-bit-identically; writers emit LF newlines and sorted JSON keys so identical
-inputs give byte-identical files.
+Both CSV tables are written by one np.savetxt call and read back by
+np.loadtxt. Floats are written with repr-exact precision (%.17g) so every
+emitted file re-ingests bit-identically; writers emit LF newlines and sorted
+JSON keys so identical inputs give byte-identical files.
 """
 from __future__ import annotations
 
@@ -34,10 +35,6 @@ __all__ = [
 
 SPECTRUM_HEADER = ["nu_hz", "psd_uv2_per_hz"]
 SCAN_HEADER = ["n_cm3", "p_w", "gamma11", "gamma22", "gamma33", "gamma44"]
-
-
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
 
 
 def _read_csv(path, header, what) -> np.ndarray:
@@ -75,13 +72,18 @@ def _spectrum(path, nu, s_bar, n_eff) -> Spectrum:
         raise ConfigError(f"{path}: {exc}") from exc
 
 
+def _write_csv(path, header, cols) -> None:
+    """Equal-length columns under the given header, one row per index."""
+    with open(path, "w", newline="\n") as fh:
+        np.savetxt(
+            fh, np.column_stack(cols), fmt="%.17g", delimiter=",",
+            header=",".join(header), comments="",
+        )
+
+
 def write_spectrum_csv(path, sp: Spectrum) -> None:
     """Spectrum to two-column CSV; n_eff is not stored."""
-    with open(path, "w", newline="\n") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(SPECTRUM_HEADER)
-        for nu, s in zip(sp.nu, sp.s_bar):
-            w.writerow([_fmt(nu), _fmt(s)])
+    _write_csv(path, SPECTRUM_HEADER, (sp.nu, sp.s_bar))
 
 
 def read_spectrum_csv(path, n_eff: int = 1) -> Spectrum:
@@ -110,12 +112,8 @@ def read_spectrum_json(path) -> Spectrum:
 
 def write_scan_csv(path, sg) -> None:
     """ScanGrid to long-format CSV, one row per (n, P) cell."""
-    with open(path, "w", newline="\n") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(SCAN_HEADER)
-        for i, n in enumerate(sg.n_values):
-            for j, p in enumerate(sg.p_values):
-                w.writerow([_fmt(n), _fmt(p)] + [_fmt(sg.surfaces[a, i, j]) for a in range(4)])
+    n, p = np.meshgrid(sg.n_values, sg.p_values, indexing="ij")
+    _write_csv(path, SCAN_HEADER, (n.ravel(), p.ravel(), *sg.surfaces.reshape(4, -1)))
 
 
 def read_scan_csv(path):

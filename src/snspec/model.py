@@ -211,7 +211,15 @@ def params_from_conditions(
     Note s_at * delta_nu does not depend on how the broadening splits among
     the three contributions.
     """
-    theta = params_from_conditions_array(c.n, c.p, c.xi2, k)
+    # an overflow (or inf * 0 at n = 0) leaves a non-finite entry, checked below
+    with np.errstate(over="ignore", invalid="ignore"):
+        theta = params_from_conditions_array(c.n, c.p, c.xi2, k)
+    if not np.isfinite(theta).all():
+        raise NumericalError(
+            f"forward model leaves the finite range at n = {c.n!r} cm^-3, "
+            f"P = {c.p!r} W, xi2 = {c.xi2!r}: (s_ph, nu_l, s_at, delta_nu) = "
+            f"{tuple(float(x) for x in theta)}"
+        )
     if not (theta[3] > 0):
         raise NumericalError(f"forward model produced delta_nu = {theta[3]} <= 0")
     return SpectralParams.from_array(theta)

@@ -110,43 +110,21 @@ def scan_grid(
     return ScanGrid(n_values=n_values, p_values=p_values, xi2=xi2, surfaces=surfaces)
 
 
-def find_optimum(sg: ScanGrid, param_index: int, refine: bool = False) -> OptimumReport:
-    """Grid argmin of one surface; ties break toward smaller (n, P).
-
-    With refine=True the reported location (not the value) is polished by a
-    one-step quadratic fit through the argmin and its grid neighbors, staying
-    inside the neighboring cells.
-    """
+def find_optimum(sg: ScanGrid, param_index: int) -> OptimumReport:
+    """Grid argmin of one surface; ties break toward smaller (n, P)."""
     _check_index(param_index)
     a = sg.surface(param_index)
     if not np.any(np.isfinite(a)):
         raise NumericalError(f"surface {param_index} holds no finite values")
     flat = np.nanargmin(a)  # C-order: first minimum is smallest (n, P) lexicographically
     i, j = (int(x) for x in np.unravel_index(flat, a.shape))
-    n_opt, p_opt = float(sg.n_values[i]), float(sg.p_values[j])
-    gamma_min = float(a[i, j])
-    interior = bool(0 < i < a.shape[0] - 1 and 0 < j < a.shape[1] - 1)
-    if refine and interior:
-        n_opt = _parabolic(sg.n_values[i - 1 : i + 2], a[i - 1 : i + 2, j])
-        p_opt = _parabolic(sg.p_values[j - 1 : j + 2], a[i, j - 1 : j + 2])
     return OptimumReport(
         param_index=param_index,
-        n_opt=n_opt,
-        p_opt=p_opt,
-        gamma_min=gamma_min,
-        interior=interior,
+        n_opt=float(sg.n_values[i]),
+        p_opt=float(sg.p_values[j]),
+        gamma_min=float(a[i, j]),
+        interior=bool(0 < i < a.shape[0] - 1 and 0 < j < a.shape[1] - 1),
     )
-
-
-def _parabolic(x3, y3) -> float:
-    # vertex of the parabola through three points, clamped to the outer two
-    if not np.all(np.isfinite(y3)):
-        return float(x3[1])
-    denom = y3[0] - 2.0 * y3[1] + y3[2]
-    if denom <= 0.0:
-        return float(x3[1])
-    t = 0.5 * (y3[0] - y3[2]) / denom
-    return float(x3[1] + np.clip(t, -1.0, 1.0) * 0.5 * (x3[2] - x3[0]))
 
 
 def squeezing_gain(

@@ -208,8 +208,6 @@ def synthesize_timeseries(v, cfg: AcquisitionConfig, seed) -> TimeSeries:
     given the seed.
     """
     m = cfg.record_length
-    if m < 4:
-        raise ConfigError(f"record length M = {m} must be at least 4")
     rng = np.random.default_rng(seed)
     f = eval_psd(v, cfg.raw_grid())
     # a, b iid standard normal; |C|^2 then averages to M*f/(2*delta)

@@ -9,6 +9,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -112,12 +113,6 @@ class TestSynth:
         assert (tmp_path / "a" / "spectrum.csv").read_bytes() != (
             tmp_path / "b" / "spectrum.csv"
         ).read_bytes()
-
-    def test_format_restriction(self, tmp_path):
-        cfg = write_config(tmp_path, BASE)
-        assert run("synth", "--config", cfg, "--format", "csv", "--out", tmp_path / "a") == 0
-        assert (tmp_path / "a" / "spectrum.csv").exists()
-        assert not (tmp_path / "a" / "spectrum.json").exists()
 
     def test_remainder_bins_dropped(self, tmp_path):
         body = copy.deepcopy(BASE)
@@ -286,15 +281,18 @@ class TestCrb:
         assert run("crb", "--config", cfg) == 4
 
     def test_forward_model_overflow_exits_numerical(self, tmp_path, capsys):
-        # the photocurrent squared overflows, and SpectralParams rejects the
-        # infinite s_at with a ValueError that no layer catches
+        # the photocurrent squared overflows; the forward model names the
+        # conditions it cannot map, without a numpy warning
         body = copy.deepcopy(SCAN)
         del body["scan"]
         body["model"]["conditions"]["p_mw"] = 1e200
         cfg = write_config(tmp_path, body)
-        with np.errstate(over="ignore"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             assert run("crb", "--config", cfg, "--out", tmp_path) == 4
-        assert capsys.readouterr().err.startswith("numerical failure: ")
+        err = capsys.readouterr().err
+        assert err.startswith("numerical failure: forward model leaves the finite range")
+        assert "P = 1e+197 W" in err and "n = 4230000000000.0" in err
 
     def test_single_trial_is_a_config_error(self, tmp_path, capsys):
         # the Wishart spread of the bound needs at least 2 samples
@@ -410,8 +408,18 @@ class TestErrorPaths:
             ["crb", "--seed", "5"],
             ["fit", "spectrum.csv", "--format", "csv"],
             ["validate", "--format", "json"],
+            ["synth", "--format", "csv"],
+            ["scan", "--format", "csv"],
         ],
-        ids=["scan-threads", "synth-threads", "crb-seed", "fit-format", "validate-format"],
+        ids=[
+            "scan-threads",
+            "synth-threads",
+            "crb-seed",
+            "fit-format",
+            "validate-format",
+            "synth-format",
+            "scan-format",
+        ],
     )
     def test_flag_the_command_ignores_is_rejected(self, tmp_path, capsys, argv):
         cfg = write_config(tmp_path, SCAN if argv[0] == "scan" else BASE)

@@ -38,7 +38,7 @@ FULL = {
         "p_points": 12,
         "xi2": 0.55,
     },
-    "output": {"directory": "results", "formats": ["csv", "json"]},
+    "output": {"directory": "results"},
 }
 
 PARAMS_ONLY = {
@@ -95,7 +95,6 @@ class TestFullDocument:
         assert cfg.synthesis == "gamma"
         assert cfg.threads == 2
         assert cfg.out_dir == "results"
-        assert cfg.formats == ("csv", "json")
         assert cfg.raw == FULL
 
     def test_acquisition_geometry(self):
@@ -142,6 +141,8 @@ class TestUnknownKeys:
             (dict(monte_carlo__trials=5), "config.monte_carlo:"),
             (dict(scan__n_max=1), "config.scan:"),
             (dict(output__format=1), "config.output:"),
+            # every command writes all its files; there is no format choice
+            (dict(output__formats=["csv"]), "config.output:"),
         ],
     )
     def test_rejected_with_path(self, edit, path_fragment):
@@ -203,12 +204,6 @@ class TestTypesAndValues:
         with pytest.raises(ConfigError, match="config.scan"):
             config_from_dict(doc(**edit))
 
-    def test_bad_format_rejected(self):
-        with pytest.raises(ConfigError, match="unknown format"):
-            config_from_dict(doc(output__formats=["csv", "xml"]))
-        with pytest.raises(ConfigError, match="at least one"):
-            config_from_dict(doc(output__formats=[]))
-
     def test_nonpositive_counts_rejected(self):
         with pytest.raises(ConfigError):
             config_from_dict(doc(monte_carlo__n_trials=0))
@@ -237,7 +232,6 @@ class TestDefaultsAndSections:
         assert cfg.synthesis == "timeseries"
         assert cfg.threads == 1
         assert cfg.out_dir == "."
-        assert cfg.formats == ("csv", "json")
         assert cfg.scan is None
 
     def test_optional_sections_enforced_on_use(self):

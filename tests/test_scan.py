@@ -210,20 +210,6 @@ class TestFindOptimum:
         with pytest.raises(NumericalError):
             find_optimum(sg, 1)
 
-    def test_refine_recovers_parabola_vertex(self):
-        n_vals = np.linspace(1.0, 9.0, 9)
-        p_vals = np.linspace(10.0, 26.0, 9)
-        n0, p0 = 4.3, 19.1  # off-grid vertex
-        surf = (n_vals[:, None] - n0) ** 2 + (p_vals[None, :] - p0) ** 2
-        sg = ScanGrid(
-            n_values=n_vals, p_values=p_vals, xi2=1.0, surfaces=np.broadcast_to(surf, (4, 9, 9))
-        )
-        coarse = find_optimum(sg, 1)
-        fine = find_optimum(sg, 1, refine=True)
-        assert fine.n_opt == pytest.approx(n0, abs=1e-9)
-        assert fine.p_opt == pytest.approx(p0, abs=1e-9)
-        assert fine.gamma_min == coarse.gamma_min  # value stays the grid value
-
     def test_bad_index_rejected(self):
         sg = scan_grid(
             np.array([4e12]), np.array([2e-3]), REFERENCE_INSTRUMENT, REFERENCE_ACQUISITION
