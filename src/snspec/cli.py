@@ -26,7 +26,6 @@ from .errors import ConfigError, NumericalError
 from .estimation import k2, k4, mle_fit, var_k2
 from .fisher import fisher_integral, wishart_std
 from .io import (
-    matrix_to_rows,
     read_spectrum_csv,
     read_spectrum_json,
     write_json,
@@ -113,14 +112,14 @@ def cmd_validate(args) -> int:
         cfg.spectral_params(), acq, cfg.n_trials, seed, threads=threads, synthesis=cfg.synthesis
     )
     payload = {
-        "gamma_exp": matrix_to_rows(report.gamma_exp),
-        "gamma_th": matrix_to_rows(report.gamma_th),
-        "sigma_th": matrix_to_rows(report.sigma_th),
-        "deviation": matrix_to_rows(report.deviation),
+        "gamma_exp": report.gamma_exp.tolist(),
+        "gamma_th": report.gamma_th.tolist(),
+        "sigma_th": report.sigma_th.tolist(),
+        "deviation": report.deviation.tolist(),
         "max_deviation": report.max_deviation,
-        "mean_fit": [float(x) for x in report.mean_fit],
-        "k2_diag": [float(x) for x in report.k2_diag],
-        "k2_stderr": [float(x) for x in report.k2_stderr],
+        "mean_fit": report.mean_fit.tolist(),
+        "k2_diag": report.k2_diag.tolist(),
+        "k2_stderr": report.k2_stderr.tolist(),
         "n_trials": report.n_trials,
         "n_failures": report.n_failures,
         "synthesis": report.synthesis,
@@ -147,9 +146,9 @@ def cmd_crb(args) -> int:
         raise NumericalError("information matrix is singular for this model")
     sigma = wishart_std(result.gamma_th, cfg.n_trials)
     payload = {
-        "info": matrix_to_rows(result.info),
-        "gamma_th": matrix_to_rows(result.gamma_th),
-        "sigma_th": matrix_to_rows(sigma),
+        "info": result.info.tolist(),
+        "gamma_th": result.gamma_th.tolist(),
+        "sigma_th": sigma.tolist(),
         "sigma_n_samples": cfg.n_trials,
         "n_eff": result.n_eff,
         "nu_t_hz": result.nu_t,

@@ -9,7 +9,8 @@ clipped to the window padded by one width. With J = d ln f / d theta (the
 model's log-gradient times the log-scale factors) each step solves
 (J^T J + lambda diag(J^T J)) delta = J^T (S_bar/f - 1) through
 fisher.invert_psd_stack, one lambda per spectrum. mle_fit_stack fits spectra
-stacked on one grid, each row with its bits alone; mle_fit is its one-row case.
+stacked on one grid, each row with its bits alone, and returns arrays; mle_fit
+is its one-row case and the one place that builds a FitResult.
 """
 from __future__ import annotations
 
@@ -19,7 +20,7 @@ import numpy as np
 
 from .errors import ConfigError
 from .fisher import invert_psd_stack
-from .model import SpectralParams, grad_log_psd_array, psd_array
+from .model import SpectralParams, eval_psd, grad_log_psd_array
 from .synthesis import Spectrum
 
 __all__ = [
@@ -91,16 +92,12 @@ def _fit_bins(nu: np.ndarray, window, min_bins: int = _MIN_WINDOW_BINS) -> np.nd
     return idx
 
 
-def _chi2(p: np.ndarray, nu: np.ndarray, s: np.ndarray) -> np.ndarray:
-    """sum_i (1 - S_bar_i/f_i)^2 per row, for p of shape (m, 4) and s of (m, K)."""
-    r = 1.0 - s / psd_array(*p.T[..., None], nu)
-    return np.sum(r * r, axis=1)
-
-
 def chi_squared(v: SpectralParams, sp: Spectrum, window) -> float:
-    """sum over window bins of (1 - S_bar_i/f(nu_i, v))^2."""
+    """sum over window bins of (1 - S_bar_i/f(nu_i, v))^2; inf or NaN where that leaves the float range."""
     idx = _fit_bins(sp.nu, window, 0)
-    return float(_chi2(v.as_array()[None], sp.nu[idx], sp.s_bar[idx][None])[0])
+    with np.errstate(over="ignore", invalid="ignore"):
+        r = 1.0 - sp.s_bar[idx] / eval_psd(v, sp.nu[idx])
+        return float(np.sum(r * r))
 
 
 def _initial_guess_stack(nu: np.ndarray, s: np.ndarray, window) -> np.ndarray:
@@ -158,10 +155,11 @@ def _score(theta: np.ndarray, nu: np.ndarray, s: np.ndarray):
     return objective, normal, score, ok & (np.diagonal(normal, axis1=1, axis2=2) > 0.0).all(axis=1)
 
 
-def mle_fit_stack(nu, s_bar, window, guess=None) -> list[FitResult]:
+def mle_fit_stack(nu, s_bar, window, guess=None):
     """Whittle fit of every row of s_bar, an (m, len(nu)) stack of spectra.
 
-    guess is None (initial_guess of each row) or m SpectralParams. A row
+    guess is None (initial_guess of each row) or an (m, 4) array. Returns
+    (v_hat, n_iter, converged) with shapes (m, 4), (m,) and (m,). A row
     leaves the active set once its objective stops falling; n_iter counts its
     steps. A trial step out of the model's range (a non-finite objective or
     normal matrix, or an exp that underflows) is rejected and the damping
@@ -171,20 +169,14 @@ def mle_fit_stack(nu, s_bar, window, guess=None) -> list[FitResult]:
     nu = np.asarray(nu, dtype=float)
     idx = _fit_bins(nu, window)
     nu, s = nu[idx], np.asarray(s_bar, dtype=float)[:, idx]
-    window = (float(window[0]), float(window[1]))
-    v0 = _initial_guess_stack(nu, s, window) if guess is None else np.array([g.as_array() for g in guess])
+    v0 = _initial_guess_stack(nu, s, window) if guess is None else np.asarray(guess, dtype=float)
     bounds = (2.0 * window[0] - window[1], 2.0 * window[1] - window[0])  # padded by one width
     rows = max(1, _BLOCK_BINS // nu.size)
     with np.errstate(all="ignore"):
         theta = np.where(_LOG, np.log(v0), np.clip(v0, *bounds))
         done = [_solve(theta[b : b + rows], nu, s[b : b + rows], bounds) for b in range(0, len(s), rows)]
         steps, converged, failed = (np.concatenate(x) for x in zip(*done))
-        p = np.where(failed[:, None], v0, _params(theta))
-        chi2 = _chi2(p, nu, s)
-    return [
-        FitResult(SpectralParams.from_array(p[i]), float(chi2[i]), int(steps[i]), bool(converged[i]), window)
-        for i in range(len(s))
-    ]
+        return np.where(failed[:, None], v0, _params(theta)), steps, converged
 
 
 def _solve(theta, nu, s, bounds):
@@ -227,14 +219,19 @@ def mle_fit(sp: Spectrum, window, guess: SpectralParams | None = None) -> FitRes
     (1 + 1/n_eff) high in amplitude, the estimate has no 1/n_eff bias; that
     sum is still reported as chi2. A failed fit returns converged=False.
     """
-    return mle_fit_stack(sp.nu, sp.s_bar[None], window, None if guess is None else [guess])[0]
+    v_hat, n_iter, converged = mle_fit_stack(
+        sp.nu, sp.s_bar[None], window, None if guess is None else guess.as_array()[None]
+    )
+    v = SpectralParams.from_array(v_hat[0])
+    window = (float(window[0]), float(window[1]))
+    return FitResult(v, chi_squared(v, sp, window), int(n_iter[0]), bool(converged[0]), window)
 
 
 def sample_covariance(fits) -> SampleCovariance:
-    """Mean and maximum-likelihood (divide-by-N) covariance of fit vectors."""
-    arr = np.array([f.as_array() if isinstance(f, SpectralParams) else np.asarray(f, dtype=float) for f in fits])
+    """Mean and maximum-likelihood (divide-by-N) covariance of an (N, 4) array of fit vectors."""
+    arr = np.asarray(fits, dtype=float)
     if arr.ndim != 2 or arr.shape[1] != 4:
-        raise ValueError("fits must be a sequence of 4-component parameter vectors")
+        raise ValueError("fits must be an (N, 4) array of parameter vectors")
     n = arr.shape[0]
     if n < 2:
         raise ValueError(f"need at least 2 samples, got {n}")

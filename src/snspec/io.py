@@ -30,7 +30,6 @@ __all__ = [
     "read_scan_csv",
     "write_json",
     "read_json",
-    "matrix_to_rows",
 ]
 
 SPECTRUM_HEADER = ["nu_hz", "psd_uv2_per_hz"]
@@ -127,14 +126,8 @@ def read_scan_csv(path):
     if not (cells == data.shape[0] == n_values.size * p_values.size):
         raise ConfigError(f"{path}: rows do not form a complete (n, P) grid, one row per cell")
     surfaces = np.full((4, n_values.size, p_values.size), np.nan)
-    for a in range(4):
-        surfaces[a, ni, pj] = data[:, 2 + a]
+    surfaces[:, ni, pj] = data[:, 2:].T
     return n_values, p_values, surfaces
-
-
-def matrix_to_rows(m) -> list[list[float]]:
-    """4x4 ndarray to row-major nested lists for JSON."""
-    return [[float(x) for x in row] for row in np.asarray(m)]
 
 
 def write_json(path, payload: dict[str, Any]) -> None:

@@ -220,8 +220,6 @@ def params_from_conditions(
             f"P = {c.p!r} W, xi2 = {c.xi2!r}: (s_ph, nu_l, s_at, delta_nu) = "
             f"{tuple(float(x) for x in theta)}"
         )
-    if not (theta[3] > 0):
-        raise NumericalError(f"forward model produced delta_nu = {theta[3]} <= 0")
     return SpectralParams.from_array(theta)
 
 

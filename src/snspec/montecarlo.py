@@ -114,9 +114,9 @@ def run_validation(
     else:
         with ThreadPoolExecutor(max_workers=threads) as pool:
             list(pool.map(synthesize, range(n_trials)))
-    fits = mle_fit_stack(cfg.coarse_grid(), s_bar, window)
+    v_hat, _, converged = mle_fit_stack(cfg.coarse_grid(), s_bar, window)
 
-    good = [f.v_hat for f in fits if f.converged]
+    good = v_hat[converged]
     n_failures = n_trials - len(good)
     if len(good) < 2:
         raise ConfigError(
@@ -126,11 +126,10 @@ def run_validation(
     sigma_th = wishart_std(gamma_th, cov.n_samples)
     dev = normalized_deviation(cov.gamma, gamma_th, cov.n_samples)
 
-    samples = np.array([g.as_array() for g in good])
     # a converged fit onto a sub-bin line (s_at ~ 1e138) overflows these: inf/NaN
     with np.errstate(over="ignore", invalid="ignore"):
-        k2_diag = np.array([k2(samples[:, j]) for j in range(4)])
-        k2_stderr = np.sqrt([max(var_k2(samples[:, j]), 0.0) for j in range(4)])
+        k2_diag = np.array([k2(x) for x in good.T])
+        k2_stderr = np.sqrt([max(var_k2(x), 0.0) for x in good.T])
 
     return ValidationReport(
         gamma_exp=cov.gamma,

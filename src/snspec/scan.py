@@ -10,12 +10,12 @@ variances of the line parameters pass through a minimum inside the plane.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConfigError, NumericalError
-from .fisher import fisher_integral, integral_covariance_stack
+from .fisher import integral_covariance_stack
 from .model import (
     ExperimentConditions,
     InstrumentConstants,
@@ -134,15 +134,16 @@ def squeezing_gain(
     xi2_a: float,
     xi2_b: float,
 ) -> np.ndarray:
-    """Elementwise Gamma_th diagonal ratio at xi2_b over xi2_a, fixed (n, P)."""
+    """Elementwise Gamma_th diagonal ratio at xi2_b over xi2_a, fixed (n, P).
+
+    Each diagonal is the one cell of a 1x1 scan_grid at that xi2.
+    """
     if not (xi2_a > 0.0 and xi2_b > 0.0):
         raise ConfigError("squeezing factors must be positive")
-    window = (cfg.fit_lo, cfg.fit_hi)
     diag = []
     for xi2 in (xi2_a, xi2_b):
-        v = params_from_conditions(replace(c, xi2=xi2), k)
-        result = fisher_integral(v, window, cfg.coarse_spacing, cfg.n_eff)
-        if result.gamma_th is None or result.rank < 4:
+        d = scan_grid([c.n], [c.p], k, cfg, xi2).surfaces[:, 0, 0]
+        if np.isnan(d).any():
             raise NumericalError(f"information matrix singular at xi2 = {xi2}")
-        diag.append(np.diag(result.gamma_th))
+        diag.append(d)
     return diag[1] / diag[0]

@@ -370,6 +370,12 @@ class TestKstats:
         sample.write_text("1\nbanana\n3\n4\n")
         assert run("kstats", sample, "--out", tmp_path) == 2
 
+    def test_two_columns(self, tmp_path, capsys):
+        sample = tmp_path / "x.txt"
+        sample.write_text("1 2\n3 4\n5 6\n7 8\n")
+        assert run("kstats", sample, "--out", tmp_path) == 2
+        assert "expected one value per line" in capsys.readouterr().err
+
 
 class TestErrorPaths:
     def test_missing_config_file(self, tmp_path):
@@ -393,6 +399,18 @@ class TestErrorPaths:
         body = copy.deepcopy(BASE)
         body["montecarlo"] = body.pop("monte_carlo")
         assert run("synth", "--config", write_config(tmp_path, body)) == 2
+
+    def test_instrument_must_be_an_object(self, tmp_path, capsys):
+        body = copy.deepcopy(SCAN)
+        body["model"]["instrument"] = 5
+        assert run("crb", "--config", write_config(tmp_path, body)) == 2
+        assert "config.model.instrument: must be a JSON object" in capsys.readouterr().err
+
+    def test_synthesis_must_be_a_string(self, tmp_path, capsys):
+        body = copy.deepcopy(BASE)
+        body["monte_carlo"]["synthesis"] = 5
+        assert run("synth", "--config", write_config(tmp_path, body)) == 2
+        assert "run.json.monte_carlo.synthesis: expected a string" in capsys.readouterr().err
 
     def test_missing_required_field_is_named(self, tmp_path, capsys):
         body = copy.deepcopy(BASE)

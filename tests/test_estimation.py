@@ -131,10 +131,10 @@ class TestMleFit:
         # s_at a factor (1 + 1/n_eff) high, 2% and 20% here
         cfg = dataclasses.replace(CFG, n_bin=n_bin)
         spectra = [sample_periodogram_exact(V, cfg, seed=(314, i)) for i in range(400)]
-        fits = mle_fit_stack(spectra[0].nu, np.array([sp.s_bar for sp in spectra]), WINDOW)
-        assert all(r.converged for r in fits)
-        sc = sample_covariance([r.v_hat for r in fits])
-        se = np.sqrt(np.diag(sc.gamma) / len(fits))
+        v_hat, _, converged = mle_fit_stack(spectra[0].nu, np.array([sp.s_bar for sp in spectra]), WINDOW)
+        assert converged.all()
+        sc = sample_covariance(v_hat)
+        se = np.sqrt(np.diag(sc.gamma) / len(v_hat))
         assert np.all(np.abs(sc.mean - V.as_array()) < 3 * se)
 
     def test_weak_line_trial_that_overflowed_ends_in_a_finite_fit(self):
@@ -186,32 +186,46 @@ class TestMleFitStack:
         spectra = strong[:3] + weak + strong[3:]
         return spectra[0].nu, np.array([sp.s_bar for sp in spectra])
 
+    @staticmethod
+    def as_arrays(fits):
+        """The (v_hat, n_iter, converged) arrays of a list of FitResults."""
+        return (
+            np.array([r.v_hat.as_array() for r in fits]),
+            np.array([r.n_iter for r in fits]),
+            np.array([r.converged for r in fits]),
+        )
+
+    def assert_same(self, a, b):
+        for x, y in zip(a, b, strict=True):
+            np.testing.assert_array_equal(x, y, strict=True)
+
     def test_rows_equal_single_fits_bit_for_bit(self):
         nu, s_bar = self.mixed_stack()
         fits = mle_fit_stack(nu, s_bar, WINDOW)
         singles = [mle_fit(Spectrum(nu=nu, s_bar=row, n_eff=CFG.n_eff), WINDOW) for row in s_bar]
-        assert len({r.n_iter for r in fits}) > 2
-        assert fits == singles
+        assert np.unique(fits[1]).size > 2
+        self.assert_same(fits, self.as_arrays(singles))
 
     def test_permuted_stack_gives_permuted_results(self, monkeypatch):
         nu, s_bar = self.mixed_stack()
         fits = mle_fit_stack(nu, s_bar, WINDOW)
-        perm = np.random.default_rng(0).permutation(len(fits))
+        perm = np.random.default_rng(0).permutation(len(s_bar))
         # and solve the permuted stack one row per block
         monkeypatch.setattr(estimation, "_BLOCK_BINS", 1)
-        assert mle_fit_stack(nu, s_bar[perm], WINDOW) == [fits[i] for i in perm]
+        self.assert_same(mle_fit_stack(nu, s_bar[perm], WINDOW), [x[perm] for x in fits])
 
     def test_guesses_are_per_row(self):
         nu, s_bar = self.mixed_stack()
         start = SpectralParams(s_ph=1.3 * V.s_ph, nu_l=V.nu_l + 200.0, s_at=0.7 * V.s_at, delta_nu=1.4 * V.delta_nu)
         guesses = [start if i % 2 else initial_guess(Spectrum(nu, row, CFG.n_eff), WINDOW) for i, row in enumerate(s_bar)]
-        fits = mle_fit_stack(nu, s_bar, WINDOW, guess=guesses)
-        assert fits == [mle_fit(Spectrum(nu, row, CFG.n_eff), WINDOW, g) for row, g in zip(s_bar, guesses)]
+        fits = mle_fit_stack(nu, s_bar, WINDOW, guess=np.array([g.as_array() for g in guesses]))
+        singles = [mle_fit(Spectrum(nu, row, CFG.n_eff), WINDOW, g) for row, g in zip(s_bar, guesses)]
+        self.assert_same(fits, self.as_arrays(singles))
 
 
 class TestSampleCovariance:
     def test_identical_vectors_give_zero(self):
-        sc = sample_covariance([V, V, V])
+        sc = sample_covariance([V.as_array()] * 3)
         np.testing.assert_array_equal(sc.gamma, 0.0)
         np.testing.assert_allclose(sc.mean, V.as_array())
 
@@ -245,7 +259,15 @@ class TestSampleCovariance:
 
     def test_needs_two_samples(self):
         with pytest.raises(ValueError):
-            sample_covariance([V])
+            sample_covariance([V.as_array()])
+
+    def test_bad_mean_shape_rejected(self):
+        with pytest.raises(ValueError):
+            SampleCovariance(mean=np.zeros(3), gamma=np.eye(4), n_samples=3)
+
+    def test_negative_diagonal_rejected(self):
+        with pytest.raises(ValueError):
+            SampleCovariance(mean=np.zeros(4), gamma=-np.eye(4), n_samples=3)
 
     def test_asymmetric_matrix_rejected(self):
         with pytest.raises(ValueError):

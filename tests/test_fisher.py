@@ -222,6 +222,12 @@ class TestTwoPathIdentity:
             ep = error_propagation_covariance(v, bins, n_eff)
             assert norm_diff(ep * n_eff / (n_eff + 2.0), crb) < 1e-10
 
+    def test_error_propagation_rejects_bad_bins_and_counts(self):
+        with pytest.raises(ValueError):
+            error_propagation_covariance(V, window_bins()[:3], 50)
+        with pytest.raises(ValueError):
+            error_propagation_covariance(V, window_bins(), 0)
+
     def test_error_propagation_rejects_singular_design(self):
         flat = SpectralParams(s_ph=1.0, nu_l=42600.0, s_at=0.0, delta_nu=500.0)
         with pytest.raises(NumericalError):

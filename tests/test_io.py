@@ -7,7 +7,6 @@ import pytest
 
 from snspec.errors import ConfigError
 from snspec.io import (
-    matrix_to_rows,
     read_json,
     read_scan_csv,
     read_spectrum_csv,
@@ -161,9 +160,3 @@ class TestJson:
         path.write_text("[1, 2]\n")
         with pytest.raises(ConfigError):
             read_json(path)
-
-
-def test_matrix_to_rows():
-    rows = matrix_to_rows(np.arange(4.0).reshape(2, 2))
-    assert rows == [[0.0, 1.0], [2.0, 3.0]]
-    assert all(isinstance(x, float) for row in rows for x in row)

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from snspec import montecarlo
 from snspec.errors import ConfigError
 from snspec.model import SpectralParams
 from snspec.montecarlo import run_validation, trial_spectrum
@@ -90,3 +91,11 @@ class TestRunValidation:
             run_validation(V, CFG, n_trials=10, master_seed=0, synthesis="nope")
         with pytest.raises(ConfigError):
             run_validation(V, CFG, n_trials=10, master_seed=0, threads=0)
+
+    def test_fewer_than_two_converged_fits_is_a_config_error(self, monkeypatch):
+        def no_fit_converges(nu, s_bar, window):
+            return np.zeros((len(s_bar), 4)), np.zeros(len(s_bar), dtype=int), np.zeros(len(s_bar), dtype=bool)
+
+        monkeypatch.setattr(montecarlo, "mle_fit_stack", no_fit_converges)
+        with pytest.raises(ConfigError, match="only 0 of 4 fits converged"):
+            run_validation(V, CFG, n_trials=4, master_seed=0, synthesis="gamma")
