@@ -32,7 +32,9 @@ from .synthesis import (
     coarse_grain,
     periodogram,
     sample_periodogram_exact,
+    sample_periodogram_exact_stack,
     synthesize_timeseries,
+    timeseries_periodogram_stack,
 )
 from .estimation import (
     FitResult,
@@ -46,7 +48,7 @@ from .estimation import (
     sample_covariance,
     var_k2,
 )
-from .montecarlo import ValidationReport, run_validation, trial_spectrum
+from .montecarlo import ValidationReport, run_validation, trial_spectra, trial_spectrum
 from .scan import OptimumReport, ScanGrid, find_optimum, scan_grid, squeezing_gain
 from .profiles import (
     PROFILES,

@@ -21,7 +21,7 @@ import sys
 import numpy as np
 
 from . import __version__
-from .config import RunConfig, load_config
+from .config import RunConfig, check_seed, load_config
 from .errors import ConfigError, NumericalError
 from .estimation import k2, k4, mle_fit, var_k2
 from .fisher import fisher_integral, wishart_std
@@ -55,7 +55,7 @@ def _outpath(args, cfg: RunConfig, name: str) -> str:
 
 
 def _seed(args, cfg: RunConfig) -> int:
-    return args.seed if args.seed is not None else cfg.master_seed
+    return check_seed(args.seed, "--seed") if args.seed is not None else cfg.master_seed
 
 
 def cmd_synth(args) -> int:

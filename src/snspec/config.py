@@ -19,7 +19,7 @@ from .model import ExperimentConditions, InstrumentConstants, SpectralParams, pa
 from .profiles import PROFILES, REFERENCE_INSTRUMENT
 from .synthesis import SYNTHESIS_ROUTES, AcquisitionConfig
 
-__all__ = ["ScanSpec", "RunConfig", "load_config", "config_from_dict"]
+__all__ = ["ScanSpec", "RunConfig", "check_seed", "load_config", "config_from_dict"]
 
 @dataclass(frozen=True)
 class ScanSpec:
@@ -110,6 +110,14 @@ class _Section:
                 f"{self.path}: unknown key(s) {', '.join(map(repr, unknown))}; "
                 f"known keys: {', '.join(sorted(self.seen))}"
             )
+
+
+def check_seed(seed: int, where: str) -> int:
+    """seed, or a ConfigError naming where it was set when it is negative
+    (numpy's SeedSequence takes only nonnegative integers)."""
+    if seed < 0:
+        raise ConfigError(f"{where}: seed must be a nonnegative integer, got {seed}")
+    return seed
 
 
 def _parse_model(section: dict[str, Any]):
@@ -229,7 +237,9 @@ def config_from_dict(doc: dict[str, Any], origin: str = "config") -> RunConfig:
 
     m = _Section(f"{origin}.monte_carlo", mc)
     n_trials = m.take("n_trials", int, default=100)
-    master_seed = m.take("master_seed", int, default=0)
+    master_seed = check_seed(
+        m.take("master_seed", int, default=0), f"{origin}.monte_carlo.master_seed"
+    )
     synthesis = m.take("synthesis", str, default="timeseries")
     threads = m.take("threads", int, default=1)
     m.finish()

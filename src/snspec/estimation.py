@@ -27,6 +27,7 @@ __all__ = [
     "FitResult",
     "SampleCovariance",
     "chi_squared",
+    "fit_bins",
     "initial_guess",
     "mle_fit",
     "mle_fit_stack",
@@ -81,7 +82,7 @@ class SampleCovariance:
             raise ValueError("gamma diagonal must be nonnegative")
 
 
-def _fit_bins(nu: np.ndarray, window, min_bins: int = _MIN_WINDOW_BINS) -> np.ndarray:
+def fit_bins(nu: np.ndarray, window, min_bins: int = _MIN_WINDOW_BINS) -> np.ndarray:
     """Indices of the bins inside window; fewer than min_bins is a ConfigError."""
     lo, hi = window
     if not (0.0 <= lo < hi):
@@ -94,7 +95,7 @@ def _fit_bins(nu: np.ndarray, window, min_bins: int = _MIN_WINDOW_BINS) -> np.nd
 
 def chi_squared(v: SpectralParams, sp: Spectrum, window) -> float:
     """sum over window bins of (1 - S_bar_i/f(nu_i, v))^2; inf or NaN where that leaves the float range."""
-    idx = _fit_bins(sp.nu, window, 0)
+    idx = fit_bins(sp.nu, window, 0)
     with np.errstate(over="ignore", invalid="ignore"):
         r = 1.0 - sp.s_bar[idx] / eval_psd(v, sp.nu[idx])
         return float(np.sum(r * r))
@@ -128,7 +129,7 @@ def initial_guess(sp: Spectrum, window) -> SpectralParams:
     delta_nu from the half-maximum crossings (falling back to a quarter of
     the window when the peak is unresolved).
     """
-    idx = _fit_bins(sp.nu, window)
+    idx = fit_bins(sp.nu, window)
     return SpectralParams.from_array(_initial_guess_stack(sp.nu[idx], sp.s_bar[idx][None], window)[0])
 
 
@@ -167,7 +168,7 @@ def mle_fit_stack(nu, s_bar, window, guess=None):
     is rank-deficient returns converged=False with its start point as v_hat.
     """
     nu = np.asarray(nu, dtype=float)
-    idx = _fit_bins(nu, window)
+    idx = fit_bins(nu, window)
     nu, s = nu[idx], np.asarray(s_bar, dtype=float)[:, idx]
     v0 = _initial_guess_stack(nu, s, window) if guess is None else np.asarray(guess, dtype=float)
     bounds = (2.0 * window[0] - window[1], 2.0 * window[1] - window[0])  # padded by one width

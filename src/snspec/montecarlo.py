@@ -10,8 +10,9 @@ inspect a discrepancy.
 
 Seeding contract: trial k draws from numpy's default_rng seeded with
 (master_seed, k). Results are therefore independent of execution order and of
-the thread count, and any single trial can be replayed in isolation. All
-trials are fitted in one stacked solve, bit for bit as if each were alone.
+the thread count, and any single trial can be replayed in isolation. The
+trials are synthesized as one (n_trials, K) stack, whose rows a thread pool
+may fill, and fitted in one stacked solve, each bit for bit as if alone.
 """
 from __future__ import annotations
 
@@ -21,20 +22,18 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, NumericalError
-from .estimation import k2, mle_fit_stack, sample_covariance, var_k2
+from .estimation import fit_bins, k2, mle_fit_stack, sample_covariance, var_k2
 from .fisher import fisher_integral, normalized_deviation, wishart_std
 from .model import SpectralParams
 from .synthesis import (
     SYNTHESIS_ROUTES,
     AcquisitionConfig,
-    average_spectra,
-    coarse_grain,
-    periodogram,
-    sample_periodogram_exact,
-    synthesize_timeseries,
+    Spectrum,
+    sample_periodogram_exact_stack,
+    timeseries_periodogram_stack,
 )
 
-__all__ = ["ValidationReport", "run_validation", "trial_spectrum"]
+__all__ = ["ValidationReport", "run_validation", "trial_spectra", "trial_spectrum"]
 
 
 @dataclass(frozen=True)
@@ -59,23 +58,45 @@ class ValidationReport:
     window: tuple[float, float]
 
 
-def trial_spectrum(v: SpectralParams, cfg: AcquisitionConfig, seed, synthesis: str = "timeseries"):
-    """One synthetic averaged spectrum, by either generation route.
+def trial_spectra(
+    v: SpectralParams, cfg: AcquisitionConfig, seeds, synthesis: str = "timeseries", threads: int = 1
+) -> np.ndarray:
+    """Synthetic averaged spectra by either route, one row of bin means per
+    seed: a (len(seeds), K) array.
 
     "timeseries" runs the physical pipeline: n_ave Gaussian records, a
     periodogram each, average, coarse-grain. "gamma" draws the averaged bins
-    directly from their exact sampling law.
+    directly from their exact sampling law. threads > 1 fills the rows in a
+    thread pool without changing a bit. The finished stack must be finite
+    and nonnegative.
     """
     if synthesis == "gamma":
-        return sample_periodogram_exact(v, cfg, seed)
-    if synthesis != "timeseries":
+        stack = sample_periodogram_exact_stack
+    elif synthesis == "timeseries":
+        stack = timeseries_periodogram_stack
+    else:
         raise ConfigError(f"unknown synthesis route {synthesis!r}; known: {SYNTHESIS_ROUTES}")
-    rng = np.random.default_rng(seed)
-    records = []
-    for _ in range(cfg.n_ave):
-        ts = synthesize_timeseries(v, cfg, rng)
-        records.append(periodogram(ts))
-    return coarse_grain(average_spectra(records), cfg.n_bin)
+    if threads == 1:
+        s_bar = stack(v, cfg, seeds)
+    else:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            s_bar = stack(v, cfg, seeds, pool.map)
+    if not (np.isfinite(s_bar).all() and (s_bar >= 0.0).all()):
+        raise NumericalError("synthesized spectra hold a non-finite or negative bin")
+    return s_bar
+
+
+def trial_spectrum(
+    v: SpectralParams, cfg: AcquisitionConfig, seed, synthesis: str = "timeseries"
+) -> Spectrum:
+    """One synthetic averaged spectrum: the one-row case of trial_spectra.
+
+    The gamma route's grid is cfg.coarse_grid(), the timeseries route's the
+    coarse-grained grid of its periodograms, cfg.periodogram_grid().
+    """
+    s_bar = trial_spectra(v, cfg, [seed], synthesis)[0]
+    nu = cfg.coarse_grid() if synthesis == "gamma" else cfg.periodogram_grid()
+    return Spectrum(nu=nu, s_bar=s_bar, n_eff=cfg.n_eff)
 
 
 def run_validation(
@@ -88,33 +109,28 @@ def run_validation(
 ) -> ValidationReport:
     """Synthesize and fit n_trials spectra, then compare scatter to theory.
 
-    threads > 1 synthesizes the spectra in a thread pool; one mle_fit_stack
-    call fits them all. Trials whose fit does not converge count as failures,
-    excluded from the covariance; the report flags the count rather than
-    raising, since a rare non-convergence is a property of the data, not a
-    tool fault. A singular information matrix raises NumericalError before
-    any trial runs.
+    One trial_spectra stack holds the spectra; threads > 1 fills its rows in
+    a thread pool. One mle_fit_stack call fits them all. Trials whose fit
+    does not converge count as failures, excluded from the covariance; the
+    report flags the count rather than raising, since a rare non-convergence
+    is a property of the data, not a tool fault. A fit window with too few
+    bins raises ConfigError and a singular information matrix NumericalError,
+    both before any trial is synthesized.
     """
     if n_trials < 2:
         raise ConfigError(f"n_trials must be at least 2, got {n_trials}")
     if threads < 1:
         raise ConfigError(f"threads must be at least 1, got {threads}")
     window = (cfg.fit_lo, cfg.fit_hi)
+    nu = cfg.coarse_grid()
+    fit_bins(nu, window)  # a window too narrow to fit fails before any synthesis
     gamma_th = fisher_integral(v, window, cfg.coarse_spacing, cfg.n_eff).gamma_th
     if gamma_th is None:
         raise NumericalError("information matrix is singular for this model: no bound to test")
 
-    s_bar = np.empty((n_trials, cfg.coarse_grid().size))
-
-    def synthesize(k):
-        s_bar[k] = trial_spectrum(v, cfg, (master_seed, k), synthesis).s_bar
-
-    if threads == 1:
-        list(map(synthesize, range(n_trials)))
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(synthesize, range(n_trials)))
-    v_hat, _, converged = mle_fit_stack(cfg.coarse_grid(), s_bar, window)
+    seeds = [(master_seed, k) for k in range(n_trials)]
+    s_bar = trial_spectra(v, cfg, seeds, synthesis, threads)
+    v_hat, _, converged = mle_fit_stack(nu, s_bar, window)
 
     good = v_hat[converged]
     n_failures = n_trials - len(good)

@@ -9,6 +9,8 @@ target, so neither may be expressed through the other.
 Both routes return a Spectrum: a uniform grid, the bin means s_bar and the
 count n_eff of raw periodogram values behind each bin (1 for a raw
 periodogram). Averaging records or coarse-graining bins multiplies n_eff.
+Each route's stack function draws one averaged spectrum per seed into an
+array row, computing what is constant per run once, with the same bits.
 
 Conventions, fixed across the package:
   - one-sided PSD, S(nu) = 2*delta*|DFT|^2 / M in uV^2/Hz, so the PSD sums
@@ -34,7 +36,9 @@ __all__ = [
     "Spectrum",
     "TimeSeries",
     "sample_periodogram_exact",
+    "sample_periodogram_exact_stack",
     "synthesize_timeseries",
+    "timeseries_periodogram_stack",
     "periodogram",
     "coarse_grain",
     "average_spectra",
@@ -120,6 +124,12 @@ class AcquisitionConfig:
         """Centers of the coarse bins: block means of the raw grid."""
         return _block_mean(self.raw_grid(), self.n_bin)
 
+    def periodogram_grid(self) -> np.ndarray:
+        """Centers of the coarse bins of the timeseries route: block means of
+        the periodogram grid i/(M*delta). Built from M*delta, not t_total, it
+        can differ from coarse_grid() in the last bits."""
+        return _block_mean(_record_grid(self.record_length, self.delta), self.n_bin)
+
 
 def _block_mean(x: np.ndarray, width: int) -> np.ndarray:
     # trailing remainder shorter than one block is dropped
@@ -190,12 +200,46 @@ def sample_periodogram_exact(v, cfg: AcquisitionConfig, seed) -> Spectrum:
     spectrum can be drawn in one shot, bypassing the time domain. The bin
     mean is evaluated at the coarse-bin center.
     """
-    rng = np.random.default_rng(seed)
-    nu = cfg.coarse_grid()
-    f = eval_psd(v, nu)
+    s_bar = sample_periodogram_exact_stack(v, cfg, [seed])[0]
+    return Spectrum(nu=cfg.coarse_grid(), s_bar=s_bar, n_eff=cfg.n_eff)
+
+
+def sample_periodogram_exact_stack(v, cfg: AcquisitionConfig, seeds, map_rows=map) -> np.ndarray:
+    """sample_periodogram_exact for each seed: a (len(seeds), K) array.
+
+    f/n_eff is evaluated once. Each row draws standard Gamma variates from
+    default_rng(seed) in place and one multiply by f/n_eff ends the stack;
+    numpy's gamma(n, scale) is scale times the same draw, so each row keeps
+    the one-spectrum bits. map_rows is map or a thread pool's map.
+    """
     n_eff = cfg.n_eff
-    s_bar = rng.gamma(shape=float(n_eff), scale=f / n_eff)
-    return Spectrum(nu=nu, s_bar=s_bar, n_eff=n_eff)
+    scale = eval_psd(v, cfg.coarse_grid()) / n_eff
+    out = np.empty((len(seeds), scale.size))
+
+    def fill(row, seed):
+        np.random.default_rng(seed).standard_gamma(float(n_eff), out=row)
+
+    list(map_rows(fill, out, seeds))
+    out *= scale
+    return out
+
+
+def _amplitudes(v, cfg: AcquisitionConfig) -> np.ndarray:
+    """sqrt(M*f/(4*delta)) on the raw grid: with a, b iid standard normal,
+    |amp*(a + ib)|^2 then averages to M*f/(2*delta)."""
+    return np.sqrt(cfg.record_length * eval_psd(v, cfg.raw_grid()) / (4.0 * cfg.delta))
+
+
+def _record(amp: np.ndarray, delta: float, rng) -> TimeSeries:
+    """Inverse real FFT of amp*(a + ib) at i = 1 .. M/2 - 1, zero DC and
+    Nyquist. The coefficients go into a buffer of this call's own, so threads
+    may share amp; both parts are written in place, with the bits of the
+    complex product."""
+    ab = rng.standard_normal((2, amp.size))
+    coeff = np.zeros(amp.size + 2, dtype=complex)
+    np.multiply(amp, ab[0], out=coeff.real[1:-1])
+    np.multiply(amp, ab[1], out=coeff.imag[1:-1])
+    return TimeSeries(t0=0.0, delta=delta, y=np.fft.irfft(coeff, n=2 * amp.size + 2))
 
 
 def synthesize_timeseries(v, cfg: AcquisitionConfig, seed) -> TimeSeries:
@@ -207,16 +251,40 @@ def synthesize_timeseries(v, cfg: AcquisitionConfig, seed) -> TimeSeries:
     i = 1 .. M/2 - 1, zero DC and Nyquist, inverse real FFT. Deterministic
     given the seed.
     """
-    m = cfg.record_length
-    rng = np.random.default_rng(seed)
-    f = eval_psd(v, cfg.raw_grid())
-    # a, b iid standard normal; |C|^2 then averages to M*f/(2*delta)
-    ab = rng.standard_normal((2, m // 2 - 1))
-    amp = np.sqrt(m * f / (4.0 * cfg.delta))
-    coeff = np.zeros(m // 2 + 1, dtype=complex)
-    coeff[1 : m // 2] = amp * (ab[0] + 1j * ab[1])
-    y = np.fft.irfft(coeff, n=m)
-    return TimeSeries(t0=0.0, delta=cfg.delta, y=y)
+    return _record(_amplitudes(v, cfg), cfg.delta, np.random.default_rng(seed))
+
+
+def timeseries_periodogram_stack(v, cfg: AcquisitionConfig, seeds, map_rows=map) -> np.ndarray:
+    """The timeseries route for each seed: a (len(seeds), K) array.
+
+    Row k holds, bit for bit, what n_ave records drawn in turn from
+    default_rng(seeds[k]) give through periodogram, average_spectra and
+    coarse_grain. The amplitudes are computed once; a row holds only its own
+    records. map_rows is map or a thread pool's map.
+    """
+    amp = _amplitudes(v, cfg)
+    out = np.empty((len(seeds), amp.size // cfg.n_bin))
+
+    def fill(row, seed):
+        rng = np.random.default_rng(seed)
+        raw = np.empty((cfg.n_ave, amp.size))
+        for record in raw:
+            record[:] = _periodogram_bins(_record(amp, cfg.delta, rng))
+        row[:] = _block_mean(raw.mean(axis=0), cfg.n_bin)
+
+    list(map_rows(fill, out, seeds))
+    return out
+
+
+def _record_grid(m: int, delta: float) -> np.ndarray:
+    """Periodogram frequencies i/(m*delta), i = 1 .. m/2 - 1."""
+    return np.arange(1, m // 2, dtype=float) / (m * delta)
+
+
+def _periodogram_bins(ts: TimeSeries) -> np.ndarray:
+    """2*delta*|rfft(y)|^2/M at i = 1 .. M/2 - 1."""
+    m = ts.y.size
+    return (2.0 * ts.delta / m) * np.abs(np.fft.rfft(ts.y)[1 : m // 2]) ** 2
 
 
 def periodogram(ts: TimeSeries) -> Spectrum:
@@ -230,10 +298,7 @@ def periodogram(ts: TimeSeries) -> Spectrum:
         raise ValueError(f"need at least 4 samples, got {m}")
     if m % 2:
         raise ValueError(f"record length {m} must be even")
-    coeff = np.fft.rfft(ts.y)
-    s = (2.0 * ts.delta / m) * np.abs(coeff[1 : m // 2]) ** 2
-    nu = np.arange(1, m // 2, dtype=float) / (m * ts.delta)
-    return Spectrum(nu=nu, s_bar=s)
+    return Spectrum(nu=_record_grid(m, ts.delta), s_bar=_periodogram_bins(ts))
 
 
 def coarse_grain(sp: Spectrum, n_bin: int) -> Spectrum:

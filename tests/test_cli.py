@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 import snspec
+from snspec import montecarlo
 from snspec.cli import main
 from snspec.fisher import wishart_std
 from snspec.io import read_scan_csv, read_spectrum_csv
@@ -254,6 +255,40 @@ class TestValidate:
     def test_zero_threads_rejected(self, tmp_path):
         cfg = write_config(tmp_path, BASE)
         assert run("validate", "--config", cfg, "--threads", 0) == 2
+
+
+class TestUsageChecks:
+    """Bad seeds and windows exit 2 with a message naming them, before any work."""
+
+    @pytest.mark.parametrize("command", ["validate", "synth"])
+    def test_negative_seed_in_config(self, tmp_path, capsys, command):
+        body = copy.deepcopy(BASE)
+        body["monte_carlo"]["master_seed"] = -3
+        cfg = write_config(tmp_path, body)
+        assert run(command, "--config", cfg, "--out", tmp_path / "o") == 2
+        err = capsys.readouterr().err
+        assert err == f"error: {cfg}.monte_carlo.master_seed: seed must be a nonnegative integer, got -3\n"
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("command", ["validate", "synth"])
+    def test_negative_seed_flag(self, tmp_path, capsys, command):
+        cfg = write_config(tmp_path, BASE)
+        assert run(command, "--config", cfg, "--seed", -1, "--out", tmp_path / "o") == 2
+        assert capsys.readouterr().err == "error: --seed: seed must be a nonnegative integer, got -1\n"
+        assert not (tmp_path / "o").exists()
+
+    def test_too_narrow_window_exits_before_synthesis(self, tmp_path, capsys, monkeypatch):
+        def no_synthesis(*args, **kwargs):
+            raise AssertionError("a trial was synthesized")
+
+        monkeypatch.setattr(montecarlo, "timeseries_periodogram_stack", no_synthesis)
+        body = copy.deepcopy(BASE)
+        body["acquisition"].update(fit_lo_hz=42000.0, fit_hi_hz=42500.0)
+        body["monte_carlo"].update(synthesis="timeseries", n_trials=100)
+        cfg = write_config(tmp_path, body)
+        assert run("validate", "--config", cfg, "--out", tmp_path / "v") == 2
+        assert capsys.readouterr().err == "error: fit window holds 5 bins, need at least 8\n"
+        assert not (tmp_path / "v").exists()
 
 
 class TestCrb:

@@ -219,6 +219,14 @@ class TestTypesAndValues:
         with pytest.raises(ConfigError, match="config.model.spectral_params"):
             config_from_dict(doc(PARAMS_ONLY, model__spectral_params__s_ph_uv2_per_hz=-1.0))
 
+    def test_negative_master_seed_rejected(self):
+        # numpy seeds take only nonnegative integers; the key is named, not a numpy error
+        with pytest.raises(
+            ConfigError, match=r"config.monte_carlo.master_seed: seed must be a nonnegative integer, got -3"
+        ):
+            config_from_dict(doc(monte_carlo__master_seed=-3))
+        assert config_from_dict(doc(monte_carlo__master_seed=0)).master_seed == 0
+
     def test_missing_required_field_names_it(self):
         with pytest.raises(ConfigError, match="fit_hi_hz"):
             config_from_dict(doc(acquisition__fit_hi_hz=...))

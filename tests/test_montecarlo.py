@@ -1,18 +1,37 @@
 """Validation runner: seeding contract, both synthesis routes, report shape."""
 
+import sys
+
 import numpy as np
 import pytest
 
 from snspec import montecarlo
-from snspec.errors import ConfigError
+from snspec.errors import ConfigError, NumericalError
 from snspec.model import SpectralParams
-from snspec.montecarlo import run_validation, trial_spectrum
-from snspec.synthesis import AcquisitionConfig, Spectrum
+from snspec.montecarlo import run_validation, trial_spectra, trial_spectrum
+from snspec.synthesis import (
+    AcquisitionConfig,
+    Spectrum,
+    average_spectra,
+    coarse_grain,
+    periodogram,
+    sample_periodogram_exact,
+    synthesize_timeseries,
+)
 
 V = SpectralParams(s_ph=1.0, nu_l=42600.0, s_at=4.0, delta_nu=1000.0)
 CFG = AcquisitionConfig(
     delta=5e-6, t_total=0.5, fit_lo=33e3, fit_hi=52e3, n_ave=1, n_bin=50
 )
+# three records per trial, and 49999 raw bins leave a remainder of 5 after n_bin 7
+ODD = AcquisitionConfig(
+    delta=5e-6, t_total=0.5, fit_lo=33e3, fit_hi=52e3, n_ave=3, n_bin=7
+)
+# t_total is not M*delta to the last bit: the two coarse grids differ
+INEXACT = AcquisitionConfig(
+    delta=3e-6, t_total=0.0030000001, fit_lo=1e3, fit_hi=1e5, n_ave=2, n_bin=3
+)
+GEOMETRIES = pytest.mark.parametrize("cfg", [CFG, ODD, INEXACT], ids=["reference", "odd", "inexact"])
 
 
 class TestTrialSpectrum:
@@ -41,6 +60,67 @@ class TestTrialSpectrum:
             trial_spectrum(V, CFG, seed=0, synthesis="exact")
 
 
+def public_pipeline(v, cfg, seed, route):
+    """One trial spectrum composed from the public one-spectrum functions."""
+    if route == "gamma":
+        return sample_periodogram_exact(v, cfg, seed)
+    rng = np.random.default_rng(seed)
+    records = [periodogram(synthesize_timeseries(v, cfg, rng)) for _ in range(cfg.n_ave)]
+    return coarse_grain(average_spectra(records), cfg.n_bin)
+
+
+class TestTrialSpectra:
+    @pytest.mark.parametrize("route", ["gamma", "timeseries"])
+    @GEOMETRIES
+    def test_stack_equals_trial_spectrum_row_by_row(self, route, cfg):
+        # and both keep the bits of the public one-spectrum functions, grid included
+        seeds = [(7, k) for k in range(3)]
+        stack = trial_spectra(V, cfg, seeds, route)
+        assert stack.shape == (3, cfg.coarse_grid().size)
+        for row, seed in zip(stack, seeds):
+            sp = trial_spectrum(V, cfg, seed, route)
+            expected = public_pipeline(V, cfg, seed, route)
+            np.testing.assert_array_equal(row, sp.s_bar, strict=True)
+            np.testing.assert_array_equal(row, expected.s_bar, strict=True)
+            np.testing.assert_array_equal(sp.nu, expected.nu, strict=True)
+            assert sp.n_eff == expected.n_eff
+
+    def test_timeseries_grid_is_the_periodogram_grid(self):
+        assert not np.array_equal(INEXACT.coarse_grid(), INEXACT.periodogram_grid())
+        sp = trial_spectrum(V, INEXACT, (0, 0), "timeseries")
+        np.testing.assert_array_equal(sp.nu, INEXACT.periodogram_grid())
+        np.testing.assert_array_equal(trial_spectrum(V, INEXACT, (0, 0), "gamma").nu, INEXACT.coarse_grid())
+
+    @pytest.mark.parametrize("route", ["gamma", "timeseries"])
+    def test_threads_fill_every_row_exactly(self, route):
+        # more threads than cores, switching often: a row written by the wrong
+        # thread or a shared buffer would show as a changed bit
+        seeds = [(13, k) for k in range(64)]
+        serial = trial_spectra(V, INEXACT, seeds, route)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threaded = trial_spectra(V, INEXACT, seeds, route, threads=8)
+        finally:
+            sys.setswitchinterval(interval)
+        np.testing.assert_array_equal(threaded, serial, strict=True)
+
+    def test_unknown_route_rejected(self):
+        with pytest.raises(ConfigError, match="unknown synthesis route"):
+            trial_spectra(V, CFG, [(0, 0)], "exact")
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -1.0])
+    def test_finished_stack_is_checked(self, monkeypatch, bad):
+        def spoiled(v, cfg, seeds, map_rows=map):
+            out = np.ones((len(seeds), 4))
+            out[-1, 2] = bad
+            return out
+
+        monkeypatch.setattr(montecarlo, "sample_periodogram_exact_stack", spoiled)
+        with pytest.raises(NumericalError, match="non-finite or negative"):
+            trial_spectra(V, CFG, [(0, 0), (0, 1)], "gamma")
+
+
 class TestRunValidation:
     def test_report_is_well_formed(self):
         rep = run_validation(V, CFG, n_trials=60, master_seed=11, synthesis="gamma")
@@ -64,10 +144,12 @@ class TestRunValidation:
         np.testing.assert_array_equal(a.gamma_exp, b.gamma_exp)
 
     def test_thread_count_does_not_change_bits(self):
-        a = run_validation(V, CFG, n_trials=24, master_seed=3, synthesis="gamma")
-        b = run_validation(V, CFG, n_trials=24, master_seed=3, threads=4, synthesis="gamma")
-        np.testing.assert_array_equal(a.gamma_exp, b.gamma_exp)
-        np.testing.assert_array_equal(a.gamma_th, b.gamma_th)
+        for route in ("gamma", "timeseries"):
+            a = run_validation(V, CFG, n_trials=24, master_seed=3, synthesis=route)
+            b = run_validation(V, CFG, n_trials=24, master_seed=3, threads=4, synthesis=route)
+            np.testing.assert_array_equal(a.gamma_exp, b.gamma_exp)
+            np.testing.assert_array_equal(a.gamma_th, b.gamma_th)
+            np.testing.assert_array_equal(a.mean_fit, b.mean_fit)
 
     def test_master_seed_changes_experimental_but_not_theory(self):
         a = run_validation(V, CFG, n_trials=20, master_seed=1, synthesis="gamma")
@@ -91,6 +173,18 @@ class TestRunValidation:
             run_validation(V, CFG, n_trials=10, master_seed=0, synthesis="nope")
         with pytest.raises(ConfigError):
             run_validation(V, CFG, n_trials=10, master_seed=0, threads=0)
+
+    @pytest.mark.parametrize("route", ["gamma", "timeseries"])
+    def test_too_narrow_window_fails_before_synthesis(self, monkeypatch, route):
+        # 42000-42500 Hz holds the 100 Hz bins centred at 42051 .. 42451
+        def no_synthesis(*args, **kwargs):
+            raise AssertionError("a trial was synthesized")
+
+        monkeypatch.setattr(montecarlo, "sample_periodogram_exact_stack", no_synthesis)
+        monkeypatch.setattr(montecarlo, "timeseries_periodogram_stack", no_synthesis)
+        cfg = AcquisitionConfig(delta=5e-6, t_total=0.5, fit_lo=42e3, fit_hi=42.5e3, n_bin=50)
+        with pytest.raises(ConfigError, match="fit window holds 5 bins, need at least 8"):
+            run_validation(V, cfg, n_trials=100, master_seed=0, synthesis=route)
 
     def test_fewer_than_two_converged_fits_is_a_config_error(self, monkeypatch):
         def no_fit_converges(nu, s_bar, window):
