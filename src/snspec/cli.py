@@ -15,6 +15,7 @@ ValueError still uncaught).
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 
@@ -228,6 +229,7 @@ def cmd_kstats(args) -> int:
     return 0
 
 
+@functools.cache  # built on first use, then shared by every main call
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="snspec",

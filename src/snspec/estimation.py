@@ -181,34 +181,41 @@ def mle_fit_stack(nu, s_bar, window, guess=None):
 
 
 def _solve(theta, nu, s, bounds):
-    """Damped scoring of every row of theta, in place; returns (steps, converged, failed)."""
+    """Damped scoring of every row of theta, in place; returns (steps, converged, failed).
+
+    The state holds the active rows only; a row that stops writes its outputs and leaves it."""
     objective, normal, score, ok = _score(theta, nu, s)
-    lam, grow, steps = np.full(len(s), _LAMBDA_START), np.full(len(s), 2.0), np.zeros(len(s), dtype=int)
-    failed, converged, active = ~ok, np.zeros(len(s), dtype=bool), ok
-    while active.any():
-        a = np.flatnonzero(active)
-        diag = np.diagonal(normal[a], axis1=1, axis2=2)
-        inverse, rank = invert_psd_stack(normal[a] + (lam[a, None] * diag)[:, None, :] * np.eye(4))
-        delta = (inverse @ score[a, :, None])[..., 0]
+    steps, converged, failed = np.zeros(len(s), dtype=int), np.zeros(len(s), dtype=bool), ~ok
+    rows = np.flatnonzero(ok)
+    th, objective, normal, score, s = theta[rows], objective[rows], normal[rows], score[rows], s[rows]
+    lam, grow = np.full(rows.size, _LAMBDA_START), np.full(rows.size, 2.0)
+    eye, tol, step = np.eye(4), _STOP_DECREASE * nu.size, 0
+    while rows.size:
+        diag = np.diagonal(normal, axis1=1, axis2=2)
+        inverse, rank = invert_psd_stack(normal + (lam[:, None] * diag)[:, None, :] * eye)
+        delta = (inverse @ score[:, :, None])[..., 0]
         # the decrease of W that the scoring model predicts for this step
-        predicted = 0.5 * np.sum(delta * (lam[a, None] * diag * delta + score[a]), axis=1)
-        trial = theta[a] + delta
+        predicted = 0.5 * np.sum(delta * (lam[:, None] * diag * delta + score), axis=1)
+        trial = th + delta
         trial[:, 1] = np.clip(trial[:, 1], *bounds)
-        t_objective, t_normal, t_score, t_ok = _score(trial, nu, s[a])
-        gain = (objective[a] - t_objective) / predicted
+        t_objective, t_normal, t_score, t_ok = _score(trial, nu, s)
+        gain = (objective - t_objective) / predicted
         accept = (rank == 4) & t_ok & (gain > 0.0)
-        tol = _STOP_DECREASE * nu.size
-        stop = np.where(accept, objective[a] - t_objective <= tol, ~(predicted > tol))
+        stop = np.where(accept, objective - t_objective <= tol, ~(predicted > tol))
         # Madsen, Nielsen & Tingleff's damping update
-        lam[a] *= np.where(accept, np.maximum(1.0 / 3.0, 1.0 - (2.0 * gain - 1.0) ** 3), grow[a])
-        grow[a] = np.where(accept, 2.0, 2.0 * grow[a])
-        took = a[accept]
-        theta[took], objective[took] = trial[accept], t_objective[accept]
-        normal[took], score[took] = t_normal[accept], t_score[accept]
-        steps[a] += 1
-        failed[a[rank < 4]] = True
-        converged[a[stop & (rank == 4)]] = True
-        active = ~failed & ~converged & (steps < _MAX_STEPS)
+        lam *= np.where(accept, np.maximum(1.0 / 3.0, 1.0 - (2.0 * gain - 1.0) ** 3), grow)
+        grow = np.where(accept, 2.0, 2.0 * grow)
+        th[accept], objective[accept] = trial[accept], t_objective[accept]
+        normal[accept], score[accept] = t_normal[accept], t_score[accept]
+        step += 1
+        now_failed, now_converged = rank < 4, stop & (rank == 4)
+        leave = now_failed | now_converged | (step >= _MAX_STEPS)
+        if leave.any():
+            out, keep = rows[leave], ~leave
+            theta[out], steps[out] = th[leave], step
+            converged[out], failed[out] = now_converged[leave], now_failed[leave]
+            rows, th, objective, normal, score, s, lam, grow = (
+                x[keep] for x in (rows, th, objective, normal, score, s, lam, grow))
     return steps, converged, failed
 
 

@@ -94,13 +94,19 @@ def invert_psd_stack(a: np.ndarray):
     scale = np.where(zero, 1.0, d)
     scale = scale[:, :, None] * scale[:, None, :]
     corr = _symmetrize(a / scale)
-    corr[zero[:, :, None] | zero[:, None, :]] = 0.0
-    corr[~np.isfinite(corr).all(axis=(1, 2))] = 0.0
+    # nearly every stack is regular and full rank: fix up and NaN-fill only when needed
+    if zero.any():
+        corr[zero[:, :, None] | zero[:, None, :]] = 0.0
+    bad = ~np.isfinite(corr).all(axis=(1, 2))
+    if bad.any():
+        corr[bad] = 0.0
     w, q = np.linalg.eigh(corr)
     top = w[:, -1:]
     rank = np.where(top[:, 0] > 0, np.sum(w > RANK_TOL * top, axis=1), 0)
-    inverse = np.full(a.shape, np.nan)
     full = rank == n
+    if full.all():
+        return _symmetrize((q / w[:, None, :]) @ np.swapaxes(q, 1, 2)) / scale, rank
+    inverse = np.full(a.shape, np.nan)
     q, w = q[full], w[full]
     inverse[full] = _symmetrize((q / w[:, None, :]) @ np.swapaxes(q, 1, 2)) / scale[full]
     return inverse, rank
@@ -133,8 +139,8 @@ def fisher_discrete(v: SpectralParams, bins, n_eff: float) -> FisherResult:
     return _result(info, n_eff, spacing, (bins[0], bins[-1]), "discrete-sum")
 
 
-# One fixed Gauss-Legendre rule for every panel, and the cells integrated and
-# inverted together: the block size is what bounds the memory of a stack.
+# One fixed Gauss-Legendre rule for every panel, and the cells integrated
+# together: the block size is what bounds the memory of a stack.
 _GL_X, _GL_W = np.polynomial.legendre.leggauss(16)
 _BLOCK_CELLS = 64
 
@@ -211,12 +217,10 @@ def integral_covariance_stack(
     """
     lo, hi = _check_integral_args(window, nu_t, n_eff)
     theta = np.asarray(theta, dtype=float)
-    gamma = np.empty((theta.shape[0], 4, 4))
+    info = np.empty((theta.shape[0], 4, 4))
     for s in range(0, theta.shape[0], _BLOCK_CELLS):
-        block = slice(s, s + _BLOCK_CELLS)
-        info = _symmetrize((n_eff + 2.0) / nu_t * _outer_integral(theta[block], lo, hi))
-        gamma[block] = invert_psd_stack(info)[0]
-    return gamma
+        info[s : s + _BLOCK_CELLS] = _outer_integral(theta[s : s + _BLOCK_CELLS], lo, hi)
+    return invert_psd_stack(_symmetrize((n_eff + 2.0) / nu_t * info))[0]
 
 
 def error_propagation_covariance(v: SpectralParams, bins, n_eff: float) -> np.ndarray:

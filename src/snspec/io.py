@@ -4,10 +4,10 @@ Spectrum files are CSV (nu_hz, psd_uv2_per_hz; the caller supplies n_eff) or
 JSON (the same columns as lists, n_eff, provenance keys); only this module
 knows either layout. Readers report a malformed file as a ConfigError.
 
-Both CSV tables are written by one np.savetxt call and read back by
-np.loadtxt. Floats are written with repr-exact precision (%.17g) so every
-emitted file re-ingests bit-identically; writers emit LF newlines and sorted
-JSON keys so identical inputs give byte-identical files.
+Both CSV tables are written by one % formatting pass over all rows and read
+back by np.loadtxt. Floats are written with repr-exact precision (%.17g) so
+every emitted file re-ingests bit-identically; writers emit LF newlines and
+sorted JSON keys so identical inputs give byte-identical files.
 """
 from __future__ import annotations
 
@@ -72,12 +72,12 @@ def _spectrum(path, nu, s_bar, n_eff) -> Spectrum:
 
 
 def _write_csv(path, header, cols) -> None:
-    """Equal-length columns under the given header, one row per index."""
+    """Equal-length columns under the given header, one row per index, in np.savetxt's bytes."""
+    data = np.column_stack(cols)
+    row = ",".join(["%.17g"] * data.shape[1]) + "\n"
     with open(path, "w", newline="\n") as fh:
-        np.savetxt(
-            fh, np.column_stack(cols), fmt="%.17g", delimiter=",",
-            header=",".join(header), comments="",
-        )
+        fh.write(",".join(header) + "\n")
+        fh.write((row * data.shape[0]) % tuple(data.ravel().tolist()))
 
 
 def write_spectrum_csv(path, sp: Spectrum) -> None:

@@ -16,7 +16,7 @@ import pytest
 
 import snspec
 from snspec import montecarlo
-from snspec.cli import main
+from snspec.cli import build_parser, main
 from snspec.fisher import wishart_std
 from snspec.io import read_scan_csv, read_spectrum_csv
 from snspec.profiles import REFERENCE_ACQUISITION, REFERENCE_INSTRUMENT
@@ -255,6 +255,25 @@ class TestValidate:
     def test_zero_threads_rejected(self, tmp_path):
         cfg = write_config(tmp_path, BASE)
         assert run("validate", "--config", cfg, "--threads", 0) == 2
+
+
+class TestParserReuse:
+    def test_reused_parser_leaks_no_state_between_calls(self, tmp_path):
+        # main builds the parser once per process; each call must still see
+        # only its own arguments and the parser's defaults
+        assert build_parser() is build_parser()
+        cfg = write_config(tmp_path, BASE)
+        assert run("synth", "--config", cfg, "--out", tmp_path / "in") == 0
+        spectrum = tmp_path / "in" / "spectrum.csv"
+        assert run("fit", spectrum, "--config", cfg, "--out", tmp_path / "A") == 0
+        assert run("validate", "--config", cfg, "--threads", 0) == 2
+        assert run("synth", "--config", cfg, "--seed", 5, "--out", tmp_path / "s5") == 0
+        assert run("synth", "--config", cfg, "--out", tmp_path / "s") == 0
+        assert run("fit", spectrum, "--config", cfg, "--out", tmp_path / "B") == 0
+        assert (tmp_path / "A" / "fit.json").read_bytes() == (tmp_path / "B" / "fit.json").read_bytes()
+        seeds = [json.loads((tmp_path / d / "spectrum.json").read_text())["master_seed_used"] for d in ("s5", "s")]
+        assert seeds == [5, BASE["monte_carlo"]["master_seed"]]
+        assert (tmp_path / "s" / "spectrum.csv").read_bytes() == spectrum.read_bytes()
 
 
 class TestUsageChecks:

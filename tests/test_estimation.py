@@ -179,12 +179,20 @@ class TestMleFitStack:
     def mixed_stack():
         # reference rows converge in a few steps, weak-line rows (trial 56
         # among them) take up to a hundred, so rows leave the solve at
-        # different iterations
+        # different iterations; the last three rows leave it every other way
         strong = [trial_spectrum(V, CFG, (5, k), "gamma") for k in range(6)]
         weak_v = SpectralParams(s_ph=1.0, nu_l=42600.0, s_at=0.05, delta_nu=1000.0)
         weak = [trial_spectrum(weak_v, CFG, (0, k), "gamma") for k in (3, 56, 90)]
         spectra = strong[:3] + weak + strong[3:]
-        return spectra[0].nu, np.array([sp.s_bar for sp in spectra])
+        # a start whose model overflows fails before step 1
+        out_of_range = strong[0].s_bar * 1e300
+        # this weak-line trial is still falling after _MAX_STEPS steps
+        step_limit = trial_spectrum(weak_v, CFG, (0, 94), "gamma").s_bar
+        # and this weaker one's damped normal matrix loses rank at step 41
+        weaker_v = dataclasses.replace(weak_v, s_at=0.02)
+        deficient = trial_spectrum(weaker_v, CFG, (0, 243), "gamma").s_bar
+        rows = [sp.s_bar for sp in spectra] + [out_of_range, step_limit, deficient]
+        return spectra[0].nu, np.array(rows)
 
     @staticmethod
     def as_arrays(fits):
@@ -204,6 +212,13 @@ class TestMleFitStack:
         fits = mle_fit_stack(nu, s_bar, WINDOW)
         singles = [mle_fit(Spectrum(nu=nu, s_bar=row, n_eff=CFG.n_eff), WINDOW) for row in s_bar]
         assert np.unique(fits[1]).size > 2
+        v_hat, n_iter, converged = fits
+        start = [initial_guess(Spectrum(nu, row, CFG.n_eff), WINDOW).as_array() for row in s_bar[-3:]]
+        assert n_iter[-3:].tolist() == [0, estimation._MAX_STEPS, 41]
+        assert not converged[-3:].any()
+        # a failed row returns its start, a row at the step limit its best point
+        np.testing.assert_array_equal(v_hat[[-3, -1]], [start[0], start[2]])
+        assert not np.allclose(v_hat[-2], start[1], rtol=0.1)
         self.assert_same(fits, self.as_arrays(singles))
 
     def test_permuted_stack_gives_permuted_results(self, monkeypatch):

@@ -300,6 +300,16 @@ class TestInvertPsdStack:
         np.testing.assert_array_equal(shuffled, inverses[order])
         np.testing.assert_array_equal(shuffled_ranks, ranks[order])
 
+    def test_all_full_rank_stack_keeps_the_mixed_stack_bits(self):
+        # a stack with no zero diagonal, no non-finite entry and no deficient
+        # matrix takes the short branch; its inverses keep their bits
+        mats, ranks = self.stack()
+        regular = np.array(ranks) == 4
+        inverses, _ = invert_psd_stack(mats)
+        alone, alone_ranks = invert_psd_stack(mats[regular])
+        assert alone_ranks.tolist() == [4] * regular.sum()
+        np.testing.assert_array_equal(alone, inverses[regular], strict=True)
+
 
 class TestWishartStd:
     def test_diagonal_rule(self):
