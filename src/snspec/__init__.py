@@ -31,7 +31,6 @@ from .synthesis import (
     average_spectra,
     coarse_grain,
     periodogram,
-    sample_periodogram_exact,
     sample_periodogram_exact_stack,
     synthesize_timeseries,
     timeseries_periodogram_stack,

@@ -61,10 +61,9 @@ def _seed(args, cfg: RunConfig) -> int:
 
 def cmd_synth(args) -> int:
     cfg = load_config(args.config)
-    acq = cfg.require_acquisition()
     v = cfg.spectral_params()
     seed = _seed(args, cfg)
-    sp = trial_spectrum(v, acq, (seed, 0), cfg.synthesis)
+    sp = trial_spectrum(v, cfg.acquisition, (seed, 0), cfg.synthesis)
     csv_path = _outpath(args, cfg, "spectrum.csv")
     write_spectrum_csv(csv_path, sp)
     json_path = _outpath(args, cfg, "spectrum.json")
@@ -75,7 +74,7 @@ def cmd_synth(args) -> int:
 
 def cmd_fit(args) -> int:
     cfg = load_config(args.config)
-    acq = cfg.require_acquisition()
+    acq = cfg.acquisition
     if str(args.spectrum).endswith(".json"):
         sp = read_spectrum_json(args.spectrum)
     else:
@@ -106,11 +105,10 @@ def cmd_fit(args) -> int:
 
 def cmd_validate(args) -> int:
     cfg = load_config(args.config)
-    acq = cfg.require_acquisition()
     seed = _seed(args, cfg)
     threads = args.threads if args.threads is not None else cfg.threads
     report = run_validation(
-        cfg.spectral_params(), acq, cfg.n_trials, seed, threads=threads, synthesis=cfg.synthesis
+        cfg.spectral_params(), cfg.acquisition, cfg.n_trials, seed, threads=threads, synthesis=cfg.synthesis
     )
     payload = {
         "gamma_exp": report.gamma_exp.tolist(),
@@ -139,7 +137,7 @@ def cmd_validate(args) -> int:
 
 def cmd_crb(args) -> int:
     cfg = load_config(args.config)
-    acq = cfg.require_acquisition()
+    acq = cfg.acquisition
     result = fisher_integral(
         cfg.spectral_params(), (acq.fit_lo, acq.fit_hi), acq.coarse_spacing, acq.n_eff
     )
@@ -170,14 +168,13 @@ def cmd_crb(args) -> int:
 
 def cmd_scan(args) -> int:
     cfg = load_config(args.config)
-    acq = cfg.require_acquisition()
     spec = cfg.require_scan()
     if cfg.instrument is None:
         raise ConfigError(
             "config.model: scan requires 'conditions' with an instrument, "
             "not direct spectral parameters"
         )
-    sg = scan_grid(spec.n_values, spec.p_values, cfg.instrument, acq, spec.xi2)
+    sg = scan_grid(spec.n_values, spec.p_values, cfg.instrument, cfg.acquisition, spec.xi2)
     csv_path = _outpath(args, cfg, "scan.csv")
     write_scan_csv(csv_path, sg)
     optima = {}

@@ -106,7 +106,8 @@ def _initial_guess_stack(nu: np.ndarray, s: np.ndarray, window) -> np.ndarray:
     m, k_bins = s.shape
     q = max(k_bins // 4, 1)
     s_ph = np.median(np.concatenate([s[:, :q], s[:, -q:]], axis=1), axis=1)
-    s_ph = np.where(s_ph > 0.0, s_ph, np.maximum(np.mean(np.abs(s), axis=1), _S_AT_FLOOR_FRACTION))
+    flat = ~(s_ph > 0.0)  # no wing level: the mean level, for these rows only
+    s_ph[flat] = np.maximum(np.mean(np.abs(s[flat]), axis=1), _S_AT_FLOOR_FRACTION)
     k = np.argmax(s, axis=1)
     s_at = s[np.arange(m), k] - s_ph
     s_at = np.where(s_at > 0.0, s_at, _S_AT_FLOOR_FRACTION * s_ph)

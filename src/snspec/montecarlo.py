@@ -89,14 +89,8 @@ def trial_spectra(
 def trial_spectrum(
     v: SpectralParams, cfg: AcquisitionConfig, seed, synthesis: str = "timeseries"
 ) -> Spectrum:
-    """One synthetic averaged spectrum: the one-row case of trial_spectra.
-
-    The gamma route's grid is cfg.coarse_grid(), the timeseries route's the
-    coarse-grained grid of its periodograms, cfg.periodogram_grid().
-    """
-    s_bar = trial_spectra(v, cfg, [seed], synthesis)[0]
-    nu = cfg.coarse_grid() if synthesis == "gamma" else cfg.periodogram_grid()
-    return Spectrum(nu=nu, s_bar=s_bar, n_eff=cfg.n_eff)
+    """One synthetic averaged spectrum on cfg.coarse_grid(): trial_spectra's one-row case."""
+    return Spectrum(cfg.coarse_grid(), trial_spectra(v, cfg, [seed], synthesis)[0], cfg.n_eff)
 
 
 def run_validation(

@@ -16,7 +16,8 @@ Conventions, fixed across the package:
   - one-sided PSD, S(nu) = 2*delta*|DFT|^2 / M in uV^2/Hz, so the PSD sums
     to the record variance: sum_i S_i * nu_t = var(y)
   - DC and Nyquist bins are excluded everywhere; the raw grid is
-    nu_i = i/(M*delta), i = 1 .. M/2 - 1
+    nu_i = i/(M*delta), i = 1 .. M/2 - 1, M = round(t_total/delta); t_total
+    only fixes M, so both routes and every periodogram share this one grid
   - rectangular window, no overlap
   - even record length only
 """
@@ -35,7 +36,6 @@ __all__ = [
     "AcquisitionConfig",
     "Spectrum",
     "TimeSeries",
-    "sample_periodogram_exact",
     "sample_periodogram_exact_stack",
     "synthesize_timeseries",
     "timeseries_periodogram_stack",
@@ -99,8 +99,8 @@ class AcquisitionConfig:
 
     @property
     def nu_t(self) -> float:
-        """Raw grid spacing 1/t_total, Hz."""
-        return 1.0 / self.t_total
+        """Raw grid spacing 1/(M*delta), Hz."""
+        return 1.0 / (self.record_length * self.delta)
 
     @property
     def nyquist(self) -> float:
@@ -113,22 +113,16 @@ class AcquisitionConfig:
 
     @property
     def coarse_spacing(self) -> float:
-        """Spacing of the coarse-grained grid, n_bin/t_total, Hz."""
+        """Spacing of the coarse-grained grid, n_bin*nu_t, Hz."""
         return self.n_bin * self.nu_t
 
     def raw_grid(self) -> np.ndarray:
-        """Raw frequencies i*nu_t, i = 1 .. M/2 - 1 (DC, Nyquist excluded)."""
-        return self.nu_t * np.arange(1, self.record_length // 2, dtype=float)
+        """Raw frequencies i/(M*delta), i = 1 .. M/2 - 1: the periodogram grid of a record."""
+        return _record_grid(self.record_length, self.delta)
 
     def coarse_grid(self) -> np.ndarray:
         """Centers of the coarse bins: block means of the raw grid."""
         return _block_mean(self.raw_grid(), self.n_bin)
-
-    def periodogram_grid(self) -> np.ndarray:
-        """Centers of the coarse bins of the timeseries route: block means of
-        the periodogram grid i/(M*delta). Built from M*delta, not t_total, it
-        can differ from coarse_grid() in the last bits."""
-        return _block_mean(_record_grid(self.record_length, self.delta), self.n_bin)
 
 
 def _block_mean(x: np.ndarray, width: int) -> np.ndarray:
@@ -174,9 +168,8 @@ class Spectrum:
 
 @dataclass(frozen=True)
 class TimeSeries:
-    """Real-valued record y(t0 + m*delta), y in uV."""
+    """Real-valued record y(m*delta), y in uV."""
 
-    t0: float
     delta: float
     y: np.ndarray = field(repr=False)
 
@@ -191,26 +184,18 @@ class TimeSeries:
             raise ValueError("time series contains non-finite samples")
 
 
-def sample_periodogram_exact(v, cfg: AcquisitionConfig, seed) -> Spectrum:
-    """Draw an averaged spectrum directly from its sampling distribution.
+def sample_periodogram_exact_stack(v, cfg: AcquisitionConfig, seeds, map_rows=map) -> np.ndarray:
+    """Draw one averaged spectrum per seed straight from its sampling law:
+    a (len(seeds), K) array on cfg.coarse_grid().
 
     Each raw periodogram bin of a Gaussian record is exponential with mean
     f(nu_i, v); the mean of n_eff = n_bin*n_ave independent such values is
-    Gamma(shape n_eff, mean f). Bins are independent, so the whole averaged
-    spectrum can be drawn in one shot, bypassing the time domain. The bin
-    mean is evaluated at the coarse-bin center.
-    """
-    s_bar = sample_periodogram_exact_stack(v, cfg, [seed])[0]
-    return Spectrum(nu=cfg.coarse_grid(), s_bar=s_bar, n_eff=cfg.n_eff)
-
-
-def sample_periodogram_exact_stack(v, cfg: AcquisitionConfig, seeds, map_rows=map) -> np.ndarray:
-    """sample_periodogram_exact for each seed: a (len(seeds), K) array.
-
-    f/n_eff is evaluated once. Each row draws standard Gamma variates from
-    default_rng(seed) in place and one multiply by f/n_eff ends the stack;
-    numpy's gamma(n, scale) is scale times the same draw, so each row keeps
-    the one-spectrum bits. map_rows is map or a thread pool's map.
+    Gamma(shape n_eff, mean f), f taken at the coarse-bin center. Bins are
+    independent, so a spectrum is drawn in one shot, bypassing the time
+    domain. f/n_eff is evaluated once; each row draws standard Gamma variates
+    from default_rng(seed) in place, and one multiply by f/n_eff ends the
+    stack, with the bits of default_rng(seed).gamma(n_eff, f/n_eff). map_rows
+    is map or a thread pool's map.
     """
     n_eff = cfg.n_eff
     scale = eval_psd(v, cfg.coarse_grid()) / n_eff
@@ -239,7 +224,7 @@ def _record(amp: np.ndarray, delta: float, rng) -> TimeSeries:
     coeff = np.zeros(amp.size + 2, dtype=complex)
     np.multiply(amp, ab[0], out=coeff.real[1:-1])
     np.multiply(amp, ab[1], out=coeff.imag[1:-1])
-    return TimeSeries(t0=0.0, delta=delta, y=np.fft.irfft(coeff, n=2 * amp.size + 2))
+    return TimeSeries(delta=delta, y=np.fft.irfft(coeff, n=2 * amp.size + 2))
 
 
 def synthesize_timeseries(v, cfg: AcquisitionConfig, seed) -> TimeSeries:

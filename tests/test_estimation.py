@@ -23,7 +23,7 @@ from snspec.estimation import (
 )
 from snspec.montecarlo import trial_spectrum
 from snspec.profiles import REFERENCE_ACQUISITION
-from snspec.synthesis import AcquisitionConfig, Spectrum, sample_periodogram_exact
+from snspec.synthesis import AcquisitionConfig, Spectrum
 
 V = SpectralParams(s_ph=1.2, nu_l=42600.0, s_at=4.8, delta_nu=1500.0)
 CFG = AcquisitionConfig(
@@ -52,7 +52,7 @@ class TestChiSquared:
             (CFG.coarse_grid() >= WINDOW[0]) & (CFG.coarse_grid() <= WINDOW[1])
         )
         vals = [
-            chi_squared(V, sample_periodogram_exact(V, CFG, seed=(2, i)), WINDOW)
+            chi_squared(V, trial_spectrum(V, CFG, (2, i), "gamma"), WINDOW)
             for i in range(100)
         ]
         # per-draw SD is sqrt(2 K)/n_eff = 0.39, so the 100-seed mean carries
@@ -83,7 +83,7 @@ class TestInitialGuess:
         cfg = AcquisitionConfig(
             delta=5e-6, t_total=0.5, fit_lo=33e3, fit_hi=52e3, n_ave=8, n_bin=50
         )
-        g = initial_guess(sample_periodogram_exact(flat, cfg, seed=4), WINDOW)
+        g = initial_guess(trial_spectrum(flat, cfg, 4, "gamma"), WINDOW)
         # SpectralParams construction already enforces positivity
         assert g.s_ph == pytest.approx(2.0, rel=0.05)
         assert g.s_at < 0.5
@@ -92,6 +92,28 @@ class TestInitialGuess:
         sp = noiseless_spectrum()
         with pytest.raises(ConfigError):
             initial_guess(sp, (42600.0, 42600.0 + 3 * CFG.coarse_spacing))
+
+    def test_mean_level_is_formed_only_for_wingless_rows(self):
+        # near the top of the float range the mean over a spectrum's bins
+        # overflows; its wings give s_ph, so that mean is never formed
+        sp = trial_spectrum(V, CFG, (5, 0), "gamma")
+        huge = Spectrum(sp.nu, sp.s_bar * 1e306, sp.n_eff)
+        np.testing.assert_allclose(
+            initial_guess(huge, WINDOW).as_array(),
+            initial_guess(sp, WINDOW).as_array() * [1e306, 1.0, 1e306, 1.0],
+            rtol=1e-15,
+        )
+        mle_fit(huge, WINDOW)  # ends without a RuntimeWarning, converged or not
+        # a row whose wings are zero takes the mean level, and its neighbour
+        # keeps the bits it has alone
+        idx = estimation.fit_bins(sp.nu, WINDOW)
+        nu, q = sp.nu[idx], idx.size // 4
+        wingless = eval_psd(V, nu)
+        wingless[:q] = wingless[-q:] = 0.0
+        rows = np.array([huge.s_bar[idx], wingless])
+        guess = estimation._initial_guess_stack(nu, rows, WINDOW)
+        assert guess[1, 0] == np.mean(wingless)
+        np.testing.assert_array_equal(guess[0], estimation._initial_guess_stack(nu, rows[:1], WINDOW)[0], strict=True)
 
 
 class TestMleFit:
@@ -113,7 +135,7 @@ class TestMleFit:
         np.testing.assert_allclose(r.v_hat.as_array(), V.as_array(), rtol=1e-6)
 
     def test_reported_chi2_matches_objective(self):
-        sp = sample_periodogram_exact(V, CFG, seed=17)
+        sp = trial_spectrum(V, CFG, 17, "gamma")
         r = mle_fit(sp, WINDOW)
         assert r.chi2 == pytest.approx(chi_squared(r.v_hat, sp, WINDOW), rel=1e-10)
 
@@ -122,7 +144,7 @@ class TestMleFit:
         cfg = AcquisitionConfig(
             delta=5e-6, t_total=0.5, fit_lo=33e3, fit_hi=52e3, n_ave=200, n_bin=50
         )
-        r = mle_fit(sample_periodogram_exact(flat, cfg, seed=6), WINDOW)
+        r = mle_fit(trial_spectrum(flat, cfg, 6, "gamma"), WINDOW)
         assert r.v_hat.s_ph == pytest.approx(2.0, rel=0.02)
 
     @pytest.mark.parametrize("n_bin", [50, 5])
@@ -130,7 +152,7 @@ class TestMleFit:
         # n_eff = 50 and 5; the relative least squares it replaced put s_ph and
         # s_at a factor (1 + 1/n_eff) high, 2% and 20% here
         cfg = dataclasses.replace(CFG, n_bin=n_bin)
-        spectra = [sample_periodogram_exact(V, cfg, seed=(314, i)) for i in range(400)]
+        spectra = [trial_spectrum(V, cfg, (314, i), "gamma") for i in range(400)]
         v_hat, _, converged = mle_fit_stack(spectra[0].nu, np.array([sp.s_bar for sp in spectra]), WINDOW)
         assert converged.all()
         sc = sample_covariance(v_hat)
@@ -156,7 +178,7 @@ class TestMleFit:
         ids=["underflow", "overflow"],
     )
     def test_fit_that_starts_out_of_range_reports_its_start(self, s_at):
-        sp = sample_periodogram_exact(V, CFG, seed=17)
+        sp = trial_spectrum(V, CFG, 17, "gamma")
         start = SpectralParams(s_ph=1.0, nu_l=42600.0, s_at=s_at, delta_nu=1000.0)
         with warnings.catch_warnings():
             warnings.simplefilter("error")

@@ -13,7 +13,7 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 from snspec.estimation import mle_fit  # noqa: E402
 from snspec.model import SpectralParams  # noqa: E402
 from snspec.profiles import REFERENCE_ACQUISITION  # noqa: E402
-from snspec.synthesis import sample_periodogram_exact  # noqa: E402
+from snspec.montecarlo import trial_spectrum  # noqa: E402
 
 # fixed example sequence, no example database: the suite stays deterministic
 PROPERTY = settings(deadline=None, derandomize=True, database=None, max_examples=40)
@@ -35,6 +35,6 @@ levels = st.floats(1e-3, 10.0)
 def test_fit_never_raises_and_is_finite(s_ph, s_at, nu_l, delta_nu, n_bin, n_ave, seed):
     v = SpectralParams(s_ph, nu_l, s_at, delta_nu)
     cfg = dataclasses.replace(REFERENCE_ACQUISITION, n_bin=n_bin, n_ave=n_ave)
-    r = mle_fit(sample_periodogram_exact(v, cfg, seed), WINDOW)
+    r = mle_fit(trial_spectrum(v, cfg, seed, "gamma"), WINDOW)
     assert np.all(np.isfinite(r.v_hat.as_array()))
     assert np.isfinite(r.chi2)

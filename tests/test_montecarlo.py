@@ -7,7 +7,7 @@ import pytest
 
 from snspec import montecarlo
 from snspec.errors import ConfigError, NumericalError
-from snspec.model import SpectralParams
+from snspec.model import SpectralParams, eval_psd
 from snspec.montecarlo import run_validation, trial_spectra, trial_spectrum
 from snspec.synthesis import (
     AcquisitionConfig,
@@ -15,7 +15,6 @@ from snspec.synthesis import (
     average_spectra,
     coarse_grain,
     periodogram,
-    sample_periodogram_exact,
     synthesize_timeseries,
 )
 
@@ -27,9 +26,13 @@ CFG = AcquisitionConfig(
 ODD = AcquisitionConfig(
     delta=5e-6, t_total=0.5, fit_lo=33e3, fit_hi=52e3, n_ave=3, n_bin=7
 )
-# t_total is not M*delta to the last bit: the two coarse grids differ
+# t_total is not M*delta to the last bit; the grid comes from M*delta alone
 INEXACT = AcquisitionConfig(
     delta=3e-6, t_total=0.0030000001, fit_lo=1e3, fit_hi=1e5, n_ave=2, n_bin=3
+)
+# the reference geometry with t_total 0.9 ppm long, near the accepted limit of 1 ppm
+EDGE = AcquisitionConfig(
+    delta=5e-6, t_total=0.5 * (1 + 9e-7), fit_lo=33e3, fit_hi=52e3, n_ave=1, n_bin=50
 )
 GEOMETRIES = pytest.mark.parametrize("cfg", [CFG, ODD, INEXACT], ids=["reference", "odd", "inexact"])
 
@@ -63,7 +66,9 @@ class TestTrialSpectrum:
 def public_pipeline(v, cfg, seed, route):
     """One trial spectrum composed from the public one-spectrum functions."""
     if route == "gamma":
-        return sample_periodogram_exact(v, cfg, seed)
+        nu = cfg.coarse_grid()
+        s_bar = np.random.default_rng(seed).gamma(cfg.n_eff, eval_psd(v, nu) / cfg.n_eff)
+        return Spectrum(nu, s_bar, cfg.n_eff)
     rng = np.random.default_rng(seed)
     records = [periodogram(synthesize_timeseries(v, cfg, rng)) for _ in range(cfg.n_ave)]
     return coarse_grain(average_spectra(records), cfg.n_bin)
@@ -85,11 +90,20 @@ class TestTrialSpectra:
             np.testing.assert_array_equal(sp.nu, expected.nu, strict=True)
             assert sp.n_eff == expected.n_eff
 
-    def test_timeseries_grid_is_the_periodogram_grid(self):
-        assert not np.array_equal(INEXACT.coarse_grid(), INEXACT.periodogram_grid())
-        sp = trial_spectrum(V, INEXACT, (0, 0), "timeseries")
-        np.testing.assert_array_equal(sp.nu, INEXACT.periodogram_grid())
-        np.testing.assert_array_equal(trial_spectrum(V, INEXACT, (0, 0), "gamma").nu, INEXACT.coarse_grid())
+    @pytest.mark.parametrize("cfg", [INEXACT, EDGE], ids=["inexact", "edge"])
+    def test_one_grid_per_acquisition(self, cfg):
+        grid = cfg.coarse_grid()
+        # the bound's spacing is the grid's
+        assert cfg.coarse_spacing == pytest.approx(np.mean(np.diff(grid)), rel=1e-12)
+        for route in ("timeseries", "gamma"):
+            np.testing.assert_array_equal(trial_spectrum(V, cfg, (0, 0), route).nu, grid, strict=True)
+        records = [periodogram(synthesize_timeseries(V, cfg, (0, k))) for k in range(cfg.n_ave)]
+        np.testing.assert_array_equal(coarse_grain(average_spectra(records), cfg.n_bin).nu, grid, strict=True)
+        # a record's raw bin i is drawn as f(nu_i)*(a^2 + b^2)/2, with a, b
+        # the first normal draws of its seed, at the nu_i periodogram labels it
+        ps = periodogram(synthesize_timeseries(V, cfg, 3))
+        a, b = np.random.default_rng(3).standard_normal((2, ps.nu.size))
+        np.testing.assert_allclose(ps.s_bar, eval_psd(V, ps.nu) * (a**2 + b**2) / 2, rtol=1e-12, atol=0.0)
 
     @pytest.mark.parametrize("route", ["gamma", "timeseries"])
     def test_threads_fill_every_row_exactly(self, route):

@@ -9,6 +9,7 @@ import pytest
 
 from snspec.errors import ConfigError
 from snspec.model import SpectralParams, eval_psd
+from snspec.montecarlo import trial_spectrum
 from snspec.synthesis import (
     AcquisitionConfig,
     Spectrum,
@@ -16,7 +17,6 @@ from snspec.synthesis import (
     average_spectra,
     coarse_grain,
     periodogram,
-    sample_periodogram_exact,
     synthesize_timeseries,
 )
 
@@ -117,25 +117,25 @@ class TestContainers:
 
     def test_timeseries_rejects_bad_records(self):
         with pytest.raises(ValueError):
-            TimeSeries(t0=0.0, delta=1e-3, y=np.array([1.0, np.nan]))
+            TimeSeries(delta=1e-3, y=np.array([1.0, np.nan]))
         with pytest.raises(ValueError):
-            TimeSeries(t0=0.0, delta=1e-3, y=np.array([1.0]))
+            TimeSeries(delta=1e-3, y=np.array([1.0]))
         with pytest.raises(ValueError):
-            TimeSeries(t0=0.0, delta=0.0, y=np.zeros(4))
+            TimeSeries(delta=0.0, y=np.zeros(4))
 
 
 class TestExactSampler:
     def test_grid_and_n_eff(self):
         cfg = make_cfg(n_ave=4, n_bin=50)
-        sp = sample_periodogram_exact(V, cfg, seed=1)
+        sp = trial_spectrum(V, cfg, 1, "gamma")
         np.testing.assert_array_equal(sp.nu, cfg.coarse_grid())
         assert sp.n_eff == 200
 
     def test_deterministic_in_seed(self):
         cfg = make_cfg(n_bin=50)
-        a = sample_periodogram_exact(V, cfg, seed=7)
-        b = sample_periodogram_exact(V, cfg, seed=7)
-        c = sample_periodogram_exact(V, cfg, seed=8)
+        a = trial_spectrum(V, cfg, 7, "gamma")
+        b = trial_spectrum(V, cfg, 7, "gamma")
+        c = trial_spectrum(V, cfg, 8, "gamma")
         np.testing.assert_array_equal(a.s_bar, b.s_bar)
         assert not np.array_equal(a.s_bar, c.s_bar)
 
@@ -143,7 +143,7 @@ class TestExactSampler:
         # flat spectrum makes every bin iid Gamma(n_eff, f/n_eff); pool the
         # 19999 bins for mean and variance
         cfg = make_cfg(delta=5e-6, t_total=0.2, fit_lo=10.0, fit_hi=9e4, n_ave=50)
-        sp = sample_periodogram_exact(FLAT, cfg, seed=123)
+        sp = trial_spectrum(FLAT, cfg, 123, "gamma")
         r = sp.s_bar / FLAT.s_ph
         assert np.mean(r) == pytest.approx(1.0, abs=4 / np.sqrt(50 * r.size))
         assert np.var(r, ddof=1) == pytest.approx(1.0 / 50, rel=0.05)
@@ -152,7 +152,7 @@ class TestExactSampler:
         cfg = make_cfg(
             delta=5e-4, t_total=0.02, fit_lo=50.0, fit_hi=950.0, n_ave=10000
         )
-        sp = sample_periodogram_exact(FLAT, cfg, seed=5)
+        sp = trial_spectrum(FLAT, cfg, 5, "gamma")
         assert np.max(np.abs(sp.s_bar / FLAT.s_ph - 1.0)) < 0.05
 
 
@@ -163,7 +163,6 @@ class TestTimeSeriesSynthesis:
         ts = synthesize_timeseries(V, self.CFG, seed=0)
         assert ts.y.size == self.CFG.record_length
         assert ts.delta == self.CFG.delta
-        assert ts.t0 == 0.0
 
     def test_record_sums_to_zero(self):
         # DC coefficient is pinned to zero
@@ -189,7 +188,7 @@ class TestTimeSeriesSynthesis:
 
     def test_periodogram_invariant_under_circular_shift(self):
         ts = synthesize_timeseries(V, self.CFG, seed=9)
-        rolled = TimeSeries(t0=ts.t0, delta=ts.delta, y=np.roll(ts.y, 137))
+        rolled = TimeSeries(delta=ts.delta, y=np.roll(ts.y, 137))
         np.testing.assert_allclose(
             periodogram(rolled).s_bar, periodogram(ts).s_bar, rtol=1e-9
         )
@@ -205,7 +204,7 @@ class TestPeriodogram:
         # A*cos(2 pi k t / T) with integer k: S_k = A^2 T / 2, everything else ~0
         m, delta, a_tone, k = 1000, 1e-3, 3.0, 100
         t = delta * np.arange(m)
-        ts = TimeSeries(t0=0.0, delta=delta, y=a_tone * np.cos(2 * np.pi * k * t))
+        ts = TimeSeries(delta=delta, y=a_tone * np.cos(2 * np.pi * k * t))
         ps = periodogram(ts)
         assert ps.nu[k - 1] == pytest.approx(float(k), rel=1e-12)
         assert ps.s_bar[k - 1] == pytest.approx(a_tone**2 * (m * delta) / 2, rel=1e-9)
@@ -215,20 +214,20 @@ class TestPeriodogram:
     def test_white_noise_level(self):
         rng = np.random.default_rng(77)
         sigma = 0.5
-        ts = TimeSeries(t0=0.0, delta=2e-4, y=sigma * rng.standard_normal(20000))
+        ts = TimeSeries(delta=2e-4, y=sigma * rng.standard_normal(20000))
         ps = periodogram(ts)
         # flat PSD 2*delta*sigma^2; mean over ~1e4 bins has ~1% noise
         assert np.mean(ps.s_bar) == pytest.approx(2 * 2e-4 * sigma**2, rel=0.05)
 
     def test_zero_record_gives_zero_spectrum(self):
-        ps = periodogram(TimeSeries(t0=0.0, delta=1e-3, y=np.zeros(8)))
+        ps = periodogram(TimeSeries(delta=1e-3, y=np.zeros(8)))
         np.testing.assert_array_equal(ps.s_bar, 0.0)
 
     def test_rejects_odd_or_short_records(self):
         with pytest.raises(ValueError):
-            periodogram(TimeSeries(t0=0.0, delta=1e-3, y=np.zeros(7)))
+            periodogram(TimeSeries(delta=1e-3, y=np.zeros(7)))
         with pytest.raises(ValueError):
-            periodogram(TimeSeries(t0=0.0, delta=1e-3, y=np.zeros(2)))
+            periodogram(TimeSeries(delta=1e-3, y=np.zeros(2)))
 
 
 class TestCoarseGrain:
