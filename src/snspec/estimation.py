@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import ConfigError
 from .fisher import invert_psd_stack
-from .model import SpectralParams, eval_psd, grad_log_psd_array
+from .model import SpectralParams, eval_psd, grad_log_psd
 from .synthesis import Spectrum
 
 __all__ = [
@@ -146,7 +146,7 @@ def _score(theta: np.ndarray, nu: np.ndarray, s: np.ndarray):
     """Objective W, normal matrix J^T J, score J^T (S/f - 1), and whether the
     row is usable: all finite (their sum is), no zero column (an exp underflow)."""
     p = _params(theta)
-    g = grad_log_psd_array(*p.T[..., None], nu)
+    g = grad_log_psd(p[:, None, :], nu)
     ratio = s * g[..., 0]
     objective = np.sum(ratio - np.log(g[..., 0]), axis=1)
     p[:, 1] = 1.0
@@ -251,10 +251,10 @@ def sample_covariance(fits) -> SampleCovariance:
     return SampleCovariance(mean=mean, gamma=gamma, n_samples=n)
 
 
-def _centered_power_sums(x, r_max: int):
+def _centered_power_sums(x, *orders):
     x = np.asarray(x, dtype=float).ravel()
     d = x - x.mean()
-    return x.size, [np.sum(d**r) for r in range(2, r_max + 1)]
+    return x.size, [np.sum(d**r) for r in orders]
 
 
 def k2(x) -> float:
@@ -279,7 +279,7 @@ def k4(x) -> float:
     m = np.asarray(x).size
     if m < 4:
         raise ValueError(f"k4 needs at least 4 samples, got {m}")
-    m, (p2, _p3, p4) = _centered_power_sums(x, 4)
+    m, (p2, p4) = _centered_power_sums(x, 2, 4)
     return float((m * (m + 1) * p4 - 3 * (m - 1) * p2**2) / ((m - 1) * (m - 2) * (m - 3)))
 
 

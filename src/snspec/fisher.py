@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericalError
-from .model import SpectralParams, grad_log_psd, grad_log_psd_array
+from .model import SpectralParams, grad_log_psd
 
 # Eigenvalues below RANK_TOL times the largest (on the correlation-equilibrated
 # matrix) count as zero for the rank check.
@@ -94,7 +94,7 @@ def invert_psd_stack(a: np.ndarray):
     scale = np.where(zero, 1.0, d)
     scale = scale[:, :, None] * scale[:, None, :]
     corr = _symmetrize(a / scale)
-    # nearly every stack is regular and full rank: fix up and NaN-fill only when needed
+    # nearly every stack is regular: fix up only when needed
     if zero.any():
         corr[zero[:, :, None] | zero[:, None, :]] = 0.0
     bad = ~np.isfinite(corr).all(axis=(1, 2))
@@ -103,12 +103,10 @@ def invert_psd_stack(a: np.ndarray):
     w, q = np.linalg.eigh(corr)
     top = w[:, -1:]
     rank = np.where(top[:, 0] > 0, np.sum(w > RANK_TOL * top, axis=1), 0)
-    full = rank == n
-    if full.all():
-        return _symmetrize((q / w[:, None, :]) @ np.swapaxes(q, 1, 2)) / scale, rank
-    inverse = np.full(a.shape, np.nan)
-    q, w = q[full], w[full]
-    inverse[full] = _symmetrize((q / w[:, None, :]) @ np.swapaxes(q, 1, 2)) / scale[full]
+    deficient = rank < n
+    w[deficient] = 1.0  # any finite inverse; NaN-filled below
+    inverse = _symmetrize((q / w[:, None, :]) @ np.swapaxes(q, 1, 2)) / scale
+    inverse[deficient] = np.nan
     return inverse, rank
 
 
@@ -170,8 +168,7 @@ def _outer_integral(theta: np.ndarray, lo: float, hi: float) -> np.ndarray:
     a, b = edges[:, :-1], edges[:, 1:]
     width = 0.5 * (b - a)
     nodes = (0.5 * (a + b))[..., None] + width[..., None] * _GL_X
-    t = theta[:, None, None, :]
-    g = grad_log_psd_array(t[..., 0], t[..., 1], t[..., 2], t[..., 3], nodes)
+    g = grad_log_psd(theta[:, None, None, :], nodes)
     sums = width[..., None, None] * (np.swapaxes(g * _GL_W[:, None], -1, -2) @ g)
     total = np.zeros((theta.shape[0], 4, 4))
     for panel in range(sums.shape[1]):

@@ -55,6 +55,10 @@ class SpectralParams:
     def as_array(self) -> np.ndarray:
         return np.array([self.s_ph, self.nu_l, self.s_at, self.delta_nu])
 
+    def __array__(self, dtype=None, copy=None) -> np.ndarray:
+        """as_array, so np.asarray and the model functions accept a SpectralParams."""
+        return self.as_array()
+
     @classmethod
     def from_array(cls, a) -> "SpectralParams":
         a = np.asarray(a, dtype=float)
@@ -135,44 +139,35 @@ class InstrumentConstants:
                 raise ValueError(f"{name} must be finite and >= 0, got {value}")
 
 
-def eval_psd(v: SpectralParams, nu):
+def eval_psd(v, nu):
     """Model power spectral density at frequency nu (scalar or array), uV^2/Hz.
 
-    Strictly positive for any valid parameter vector since s_ph > 0 and the
-    Lorentzian term is nonnegative.
+    v is a SpectralParams or an array whose last axis is (s_ph, nu_l, s_at,
+    delta_nu); a stack of parameter vectors broadcasts against nu, so each
+    may have its own frequency row. An array is not validated. A scalar
+    result is a float. Strictly positive for any valid parameter
+    vector since s_ph > 0 and the Lorentzian term is nonnegative.
     """
-    out = psd_array(v.s_ph, v.nu_l, v.s_at, v.delta_nu, nu)
+    v = np.asarray(v, dtype=float)
+    nu = np.asarray(nu, dtype=float)
+    d2 = v[..., 3] * v[..., 3]
+    out = v[..., 0] + v[..., 2] * d2 / (4.0 * (nu - v[..., 1]) ** 2 + d2)
     return float(out) if out.ndim == 0 else out
 
 
-def psd_array(s_ph, nu_l, s_at, delta_nu, nu):
-    """eval_psd on parameter arrays that broadcast against nu; no validation."""
-    nu = np.asarray(nu, dtype=float)
-    d2 = delta_nu * delta_nu
-    return s_ph + s_at * d2 / (4.0 * (nu - nu_l) ** 2 + d2)
-
-
-def grad_log_psd(v: SpectralParams, nu) -> np.ndarray:
+def grad_log_psd(v, nu) -> np.ndarray:
     """Gradient of ln f with respect to (s_ph, nu_l, s_at, delta_nu).
 
-    Returns an array with a trailing axis of length 4; shape (4,) for scalar
-    nu, (K, 4) for a length-K frequency array. Components 2 and 4 vanish on
+    v and nu are taken as by eval_psd. Returns the broadcast shape plus a
+    trailing axis of length 4; shape (4,) for one vector and a scalar nu,
+    (K, 4) for a length-K frequency array. Components 2 and 4 vanish on
     resonance (the spectrum there is s_ph + s_at regardless of nu_l, delta_nu)
     and the whole nu_l / delta_nu pair vanishes identically when s_at = 0.
+    The line terms avoid q^2, which underflows for tiny delta_nu.
     """
-    return grad_log_psd_array(v.s_ph, v.nu_l, v.s_at, v.delta_nu, nu)
-
-
-def grad_log_psd_array(s_ph, nu_l, s_at, delta_nu, nu) -> np.ndarray:
-    """grad_log_psd on parameter arrays that broadcast against nu.
-
-    The result has the broadcast shape plus a trailing axis of length 4, so a
-    stack of parameter vectors, each with its own frequency row, gives the
-    gradients of all of them in one pass. No validation: the caller passes
-    valid parameters. The line terms avoid q^2, which underflows for tiny delta_nu.
-    """
+    v = np.asarray(v, dtype=float)
     nu = np.asarray(nu, dtype=float)
-    d = delta_nu
+    s_ph, nu_l, s_at, d = v[..., 0], v[..., 1], v[..., 2], v[..., 3]
     d2 = d * d
     off = nu - nu_l
     q = 4.0 * off * off + d2

@@ -11,8 +11,10 @@ inspect a discrepancy.
 Seeding contract: trial k draws from numpy's default_rng seeded with
 (master_seed, k). Results are therefore independent of execution order and of
 the thread count, and any single trial can be replayed in isolation. The
-trials are synthesized as one (n_trials, K) stack, whose rows a thread pool
-may fill, and fitted in one stacked solve, each bit for bit as if alone.
+trials are synthesized as one (n_trials, K) stack and fitted in one stacked
+solve, each bit for bit as if alone. Threads are known here alone: each
+worker synthesizes one contiguous slice of the seeds, and the slices are
+concatenated in order.
 """
 from __future__ import annotations
 
@@ -66,9 +68,10 @@ def trial_spectra(
 
     "timeseries" runs the physical pipeline: n_ave Gaussian records, a
     periodogram each, average, coarse-grain. "gamma" draws the averaged bins
-    directly from their exact sampling law. threads > 1 fills the rows in a
-    thread pool without changing a bit. The finished stack must be finite
-    and nonnegative.
+    directly from their exact sampling law. threads > 1 gives each of up to
+    that many workers one contiguous slice of the seeds, without changing a
+    bit; threads < 1 is a ConfigError. The finished stack must be finite and
+    nonnegative.
     """
     if synthesis == "gamma":
         stack = sample_periodogram_exact_stack
@@ -76,11 +79,16 @@ def trial_spectra(
         stack = timeseries_periodogram_stack
     else:
         raise ConfigError(f"unknown synthesis route {synthesis!r}; known: {SYNTHESIS_ROUTES}")
-    if threads == 1:
+    if threads < 1:
+        raise ConfigError(f"threads must be at least 1, got {threads}")
+    workers = min(threads, len(seeds))
+    if workers <= 1:
         s_bar = stack(v, cfg, seeds)
     else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            s_bar = stack(v, cfg, seeds, pool.map)
+        cuts = [len(seeds) * i // workers for i in range(workers + 1)]
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            parts = pool.map(lambda a, b: stack(v, cfg, seeds[a:b]), cuts[:-1], cuts[1:])
+            s_bar = np.concatenate(list(parts))
     if not (np.isfinite(s_bar).all() and (s_bar >= 0.0).all()):
         raise NumericalError("synthesized spectra hold a non-finite or negative bin")
     return s_bar
@@ -103,8 +111,8 @@ def run_validation(
 ) -> ValidationReport:
     """Synthesize and fit n_trials spectra, then compare scatter to theory.
 
-    One trial_spectra stack holds the spectra; threads > 1 fills its rows in
-    a thread pool. One mle_fit_stack call fits them all. Trials whose fit
+    One trial_spectra stack holds the spectra, synthesized on threads
+    workers. One mle_fit_stack call fits them all. Trials whose fit
     does not converge count as failures, excluded from the covariance; the
     report flags the count rather than raising, since a rare non-convergence
     is a property of the data, not a tool fault. A fit window with too few
@@ -113,8 +121,6 @@ def run_validation(
     """
     if n_trials < 2:
         raise ConfigError(f"n_trials must be at least 2, got {n_trials}")
-    if threads < 1:
-        raise ConfigError(f"threads must be at least 1, got {threads}")
     window = (cfg.fit_lo, cfg.fit_hi)
     nu = cfg.coarse_grid()
     fit_bins(nu, window)  # a window too narrow to fit fails before any synthesis

@@ -56,7 +56,8 @@ class ScanGrid:
 
     def surface(self, param_index: int) -> np.ndarray:
         """2-D surface for a 1-based parameter index."""
-        _check_index(param_index)
+        if param_index not in (1, 2, 3, 4):
+            raise ConfigError(f"param_index must be 1..4, got {param_index!r}")
         return self.surfaces[param_index - 1]
 
 
@@ -69,11 +70,6 @@ class OptimumReport:
     p_opt: float
     gamma_min: float
     interior: bool
-
-
-def _check_index(param_index: int) -> None:
-    if param_index not in (1, 2, 3, 4):
-        raise ConfigError(f"param_index must be 1..4, got {param_index!r}")
 
 
 def scan_grid(
@@ -112,7 +108,6 @@ def scan_grid(
 
 def find_optimum(sg: ScanGrid, param_index: int) -> OptimumReport:
     """Grid argmin of one surface; ties break toward smaller (n, P)."""
-    _check_index(param_index)
     a = sg.surface(param_index)
     if not np.any(np.isfinite(a)):
         raise NumericalError(f"surface {param_index} holds no finite values")

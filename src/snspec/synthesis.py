@@ -11,6 +11,8 @@ count n_eff of raw periodogram values behind each bin (1 for a raw
 periodogram). Averaging records or coarse-graining bins multiplies n_eff.
 Each route's stack function draws one averaged spectrum per seed into an
 array row, computing what is constant per run once, with the same bits.
+The stacks are plain row loops that know nothing of threads, and inside
+them a record is an array; synthesize_timeseries alone builds a TimeSeries.
 
 Conventions, fixed across the package:
   - one-sided PSD, S(nu) = 2*delta*|DFT|^2 / M in uV^2/Hz, so the PSD sums
@@ -184,7 +186,7 @@ class TimeSeries:
             raise ValueError("time series contains non-finite samples")
 
 
-def sample_periodogram_exact_stack(v, cfg: AcquisitionConfig, seeds, map_rows=map) -> np.ndarray:
+def sample_periodogram_exact_stack(v, cfg: AcquisitionConfig, seeds) -> np.ndarray:
     """Draw one averaged spectrum per seed straight from its sampling law:
     a (len(seeds), K) array on cfg.coarse_grid().
 
@@ -194,17 +196,13 @@ def sample_periodogram_exact_stack(v, cfg: AcquisitionConfig, seeds, map_rows=ma
     independent, so a spectrum is drawn in one shot, bypassing the time
     domain. f/n_eff is evaluated once; each row draws standard Gamma variates
     from default_rng(seed) in place, and one multiply by f/n_eff ends the
-    stack, with the bits of default_rng(seed).gamma(n_eff, f/n_eff). map_rows
-    is map or a thread pool's map.
+    stack, with the bits of default_rng(seed).gamma(n_eff, f/n_eff).
     """
     n_eff = cfg.n_eff
     scale = eval_psd(v, cfg.coarse_grid()) / n_eff
     out = np.empty((len(seeds), scale.size))
-
-    def fill(row, seed):
+    for row, seed in zip(out, seeds):
         np.random.default_rng(seed).standard_gamma(float(n_eff), out=row)
-
-    list(map_rows(fill, out, seeds))
     out *= scale
     return out
 
@@ -215,16 +213,15 @@ def _amplitudes(v, cfg: AcquisitionConfig) -> np.ndarray:
     return np.sqrt(cfg.record_length * eval_psd(v, cfg.raw_grid()) / (4.0 * cfg.delta))
 
 
-def _record(amp: np.ndarray, delta: float, rng) -> TimeSeries:
+def _record(amp: np.ndarray, rng) -> np.ndarray:
     """Inverse real FFT of amp*(a + ib) at i = 1 .. M/2 - 1, zero DC and
-    Nyquist. The coefficients go into a buffer of this call's own, so threads
-    may share amp; both parts are written in place, with the bits of the
-    complex product."""
+    Nyquist: the M samples of one record. Both parts of the coefficients are
+    written in place, with the bits of the complex product."""
     ab = rng.standard_normal((2, amp.size))
     coeff = np.zeros(amp.size + 2, dtype=complex)
     np.multiply(amp, ab[0], out=coeff.real[1:-1])
     np.multiply(amp, ab[1], out=coeff.imag[1:-1])
-    return TimeSeries(delta=delta, y=np.fft.irfft(coeff, n=2 * amp.size + 2))
+    return np.fft.irfft(coeff, n=2 * amp.size + 2)
 
 
 def synthesize_timeseries(v, cfg: AcquisitionConfig, seed) -> TimeSeries:
@@ -236,28 +233,25 @@ def synthesize_timeseries(v, cfg: AcquisitionConfig, seed) -> TimeSeries:
     i = 1 .. M/2 - 1, zero DC and Nyquist, inverse real FFT. Deterministic
     given the seed.
     """
-    return _record(_amplitudes(v, cfg), cfg.delta, np.random.default_rng(seed))
+    return TimeSeries(cfg.delta, _record(_amplitudes(v, cfg), np.random.default_rng(seed)))
 
 
-def timeseries_periodogram_stack(v, cfg: AcquisitionConfig, seeds, map_rows=map) -> np.ndarray:
+def timeseries_periodogram_stack(v, cfg: AcquisitionConfig, seeds) -> np.ndarray:
     """The timeseries route for each seed: a (len(seeds), K) array.
 
     Row k holds, bit for bit, what n_ave records drawn in turn from
     default_rng(seeds[k]) give through periodogram, average_spectra and
-    coarse_grain. The amplitudes are computed once; a row holds only its own
-    records. map_rows is map or a thread pool's map.
+    coarse_grain. The amplitudes are computed once, and one buffer holds the
+    n_ave periodograms of the current row.
     """
     amp = _amplitudes(v, cfg)
     out = np.empty((len(seeds), amp.size // cfg.n_bin))
-
-    def fill(row, seed):
+    raw = np.empty((cfg.n_ave, amp.size))
+    for row, seed in zip(out, seeds):
         rng = np.random.default_rng(seed)
-        raw = np.empty((cfg.n_ave, amp.size))
         for record in raw:
-            record[:] = _periodogram_bins(_record(amp, cfg.delta, rng))
+            record[:] = _periodogram_bins(_record(amp, rng), cfg.delta)
         row[:] = _block_mean(raw.mean(axis=0), cfg.n_bin)
-
-    list(map_rows(fill, out, seeds))
     return out
 
 
@@ -266,10 +260,10 @@ def _record_grid(m: int, delta: float) -> np.ndarray:
     return np.arange(1, m // 2, dtype=float) / (m * delta)
 
 
-def _periodogram_bins(ts: TimeSeries) -> np.ndarray:
+def _periodogram_bins(y: np.ndarray, delta: float) -> np.ndarray:
     """2*delta*|rfft(y)|^2/M at i = 1 .. M/2 - 1."""
-    m = ts.y.size
-    return (2.0 * ts.delta / m) * np.abs(np.fft.rfft(ts.y)[1 : m // 2]) ** 2
+    m = y.size
+    return (2.0 * delta / m) * np.abs(np.fft.rfft(y)[1 : m // 2]) ** 2
 
 
 def periodogram(ts: TimeSeries) -> Spectrum:
@@ -283,7 +277,7 @@ def periodogram(ts: TimeSeries) -> Spectrum:
         raise ValueError(f"need at least 4 samples, got {m}")
     if m % 2:
         raise ValueError(f"record length {m} must be even")
-    return Spectrum(nu=_record_grid(m, ts.delta), s_bar=_periodogram_bins(ts))
+    return Spectrum(nu=_record_grid(m, ts.delta), s_bar=_periodogram_bins(ts.y, ts.delta))
 
 
 def coarse_grain(sp: Spectrum, n_bin: int) -> Spectrum:

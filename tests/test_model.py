@@ -172,6 +172,34 @@ class TestGradLogPsd:
         )
 
 
+class TestParameterStacks:
+    ROWS = [
+        V,
+        SpectralParams(s_ph=1.0, nu_l=42600.0, s_at=0.05, delta_nu=1000.0),
+        SpectralParams(s_ph=3e-3, nu_l=40123.5, s_at=7e4, delta_nu=1e-3),
+        SpectralParams(s_ph=2.0, nu_l=50000.0, s_at=0.0, delta_nu=20.0),
+    ]
+
+    def test_spectral_params_is_its_array(self):
+        np.testing.assert_array_equal(np.asarray(V), V.as_array(), strict=True)
+
+    @pytest.mark.parametrize("fn", [eval_psd, grad_log_psd], ids=["eval_psd", "grad_log_psd"])
+    def test_stack_with_frequency_rows_equals_each_row_alone(self, fn):
+        # one (m, 4) stack against an (m, K) frequency block: row i of the
+        # result has the bits of the SpectralParams call on row i of nu
+        theta = np.array([v.as_array() for v in self.ROWS])
+        nu = np.linspace(33e3, 52e3, 4 * 11).reshape(4, 11) + np.arange(4)[:, None] * 17.25
+        got = fn(theta[:, None, :], nu)
+        assert got.shape[:2] == (4, 11)
+        for i, v in enumerate(self.ROWS):
+            np.testing.assert_array_equal(got[i], fn(v, nu[i]), strict=True)
+
+    def test_stack_with_scalar_frequency(self):
+        theta = np.array([v.as_array() for v in self.ROWS])
+        np.testing.assert_array_equal(eval_psd(theta, 42000.0), [eval_psd(v, 42000.0) for v in self.ROWS])
+        np.testing.assert_array_equal(grad_log_psd(theta, 42000.0), [grad_log_psd(v, 42000.0) for v in self.ROWS])
+
+
 def test_snr_is_peak_over_background():
     assert snr(V) == pytest.approx(4.8 / 1.2, rel=1e-15)
 

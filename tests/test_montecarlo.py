@@ -108,16 +108,22 @@ class TestTrialSpectra:
     @pytest.mark.parametrize("route", ["gamma", "timeseries"])
     def test_threads_fill_every_row_exactly(self, route):
         # more threads than cores, switching often: a row written by the wrong
-        # thread or a shared buffer would show as a changed bit
-        seeds = [(13, k) for k in range(64)]
-        serial = trial_spectra(V, INEXACT, seeds, route)
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            threaded = trial_spectra(V, INEXACT, seeds, route, threads=8)
-        finally:
-            sys.setswitchinterval(interval)
-        np.testing.assert_array_equal(threaded, serial, strict=True)
+        # thread, a shared buffer or a lost slice would show as a changed bit;
+        # 13 rows split 4/4/5 on 3 threads, and 8 threads on 5 rows take one row each
+        for n_trials, threads in ((64, 8), (13, 3), (5, 8)):
+            seeds = [(13, k) for k in range(n_trials)]
+            serial = trial_spectra(V, INEXACT, seeds, route)
+            interval = sys.getswitchinterval()
+            sys.setswitchinterval(1e-6)
+            try:
+                threaded = trial_spectra(V, INEXACT, seeds, route, threads=threads)
+            finally:
+                sys.setswitchinterval(interval)
+            np.testing.assert_array_equal(threaded, serial, strict=True)
+
+    def test_fewer_than_one_thread_rejected(self):
+        with pytest.raises(ConfigError, match="threads must be at least 1, got 0"):
+            trial_spectra(V, CFG, [(0, 0), (0, 1)], "gamma", threads=0)
 
     def test_unknown_route_rejected(self):
         with pytest.raises(ConfigError, match="unknown synthesis route"):
@@ -125,7 +131,7 @@ class TestTrialSpectra:
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -1.0])
     def test_finished_stack_is_checked(self, monkeypatch, bad):
-        def spoiled(v, cfg, seeds, map_rows=map):
+        def spoiled(v, cfg, seeds):
             out = np.ones((len(seeds), 4))
             out[-1, 2] = bad
             return out
