@@ -135,6 +135,11 @@ def initial_guess(sp: Spectrum, window) -> SpectralParams:
 
 
 _LOG = np.array([True, False, True, True])  # the entries of theta that are logs
+# the entries that scale with the spectrum; int32 as frexp returns, for which
+# ldexp has its fast loop
+_LEVEL = np.array([1, 0, 1, 0], dtype=np.int32)
+# start levels s_ph outside this range are solved at a power-of-two scale
+_LEVEL_RANGE = (2.0**-256, 2.0**256)
 
 
 def _params(theta: np.ndarray) -> np.ndarray:
@@ -167,6 +172,9 @@ def mle_fit_stack(nu, s_bar, window, guess=None):
     normal matrix, or an exp that underflows) is rejected and the damping
     raised. A row whose start is out of range or whose damped normal matrix
     is rank-deficient returns converged=False with its start point as v_hat.
+    A row whose start level s_ph lies outside [2^-256, 2^256] is solved
+    scaled by the power of two that brings that level into [0.5, 1), so a
+    spectrum near either end of the float range fits as it does at scale 1.
     """
     nu = np.asarray(nu, dtype=float)
     idx = fit_bins(nu, window)
@@ -174,11 +182,16 @@ def mle_fit_stack(nu, s_bar, window, guess=None):
     v0 = _initial_guess_stack(nu, s, window) if guess is None else np.asarray(guess, dtype=float)
     bounds = (2.0 * window[0] - window[1], 2.0 * window[1] - window[0])  # padded by one width
     rows = max(1, _BLOCK_BINS // nu.size)
+    # a row whose start level is far from 1 is solved scaled by an exact 2^-e,
+    # so that its model cannot overflow; e = 0 leaves the other rows' bits
+    far = ~((v0[:, 0] >= _LEVEL_RANGE[0]) & (v0[:, 0] <= _LEVEL_RANGE[1]))
+    e = np.where(far, np.frexp(v0[:, 0])[1], 0)[:, None] * _LEVEL
     with np.errstate(all="ignore"):
-        theta = np.where(_LOG, np.log(v0), np.clip(v0, *bounds))
+        s, start = np.ldexp(s, -e[:, :1]), np.ldexp(v0, -e)
+        theta = np.where(_LOG, np.log(start), np.clip(start, *bounds))
         done = [_solve(theta[b : b + rows], nu, s[b : b + rows], bounds) for b in range(0, len(s), rows)]
         steps, converged, failed = (np.concatenate(x) for x in zip(*done))
-        return np.where(failed[:, None], v0, _params(theta)), steps, converged
+        return np.where(failed[:, None], v0, np.ldexp(_params(theta), e)), steps, converged
 
 
 def _solve(theta, nu, s, bounds):

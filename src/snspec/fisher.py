@@ -8,6 +8,9 @@ they can cross-check each other:
 * a continuous-frequency approximation, info = (n_eff + 2) / nu_t *
   integral of g g^T over the fit window, evaluated by one fixed-order
   Gauss-Legendre rule on panels that double in width away from the line.
+  The rule is folded about the line centre: f is even in nu - nu_l, so g at
+  nu_l - x is g at nu_l + x with its nu_l component negated, and each panel
+  of |nu - nu_l| is evaluated once for both sides of the line.
 
 `nu_t` is the frequency spacing of the grid actually fit (after any
 coarse-graining), not necessarily 1/T of the raw record. The covariance
@@ -141,35 +144,54 @@ def fisher_discrete(v: SpectralParams, bins, n_eff: float) -> FisherResult:
 # together: the block size is what bounds the memory of a stack.
 _GL_X, _GL_W = np.polynomial.legendre.leggauss(16)
 _BLOCK_CELLS = 64
+# S = diag(1, -1, 1, 1): grad_log_psd at nu_l - x is S times its value at
+# nu_l + x. A panel of |x| weighs its outer product M by one of these, when
+# the window holds both sides of the line (M + S M S), its upper side only
+# (M) or its lower side only (S M S).
+_MIRROR = np.outer([1.0, -1.0, 1.0, 1.0], [1.0, -1.0, 1.0, 1.0])
+_SIDES = np.stack([1.0 + _MIRROR, np.ones((4, 4)), _MIRROR])
 
 
 def _outer_integral(theta: np.ndarray, lo: float, hi: float) -> np.ndarray:
     """Integral over [lo, hi] of the 4x4 outer product of grad_log_psd, per cell.
 
     theta holds one parameter vector (s_ph, nu_l, s_at, delta_nu) per row;
-    the result has shape (rows, 4, 4). In u = 2 (nu - nu_l) / delta_nu the
-    panel edges are 0, +-1, +-2, +-4, ... +-2^K, with 2^K beyond both window
-    ends for every row, clipped to the window; each panel gets the same
-    16-point Gauss-Legendre rule. The integrand is rational in u with poles
-    only at u = +-i and u = +-i sqrt(1 + s_at / s_ph), so every pole lies at
-    least one panel width away from each panel, and order 16 is accurate to
-    rounding on every panel. A clipped panel has zero width and adds exactly
-    zero, and each row's panels add in ascending order, so a row gets the
-    same bits alone or in any stack.
+    the result has shape (rows, 4, 4). f is even in x = nu - nu_l, so the
+    rule runs on |x| and each panel is evaluated once, at nu_l = 0 with the
+    nodes as offsets, which makes the mirror an exact sign flip of the nu_l
+    component. In u = 2 |x| / delta_nu the panel edges are 0, 1, 2, 4, ...
+    2^K, with 2^K beyond both window ends for every row, plus the fold point
+    c = min(nu_l - lo, hi - nu_l) up to which the window holds both sides of
+    the line; they are clipped to the |x| range the window covers, and each
+    panel gets the same 16-point Gauss-Legendre rule. The integrand is
+    rational in u with poles only at u = +-i and u = +-i sqrt(1 + s_at /
+    s_ph), so every pole lies at least one panel width away from each
+    dyadic panel, and the split at c only shrinks a panel; order 16 is
+    accurate to rounding on every panel. A panel below c adds M + S M S
+    (twice M, with its nu_l cross terms cancelled exactly), one above it M
+    or S M S. A clipped panel has zero width and adds exactly zero, and
+    each row's panels add in ascending |x|, so a row gets the same bits
+    alone or in any stack.
     """
     nu_l, half = theta[:, 1:2], 0.5 * theta[:, 3:4]
+    below, above = nu_l - lo, hi - nu_l
     # reach < 2^e_reach and half >= 2^(e_half - 1), so half * 2^k passes the
     # reach at k = e_reach - e_half + 1; working on exponents rather than on
     # reach / half keeps a tiny linewidth from overflowing u
-    reach = np.maximum(np.abs(lo - nu_l), np.abs(hi - nu_l))
+    reach = np.maximum(np.abs(below), np.abs(above))
     k = max(0, int(np.max(np.frexp(reach)[1] - np.frexp(half)[1])) + 1)
-    offsets = np.ldexp(half, np.arange(k + 1))
-    edges = np.clip(np.hstack([nu_l - offsets[:, ::-1], nu_l, nu_l + offsets]), lo, hi)
+    near = np.minimum(below, above)  # negative when nu_l is outside the window
+    fold = np.maximum(near, 0.0)
+    edges = np.hstack([np.zeros_like(half), np.ldexp(half, np.arange(k + 1)), fold])
+    edges = np.clip(np.sort(edges, axis=1), np.maximum(-near, 0.0), reach)
     a, b = edges[:, :-1], edges[:, 1:]
     width = 0.5 * (b - a)
     nodes = (0.5 * (a + b))[..., None] + width[..., None] * _GL_X
-    g = grad_log_psd(theta[:, None, None, :], nodes)
+    centred = theta.copy()
+    centred[:, 1] = 0.0
+    g = grad_log_psd(centred[:, None, None, :], nodes)
     sums = width[..., None, None] * (np.swapaxes(g * _GL_W[:, None], -1, -2) @ g)
+    sums *= _SIDES[np.where(b <= fold, 0, np.where(above >= below, 1, 2))]
     total = np.zeros((theta.shape[0], 4, 4))
     for panel in range(sums.shape[1]):
         total += sums[:, panel]

@@ -206,8 +206,11 @@ class TestMleFitStack:
         weak_v = SpectralParams(s_ph=1.0, nu_l=42600.0, s_at=0.05, delta_nu=1000.0)
         weak = [trial_spectrum(weak_v, CFG, (0, k), "gamma") for k in (3, 56, 90)]
         spectra = strong[:3] + weak + strong[3:]
-        # a start whose model overflows fails before step 1
-        out_of_range = strong[0].s_bar * 1e300
+        # a start whose model overflows fails before step 1: one bin at 1e300
+        # makes the start's s_at overflow it, while s_ph, from the wings, is
+        # in range and leaves the row at its own scale
+        out_of_range = strong[0].s_bar.copy()
+        out_of_range[np.flatnonzero(strong[0].nu >= WINDOW[0])[40]] = 1e300
         # this weak-line trial is still falling after _MAX_STEPS steps
         step_limit = trial_spectrum(weak_v, CFG, (0, 94), "gamma").s_bar
         # and this weaker one's damped normal matrix loses rank at step 41
@@ -242,6 +245,27 @@ class TestMleFitStack:
         np.testing.assert_array_equal(v_hat[[-3, -1]], [start[0], start[2]])
         assert not np.allclose(v_hat[-2], start[1], rtol=0.1)
         self.assert_same(fits, self.as_arrays(singles))
+
+    def test_power_of_two_scale_keeps_the_bits(self):
+        # a row whose start level is out of range is solved at the scale that
+        # brings that level into [0.5, 1), so a spectrum at that scale and
+        # the same spectrum times 2^+-1000 give the same bits
+        sp = trial_spectrum(V, CFG, (5, 0), "gamma")
+        base = np.ldexp(sp.s_bar, -np.frexp(initial_guess(sp, WINDOW).s_ph)[1])
+        v_hat, n_iter, converged = mle_fit_stack(sp.nu, base[None], WINDOW)
+        assert converged[0]
+        level = np.array([1, 0, 1, 0])
+        for k in (1000, -1000):
+            fit = mle_fit_stack(sp.nu, np.ldexp(base, k)[None], WINDOW)
+            self.assert_same(fit, (np.ldexp(v_hat, k * level), n_iter, converged))
+
+    @pytest.mark.parametrize("scale", [1e300, 1e306])
+    def test_far_scales_converge_as_at_scale_one(self, scale):
+        sp = trial_spectrum(V, CFG, (5, 0), "gamma")
+        v_hat, n_iter, converged = mle_fit_stack(sp.nu, sp.s_bar[None], WINDOW)
+        fit = mle_fit_stack(sp.nu, sp.s_bar[None] * scale, WINDOW)
+        assert fit[2][0] and fit[1][0] == n_iter[0]
+        np.testing.assert_allclose(fit[0] / [scale, 1.0, scale, 1.0], v_hat, rtol=1e-12)
 
     def test_permuted_stack_gives_permuted_results(self, monkeypatch):
         nu, s_bar = self.mixed_stack()

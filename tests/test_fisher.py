@@ -8,11 +8,13 @@ import numpy as np
 import pytest
 from scipy.integrate import IntegrationWarning, quad
 
+from snspec import fisher
 from snspec.errors import NumericalError
 from snspec.fisher import (
     error_propagation_covariance,
     fisher_discrete,
     fisher_integral,
+    integral_covariance_stack,
     invert_psd_matrix,
     invert_psd_stack,
     normalized_deviation,
@@ -145,8 +147,10 @@ class TestIntegralRoute:
         assert r.n_eff == 50.0
 
     # line centred in the window, 3 linewidths above it, far above it, on
-    # its lower edge, and in a window from zero; nu_l is the line centre plus
-    # widths * delta_nu
+    # its lower edge, in a window from zero, far below it, and 1 kHz inside
+    # its lower edge (for the widest lines the part of the window that holds
+    # both sides of the line is then shorter than one panel); nu_l is the
+    # line centre plus widths * delta_nu
     @pytest.mark.parametrize(
         "window, centre, widths",
         [
@@ -155,8 +159,18 @@ class TestIntegralRoute:
             (WINDOW, 60e3, 0),
             (WINDOW, 33e3, 0),
             ((0.0, 99e3), 42.6e3, 0),
+            (WINDOW, 20e3, 0),
+            (WINDOW, 34e3, 0),
         ],
-        ids=["centred", "3-widths-above", "at-60-kHz", "lower-edge", "from-zero"],
+        ids=[
+            "centred",
+            "3-widths-above",
+            "at-60-kHz",
+            "lower-edge",
+            "from-zero",
+            "at-20-kHz",
+            "just-inside-lower-edge",
+        ],
     )
     def test_matches_adaptive_quadrature_oracle(self, window, centre, widths):
         worst = (0.0, None)
@@ -168,6 +182,48 @@ class TestIntegralRoute:
             err = norm_diff(fisher_integral(v, window, 100.0, 50).info, want)
             worst = max(worst, (err, v), key=lambda x: x[0])
         assert worst[0] <= 1e-9, worst
+
+    def test_stack_equals_single_calls_bit_for_bit(self):
+        # one block of lines below, inside and above the window, at widths
+        # that need panel depths K from 1 to 18
+        centres = [20e3, 32.9e3, 33e3, 34e3, 42.5e3, 42.6e3, 51.5e3, 60e3]
+        theta = np.array(
+            [
+                (1.0, centre, s_at, delta_nu)
+                for centre in centres
+                for s_at, delta_nu in itertools.product([1e-2, 4.0], [0.3, 30.0, 1e3, 2e4])
+            ]
+        )
+        assert len(theta) == fisher._BLOCK_CELLS
+        want = [
+            fisher_integral(SpectralParams.from_array(row), WINDOW, 100.0, 50).gamma_th
+            for row in theta
+        ]
+        want = np.array([np.full((4, 4), np.nan) if g is None else g for g in want])
+        assert np.isfinite(want).all(axis=(1, 2)).sum() > 48
+        np.testing.assert_array_equal(integral_covariance_stack(theta, WINDOW, 100.0, 50), want)
+
+    @pytest.mark.parametrize("s_at, delta_nu", [(4.0, 1000.0), (1e-2, 0.3), (1e3, 2e4)])
+    def test_centred_line_has_no_centre_cross_terms(self, s_at, delta_nu):
+        # f is even about a centred line, so the nu_l row of the information
+        # integrates an odd function over a symmetric window
+        info = fisher_integral(SpectralParams(1.0, 42.5e3, s_at, delta_nu), WINDOW, 100.0, 50).info
+        assert np.all(np.delete(info[1], 1) == 0.0)
+        assert np.all(np.delete(info[:, 1], 1) == 0.0)
+        assert info[1, 1] > 0.0
+
+    # reflected, the 60 kHz line lies below its window
+    @pytest.mark.parametrize("nu_l", [34e3, 42.6e3, 60e3])
+    @pytest.mark.parametrize("delta_nu", [0.3, 1000.0, 2e4])
+    def test_reflected_window_mirrors_the_information(self, nu_l, delta_nu):
+        # reflecting the window about nu_l flips the sign of nu - nu_l only,
+        # so the information becomes S info S with S = diag(1, -1, 1, 1)
+        v = SpectralParams(1.0, nu_l, 4.0, delta_nu)
+        mirrored = (2.0 * nu_l - WINDOW[1], 2.0 * nu_l - WINDOW[0])
+        sign = np.array([1.0, -1.0, 1.0, 1.0])
+        a = fisher_integral(v, WINDOW, 100.0, 50).info
+        b = fisher_integral(v, mirrored, 100.0, 50).info
+        np.testing.assert_array_equal(b, sign[:, None] * a * sign[None, :])
 
     def test_background_only_information(self):
         flat = SpectralParams(s_ph=2.0, nu_l=42600.0, s_at=0.0, delta_nu=500.0)

@@ -130,11 +130,13 @@ def per_cell_surfaces(n_values, p_values, k, cfg, xi2):
 
 class TestBatchedScanEqualsPerCell:
     # gamma0 = 5 s^-1: at low n and P the line is 1.7-4 Hz wide and the fit
-    # window spans 2^14 half-widths on one side; at high n and P it is kHz
-    # wide and spans 2^3. So the cells of one block need different panel
-    # depths, and the shallow ones are padded with zero-width panels in the
-    # stack but not alone. n = 0 is a singular row, and the 88 cells span
-    # more than one block.
+    # window reaches 2^14 half-widths from it; at high n and P it is kHz
+    # wide and reaches 2^3. The rule runs on |nu - nu_l|, on the panels
+    # between 0, 1, 2, 4, ... 2^K half-widths and the fold point where the
+    # window's shorter side ends, so a cell of depth K has K + 2 panels. The
+    # cells of one block need different depths, and the shallow ones are
+    # padded with zero-width panels in the stack but not alone. n = 0 is a
+    # singular row, and the 88 cells span more than one block.
     K = replace(REFERENCE_INSTRUMENT, gamma0=5.0)
     N = np.array([0.0, 1e9, 1e10, 1e11, 1e12, 4e12, 1e13, 4e13])
     P = np.geomspace(1e-6, 1e-2, 11)
