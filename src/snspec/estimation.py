@@ -8,9 +8,12 @@ unbiased to leading order at any n_eff. The solver is damped Fisher scoring
 clipped to the window padded by one width. With J = d ln f / d theta (the
 model's log-gradient times the log-scale factors) each step solves
 (J^T J + lambda diag(J^T J)) delta = J^T (S_bar/f - 1) through
-fisher.invert_psd_stack, one lambda per spectrum. mle_fit_stack fits spectra
-stacked on one grid, each row with its bits alone, and returns arrays; mle_fit
-is its one-row case and the one place that builds a FitResult.
+fisher.invert_psd_stack, one lambda per spectrum. That is one Cholesky of
+the active rows, whose pivots certify full rank, and an eigen-factorization
+of the rows they do not certify; a row whose matrix is rank-deficient fails.
+mle_fit_stack fits spectra stacked on one grid, each row with its bits alone,
+and returns arrays; mle_fit is its one-row case and the one place that builds
+a FitResult.
 """
 from __future__ import annotations
 

@@ -19,7 +19,9 @@ reported instead of pseudo-inverted.
 
 The quadrature and the inverse work on stacks: `_outer_integral` integrates
 many parameter vectors at once, each on its own panels, and
-`invert_psd_stack` inverts many matrices in one eigen-factorization call.
+`invert_psd_stack` factors many 4x4 matrices at once by a Cholesky written as
+array operations, keeping an eigen-factorization for the matrices whose
+pivots do not certify full rank.
 `fisher_integral` and `invert_psd_matrix` are their one-item cases, and
 `integral_covariance_stack` is the bound of a whole stack (the (n, P) scan),
 equal bit for bit to `fisher_integral` cell by cell.
@@ -37,6 +39,7 @@ from .model import SpectralParams, grad_log_psd
 # Eigenvalues below RANK_TOL times the largest (on the correlation-equilibrated
 # matrix) count as zero for the rank check.
 RANK_TOL = 1e-12
+_EYE = np.eye(4)[:, :, None]
 
 
 @dataclass(frozen=True)
@@ -62,17 +65,20 @@ class FisherResult:
 
 
 def _symmetrize(a: np.ndarray) -> np.ndarray:
-    return 0.5 * (a + np.swapaxes(a, -1, -2))
+    return 0.5 * (a + a.swapaxes(-1, -2))
 
 
 def invert_psd_matrix(a: np.ndarray):
     """Invert a symmetric positive-semidefinite matrix with a rank check.
 
     Returns (inverse, rank); inverse is None when the matrix is numerically
-    rank-deficient. The matrix is equilibrated to correlation form before the
-    eigen-factorization so badly mixed units (uV^2 vs Hz scales) do not
-    masquerade as rank deficiency, and so both covariance routes agree to
-    near machine precision. This is the one-matrix case of invert_psd_stack.
+    rank-deficient. The matrix is equilibrated to correlation form first, so
+    badly mixed units (uV^2 vs Hz scales) do not masquerade as rank
+    deficiency, and so both covariance routes agree to near machine
+    precision. A 4x4 correlation matrix whose Cholesky pivots certify full
+    rank is inverted through that factor; any other goes to an
+    eigen-factorization (see invert_psd_stack). This is the one-matrix case
+    of invert_psd_stack.
     """
     a = np.asarray(a, dtype=float)
     inverse, rank = invert_psd_stack(a[None])
@@ -84,19 +90,72 @@ def invert_psd_stack(a: np.ndarray):
     """invert_psd_matrix over a stack of matrices with shape (m, n, n).
 
     Returns (inverses, ranks): inverses has shape (m, n, n) and holds NaN for
-    every matrix whose rank is below n. A zero diagonal entry of a PSD matrix
-    means its whole row and column are zero; those rows and columns stay zero
-    in the correlation form, so they add only zero eigenvalues and the rank is
-    that of the remaining submatrix. A matrix with a non-finite entry has
-    rank 0 and never reaches the eigen-factorization.
+    every matrix whose rank is below n. Each matrix is equilibrated to its
+    correlation form C (unit diagonal) and, at n = 4, factored by a Cholesky
+    written as array operations over the stack. A row is certified when the
+    product of its pivots, det C, exceeds n^n RANK_TOL. Every pivot is then
+    positive, so C is positive definite (Sylvester's criterion; a negative
+    pivot makes the later ones NaN or the product negative), and with
+    lambda_max <= tr C = n, lambda_min >= det C / lambda_max^(n-1) >
+    n RANK_TOL >= RANK_TOL lambda_max: the eigenvalue test below would find
+    full rank too. A certified row is inverted as L^-T L^-1.
+
+    Every other row, and every row of a stack with n != 4, goes to the
+    eigen-factorization, with the same bits and rank as on its own. That
+    covers zero diagonals, non-finite entries, and rank-deficient or
+    near-singular rows. A zero diagonal entry of a PSD matrix means its whole
+    row and column are zero; those rows and columns stay zero in the
+    correlation form, so they add only zero eigenvalues and the rank is that
+    of the remaining submatrix. A matrix with a non-finite entry has rank 0
+    and never reaches the eigen-factorization.
     """
     a = np.asarray(a, dtype=float)
-    n = a.shape[-1]
-    d = np.sqrt(np.clip(np.diagonal(a, axis1=1, axis2=2), 0.0, None))
+    m, n = a.shape[0], a.shape[-1]
+    d = np.sqrt(np.maximum(a.diagonal(0, 1, 2), 0.0))
     zero = d <= 0
     scale = np.where(zero, 1.0, d)
     scale = scale[:, :, None] * scale[:, None, :]
     corr = _symmetrize(a / scale)
+    if n == 4:
+        inverse, certified = _cholesky_inverse(corr)
+    else:
+        inverse, certified = np.empty_like(corr), np.zeros(m, dtype=bool)
+    rank = np.full(m, n)
+    if not certified.all():
+        rest = ~certified
+        inverse[rest], rank[rest] = _eigh_inverse(corr[rest], zero[rest])
+    return inverse / scale, rank
+
+
+def _cholesky_inverse(c: np.ndarray):
+    """(inverses, certified) of an (m, 4, 4) correlation stack, by Cholesky.
+
+    The stack is laid out as (4, 8, m), [C | I] with one (m,) array per
+    entry, and eliminated row by row: row j is divided by the square root of
+    its pivot and its outer product taken off the rows below. That leaves the
+    pivots on the diagonal of C, L^T above it, and L^-1 in place of I. Rows
+    that are not certified hold arbitrary values.
+    """
+    b = np.empty((4, 8, c.shape[0]))
+    b[:, :4] = c.transpose(1, 2, 0)
+    b[:, 4:] = _EYE
+    with np.errstate(all="ignore"):
+        for j in range(3):
+            row = b[j, j + 1 :]
+            row /= np.sqrt(b[j, j])
+            b[j + 1 :, j + 1 :] -= row[: 3 - j, None] * row
+        b[3, 4:] /= np.sqrt(b[3, 3])
+        certified = b[0, 0] * b[1, 1] * b[2, 2] * b[3, 3] > 4.0**4 * RANK_TOL
+        inv_l = np.ascontiguousarray(b[:, 4:].transpose(2, 0, 1))
+        return inv_l.swapaxes(1, 2) @ inv_l, certified
+
+
+def _eigh_inverse(corr: np.ndarray, zero: np.ndarray):
+    """(inverses, ranks) of a correlation stack by eigen-factorization.
+
+    The inverses are those of corr (not yet rescaled), NaN below full rank.
+    """
+    n = corr.shape[-1]
     # nearly every stack is regular: fix up only when needed
     if zero.any():
         corr[zero[:, :, None] | zero[:, None, :]] = 0.0
@@ -108,7 +167,7 @@ def invert_psd_stack(a: np.ndarray):
     rank = np.where(top[:, 0] > 0, np.sum(w > RANK_TOL * top, axis=1), 0)
     deficient = rank < n
     w[deficient] = 1.0  # any finite inverse; NaN-filled below
-    inverse = _symmetrize((q / w[:, None, :]) @ np.swapaxes(q, 1, 2)) / scale
+    inverse = _symmetrize((q / w[:, None, :]) @ np.swapaxes(q, 1, 2))
     inverse[deficient] = np.nan
     return inverse, rank
 

@@ -8,7 +8,7 @@ import pytest
 
 from snspec import estimation
 from snspec.errors import ConfigError
-from snspec.fisher import wishart_std
+from snspec.fisher import invert_psd_stack, wishart_std
 from snspec.model import SpectralParams, eval_psd
 from snspec.estimation import (
     SampleCovariance,
@@ -21,7 +21,7 @@ from snspec.estimation import (
     sample_covariance,
     var_k2,
 )
-from snspec.montecarlo import trial_spectrum
+from snspec.montecarlo import run_validation, trial_spectrum
 from snspec.profiles import REFERENCE_ACQUISITION
 from snspec.synthesis import AcquisitionConfig, Spectrum
 
@@ -245,6 +245,27 @@ class TestMleFitStack:
         np.testing.assert_array_equal(v_hat[[-3, -1]], [start[0], start[2]])
         assert not np.allclose(v_hat[-2], start[1], rtol=0.1)
         self.assert_same(fits, self.as_arrays(singles))
+
+    def test_rank_verdicts_through_the_solve_are_the_eigenvalue_verdicts(self, monkeypatch, eigh_verdict):
+        # every damped normal matrix the solve inverts, on the mixed stack and
+        # on a weak-line validate run, gets the rank the eigenvalue test gives
+        calls = []
+
+        def recording(a):
+            inverse, rank = invert_psd_stack(a)
+            calls.append((a.copy(), rank))
+            return inverse, rank
+
+        monkeypatch.setattr(estimation, "invert_psd_stack", recording)
+        nu, s_bar = self.mixed_stack()
+        n_iter = mle_fit_stack(nu, s_bar, WINDOW)[1]
+        assert n_iter[-3:].tolist() == [0, estimation._MAX_STEPS, 41]
+        weak_v = SpectralParams(s_ph=1.0, nu_l=42600.0, s_at=0.05, delta_nu=1000.0)
+        run_validation(weak_v, CFG, n_trials=20, master_seed=0, synthesis="gamma")
+        mats = np.concatenate([a for a, _ in calls])
+        ranks = np.concatenate([r for _, r in calls])
+        assert (ranks < 4).any()
+        np.testing.assert_array_equal(ranks, eigh_verdict(mats))
 
     def test_power_of_two_scale_keeps_the_bits(self):
         # a row whose start level is out of range is solved at the scale that

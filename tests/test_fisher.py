@@ -3,12 +3,15 @@
 import itertools
 import math
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.integrate import IntegrationWarning, quad
+from scipy.stats import random_correlation
 
 from snspec import fisher
+from snspec.config import load_config
 from snspec.errors import NumericalError
 from snspec.fisher import (
     error_propagation_covariance,
@@ -21,7 +24,10 @@ from snspec.fisher import (
     wishart_std,
 )
 from snspec.model import SpectralParams
+from snspec.scan import scan_grid
 from snspec.synthesis import AcquisitionConfig
+
+CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
 V = SpectralParams(s_ph=1.0, nu_l=42600.0, s_at=4.0, delta_nu=1000.0)
 CFG = AcquisitionConfig(
@@ -365,6 +371,103 @@ class TestInvertPsdStack:
         alone, alone_ranks = invert_psd_stack(mats[regular])
         assert alone_ranks.tolist() == [4] * regular.sum()
         np.testing.assert_array_equal(alone, inverses[regular], strict=True)
+
+    @staticmethod
+    def correlation(a):
+        """The correlation form invert_psd_stack factors, for positive diagonals."""
+        d = np.sqrt(np.diagonal(a, axis1=1, axis2=2))
+        c = a / (d[:, :, None] * d[:, None, :])
+        return 0.5 * (c + np.swapaxes(c, 1, 2))
+
+    @pytest.mark.parametrize(
+        "eigenvalues, seed", [((-0.5, -0.5, 2.5, 2.5), 4), ((-0.5, -0.5, 2.5, 2.5), 18), ((-0.5, 1.5, 1.5, 2.5), 1)]
+    )
+    def test_indefinite_matrix_is_never_certified(self, eigenvalues, seed, eigh_verdict):
+        # Q diag(eigenvalues) Q^T in correlation form keeps the signs of its
+        # eigenvalues, and |det| is far above the threshold. With two negative
+        # ones det > 0, so only the sign of the pivots rules it out: its first
+        # negative pivot is the third at seed 4 and the second at seed 18. With
+        # one, at seed 1, only the last pivot is negative, and so is det.
+        q = np.linalg.qr(np.random.default_rng(seed).normal(size=(4, 4)))[0]
+        a = q @ np.diag(eigenvalues) @ q.T
+        assert np.all(np.diag(a) > 0)
+        c = self.correlation(a[None])
+        w = np.linalg.eigvalsh(c[0])
+        assert np.sum(w < 0) == np.sum(np.array(eigenvalues) < 0)
+        assert abs(np.prod(w)) > 256 * fisher.RANK_TOL
+        assert not fisher._cholesky_inverse(c)[1][0]
+        inverse, rank = invert_psd_stack(c)
+        assert rank[0] == eigh_verdict(c)[0] < 4
+        assert np.all(np.isnan(inverse))
+
+    @pytest.mark.parametrize("ratio", [1e-8, 1e-10, 1e-11, 2e-12, 5e-13, 1e-14])
+    def test_rank_near_the_threshold_is_the_eigenvalue_verdict(self, ratio, eigh_verdict):
+        # a correlation matrix with eigenvalues (ratio l, 0.9, 1, l), l = 2.1 / (1 + ratio)
+        top = 2.1 / (1.0 + ratio)
+        c = random_correlation.rvs([ratio * top, 0.9, 1.0, top], random_state=np.random.default_rng(5))
+        w = np.linalg.eigvalsh(c)
+        assert w[0] / w[-1] == pytest.approx(ratio, rel=0.01)
+        inverse, rank = invert_psd_stack(c[None])
+        assert rank[0] == eigh_verdict(c[None])[0]
+        assert np.isnan(inverse).all() == (rank[0] < 4)
+
+    def test_random_gram_stacks(self, eigh_verdict):
+        # 4x4 Gram stacks, some nearly rank-deficient, in units spanning 12
+        # decades: every rank is the eigenvalue verdict, every certified row
+        # meets the backward-error bound of test_badly_scaled_but_regular,
+        # and no row depends on its neighbours
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+
+        @hypothesis.settings(deadline=None, derandomize=True, database=None, max_examples=60)
+        @hypothesis.given(seed=st.integers(0, 2**32 - 1), m=st.integers(1, 24), k=st.integers(1, 7))
+        def check(seed, m, k):
+            rng = np.random.default_rng(seed)
+            x = rng.normal(size=(m, 4, k))
+            x[:, 3] = x[:, 2] + 10.0 ** rng.uniform(-9, 0, size=(m, 1)) * x[:, 3]
+            d = 10.0 ** rng.uniform(-6, 6, size=(m, 4))
+            a = (x @ np.swapaxes(x, 1, 2)) * d[:, :, None] * d[:, None, :]
+            inverse, rank = invert_psd_stack(a)
+            np.testing.assert_array_equal(rank, eigh_verdict(a))
+            for i in np.flatnonzero(fisher._cholesky_inverse(self.correlation(a))[1]):
+                np.testing.assert_array_equal(inverse[i], inverse[i].T)
+                resid = np.abs(inverse[i] @ a[i] - np.eye(4))
+                assert np.all(resid <= 1e-12 * (np.abs(inverse[i]) @ np.abs(a[i])) + 1e-12)
+            for i in range(m):
+                alone, alone_rank = invert_psd_stack(a[i : i + 1])
+                np.testing.assert_array_equal(alone[0], inverse[i])
+                assert alone_rank[0] == rank[i]
+            order = rng.permutation(m)
+            shuffled, shuffled_rank = invert_psd_stack(a[order])
+            np.testing.assert_array_equal(shuffled, inverse[order])
+            np.testing.assert_array_equal(shuffled_rank, rank[order])
+
+        check()
+
+    @pytest.mark.parametrize("xi2", [1.0, 0.55])
+    def test_shipped_scan_stack_is_certified_and_matches_eigh(self, xi2, monkeypatch):
+        # every cell of the shipped 50x50 scan is certified, and its bound is
+        # within 1e-13 of the eigen-factorization's, relative to sqrt(g_ii g_jj)
+        cfg = load_config(CONFIG_DIR / "scan_reference.json")
+        seen = []
+
+        def recording(a):
+            seen.append(a)
+            return invert_psd_stack(a)
+
+        monkeypatch.setattr(fisher, "invert_psd_stack", recording)
+        scan_grid(cfg.scan.n_values, cfg.scan.p_values, cfg.instrument, cfg.acquisition, xi2)
+        (info,) = seen
+        assert info.shape == (2500, 4, 4)
+        c = self.correlation(info)
+        assert fisher._cholesky_inverse(c)[1].all()
+        gamma, rank = invert_psd_stack(info)
+        assert (rank == 4).all()
+        w, q = np.linalg.eigh(c)
+        d = np.sqrt(np.diagonal(info, axis1=1, axis2=2))
+        want = (q / w[:, None, :]) @ np.swapaxes(q, 1, 2) / (d[:, :, None] * d[:, None, :])
+        g = np.sqrt(np.diagonal(want, axis1=1, axis2=2))
+        assert np.max(np.abs(gamma - want) / (g[:, :, None] * g[:, None, :])) <= 1e-13
 
 
 class TestWishartStd:
