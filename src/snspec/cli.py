@@ -9,8 +9,8 @@ timestamp. Spectrum files are read and written only through io, which knows
 their CSV and JSON layouts.
 
 Exit codes: 0 success, 2 usage or config error (including a malformed
-spectrum file), 3 I/O error, 4 numerical failure (NumericalError, or any
-ValueError still uncaught).
+spectrum file), 3 I/O error, 4 numerical failure (NumericalError, any
+ValueError still uncaught, or a MemoryError: an array the host cannot hold).
 """
 from __future__ import annotations
 
@@ -24,7 +24,7 @@ import numpy as np
 from . import __version__
 from .config import RunConfig, check_seed, load_config
 from .errors import ConfigError, NumericalError
-from .estimation import k2, k4, mle_fit, var_k2
+from .estimation import fit_bins, k2, k4, mle_fit, var_k2
 from .fisher import fisher_integral, wishart_std
 from .io import (
     read_spectrum_csv,
@@ -40,11 +40,10 @@ from .scan import find_optimum, scan_grid
 __all__ = ["main"]
 
 
-def _provenance(cfg: RunConfig, seed: int, threads: int = 1) -> dict:
+def _provenance(cfg: RunConfig, seed: int) -> dict:
     return {
         "config": cfg.raw,
         "master_seed_used": seed,
-        "threads_used": threads,
         "version": __version__,
     }
 
@@ -53,6 +52,14 @@ def _outpath(args, cfg: RunConfig, name: str) -> str:
     out_dir = args.out if args.out is not None else cfg.out_dir
     os.makedirs(out_dir, exist_ok=True)
     return os.path.join(out_dir, name)
+
+
+def _fit_window(cfg: RunConfig) -> tuple[float, float]:
+    """The fit window, checked as validate checks it: too few coarse bins is a ConfigError."""
+    acq = cfg.acquisition
+    window = (acq.fit_lo, acq.fit_hi)
+    fit_bins(acq.coarse_grid(), window)
+    return window
 
 
 def _seed(args, cfg: RunConfig) -> int:
@@ -106,9 +113,8 @@ def cmd_fit(args) -> int:
 def cmd_validate(args) -> int:
     cfg = load_config(args.config)
     seed = _seed(args, cfg)
-    threads = args.threads if args.threads is not None else cfg.threads
     report = run_validation(
-        cfg.spectral_params(), cfg.acquisition, cfg.n_trials, seed, threads=threads, synthesis=cfg.synthesis
+        cfg.spectral_params(), cfg.acquisition, cfg.n_trials, seed, synthesis=cfg.synthesis
     )
     payload = {
         "gamma_exp": report.gamma_exp.tolist(),
@@ -124,7 +130,7 @@ def cmd_validate(args) -> int:
         "synthesis": report.synthesis,
         "n_eff": report.n_eff,
         "window_hz": list(report.window),
-        **_provenance(cfg, seed, threads),
+        **_provenance(cfg, seed),
     }
     path = _outpath(args, cfg, "validate.json")
     write_json(path, payload)
@@ -138,9 +144,7 @@ def cmd_validate(args) -> int:
 def cmd_crb(args) -> int:
     cfg = load_config(args.config)
     acq = cfg.acquisition
-    result = fisher_integral(
-        cfg.spectral_params(), (acq.fit_lo, acq.fit_hi), acq.coarse_spacing, acq.n_eff
-    )
+    result = fisher_integral(cfg.spectral_params(), _fit_window(cfg), acq.coarse_spacing, acq.n_eff)
     if result.gamma_th is None:
         raise NumericalError("information matrix is singular for this model")
     sigma = wishart_std(result.gamma_th, cfg.n_trials)
@@ -174,6 +178,7 @@ def cmd_scan(args) -> int:
             "config.model: scan requires 'conditions' with an instrument, "
             "not direct spectral parameters"
         )
+    _fit_window(cfg)
     sg = scan_grid(spec.n_values, spec.p_values, cfg.instrument, cfg.acquisition, spec.xi2)
     csv_path = _outpath(args, cfg, "scan.csv")
     write_scan_csv(csv_path, sg)
@@ -237,15 +242,13 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     # each command takes only the flags that change what it writes
-    def common(p, seed=False, threads=False):
+    def common(p, seed=False):
         p.add_argument("--config", required=True, help="JSON run configuration")
         p.add_argument("--out", default=None, help="override output.directory")
         if seed:
             p.add_argument(
                 "--seed", type=int, default=None, help="override monte_carlo.master_seed"
             )
-        if threads:
-            p.add_argument("--threads", type=int, default=None, help="override monte_carlo.threads")
 
     p = sub.add_parser("synth", help="write one synthetic averaged spectrum")
     common(p, seed=True)
@@ -257,7 +260,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_fit)
 
     p = sub.add_parser("validate", help="Monte Carlo covariance vs theory")
-    common(p, seed=True, threads=True)
+    common(p, seed=True)
     p.set_defaults(func=cmd_validate)
 
     p = sub.add_parser("crb", help="covariance bound for the configured model")
@@ -286,9 +289,10 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return 3
-    except (NumericalError, ValueError) as exc:
+    except (NumericalError, ValueError, MemoryError) as exc:
         # a ValueError that no layer turned into a ConfigError is a numerical
-        # failure, such as a forward model that overflows
+        # failure, such as a forward model that overflows; so is a grid or
+        # record too large to allocate
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 4
 

@@ -39,7 +39,6 @@ class RunConfig:
     n_trials: int
     master_seed: int
     synthesis: str
-    threads: int
     scan: ScanSpec | None
     out_dir: str
     raw: dict[str, Any]
@@ -240,7 +239,6 @@ def config_from_dict(doc: dict[str, Any], origin: str = "config") -> RunConfig:
         m.take("master_seed", int, default=0), f"{origin}.monte_carlo.master_seed"
     )
     synthesis = m.take("synthesis", str, default="timeseries")
-    threads = m.take("threads", int, default=1)
     m.finish()
     if n_trials < 2:
         # validate forms a covariance and crb a Wishart spread from n_trials samples
@@ -249,8 +247,6 @@ def config_from_dict(doc: dict[str, Any], origin: str = "config") -> RunConfig:
         raise ConfigError(
             f"{origin}.monte_carlo.synthesis: {synthesis!r} is not one of {SYNTHESIS_ROUTES}"
         )
-    if threads < 1:
-        raise ConfigError(f"{origin}.monte_carlo.threads: must be at least 1")
 
     o = _Section(f"{origin}.output", out)
     out_dir = o.take("directory", str, default=".")
@@ -264,7 +260,6 @@ def config_from_dict(doc: dict[str, Any], origin: str = "config") -> RunConfig:
         n_trials=n_trials,
         master_seed=master_seed,
         synthesis=synthesis,
-        threads=threads,
         scan=_parse_scan(scan) if scan is not None else None,
         out_dir=out_dir,
         raw=doc,

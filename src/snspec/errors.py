@@ -3,6 +3,7 @@
 The CLI maps these onto process exit codes: ConfigError -> 2, OSError -> 3,
 NumericalError -> 4. Any other ValueError that reaches the CLI exits 4 too,
 except UnicodeDecodeError (an input file that is not text), which exits 2.
+A MemoryError (an array larger than the host can allocate) exits 4.
 """
 
 

@@ -19,8 +19,8 @@ reported instead of pseudo-inverted.
 
 The quadrature and the inverse work on stacks: `_outer_integral` integrates
 many parameter vectors at once, each on its own panels, and
-`invert_psd_stack` factors many 4x4 matrices at once by a Cholesky written as
-array operations, keeping an eigen-factorization for the matrices whose
+`invert_psd_stack` factors many n x n matrices at once by a Cholesky written
+as array operations, keeping an eigen-factorization for the matrices whose
 pivots do not certify full rank.
 `fisher_integral` and `invert_psd_matrix` are their one-item cases, and
 `integral_covariance_stack` is the bound of a whole stack (the (n, P) scan),
@@ -39,7 +39,6 @@ from .model import SpectralParams, grad_log_psd
 # Eigenvalues below RANK_TOL times the largest (on the correlation-equilibrated
 # matrix) count as zero for the rank check.
 RANK_TOL = 1e-12
-_EYE = np.eye(4)[:, :, None]
 
 
 @dataclass(frozen=True)
@@ -75,8 +74,8 @@ def invert_psd_matrix(a: np.ndarray):
     rank-deficient. The matrix is equilibrated to correlation form first, so
     badly mixed units (uV^2 vs Hz scales) do not masquerade as rank
     deficiency, and so both covariance routes agree to near machine
-    precision. A 4x4 correlation matrix whose Cholesky pivots certify full
-    rank is inverted through that factor; any other goes to an
+    precision. A correlation matrix whose Cholesky pivots certify full rank
+    is inverted through that factor; any other goes to an
     eigen-factorization (see invert_psd_stack). This is the one-matrix case
     of invert_psd_stack.
     """
@@ -91,23 +90,22 @@ def invert_psd_stack(a: np.ndarray):
 
     Returns (inverses, ranks): inverses has shape (m, n, n) and holds NaN for
     every matrix whose rank is below n. Each matrix is equilibrated to its
-    correlation form C (unit diagonal) and, at n = 4, factored by a Cholesky
-    written as array operations over the stack. A row is certified when the
-    product of its pivots, det C, exceeds n^n RANK_TOL. Every pivot is then
-    positive, so C is positive definite (Sylvester's criterion; a negative
-    pivot makes the later ones NaN or the product negative), and with
-    lambda_max <= tr C = n, lambda_min >= det C / lambda_max^(n-1) >
-    n RANK_TOL >= RANK_TOL lambda_max: the eigenvalue test below would find
-    full rank too. A certified row is inverted as L^-T L^-1.
+    correlation form C (unit diagonal) and factored by a Cholesky written as
+    array operations over the stack. A row is certified when the product of
+    its pivots, det C, exceeds n^n RANK_TOL. Every pivot is then positive,
+    so C is positive definite (Sylvester's criterion; a negative pivot makes
+    the later ones NaN or the product negative), and with lambda_max <=
+    tr C = n, lambda_min >= det C / lambda_max^(n-1) > n RANK_TOL >=
+    RANK_TOL lambda_max: the eigenvalue test below would find full rank too.
+    A certified row is inverted as L^-T L^-1.
 
-    Every other row, and every row of a stack with n != 4, goes to the
-    eigen-factorization, with the same bits and rank as on its own. That
-    covers zero diagonals, non-finite entries, and rank-deficient or
-    near-singular rows. A zero diagonal entry of a PSD matrix means its whole
-    row and column are zero; those rows and columns stay zero in the
-    correlation form, so they add only zero eigenvalues and the rank is that
-    of the remaining submatrix. A matrix with a non-finite entry has rank 0
-    and never reaches the eigen-factorization.
+    Every other row goes to the eigen-factorization, with the same bits and
+    rank as on its own. That covers zero diagonals, non-finite entries, and
+    rank-deficient or near-singular rows. A zero diagonal entry of a PSD
+    matrix means its whole row and column are zero; those rows and columns
+    stay zero in the correlation form, so they add only zero eigenvalues and
+    the rank is that of the remaining submatrix. A matrix with a non-finite
+    entry has rank 0 and never reaches the eigen-factorization.
     """
     a = np.asarray(a, dtype=float)
     m, n = a.shape[0], a.shape[-1]
@@ -116,10 +114,7 @@ def invert_psd_stack(a: np.ndarray):
     scale = np.where(zero, 1.0, d)
     scale = scale[:, :, None] * scale[:, None, :]
     corr = _symmetrize(a / scale)
-    if n == 4:
-        inverse, certified = _cholesky_inverse(corr)
-    else:
-        inverse, certified = np.empty_like(corr), np.zeros(m, dtype=bool)
+    inverse, certified = _cholesky_inverse(corr)
     rank = np.full(m, n)
     if not certified.all():
         rest = ~certified
@@ -128,25 +123,28 @@ def invert_psd_stack(a: np.ndarray):
 
 
 def _cholesky_inverse(c: np.ndarray):
-    """(inverses, certified) of an (m, 4, 4) correlation stack, by Cholesky.
+    """(inverses, certified) of an (m, n, n) correlation stack, by Cholesky.
 
-    The stack is laid out as (4, 8, m), [C | I] with one (m,) array per
+    The stack is laid out as (n, 2n, m), [C | I] with one (m,) array per
     entry, and eliminated row by row: row j is divided by the square root of
     its pivot and its outer product taken off the rows below. That leaves the
     pivots on the diagonal of C, L^T above it, and L^-1 in place of I. Rows
     that are not certified hold arbitrary values.
     """
-    b = np.empty((4, 8, c.shape[0]))
-    b[:, :4] = c.transpose(1, 2, 0)
-    b[:, 4:] = _EYE
+    n = c.shape[-1]
+    b = np.empty((n, 2 * n, c.shape[0]))
+    b[:, :n] = c.transpose(1, 2, 0)
+    b[:, n:] = np.eye(n)[:, :, None]
     with np.errstate(all="ignore"):
-        for j in range(3):
+        for j in range(n):
             row = b[j, j + 1 :]
             row /= np.sqrt(b[j, j])
-            b[j + 1 :, j + 1 :] -= row[: 3 - j, None] * row
-        b[3, 4:] /= np.sqrt(b[3, 3])
-        certified = b[0, 0] * b[1, 1] * b[2, 2] * b[3, 3] > 4.0**4 * RANK_TOL
-        inv_l = np.ascontiguousarray(b[:, 4:].transpose(2, 0, 1))
+            b[j + 1 :, j + 1 :] -= row[: n - 1 - j, None] * row
+        det = b[0, 0]
+        for j in range(1, n):
+            det = det * b[j, j]
+        certified = det > float(n) ** n * RANK_TOL
+        inv_l = np.ascontiguousarray(b[:, n:].transpose(2, 0, 1))
         return inv_l.swapaxes(1, 2) @ inv_l, certified
 
 
@@ -186,6 +184,12 @@ def _result(info, n_eff, nu_t, window, method) -> FisherResult:
     )
 
 
+def _gram(v: SpectralParams, bins: np.ndarray) -> np.ndarray:
+    """G^T G for the log-spectrum gradient G on the bins, not yet symmetrized."""
+    g = grad_log_psd(v, bins)
+    return g.T @ g
+
+
 def fisher_discrete(v: SpectralParams, bins, n_eff: float) -> FisherResult:
     """Fisher information from an explicit list of fitted bin frequencies."""
     bins = np.asarray(bins, dtype=float)
@@ -193,8 +197,7 @@ def fisher_discrete(v: SpectralParams, bins, n_eff: float) -> FisherResult:
         raise ValueError("bins must be a nonempty 1-D frequency array")
     if n_eff < 1:
         raise ValueError(f"n_eff must be >= 1, got {n_eff}")
-    g = grad_log_psd(v, bins)
-    info = (n_eff + 2.0) * (g.T @ g)
+    info = (n_eff + 2.0) * _gram(v, bins)
     spacing = float(np.median(np.diff(bins))) if bins.size > 1 else 0.0
     return _result(info, n_eff, spacing, (bins[0], bins[-1]), "discrete-sum")
 
@@ -314,9 +317,7 @@ def error_propagation_covariance(v: SpectralParams, bins, n_eff: float) -> np.nd
         raise ValueError("bins must be a 1-D frequency array with >= 4 entries")
     if n_eff < 1:
         raise ValueError(f"n_eff must be >= 1, got {n_eff}")
-    ell = grad_log_psd(v, bins)
-    m = _symmetrize(ell.T @ ell)
-    m_inv, rank = invert_psd_matrix(m)
+    m_inv, rank = invert_psd_matrix(_symmetrize(_gram(v, bins)))
     if m_inv is None:
         raise NumericalError(
             f"design matrix is rank-deficient (rank {rank} of 4); "

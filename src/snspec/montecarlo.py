@@ -9,16 +9,13 @@ estimator; the report carries all four matrices so nothing has to be rerun to
 inspect a discrepancy.
 
 Seeding contract: trial k draws from numpy's default_rng seeded with
-(master_seed, k). Results are therefore independent of execution order and of
-the thread count, and any single trial can be replayed in isolation. The
-trials are synthesized as one (n_trials, K) stack and fitted in one stacked
-solve, each bit for bit as if alone. Threads are known here alone: each
-worker synthesizes one contiguous slice of the seeds, and the slices are
-concatenated in order.
+(master_seed, k). Results are therefore independent of execution order, and
+any single trial can be replayed in isolation. The trials are synthesized as
+one serial (n_trials, K) array program and fitted in one stacked solve, each
+bit for bit as if alone.
 """
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -61,17 +58,15 @@ class ValidationReport:
 
 
 def trial_spectra(
-    v: SpectralParams, cfg: AcquisitionConfig, seeds, synthesis: str = "timeseries", threads: int = 1
+    v: SpectralParams, cfg: AcquisitionConfig, seeds, synthesis: str = "timeseries"
 ) -> np.ndarray:
     """Synthetic averaged spectra by either route, one row of bin means per
     seed: a (len(seeds), K) array.
 
     "timeseries" runs the physical pipeline: n_ave Gaussian records, a
     periodogram each, average, coarse-grain. "gamma" draws the averaged bins
-    directly from their exact sampling law. threads > 1 gives each of up to
-    that many workers one contiguous slice of the seeds, without changing a
-    bit; threads < 1 is a ConfigError. The finished stack must be finite and
-    nonnegative.
+    directly from their exact sampling law. The finished stack must be finite
+    and nonnegative.
     """
     if synthesis == "gamma":
         stack = sample_periodogram_exact_stack
@@ -79,16 +74,7 @@ def trial_spectra(
         stack = timeseries_periodogram_stack
     else:
         raise ConfigError(f"unknown synthesis route {synthesis!r}; known: {SYNTHESIS_ROUTES}")
-    if threads < 1:
-        raise ConfigError(f"threads must be at least 1, got {threads}")
-    workers = min(threads, len(seeds))
-    if workers <= 1:
-        s_bar = stack(v, cfg, seeds)
-    else:
-        cuts = [len(seeds) * i // workers for i in range(workers + 1)]
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = pool.map(lambda a, b: stack(v, cfg, seeds[a:b]), cuts[:-1], cuts[1:])
-            s_bar = np.concatenate(list(parts))
+    s_bar = stack(v, cfg, seeds)
     if not (np.isfinite(s_bar).all() and (s_bar >= 0.0).all()):
         raise NumericalError("synthesized spectra hold a non-finite or negative bin")
     return s_bar
@@ -106,18 +92,17 @@ def run_validation(
     cfg: AcquisitionConfig,
     n_trials: int,
     master_seed: int,
-    threads: int = 1,
     synthesis: str = "timeseries",
 ) -> ValidationReport:
     """Synthesize and fit n_trials spectra, then compare scatter to theory.
 
-    One trial_spectra stack holds the spectra, synthesized on threads
-    workers. One mle_fit_stack call fits them all. Trials whose fit
-    does not converge count as failures, excluded from the covariance; the
-    report flags the count rather than raising, since a rare non-convergence
-    is a property of the data, not a tool fault. A fit window with too few
-    bins raises ConfigError and a singular information matrix NumericalError,
-    both before any trial is synthesized.
+    One trial_spectra stack holds the spectra, and one mle_fit_stack call
+    fits them all. Trials whose fit does not converge count as failures,
+    excluded from the covariance; the report flags the count rather than
+    raising, since a rare non-convergence is a property of the data, not a
+    tool fault. A fit window with too few bins raises ConfigError and a
+    singular information matrix NumericalError, both before any trial is
+    synthesized.
     """
     if n_trials < 2:
         raise ConfigError(f"n_trials must be at least 2, got {n_trials}")
@@ -129,7 +114,7 @@ def run_validation(
         raise NumericalError("information matrix is singular for this model: no bound to test")
 
     seeds = [(master_seed, k) for k in range(n_trials)]
-    s_bar = trial_spectra(v, cfg, seeds, synthesis, threads)
+    s_bar = trial_spectra(v, cfg, seeds, synthesis)
     v_hat, _, converged = mle_fit_stack(nu, s_bar, window)
 
     good = v_hat[converged]

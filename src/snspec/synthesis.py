@@ -11,8 +11,8 @@ count n_eff of raw periodogram values behind each bin (1 for a raw
 periodogram). Averaging records or coarse-graining bins multiplies n_eff.
 Each route's stack function draws one averaged spectrum per seed into an
 array row, computing what is constant per run once, with the same bits.
-The stacks are plain row loops that know nothing of threads, and inside
-them a record is an array; synthesize_timeseries alone builds a TimeSeries.
+The stacks are plain serial row loops, and inside them a record is an
+array; synthesize_timeseries alone builds a TimeSeries.
 
 Conventions, fixed across the package:
   - one-sided PSD, S(nu) = 2*delta*|DFT|^2 / M in uV^2/Hz, so the PSD sums

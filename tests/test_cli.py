@@ -21,6 +21,7 @@ from snspec.fisher import wishart_std
 from snspec.io import read_scan_csv, read_spectrum_csv
 from snspec.profiles import REFERENCE_ACQUISITION, REFERENCE_INSTRUMENT
 from snspec.scan import scan_grid
+from snspec.synthesis import AcquisitionConfig
 
 TRUTH = {"s_ph": 1.0, "nu_l": 42600.0, "s_at": 4.0, "delta_nu": 1000.0}
 
@@ -80,11 +81,12 @@ def negate_psd(rows):
 
 
 def test_import_does_not_load_scipy():
-    # the runtime needs numpy only; scipy is a test dependency
+    # the runtime needs numpy only; scipy is a test dependency. Validate is
+    # one serial array program, so no thread pool is loaded either
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(snspec.__file__)))
-    code = "import sys, snspec.cli; print('scipy' in sys.modules)"
+    code = "import sys, snspec.cli; print('scipy' in sys.modules, 'concurrent.futures' in sys.modules)"
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "False"
+    assert out.stdout.strip() == "False False"
 
 
 class TestSynth:
@@ -221,15 +223,6 @@ class TestValidate:
         assert a["gamma_th"] == b["gamma_th"]
         assert a["master_seed_used"] == 1
 
-    def test_thread_flag_keeps_bits(self, tmp_path):
-        cfg = write_config(tmp_path, BASE)
-        run("validate", "--config", cfg, "--out", tmp_path / "a")
-        run("validate", "--config", cfg, "--threads", 3, "--out", tmp_path / "b")
-        a = json.loads((tmp_path / "a" / "validate.json").read_text())
-        b = json.loads((tmp_path / "b" / "validate.json").read_text())
-        assert a["gamma_exp"] == b["gamma_exp"]
-        assert b["threads_used"] == 3
-
     def test_weak_line_overflow_counts_a_failure(self, tmp_path):
         # trial 94 of the first 100 gamma-route fits at seed 0 is still
         # going at the step limit; its fit reports converged=False and the
@@ -252,9 +245,14 @@ class TestValidate:
         assert "singular" in capsys.readouterr().err
         assert not (tmp_path / "v" / "validate.json").exists()
 
-    def test_zero_threads_rejected(self, tmp_path):
-        cfg = write_config(tmp_path, BASE)
-        assert run("validate", "--config", cfg, "--threads", 0) == 2
+    def test_threads_key_is_rejected(self, tmp_path, capsys):
+        body = copy.deepcopy(BASE)
+        body["monte_carlo"]["threads"] = 1
+        cfg = write_config(tmp_path, body)
+        assert run("validate", "--config", cfg, "--out", tmp_path / "v") == 2
+        err = capsys.readouterr().err
+        assert "monte_carlo: unknown key(s) 'threads'; known keys: master_seed, n_trials, synthesis" in err
+        assert not (tmp_path / "v").exists()
 
 
 class TestParserReuse:
@@ -266,7 +264,7 @@ class TestParserReuse:
         assert run("synth", "--config", cfg, "--out", tmp_path / "in") == 0
         spectrum = tmp_path / "in" / "spectrum.csv"
         assert run("fit", spectrum, "--config", cfg, "--out", tmp_path / "A") == 0
-        assert run("validate", "--config", cfg, "--threads", 0) == 2
+        assert run("validate", "--config", cfg, "--seed", -1) == 2
         assert run("synth", "--config", cfg, "--seed", 5, "--out", tmp_path / "s5") == 0
         assert run("synth", "--config", cfg, "--out", tmp_path / "s") == 0
         assert run("fit", spectrum, "--config", cfg, "--out", tmp_path / "B") == 0
@@ -308,6 +306,22 @@ class TestUsageChecks:
         assert run("validate", "--config", cfg, "--out", tmp_path / "v") == 2
         assert capsys.readouterr().err == "error: fit window holds 5 bins, need at least 8\n"
         assert not (tmp_path / "v").exists()
+
+    @pytest.mark.parametrize("command", ["crb", "scan"])
+    def test_window_without_coarse_bins_exits_before_any_work(self, tmp_path, capsys, monkeypatch, command):
+        # bins of 100000 raw steps (20 kHz) leave the reference record no
+        # coarse bin at all, the same window validate rejects
+        def no_work(*args, **kwargs):
+            raise AssertionError("the bound was evaluated")
+
+        monkeypatch.setattr("snspec.cli.fisher_integral", no_work)
+        monkeypatch.setattr("snspec.cli.scan_grid", no_work)
+        body = copy.deepcopy(SCAN if command == "scan" else BASE)
+        body["acquisition"] = dict(body["acquisition"], n_bin=100000)
+        cfg = write_config(tmp_path, body)
+        assert run(command, "--config", cfg, "--out", tmp_path / "o") == 2
+        assert capsys.readouterr().err == "error: fit window holds 0 bins, need at least 8\n"
+        assert not (tmp_path / "o").exists()
 
 
 class TestCrb:
@@ -435,6 +449,19 @@ class TestErrorPaths:
     def test_missing_config_file(self, tmp_path):
         assert run("synth", "--config", tmp_path / "none.json") == 3
 
+    def test_memory_error_exits_numerical(self, tmp_path, capsys, monkeypatch):
+        # a grid the host refuses to allocate (t_total_s 1e7 asks for 2e12
+        # bins) exits 4 like any numerical failure; the refusal is simulated,
+        # so nothing large is ever allocated
+        def refused(self):
+            raise MemoryError("Unable to allocate 7.28 TiB for an array with shape (999999999999,)")
+
+        monkeypatch.setattr(AcquisitionConfig, "raw_grid", refused)
+        cfg = write_config(tmp_path, BASE)
+        assert run("synth", "--config", cfg, "--out", tmp_path / "o") == 4
+        assert capsys.readouterr().err.startswith("numerical failure: Unable to allocate")
+        assert not (tmp_path / "o").exists()
+
     def test_undecodable_file_is_a_config_error(self, tmp_path):
         # UnicodeDecodeError is a ValueError, yet not a numerical failure
         cfg = write_config(tmp_path, BASE)
@@ -477,6 +504,7 @@ class TestErrorPaths:
         [
             ["scan", "--threads", "2"],
             ["synth", "--threads", "2"],
+            ["validate", "--threads", "2"],
             ["crb", "--seed", "5"],
             ["fit", "spectrum.csv", "--format", "csv"],
             ["validate", "--format", "json"],
@@ -486,6 +514,7 @@ class TestErrorPaths:
         ids=[
             "scan-threads",
             "synth-threads",
+            "validate-threads",
             "crb-seed",
             "fit-format",
             "validate-format",

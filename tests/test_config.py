@@ -27,7 +27,6 @@ FULL = {
         "n_trials": 100,
         "master_seed": 7,
         "synthesis": "gamma",
-        "threads": 2,
     },
     "scan": {
         "n_min_per_cm3": 1e12,
@@ -93,7 +92,6 @@ class TestFullDocument:
         cfg = config_from_dict(FULL)
         assert (cfg.n_trials, cfg.master_seed) == (100, 7)
         assert cfg.synthesis == "gamma"
-        assert cfg.threads == 2
         assert cfg.out_dir == "results"
         assert cfg.raw == FULL
 
@@ -212,8 +210,6 @@ class TestTypesAndValues:
         with pytest.raises(ConfigError, match="n_trials: must be at least 2"):
             config_from_dict(doc(monte_carlo__n_trials=1))
         with pytest.raises(ConfigError):
-            config_from_dict(doc(monte_carlo__threads=0))
-        with pytest.raises(ConfigError):
             config_from_dict(doc(scan__n_points=0))
         # range errors of the model constructors name their config section
         with pytest.raises(ConfigError, match="config.model.conditions"):
@@ -240,7 +236,6 @@ class TestDefaultsAndSections:
         assert cfg.n_trials == 100
         assert cfg.master_seed == 0
         assert cfg.synthesis == "timeseries"
-        assert cfg.threads == 1
         assert cfg.out_dir == "."
         assert cfg.scan is None
 
