@@ -145,7 +145,7 @@ def cmd_crb(args) -> int:
     cfg = load_config(args.config)
     acq = cfg.acquisition
     result = fisher_integral(cfg.spectral_params(), _fit_window(cfg), acq.coarse_spacing, acq.n_eff)
-    if result.gamma_th is None:
+    if result.rank < 4:
         raise NumericalError("information matrix is singular for this model")
     sigma = wishart_std(result.gamma_th, cfg.n_trials)
     payload = {
@@ -210,16 +210,18 @@ def cmd_kstats(args) -> int:
         raise ConfigError(f"{args.sample}: could not parse sample values ({exc})") from exc
     if x.ndim != 1:
         raise ConfigError(f"{args.sample}: expected one value per line")
-    try:
-        payload = {
-            "n_samples": int(x.size),
-            "k2": k2(x),
-            "k4": k4(x),
-            "var_k2": var_k2(x),
-            "version": __version__,
-        }
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    # extreme values overflow to inf or NaN, which kstats.json writes as null
+    with np.errstate(over="ignore", invalid="ignore"):
+        try:
+            payload = {
+                "n_samples": int(x.size),
+                "k2": k2(x),
+                "k4": k4(x),
+                "var_k2": var_k2(x),
+                "version": __version__,
+            }
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
     out_dir = args.out if args.out is not None else "."
     os.makedirs(out_dir, exist_ok=True)
     path = os.path.join(out_dir, "kstats.json")

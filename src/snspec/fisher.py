@@ -22,9 +22,10 @@ many parameter vectors at once, each on its own panels, and
 `invert_psd_stack` factors many n x n matrices at once by a Cholesky written
 as array operations, keeping an eigen-factorization for the matrices whose
 pivots do not certify full rank.
-`fisher_integral` and `invert_psd_matrix` are their one-item cases, and
 `integral_covariance_stack` is the bound of a whole stack (the (n, P) scan),
-equal bit for bit to `fisher_integral` cell by cell.
+and `fisher_integral` is its one-row slice, equal to it bit for bit. Every
+bound is a row of an `invert_psd_stack` call, and NaN is the one way a bound
+says that the information is singular.
 """
 
 from __future__ import annotations
@@ -43,10 +44,10 @@ RANK_TOL = 1e-12
 
 @dataclass(frozen=True)
 class FisherResult:
-    """Information matrix and, when it is invertible, the covariance bound.
+    """Information matrix and the covariance bound.
 
     info     : 4x4 Fisher information matrix (exactly symmetric)
-    gamma_th : 4x4 covariance lower bound info^-1, or None if info is singular
+    gamma_th : 4x4 covariance lower bound info^-1, NaN where info is singular
     rank     : numerical rank of info
     n_eff    : statistical average count per fitted bin
     nu_t     : frequency spacing of the fitted grid, Hz
@@ -55,7 +56,7 @@ class FisherResult:
     """
 
     info: np.ndarray
-    gamma_th: np.ndarray | None
+    gamma_th: np.ndarray
     rank: int
     n_eff: float
     nu_t: float
@@ -67,37 +68,20 @@ def _symmetrize(a: np.ndarray) -> np.ndarray:
     return 0.5 * (a + a.swapaxes(-1, -2))
 
 
-def invert_psd_matrix(a: np.ndarray):
-    """Invert a symmetric positive-semidefinite matrix with a rank check.
-
-    Returns (inverse, rank); inverse is None when the matrix is numerically
-    rank-deficient. The matrix is equilibrated to correlation form first, so
-    badly mixed units (uV^2 vs Hz scales) do not masquerade as rank
-    deficiency, and so both covariance routes agree to near machine
-    precision. A correlation matrix whose Cholesky pivots certify full rank
-    is inverted through that factor; any other goes to an
-    eigen-factorization (see invert_psd_stack). This is the one-matrix case
-    of invert_psd_stack.
-    """
-    a = np.asarray(a, dtype=float)
-    inverse, rank = invert_psd_stack(a[None])
-    rank = int(rank[0])
-    return (inverse[0] if rank == a.shape[0] else None), rank
-
-
 def invert_psd_stack(a: np.ndarray):
-    """invert_psd_matrix over a stack of matrices with shape (m, n, n).
+    """Invert a stack of symmetric positive-semidefinite matrices, (m, n, n).
 
     Returns (inverses, ranks): inverses has shape (m, n, n) and holds NaN for
-    every matrix whose rank is below n. Each matrix is equilibrated to its
-    correlation form C (unit diagonal) and factored by a Cholesky written as
-    array operations over the stack. A row is certified when the product of
-    its pivots, det C, exceeds n^n RANK_TOL. Every pivot is then positive,
-    so C is positive definite (Sylvester's criterion; a negative pivot makes
-    the later ones NaN or the product negative), and with lambda_max <=
-    tr C = n, lambda_min >= det C / lambda_max^(n-1) > n RANK_TOL >=
-    RANK_TOL lambda_max: the eigenvalue test below would find full rank too.
-    A certified row is inverted as L^-T L^-1.
+    every matrix whose rank is below n; one matrix is the stack a[None]. Each
+    is equilibrated to its correlation form C (unit diagonal), so mixed units
+    (uV^2 vs Hz) do not masquerade as rank deficiency, and C is factored by a
+    Cholesky as array operations over the stack. A row is certified when the
+    product of its pivots, det C, exceeds n^n RANK_TOL. Every pivot is then
+    positive, so C is positive definite (Sylvester's criterion; a negative
+    pivot makes the later ones NaN or the product negative), and with
+    lambda_max <= tr C = n, lambda_min >= det C / lambda_max^(n-1) >
+    n RANK_TOL >= RANK_TOL lambda_max: the eigenvalue test below would find
+    full rank too. A certified row is inverted as L^-T L^-1.
 
     Every other row goes to the eigen-factorization, with the same bits and
     rank as on its own. That covers zero diagonals, non-finite entries, and
@@ -154,12 +138,8 @@ def _eigh_inverse(corr: np.ndarray, zero: np.ndarray):
     The inverses are those of corr (not yet rescaled), NaN below full rank.
     """
     n = corr.shape[-1]
-    # nearly every stack is regular: fix up only when needed
-    if zero.any():
-        corr[zero[:, :, None] | zero[:, None, :]] = 0.0
-    bad = ~np.isfinite(corr).all(axis=(1, 2))
-    if bad.any():
-        corr[bad] = 0.0
+    corr[zero[:, :, None] | zero[:, None, :]] = 0.0
+    corr[~np.isfinite(corr).all(axis=(1, 2))] = 0.0
     w, q = np.linalg.eigh(corr)
     top = w[:, -1:]
     rank = np.where(top[:, 0] > 0, np.sum(w > RANK_TOL * top, axis=1), 0)
@@ -171,12 +151,12 @@ def _eigh_inverse(corr: np.ndarray, zero: np.ndarray):
 
 
 def _result(info, n_eff, nu_t, window, method) -> FisherResult:
-    info = _symmetrize(info)
-    gamma, rank = invert_psd_matrix(info)
+    """FisherResult of a symmetric info, inverted as a one-row stack."""
+    gamma, rank = invert_psd_stack(info[None])
     return FisherResult(
         info=info,
-        gamma_th=gamma,
-        rank=rank,
+        gamma_th=gamma[0],
+        rank=int(rank[0]),
         n_eff=float(n_eff),
         nu_t=float(nu_t),
         window=(float(window[0]), float(window[1])),
@@ -197,7 +177,7 @@ def fisher_discrete(v: SpectralParams, bins, n_eff: float) -> FisherResult:
         raise ValueError("bins must be a nonempty 1-D frequency array")
     if n_eff < 1:
         raise ValueError(f"n_eff must be >= 1, got {n_eff}")
-    info = (n_eff + 2.0) * _gram(v, bins)
+    info = _symmetrize((n_eff + 2.0) * _gram(v, bins))
     spacing = float(np.median(np.diff(bins))) if bins.size > 1 else 0.0
     return _result(info, n_eff, spacing, (bins[0], bins[-1]), "discrete-sum")
 
@@ -260,7 +240,8 @@ def _outer_integral(theta: np.ndarray, lo: float, hi: float) -> np.ndarray:
     return total
 
 
-def _check_integral_args(window, nu_t, n_eff):
+def _integral_info(theta, window, nu_t: float, n_eff: float) -> np.ndarray:
+    """The symmetric integral-form information of each row of theta, after the argument checks."""
     lo, hi = float(window[0]), float(window[1])
     if not (0 <= lo < hi):
         raise ValueError(f"window must satisfy 0 <= lo < hi, got ({lo}, {hi})")
@@ -268,7 +249,11 @@ def _check_integral_args(window, nu_t, n_eff):
         raise ValueError(f"nu_t must be > 0, got {nu_t}")
     if n_eff < 1:
         raise ValueError(f"n_eff must be >= 1, got {n_eff}")
-    return lo, hi
+    theta = np.asarray(theta, dtype=float)
+    info = np.empty((theta.shape[0], 4, 4))
+    for s in range(0, theta.shape[0], _BLOCK_CELLS):
+        info[s : s + _BLOCK_CELLS] = _outer_integral(theta[s : s + _BLOCK_CELLS], lo, hi)
+    return _symmetrize((n_eff + 2.0) / nu_t * info)
 
 
 def fisher_integral(
@@ -279,11 +264,11 @@ def fisher_integral(
     nu_t is the spacing of the fitted grid; the information is
     (n_eff + 2) / nu_t times the window integral of the log-gradient outer
     product. Agrees with fisher_discrete on the same window once the
-    linewidth spans many grid steps.
+    linewidth spans many grid steps. The one-row case of
+    integral_covariance_stack.
     """
-    lo, hi = _check_integral_args(window, nu_t, n_eff)
-    info = (n_eff + 2.0) / nu_t * _outer_integral(v.as_array()[None], lo, hi)[0]
-    return _result(info, n_eff, nu_t, (lo, hi), "integral")
+    info = _integral_info(v.as_array()[None], window, nu_t, n_eff)[0]
+    return _result(info, n_eff, nu_t, window, "integral")
 
 
 def integral_covariance_stack(
@@ -296,12 +281,7 @@ def integral_covariance_stack(
     cell whose information is singular. Each bound equals
     fisher_integral(...).gamma_th bit for bit.
     """
-    lo, hi = _check_integral_args(window, nu_t, n_eff)
-    theta = np.asarray(theta, dtype=float)
-    info = np.empty((theta.shape[0], 4, 4))
-    for s in range(0, theta.shape[0], _BLOCK_CELLS):
-        info[s : s + _BLOCK_CELLS] = _outer_integral(theta[s : s + _BLOCK_CELLS], lo, hi)
-    return invert_psd_stack(_symmetrize((n_eff + 2.0) / nu_t * info))[0]
+    return invert_psd_stack(_integral_info(theta, window, nu_t, n_eff))[0]
 
 
 def error_propagation_covariance(v: SpectralParams, bins, n_eff: float) -> np.ndarray:
@@ -317,13 +297,13 @@ def error_propagation_covariance(v: SpectralParams, bins, n_eff: float) -> np.nd
         raise ValueError("bins must be a 1-D frequency array with >= 4 entries")
     if n_eff < 1:
         raise ValueError(f"n_eff must be >= 1, got {n_eff}")
-    m_inv, rank = invert_psd_matrix(_symmetrize(_gram(v, bins)))
-    if m_inv is None:
+    m_inv, rank = invert_psd_stack(_symmetrize(_gram(v, bins))[None])
+    if rank[0] < 4:
         raise NumericalError(
-            f"design matrix is rank-deficient (rank {rank} of 4); "
+            f"design matrix is rank-deficient (rank {rank[0]} of 4); "
             "covariance undefined in the null directions"
         )
-    return m_inv / n_eff
+    return m_inv[0] / n_eff
 
 
 def wishart_std(gamma_th: np.ndarray, n_samples: int) -> np.ndarray:

@@ -7,13 +7,15 @@ knows either layout. Readers report a malformed file as a ConfigError.
 Both CSV tables are written by one % formatting pass over all rows and read
 back by np.loadtxt. Floats are written with repr-exact precision (%.17g) so
 every emitted file re-ingests bit-identically; writers emit LF newlines and
-sorted JSON keys so identical inputs give byte-identical files.
+sorted JSON keys so identical inputs give byte-identical files. JSON files
+hold no NaN or Infinity, which RFC 8259 lacks: a non-finite float is null.
 """
 from __future__ import annotations
 
 import csv
 import io
 import json
+import math
 from typing import Any
 
 import numpy as np
@@ -130,9 +132,19 @@ def read_scan_csv(path):
     return n_values, p_values, surfaces
 
 
+def _finite(x):
+    """x with every non-finite float as None: RFC 8259 JSON has no NaN or Infinity."""
+    if isinstance(x, dict):
+        return {key: _finite(value) for key, value in x.items()}
+    if isinstance(x, (list, tuple)):
+        return [_finite(value) for value in x]
+    return None if isinstance(x, float) and not math.isfinite(x) else x
+
+
 def write_json(path, payload: dict[str, Any]) -> None:
+    """payload as sorted, indented JSON; a non-finite float is written as null."""
     with open(path, "w", newline="\n") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
+        json.dump(_finite(payload), fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")
 
 

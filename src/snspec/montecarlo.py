@@ -109,8 +109,8 @@ def run_validation(
     window = (cfg.fit_lo, cfg.fit_hi)
     nu = cfg.coarse_grid()
     fit_bins(nu, window)  # a window too narrow to fit fails before any synthesis
-    gamma_th = fisher_integral(v, window, cfg.coarse_spacing, cfg.n_eff).gamma_th
-    if gamma_th is None:
+    bound = fisher_integral(v, window, cfg.coarse_spacing, cfg.n_eff)
+    if bound.rank < 4:
         raise NumericalError("information matrix is singular for this model: no bound to test")
 
     seeds = [(master_seed, k) for k in range(n_trials)]
@@ -124,8 +124,8 @@ def run_validation(
             f"only {len(good)} of {n_trials} fits converged, cannot form a covariance"
         )
     cov = sample_covariance(good)
-    sigma_th = wishart_std(gamma_th, cov.n_samples)
-    dev = normalized_deviation(cov.gamma, gamma_th, cov.n_samples)
+    sigma_th = wishart_std(bound.gamma_th, cov.n_samples)
+    dev = normalized_deviation(cov.gamma, bound.gamma_th, cov.n_samples)
 
     # a converged fit onto a sub-bin line (s_at ~ 1e138) overflows these: inf/NaN
     with np.errstate(over="ignore", invalid="ignore"):
@@ -134,7 +134,7 @@ def run_validation(
 
     return ValidationReport(
         gamma_exp=cov.gamma,
-        gamma_th=gamma_th,
+        gamma_th=bound.gamma_th,
         sigma_th=sigma_th,
         deviation=dev,
         max_deviation=float(np.max(dev)),

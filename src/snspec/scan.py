@@ -10,7 +10,7 @@ variances of the line parameters pass through a minimum inside the plane.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -131,14 +131,17 @@ def squeezing_gain(
 ) -> np.ndarray:
     """Elementwise Gamma_th diagonal ratio at xi2_b over xi2_a, fixed (n, P).
 
-    Each diagonal is the one cell of a 1x1 scan_grid at that xi2.
+    Both diagonals come from one two-row stack call; each equals the one cell
+    of a 1x1 scan_grid at its xi2 bit for bit.
     """
-    if not (xi2_a > 0.0 and xi2_b > 0.0):
-        raise ConfigError("squeezing factors must be positive")
-    diag = []
-    for xi2 in (xi2_a, xi2_b):
-        d = scan_grid([c.n], [c.p], k, cfg, xi2).surfaces[:, 0, 0]
-        if np.isnan(d).any():
-            raise NumericalError(f"information matrix singular at xi2 = {xi2}")
-        diag.append(d)
+    try:
+        points = [replace(c, xi2=xi2) for xi2 in (xi2_a, xi2_b)]
+    except ValueError as exc:
+        raise ConfigError(f"squeezing factor: {exc}") from exc
+    theta = np.array([params_from_conditions(point, k).as_array() for point in points])
+    gamma = integral_covariance_stack(theta, (cfg.fit_lo, cfg.fit_hi), cfg.coarse_spacing, cfg.n_eff)
+    diag = np.diagonal(gamma, axis1=1, axis2=2)
+    singular = np.isnan(diag).any(axis=1)
+    if singular.any():
+        raise NumericalError(f"information matrix singular at xi2 = {points[singular.argmax()].xi2}")
     return diag[1] / diag[0]

@@ -86,8 +86,10 @@ class AcquisitionConfig:
             raise ConfigError(f"record length M = {m} must be even")
         if not (isinstance(self.n_ave, int) and self.n_ave >= 1):
             raise ConfigError(f"n_ave must be an integer >= 1, got {self.n_ave!r}")
-        if not (isinstance(self.n_bin, int) and self.n_bin >= 1):
-            raise ConfigError(f"n_bin must be an integer >= 1, got {self.n_bin!r}")
+        if not (isinstance(self.n_bin, int) and 1 <= self.n_bin <= m // 2 - 1):
+            raise ConfigError(
+                f"n_bin must be an integer from 1 to M/2 - 1 = {m // 2 - 1}, got {self.n_bin!r}"
+            )
         if not (0.0 <= self.fit_lo < self.fit_hi <= self.nyquist):
             raise ConfigError(
                 f"fit window [{self.fit_lo}, {self.fit_hi}] Hz must satisfy "

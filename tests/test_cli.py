@@ -89,6 +89,17 @@ def test_import_does_not_load_scipy():
     assert out.stdout.strip() == "False False"
 
 
+def test_import_snspec_loads_no_submodule_and_no_numpy():
+    # the package holds only __version__: every name comes from its module
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(snspec.__file__)))
+    code = (
+        "import sys, snspec; "
+        "print(sorted(m for m in sys.modules if m.startswith('snspec.')), 'numpy' in sys.modules)"
+    )
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[] False"
+
+
 class TestSynth:
     def test_writes_both_formats(self, tmp_path):
         cfg = write_config(tmp_path, BASE)
@@ -116,6 +127,16 @@ class TestSynth:
         assert (tmp_path / "a" / "spectrum.csv").read_bytes() != (
             tmp_path / "b" / "spectrum.csv"
         ).read_bytes()
+
+    def test_bins_wider_than_the_record_exit_at_load(self, tmp_path, capsys):
+        # 100000 raw steps per bin, against the 49999 raw bins of the record
+        body = copy.deepcopy(BASE)
+        body["acquisition"] = dict(body["acquisition"], n_bin=100000)
+        cfg = write_config(tmp_path, body)
+        assert run("synth", "--config", cfg, "--out", tmp_path / "a") == 2
+        err = capsys.readouterr().err
+        assert "49999" in err and "100000" in err
+        assert not (tmp_path / "a").exists()
 
     def test_remainder_bins_dropped(self, tmp_path):
         body = copy.deepcopy(BASE)
@@ -309,15 +330,16 @@ class TestUsageChecks:
 
     @pytest.mark.parametrize("command", ["crb", "scan"])
     def test_window_without_coarse_bins_exits_before_any_work(self, tmp_path, capsys, monkeypatch, command):
-        # bins of 100000 raw steps (20 kHz) leave the reference record no
-        # coarse bin at all, the same window validate rejects
+        # bins of 30000 raw steps (6 kHz) leave the reference record one
+        # coarse bin, at 30.0 kHz, outside the 33-52 kHz window: the same
+        # window validate rejects
         def no_work(*args, **kwargs):
             raise AssertionError("the bound was evaluated")
 
         monkeypatch.setattr("snspec.cli.fisher_integral", no_work)
         monkeypatch.setattr("snspec.cli.scan_grid", no_work)
         body = copy.deepcopy(SCAN if command == "scan" else BASE)
-        body["acquisition"] = dict(body["acquisition"], n_bin=100000)
+        body["acquisition"] = dict(body["acquisition"], n_bin=30000)
         cfg = write_config(tmp_path, body)
         assert run(command, "--config", cfg, "--out", tmp_path / "o") == 2
         assert capsys.readouterr().err == "error: fit window holds 0 bins, need at least 8\n"
@@ -426,6 +448,23 @@ class TestKstats:
         assert doc["k4"] == pytest.approx(-10.0 / 3.0, rel=1e-12)
         assert doc["var_k2"] == pytest.approx(11.0 / 18.0, rel=1e-12)
         assert "k2=" in capsys.readouterr().out
+
+    def test_overflow_is_written_as_null(self, tmp_path, capsys):
+        # k2 overflows to inf and k4 to NaN; neither is RFC 8259 JSON, and
+        # no RuntimeWarning reaches the user
+        sample = tmp_path / "x.txt"
+        sample.write_text("1e200\n-1e200\n3\n4\n5\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run("kstats", sample, "--out", tmp_path) == 0
+
+        def reject(token):
+            raise AssertionError(f"{token} is not JSON")
+
+        doc = json.loads((tmp_path / "kstats.json").read_text(), parse_constant=reject)
+        assert doc["k2"] is None and doc["k4"] is None and doc["var_k2"] is None
+        assert doc["n_samples"] == 5
+        assert capsys.readouterr().err == ""
 
     def test_too_few_values(self, tmp_path, capsys):
         sample = tmp_path / "x.txt"

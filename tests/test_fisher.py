@@ -18,7 +18,6 @@ from snspec.fisher import (
     fisher_discrete,
     fisher_integral,
     integral_covariance_stack,
-    invert_psd_matrix,
     invert_psd_stack,
     normalized_deviation,
     wishart_std,
@@ -95,7 +94,7 @@ class TestDiscreteRoute:
         assert r.info[0, 0] == pytest.approx(52 * bins.size / 4.0, rel=1e-12)
         # center and width carry no information at all; the matrix is singular
         assert r.rank == 2
-        assert r.gamma_th is None
+        assert np.isnan(r.gamma_th).all()
 
     def test_averaging_count_enters_linearly(self):
         bins = window_bins()
@@ -201,11 +200,10 @@ class TestIntegralRoute:
             ]
         )
         assert len(theta) == fisher._BLOCK_CELLS
-        want = [
+        want = np.array([
             fisher_integral(SpectralParams.from_array(row), WINDOW, 100.0, 50).gamma_th
             for row in theta
-        ]
-        want = np.array([np.full((4, 4), np.nan) if g is None else g for g in want])
+        ])
         assert np.isfinite(want).all(axis=(1, 2)).sum() > 48
         np.testing.assert_array_equal(integral_covariance_stack(theta, WINDOW, 100.0, 50), want)
 
@@ -238,7 +236,19 @@ class TestIntegralRoute:
         # center and width carry no information at all; the matrix is singular
         assert np.all(r.info[[1, 3], :] == 0) and np.all(r.info[:, [1, 3]] == 0)
         assert r.rank == 2
-        assert r.gamma_th is None
+        assert np.isnan(r.gamma_th).all()
+
+    @pytest.mark.parametrize("s_at, rank", [(0.0, 2), (4.0, 4)])
+    def test_one_row_is_the_stack_bound_nan_included(self, s_at, rank):
+        # fisher_integral is the one-row slice of integral_covariance_stack:
+        # the same bits, and NaN as the one "no bound" on both paths
+        v = SpectralParams(s_ph=2.0, nu_l=42600.0, s_at=s_at, delta_nu=500.0)
+        r = fisher_integral(v, WINDOW, 100.0, 50)
+        stack = integral_covariance_stack(v.as_array()[None], WINDOW, 100.0, 50)[0]
+        assert r.rank == rank
+        assert np.isnan(r.gamma_th).all() == (rank < 4)
+        assert np.isfinite(r.gamma_th).all() == (rank == 4)
+        np.testing.assert_array_equal(r.gamma_th, stack)
 
     def test_rejects_bad_window_and_spacing(self):
         with pytest.raises(ValueError):
@@ -297,10 +307,11 @@ class TestTwoPathIdentity:
 
 
 class TestInvertPsdMatrix:
+    # one matrix is the one-row stack a[None]
     def test_identity(self):
-        inv, rank = invert_psd_matrix(np.eye(3))
-        assert rank == 3
-        np.testing.assert_allclose(inv, np.eye(3), atol=1e-14)
+        inv, rank = invert_psd_stack(np.eye(3)[None])
+        assert rank[0] == 3
+        np.testing.assert_allclose(inv[0], np.eye(3), atol=1e-14)
 
     def test_badly_scaled_but_regular(self):
         # units spanning 12 decades must not masquerade as rank deficiency
@@ -308,23 +319,23 @@ class TestInvertPsdMatrix:
         a = np.outer(d, d) * np.array(
             [[2.0, 0.5, 0.1], [0.5, 3.0, 0.2], [0.1, 0.2, 4.0]]
         )
-        inv, rank = invert_psd_matrix(a)
-        assert rank == 3
+        inv, rank = invert_psd_stack(a[None])
+        assert rank[0] == 3
         # backward-error residual: elementwise against the attainable scale
-        resid = np.abs(inv @ a - np.eye(3))
-        assert np.all(resid <= 1e-12 * (np.abs(inv) @ np.abs(a)) + 1e-12)
+        resid = np.abs(inv[0] @ a - np.eye(3))
+        assert np.all(resid <= 1e-12 * (np.abs(inv[0]) @ np.abs(a)) + 1e-12)
 
     def test_rank_deficient_reports_rank(self):
         x = np.array([1.0, 2.0, 3.0])
-        inv, rank = invert_psd_matrix(np.outer(x, x))
-        assert inv is None
-        assert rank == 1
+        inv, rank = invert_psd_stack(np.outer(x, x)[None])
+        assert np.isnan(inv).all()
+        assert rank[0] == 1
 
     def test_zero_diagonal_short_circuit(self):
         a = np.diag([1.0, 0.0, 2.0])
-        inv, rank = invert_psd_matrix(a)
-        assert inv is None
-        assert rank == 2
+        inv, rank = invert_psd_stack(a[None])
+        assert np.isnan(inv).all()
+        assert rank[0] == 2
 
 
 class TestInvertPsdStack:
@@ -347,12 +358,9 @@ class TestInvertPsdStack:
         inverses, got = invert_psd_stack(mats)
         assert got.tolist() == ranks
         for a, inv, rank in zip(mats, inverses, got):
-            want, want_rank = invert_psd_matrix(a)
-            assert rank == want_rank
-            if want is None:
-                assert np.all(np.isnan(inv))
-            else:
-                np.testing.assert_array_equal(inv, want)
+            want, want_rank = invert_psd_stack(a[None])
+            assert rank == want_rank[0]
+            np.testing.assert_array_equal(inv, want[0])  # NaN where rank < 4
 
     def test_entries_do_not_depend_on_their_neighbours(self):
         mats, _ = self.stack()

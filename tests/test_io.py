@@ -144,6 +144,20 @@ class TestJson:
         assert text.index('"a"') < text.index('"b"') < text.index('"c"')
         assert json.loads(text) == {"b": 2, "a": [1.5, None], "c": {"y": False}}
 
+    def test_non_finite_floats_are_null(self, tmp_path):
+        # RFC 8259 JSON has no NaN or Infinity; finite values keep json.dump's bytes
+        path = tmp_path / "r.json"
+        finite = {"a": [1.5, 1e-300, np.float64(0.1)], "b": {"c": (2, -3.25)}, "d": "NaN"}
+        write_json(path, finite)
+        assert path.read_text() == json.dumps(finite, indent=2, sort_keys=True) + "\n"
+        write_json(path, {"a": [np.nan, -np.inf, 1.0], "b": {"c": (np.float64(np.inf),)}})
+
+        def reject(token):
+            raise AssertionError(f"{token} is not JSON")
+
+        doc = json.loads(path.read_text(), parse_constant=reject)
+        assert doc == {"a": [None, None, 1.0], "b": {"c": [None]}}
+
     def test_read_back(self, tmp_path):
         path = tmp_path / "r.json"
         write_json(path, {"x": 1})

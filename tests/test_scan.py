@@ -262,9 +262,30 @@ class TestSqueezingGain:
         ).surface(4)[0]
         assert p_line[np.nanargmin(squeezed)] <= p_line[np.nanargmin(coherent)]
 
+    @pytest.mark.parametrize("xi2_a, xi2_b", [(1.0, 0.55), (0.55, 1.0)])
+    def test_equals_two_one_cell_scans_bit_for_bit(self, xi2_a, xi2_b):
+        # the two-row stack call keeps each 1x1 scan_grid cell's bits
+        r = squeezing_gain(self.C, REFERENCE_INSTRUMENT, REFERENCE_ACQUISITION, xi2_a, xi2_b)
+        a, b = (
+            scan_grid([self.C.n], [self.C.p], REFERENCE_INSTRUMENT, REFERENCE_ACQUISITION, xi2)
+            .surfaces[:, 0, 0]
+            for xi2 in (xi2_a, xi2_b)
+        )
+        np.testing.assert_array_equal(r, b / a)
+
+    @pytest.mark.parametrize("xi2", [-0.5, np.inf, np.nan])
+    def test_rejects_nonfinite_factors(self, xi2):
+        with pytest.raises(ConfigError, match="squeezing factor"):
+            squeezing_gain(self.C, REFERENCE_INSTRUMENT, REFERENCE_ACQUISITION, 1.0, xi2)
+
     def test_rejects_nonpositive_factors(self):
         with pytest.raises(ConfigError):
             squeezing_gain(self.C, REFERENCE_INSTRUMENT, REFERENCE_ACQUISITION, 0.0, 0.5)
+
+    def test_singular_point_names_its_factor(self):
+        no_atoms = ExperimentConditions(n=0.0, p=3e-3)
+        with pytest.raises(NumericalError, match=r"singular at xi2 = 0\.7$"):
+            squeezing_gain(no_atoms, REFERENCE_INSTRUMENT, REFERENCE_ACQUISITION, 0.7, 0.55)
 
     def test_singular_point_reported(self):
         no_atoms = ExperimentConditions(n=0.0, p=3e-3)

@@ -72,6 +72,7 @@ class TestAcquisitionConfig:
             dict(fit_lo=52e3, fit_hi=33e3),
             dict(fit_lo=33e3, fit_hi=33e3),
             dict(fit_hi=2e5),  # above Nyquist
+            dict(n_bin=50000),  # wider than the record's M/2 - 1 = 49999 raw bins
         ],
     )
     def test_invalid_config_rejected(self, kw):
