@@ -5,12 +5,15 @@ recovers parameters from a spectrum file, validate runs the Monte Carlo
 comparison against the covariance bound, crb evaluates the bound alone, scan
 maps it over the (n, P) plane, kstats computes cumulant statistics of a sample
 file. Every command is deterministic given (config, seed); no output carries a
-timestamp. Spectrum files are read and written only through io, which knows
-their CSV and JSON layouts.
+timestamp. Each writes into --out (default: the current directory), and only
+once all of its results are computed. Spectrum files are read and written only
+through io, which knows their CSV and JSON layouts.
 
 Exit codes: 0 success, 2 usage or config error (including a malformed
 spectrum file), 3 I/O error, 4 numerical failure (NumericalError, any
 ValueError still uncaught, or a MemoryError: an array the host cannot hold).
+Commands run with numpy's floating-point warnings off: every layer turns a
+non-finite value into an error or a JSON null, so a failure prints one line.
 """
 from __future__ import annotations
 
@@ -18,6 +21,7 @@ import argparse
 import functools
 import os
 import sys
+import warnings
 
 import numpy as np
 
@@ -48,10 +52,9 @@ def _provenance(cfg: RunConfig, seed: int) -> dict:
     }
 
 
-def _outpath(args, cfg: RunConfig, name: str) -> str:
-    out_dir = args.out if args.out is not None else cfg.out_dir
-    os.makedirs(out_dir, exist_ok=True)
-    return os.path.join(out_dir, name)
+def _outpath(args, name: str) -> str:
+    os.makedirs(args.out, exist_ok=True)
+    return os.path.join(args.out, name)
 
 
 def _fit_window(cfg: RunConfig) -> tuple[float, float]:
@@ -68,12 +71,13 @@ def _seed(args, cfg: RunConfig) -> int:
 
 def cmd_synth(args) -> int:
     cfg = load_config(args.config)
+    _fit_window(cfg)  # a spectrum that no fit could use is not written
     v = cfg.spectral_params()
     seed = _seed(args, cfg)
     sp = trial_spectrum(v, cfg.acquisition, (seed, 0), cfg.synthesis)
-    csv_path = _outpath(args, cfg, "spectrum.csv")
+    csv_path = _outpath(args, "spectrum.csv")
     write_spectrum_csv(csv_path, sp)
-    json_path = _outpath(args, cfg, "spectrum.json")
+    json_path = _outpath(args, "spectrum.json")
     write_spectrum_json(json_path, sp, synthesis=cfg.synthesis, **_provenance(cfg, seed))
     print(f"synth: {sp.nu.size} bins, n_eff={sp.n_eff}, wrote {csv_path}, {json_path}")
     return 0
@@ -99,7 +103,7 @@ def cmd_fit(args) -> int:
         "window_hz": list(result.window),
         **_provenance(cfg, cfg.master_seed),
     }
-    path = _outpath(args, cfg, "fit.json")
+    path = _outpath(args, "fit.json")
     write_json(path, payload)
     print(f"{'parameter':<12}{'value':>16}")
     print(f"{'s_ph':<12}{v.s_ph:>16.6g}")
@@ -132,7 +136,7 @@ def cmd_validate(args) -> int:
         "window_hz": list(report.window),
         **_provenance(cfg, seed),
     }
-    path = _outpath(args, cfg, "validate.json")
+    path = _outpath(args, "validate.json")
     write_json(path, payload)
     print(
         f"validate: {report.n_trials} trials ({report.n_failures} failed), "
@@ -159,7 +163,7 @@ def cmd_crb(args) -> int:
         "method": result.method,
         **_provenance(cfg, cfg.master_seed),
     }
-    path = _outpath(args, cfg, "crb.json")
+    path = _outpath(args, "crb.json")
     write_json(path, payload)
     diag = np.diag(result.gamma_th)
     print(
@@ -180,8 +184,6 @@ def cmd_scan(args) -> int:
         )
     _fit_window(cfg)
     sg = scan_grid(spec.n_values, spec.p_values, cfg.instrument, cfg.acquisition, spec.xi2)
-    csv_path = _outpath(args, cfg, "scan.csv")
-    write_scan_csv(csv_path, sg)
     optima = {}
     for index in (1, 2, 3, 4):
         report = find_optimum(sg, index)
@@ -192,7 +194,9 @@ def cmd_scan(args) -> int:
             "gamma_min": report.gamma_min,
             "interior": report.interior,
         }
-    json_path = _outpath(args, cfg, "optima.json")
+    csv_path = _outpath(args, "scan.csv")
+    write_scan_csv(csv_path, sg)
+    json_path = _outpath(args, "optima.json")
     write_json(json_path, {"optima": optima, "xi2": sg.xi2, **_provenance(cfg, cfg.master_seed)})
     for name, o in optima.items():
         print(
@@ -205,26 +209,26 @@ def cmd_scan(args) -> int:
 
 def cmd_kstats(args) -> int:
     try:
-        x = np.loadtxt(args.sample, ndmin=1)
+        with warnings.catch_warnings():
+            # an empty file fails below, as a sample too small for k2
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+            x = np.loadtxt(args.sample, ndmin=1)
     except (ValueError, TypeError) as exc:
         raise ConfigError(f"{args.sample}: could not parse sample values ({exc})") from exc
     if x.ndim != 1:
         raise ConfigError(f"{args.sample}: expected one value per line")
     # extreme values overflow to inf or NaN, which kstats.json writes as null
-    with np.errstate(over="ignore", invalid="ignore"):
-        try:
-            payload = {
-                "n_samples": int(x.size),
-                "k2": k2(x),
-                "k4": k4(x),
-                "var_k2": var_k2(x),
-                "version": __version__,
-            }
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
-    out_dir = args.out if args.out is not None else "."
-    os.makedirs(out_dir, exist_ok=True)
-    path = os.path.join(out_dir, "kstats.json")
+    try:
+        payload = {
+            "n_samples": int(x.size),
+            "k2": k2(x),
+            "k4": k4(x),
+            "var_k2": var_k2(x),
+            "version": __version__,
+        }
+    except ValueError as exc:
+        raise ConfigError(f"{args.sample}: {exc}") from exc
+    path = _outpath(args, "kstats.json")
     write_json(path, payload)
     print(
         f"kstats: n={payload['n_samples']} k2={payload['k2']:.9g} "
@@ -246,7 +250,7 @@ def build_parser() -> argparse.ArgumentParser:
     # each command takes only the flags that change what it writes
     def common(p, seed=False):
         p.add_argument("--config", required=True, help="JSON run configuration")
-        p.add_argument("--out", default=None, help="override output.directory")
+        p.add_argument("--out", default=".", help="output directory, default .")
         if seed:
             p.add_argument(
                 "--seed", type=int, default=None, help="override monte_carlo.master_seed"
@@ -275,7 +279,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("kstats", help="cumulant statistics of a sample file")
     p.add_argument("sample", help="text file, one value per line")
-    p.add_argument("--out", default=None, help="output directory")
+    p.add_argument("--out", default=".", help="output directory, default .")
     p.set_defaults(func=cmd_kstats)
 
     return parser
@@ -284,7 +288,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        with np.errstate(all="ignore"):
+            return args.func(args)
     except (ConfigError, UnicodeDecodeError) as exc:  # a file that is not text is bad input
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -40,7 +40,6 @@ class RunConfig:
     master_seed: int
     synthesis: str
     scan: ScanSpec | None
-    out_dir: str
     raw: dict[str, Any]
 
     def spectral_params(self) -> SpectralParams:
@@ -228,7 +227,6 @@ def config_from_dict(doc: dict[str, Any], origin: str = "config") -> RunConfig:
     acq = top.take("acquisition", dict, required=True)
     mc = top.take("monte_carlo", dict, default={})
     scan = top.take("scan", dict)
-    out = top.take("output", dict, default={})
     top.finish()
 
     params, conditions, instrument = _parse_model(model)
@@ -248,10 +246,6 @@ def config_from_dict(doc: dict[str, Any], origin: str = "config") -> RunConfig:
             f"{origin}.monte_carlo.synthesis: {synthesis!r} is not one of {SYNTHESIS_ROUTES}"
         )
 
-    o = _Section(f"{origin}.output", out)
-    out_dir = o.take("directory", str, default=".")
-    o.finish()
-
     return RunConfig(
         params=params,
         conditions=conditions,
@@ -261,7 +255,6 @@ def config_from_dict(doc: dict[str, Any], origin: str = "config") -> RunConfig:
         master_seed=master_seed,
         synthesis=synthesis,
         scan=_parse_scan(scan) if scan is not None else None,
-        out_dir=out_dir,
         raw=doc,
     )
 

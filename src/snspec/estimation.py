@@ -28,7 +28,6 @@ from .synthesis import Spectrum
 
 __all__ = [
     "FitResult",
-    "SampleCovariance",
     "chi_squared",
     "fit_bins",
     "initial_guess",
@@ -62,27 +61,6 @@ class FitResult:
     n_iter: int
     converged: bool
     window: tuple[float, float]
-
-
-@dataclass(frozen=True)
-class SampleCovariance:
-    """Mean and divide-by-N covariance of fitted parameter vectors."""
-
-    mean: np.ndarray
-    gamma: np.ndarray
-    n_samples: int
-
-    def __post_init__(self) -> None:
-        mean = np.asarray(self.mean, dtype=float)
-        gamma = np.asarray(self.gamma, dtype=float)
-        object.__setattr__(self, "mean", mean)
-        object.__setattr__(self, "gamma", gamma)
-        if mean.shape != (4,) or gamma.shape != (4, 4):
-            raise ValueError("mean must be length 4 and gamma 4x4")
-        if not np.allclose(gamma, gamma.T, rtol=1e-12, atol=0.0):
-            raise ValueError("gamma must be symmetric")
-        if np.any(np.diag(gamma) < 0.0):
-            raise ValueError("gamma diagonal must be nonnegative")
 
 
 def fit_bins(nu: np.ndarray, window, min_bins: int = _MIN_WINDOW_BINS) -> np.ndarray:
@@ -252,8 +230,9 @@ def mle_fit(sp: Spectrum, window, guess: SpectralParams | None = None) -> FitRes
     return FitResult(v, chi_squared(v, sp, window), int(n_iter[0]), bool(converged[0]), window)
 
 
-def sample_covariance(fits) -> SampleCovariance:
-    """Mean and maximum-likelihood (divide-by-N) covariance of an (N, 4) array of fit vectors."""
+def sample_covariance(fits) -> tuple[np.ndarray, np.ndarray]:
+    """(mean, gamma): the mean and the maximum-likelihood (divide-by-N), symmetrized
+    covariance of an (N, 4) array of fit vectors."""
     arr = np.asarray(fits, dtype=float)
     if arr.ndim != 2 or arr.shape[1] != 4:
         raise ValueError("fits must be an (N, 4) array of parameter vectors")
@@ -263,8 +242,7 @@ def sample_covariance(fits) -> SampleCovariance:
     mean = arr.mean(axis=0)
     d = arr - mean
     gamma = d.T @ d / n
-    gamma = 0.5 * (gamma + gamma.T)
-    return SampleCovariance(mean=mean, gamma=gamma, n_samples=n)
+    return mean, 0.5 * (gamma + gamma.T)
 
 
 def _centered_power_sums(x, *orders):

@@ -4,8 +4,8 @@ Spectrum files are CSV (nu_hz, psd_uv2_per_hz; the caller supplies n_eff) or
 JSON (the same columns as lists, n_eff, provenance keys); only this module
 knows either layout. Readers report a malformed file as a ConfigError.
 
-Both CSV tables are written by one % formatting pass over all rows and read
-back by np.loadtxt. Floats are written with repr-exact precision (%.17g) so
+Both CSV tables (spectrum and scan) are written by one % formatting pass over
+all rows; only the spectrum table is read back, by np.loadtxt. Floats are written with repr-exact precision (%.17g) so
 every emitted file re-ingests bit-identically; writers emit LF newlines and
 sorted JSON keys so identical inputs give byte-identical files. JSON files
 hold no NaN or Infinity, which RFC 8259 lacks: a non-finite float is null.
@@ -29,41 +29,12 @@ __all__ = [
     "write_spectrum_json",
     "read_spectrum_json",
     "write_scan_csv",
-    "read_scan_csv",
     "write_json",
     "read_json",
 ]
 
 SPECTRUM_HEADER = ["nu_hz", "psd_uv2_per_hz"]
 SCAN_HEADER = ["n_cm3", "p_w", "gamma11", "gamma22", "gamma33", "gamma44"]
-
-
-def _read_csv(path, header, what) -> np.ndarray:
-    """Rows under the given header as a (rows, columns) float array."""
-    with open(path, newline="") as fh:
-        line = fh.readline()
-        body = fh.read()
-    first = next(csv.reader([line]), [])
-    if first != header:
-        raise ConfigError(
-            f"{path}: expected header {','.join(header)}, "
-            f"got {','.join(first) if line else 'empty file'}"
-        )
-    if not body:
-        raise ConfigError(f"{path}: no data rows")
-    # loadtxt skips empty lines, which csv reads as rows with no fields
-    body = body.replace("\r\n", "\n").replace("\r", "\n")
-    if body.startswith("\n") or "\n\n" in body:
-        raise ConfigError(f"{path}: blank line among the {what} rows")
-    try:
-        data = np.loadtxt(
-            io.StringIO(body), delimiter=",", ndmin=2, comments=None, quotechar='"'
-        )
-    except ValueError as exc:
-        raise ConfigError(f"{path}: non-numeric or ragged {what} rows ({exc})") from exc
-    if data.shape[1] != len(header):
-        raise ConfigError(f"{path}: {what} rows must have {len(header)} columns")
-    return data
 
 
 def _spectrum(path, nu, s_bar, n_eff) -> Spectrum:
@@ -89,7 +60,29 @@ def write_spectrum_csv(path, sp: Spectrum) -> None:
 
 def read_spectrum_csv(path, n_eff: int = 1) -> Spectrum:
     """Two-column CSV back to a Spectrum with the given n_eff."""
-    data = _read_csv(path, SPECTRUM_HEADER, "spectrum")
+    with open(path, newline="") as fh:
+        line = fh.readline()
+        body = fh.read()
+    first = next(csv.reader([line]), [])
+    if first != SPECTRUM_HEADER:
+        raise ConfigError(
+            f"{path}: expected header {','.join(SPECTRUM_HEADER)}, "
+            f"got {','.join(first) if line else 'empty file'}"
+        )
+    if not body:
+        raise ConfigError(f"{path}: no data rows")
+    # loadtxt skips empty lines, which csv reads as rows with no fields
+    body = body.replace("\r\n", "\n").replace("\r", "\n")
+    if body.startswith("\n") or "\n\n" in body:
+        raise ConfigError(f"{path}: blank line among the spectrum rows")
+    try:
+        data = np.loadtxt(
+            io.StringIO(body), delimiter=",", ndmin=2, comments=None, quotechar='"'
+        )
+    except ValueError as exc:
+        raise ConfigError(f"{path}: non-numeric or ragged spectrum rows ({exc})") from exc
+    if data.shape[1] != 2:
+        raise ConfigError(f"{path}: spectrum rows must have 2 columns")
     return _spectrum(path, data[:, 0], data[:, 1], n_eff)
 
 
@@ -115,21 +108,6 @@ def write_scan_csv(path, sg) -> None:
     """ScanGrid to long-format CSV, one row per (n, P) cell."""
     n, p = np.meshgrid(sg.n_values, sg.p_values, indexing="ij")
     _write_csv(path, SCAN_HEADER, (n.ravel(), p.ravel(), *sg.surfaces.reshape(4, -1)))
-
-
-def read_scan_csv(path):
-    """Long-format CSV back to (n_values, p_values, surfaces (4, Nn, Np))."""
-    data = _read_csv(path, SCAN_HEADER, "scan")
-    n_values = np.unique(data[:, 0])
-    p_values = np.unique(data[:, 1])
-    ni = np.searchsorted(n_values, data[:, 0])
-    pj = np.searchsorted(p_values, data[:, 1])
-    cells = np.unique(ni * p_values.size + pj).size
-    if not (cells == data.shape[0] == n_values.size * p_values.size):
-        raise ConfigError(f"{path}: rows do not form a complete (n, P) grid, one row per cell")
-    surfaces = np.full((4, n_values.size, p_values.size), np.nan)
-    surfaces[:, ni, pj] = data[:, 2:].T
-    return n_values, p_values, surfaces
 
 
 def _finite(x):

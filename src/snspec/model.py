@@ -181,11 +181,6 @@ def grad_log_psd(v, nu) -> np.ndarray:
     return g
 
 
-def snr(v: SpectralParams) -> float:
-    """Peak atomic signal to background ratio s_at / s_ph (dimensionless)."""
-    return v.s_at / v.s_ph
-
-
 def params_from_conditions(
     c: ExperimentConditions, k: InstrumentConstants
 ) -> SpectralParams:

@@ -123,9 +123,9 @@ def run_validation(
         raise ConfigError(
             f"only {len(good)} of {n_trials} fits converged, cannot form a covariance"
         )
-    cov = sample_covariance(good)
-    sigma_th = wishart_std(bound.gamma_th, cov.n_samples)
-    dev = normalized_deviation(cov.gamma, bound.gamma_th, cov.n_samples)
+    mean_fit, gamma_exp = sample_covariance(good)
+    sigma_th = wishart_std(bound.gamma_th, len(good))
+    dev = normalized_deviation(gamma_exp, bound.gamma_th, len(good))
 
     # a converged fit onto a sub-bin line (s_at ~ 1e138) overflows these: inf/NaN
     with np.errstate(over="ignore", invalid="ignore"):
@@ -133,12 +133,12 @@ def run_validation(
         k2_stderr = np.sqrt([max(var_k2(x), 0.0) for x in good.T])
 
     return ValidationReport(
-        gamma_exp=cov.gamma,
+        gamma_exp=gamma_exp,
         gamma_th=bound.gamma_th,
         sigma_th=sigma_th,
         deviation=dev,
         max_deviation=float(np.max(dev)),
-        mean_fit=cov.mean,
+        mean_fit=mean_fit,
         k2_diag=k2_diag,
         k2_stderr=k2_stderr,
         n_trials=n_trials,

@@ -77,7 +77,7 @@ class AcquisitionConfig:
         if not (self.t_total > 0.0 and math.isfinite(self.t_total)):
             raise ConfigError(f"t_total must be positive and finite, got {self.t_total}")
         ratio = self.t_total / self.delta
-        m = round(ratio)
+        m = round(ratio) if math.isfinite(ratio) else 0  # an overflowed ratio is no length
         if m < 4 or abs(ratio - m) > _RECORD_LENGTH_TOL * ratio:
             raise ConfigError(
                 f"record length t_total/delta = {ratio!r} must be an integer >= 4"

@@ -5,8 +5,10 @@ checked without subprocess overhead.
 """
 
 import copy
+import importlib
 import json
 import os
+import pkgutil
 import subprocess
 import sys
 import warnings
@@ -18,7 +20,7 @@ import snspec
 from snspec import montecarlo
 from snspec.cli import build_parser, main
 from snspec.fisher import wishart_std
-from snspec.io import read_scan_csv, read_spectrum_csv
+from snspec.io import read_spectrum_csv
 from snspec.profiles import REFERENCE_ACQUISITION, REFERENCE_INSTRUMENT
 from snspec.scan import scan_grid
 from snspec.synthesis import AcquisitionConfig
@@ -98,6 +100,14 @@ def test_import_snspec_loads_no_submodule_and_no_numpy():
     )
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "[] False"
+
+
+def test_every_exported_name_exists():
+    # a name deleted from a module must leave its __all__ too
+    for info in pkgutil.iter_modules(snspec.__path__):
+        module = importlib.import_module(f"snspec.{info.name}")
+        missing = [name for name in getattr(module, "__all__", []) if not hasattr(module, name)]
+        assert not missing, f"snspec.{info.name}.__all__ names {missing}"
 
 
 class TestSynth:
@@ -328,21 +338,32 @@ class TestUsageChecks:
         assert capsys.readouterr().err == "error: fit window holds 5 bins, need at least 8\n"
         assert not (tmp_path / "v").exists()
 
-    @pytest.mark.parametrize("command", ["crb", "scan"])
+    @pytest.mark.parametrize("command", ["crb", "scan", "synth"])
     def test_window_without_coarse_bins_exits_before_any_work(self, tmp_path, capsys, monkeypatch, command):
         # bins of 30000 raw steps (6 kHz) leave the reference record one
         # coarse bin, at 30.0 kHz, outside the 33-52 kHz window: the same
         # window validate rejects
         def no_work(*args, **kwargs):
-            raise AssertionError("the bound was evaluated")
+            raise AssertionError("the bound was evaluated or a spectrum synthesized")
 
         monkeypatch.setattr("snspec.cli.fisher_integral", no_work)
         monkeypatch.setattr("snspec.cli.scan_grid", no_work)
+        monkeypatch.setattr("snspec.cli.trial_spectrum", no_work)
         body = copy.deepcopy(SCAN if command == "scan" else BASE)
         body["acquisition"] = dict(body["acquisition"], n_bin=30000)
         cfg = write_config(tmp_path, body)
         assert run(command, "--config", cfg, "--out", tmp_path / "o") == 2
         assert capsys.readouterr().err == "error: fit window holds 0 bins, need at least 8\n"
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("command", ["synth", "crb"])
+    def test_record_length_overflow_exits_config(self, tmp_path, capsys, command):
+        body = copy.deepcopy(BASE)
+        body["acquisition"]["delta_s"] = 1e-310  # t_total/delta overflows to inf
+        cfg = write_config(tmp_path, body)
+        assert run(command, "--config", cfg, "--out", tmp_path / "o") == 2
+        err = capsys.readouterr().err
+        assert err == "error: record length t_total/delta = inf must be an integer >= 4\n"
         assert not (tmp_path / "o").exists()
 
 
@@ -384,6 +405,19 @@ class TestCrb:
         assert err.startswith("numerical failure: forward model leaves the finite range")
         assert "P = 1e+197 W" in err and "n = 4230000000000.0" in err
 
+    def test_singular_information_prints_one_line(self, tmp_path, capsys):
+        # s_at 1e308 overflows the information integrand; the overflow ends
+        # in a singular matrix, reported without a numpy warning
+        body = copy.deepcopy(BASE)
+        body["model"]["spectral_params"]["s_at_uv2_per_hz"] = 1e308
+        cfg = write_config(tmp_path, body)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run("crb", "--config", cfg, "--out", tmp_path / "o") == 4
+        err = capsys.readouterr().err
+        assert err == "numerical failure: information matrix is singular for this model\n"
+        assert not (tmp_path / "o").exists()
+
     def test_single_trial_is_a_config_error(self, tmp_path, capsys):
         # the Wishart spread of the bound needs at least 2 samples
         body = copy.deepcopy(BASE)
@@ -399,7 +433,7 @@ class TestScan:
         lines = (tmp_path / "s" / "scan.csv").read_text().splitlines()
         assert lines[0] == "n_cm3,p_w,gamma11,gamma22,gamma33,gamma44"
         assert len(lines) == 1 + 6 * 5
-        n_values, p_values, surfaces = read_scan_csv(tmp_path / "s" / "scan.csv")
+        data = np.loadtxt(tmp_path / "s" / "scan.csv", delimiter=",", skiprows=1)
         # the config layer builds the power axis in mW and then converts
         ref = scan_grid(
             np.linspace(2e12, 1.6e13, 6),
@@ -407,9 +441,10 @@ class TestScan:
             REFERENCE_INSTRUMENT,
             REFERENCE_ACQUISITION,
         )
-        np.testing.assert_array_equal(n_values, np.linspace(2e12, 1.6e13, 6))
-        np.testing.assert_array_equal(p_values, np.linspace(1.0, 12.0, 5) * 1e-3)
-        np.testing.assert_array_equal(surfaces, ref.surfaces)
+        n, p = np.meshgrid(np.linspace(2e12, 1.6e13, 6), np.linspace(1.0, 12.0, 5) * 1e-3, indexing="ij")
+        np.testing.assert_array_equal(data[:, 0], n.ravel())
+        np.testing.assert_array_equal(data[:, 1], p.ravel())
+        np.testing.assert_array_equal(data[:, 2:].T, ref.surfaces.reshape(4, -1))
         optima = json.loads((tmp_path / "s" / "optima.json").read_text())["optima"]
         assert set(optima) == {"gamma11", "gamma22", "gamma33", "gamma44"}
         for entry in optima.values():
@@ -435,6 +470,16 @@ class TestScan:
         assert run("scan", "--config", cfg, "--out", tmp_path / "s") == 2
         assert "config.scan" in capsys.readouterr().err
         assert not (tmp_path / "s" / "scan.csv").exists()
+
+    def test_failed_optimum_writes_nothing(self, tmp_path, capsys):
+        # every cell of an (n, P) grid at n <= 1e-300 cm^-3 is singular, so
+        # no surface has an optimum; scan.csv is not left behind either
+        body = copy.deepcopy(SCAN)
+        body["scan"].update(n_min_per_cm3=0.0, n_max_per_cm3=1e-300, n_points=2, p_points=2)
+        cfg = write_config(tmp_path, body)
+        assert run("scan", "--config", cfg, "--out", tmp_path / "s") == 4
+        assert capsys.readouterr().err == "numerical failure: surface 1 holds no finite values\n"
+        assert not (tmp_path / "s").exists()
 
 
 class TestKstats:
@@ -471,6 +516,15 @@ class TestKstats:
         sample.write_text("1\n2\n3\n")
         assert run("kstats", sample, "--out", tmp_path) == 2
         assert "at least 4" in capsys.readouterr().err
+
+    def test_empty_file_names_it(self, tmp_path, capsys):
+        sample = tmp_path / "x.txt"
+        sample.write_text("")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run("kstats", sample, "--out", tmp_path / "o") == 2
+        assert capsys.readouterr().err == f"error: {sample}: k2 needs at least 2 samples, got 0\n"
+        assert not (tmp_path / "o").exists()
 
     def test_non_numeric(self, tmp_path):
         sample = tmp_path / "x.txt"

@@ -37,7 +37,6 @@ FULL = {
         "p_points": 12,
         "xi2": 0.55,
     },
-    "output": {"directory": "results"},
 }
 
 PARAMS_ONLY = {
@@ -92,7 +91,6 @@ class TestFullDocument:
         cfg = config_from_dict(FULL)
         assert (cfg.n_trials, cfg.master_seed) == (100, 7)
         assert cfg.synthesis == "gamma"
-        assert cfg.out_dir == "results"
         assert cfg.raw == FULL
 
     def test_acquisition_geometry(self):
@@ -140,9 +138,8 @@ class TestUnknownKeys:
             (dict(acquisition__delta=1), "config.acquisition:"),
             (dict(monte_carlo__trials=5), "config.monte_carlo:"),
             (dict(scan__n_max=1), "config.scan:"),
-            (dict(output__format=1), "config.output:"),
-            # every command writes all its files; there is no format choice
-            (dict(output__formats=["csv"]), "config.output:"),
+            # --out is the one way to name the output directory
+            (dict(output={"directory": "results"}), "'output'"),
         ],
     )
     def test_rejected_with_path(self, edit, path_fragment):
@@ -236,7 +233,6 @@ class TestDefaultsAndSections:
         assert cfg.n_trials == 100
         assert cfg.master_seed == 0
         assert cfg.synthesis == "timeseries"
-        assert cfg.out_dir == "."
         assert cfg.scan is None
 
     def test_optional_sections_enforced_on_use(self):

@@ -8,7 +8,6 @@ import pytest
 from snspec.errors import ConfigError
 from snspec.io import (
     read_json,
-    read_scan_csv,
     read_spectrum_csv,
     write_json,
     write_scan_csv,
@@ -99,10 +98,11 @@ class TestScanCsv:
         path = tmp_path / "scan.csv"
         sg = self.make_grid()
         write_scan_csv(path, sg)
-        n_values, p_values, surfaces = read_scan_csv(path)
-        np.testing.assert_array_equal(n_values, sg.n_values)
-        np.testing.assert_array_equal(p_values, sg.p_values)
-        np.testing.assert_array_equal(surfaces, sg.surfaces)
+        data = np.loadtxt(path, delimiter=",", skiprows=1)
+        n, p = np.meshgrid(sg.n_values, sg.p_values, indexing="ij")
+        np.testing.assert_array_equal(data[:, 0], n.ravel())
+        np.testing.assert_array_equal(data[:, 1], p.ravel())
+        np.testing.assert_array_equal(data[:, 2:].T, sg.surfaces.reshape(4, -1))
 
     def test_header_and_row_count(self, tmp_path):
         path = tmp_path / "scan.csv"
@@ -110,28 +110,6 @@ class TestScanCsv:
         lines = path.read_text().splitlines()
         assert lines[0] == "n_cm3,p_w,gamma11,gamma22,gamma33,gamma44"
         assert len(lines) == 1 + 3 * 5
-
-    def test_rejects_incomplete_grid(self, tmp_path):
-        path = tmp_path / "scan.csv"
-        write_scan_csv(path, self.make_grid())
-        lines = path.read_text().splitlines()
-        # drop one cell; repeat the first cell in place of the last one
-        for body in (lines[1:-1], lines[1:-1] + lines[1:2]):
-            path.write_text("\n".join(lines[:1] + body) + "\n")
-            with pytest.raises(ConfigError, match="complete"):
-                read_scan_csv(path)
-
-    def test_rejects_short_rows(self, tmp_path):
-        path = tmp_path / "scan.csv"
-        path.write_text("n_cm3,p_w,gamma11,gamma22,gamma33,gamma44\n1,2,3,4,5\n")
-        with pytest.raises(ConfigError, match="6 columns"):
-            read_scan_csv(path)
-
-    def test_rejects_wrong_header(self, tmp_path):
-        path = tmp_path / "scan.csv"
-        path.write_text("a,b,c\n")
-        with pytest.raises(ConfigError):
-            read_scan_csv(path)
 
 
 class TestJson:

@@ -13,7 +13,6 @@ from snspec.model import (
     eval_psd,
     grad_log_psd,
     params_from_conditions,
-    snr,
 )
 
 V = SpectralParams(s_ph=1.2, nu_l=42600.0, s_at=4.8, delta_nu=1500.0)
@@ -200,8 +199,6 @@ class TestParameterStacks:
         np.testing.assert_array_equal(grad_log_psd(theta, 42000.0), [grad_log_psd(v, 42000.0) for v in self.ROWS])
 
 
-def test_snr_is_peak_over_background():
-    assert snr(V) == pytest.approx(4.8 / 1.2, rel=1e-15)
 
 
 class TestForwardModel:

@@ -61,6 +61,7 @@ class TestAcquisitionConfig:
             dict(delta=0.0),
             dict(delta=-1e-6),
             dict(t_total=0.0),
+            dict(delta=1e-310),  # t_total/delta overflows to inf
             dict(delta=1e-3, t_total=5e-3, fit_lo=10, fit_hi=400),   # M = 5, odd
             dict(delta=1e-3, t_total=2e-3, fit_lo=0.1, fit_hi=0.4),  # M = 2
             dict(delta=1e-3, t_total=10.5e-3, fit_lo=10, fit_hi=400),
