@@ -14,10 +14,13 @@ spectrum file), 3 I/O error, 4 numerical failure (NumericalError, any
 ValueError still uncaught, or a MemoryError: an array the host cannot hold).
 Commands run with numpy's floating-point warnings off: every layer turns a
 non-finite value into an error or a JSON null, so a failure prints one line.
+On glibc, main also keeps freed heap pages in the process (see
+_keep_freed_heap), so repeated calls reuse memory instead of page-faulting.
 """
 from __future__ import annotations
 
 import argparse
+import ctypes
 import functools
 import os
 import sys
@@ -285,7 +288,29 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache  # once per process
+def _keep_freed_heap() -> None:
+    """Keep freed heap pages in this process, so the next call reuses them.
+
+    By default glibc serves each block of 128 KiB or more by its own mmap and
+    hands it back to the kernel when it is freed, and trims the heap top, so
+    every validate trial faults its buffers in again. Raising both thresholds
+    keeps those pages on the heap. Nothing happens where the C library has no
+    mallopt or does not act on it (macOS, Windows, musl). Only the CLI process
+    is changed: library callers keep their allocator's defaults.
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, TypeError, AttributeError):
+        return
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    mallopt(-3, 32 << 20)  # M_MMAP_THRESHOLD: the cap of glibc's own dynamic threshold
+    mallopt(-1, 64 << 20)  # M_TRIM_THRESHOLD: twice that, as glibc's dynamic rule sets it
+
+
 def main(argv=None) -> int:
+    _keep_freed_heap()
     args = build_parser().parse_args(argv)
     try:
         with np.errstate(all="ignore"):

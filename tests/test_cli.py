@@ -5,10 +5,12 @@ checked without subprocess overhead.
 """
 
 import copy
+import ctypes
 import importlib
 import json
 import os
 import pkgutil
+import platform
 import subprocess
 import sys
 import warnings
@@ -17,13 +19,15 @@ import numpy as np
 import pytest
 
 import snspec
-from snspec import montecarlo
+from snspec import cli, montecarlo
 from snspec.cli import build_parser, main
 from snspec.fisher import wishart_std
 from snspec.io import read_spectrum_csv
 from snspec.profiles import REFERENCE_ACQUISITION, REFERENCE_INSTRUMENT
 from snspec.scan import scan_grid
 from snspec.synthesis import AcquisitionConfig
+
+CONFIG_DIR = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "configs")
 
 TRUTH = {"s_ph": 1.0, "nu_l": 42600.0, "s_at": 4.0, "delta_nu": 1000.0}
 
@@ -303,6 +307,61 @@ class TestParserReuse:
         seeds = [json.loads((tmp_path / d / "spectrum.json").read_text())["master_seed_used"] for d in ("s5", "s")]
         assert seeds == [5, BASE["monte_carlo"]["master_seed"]]
         assert (tmp_path / "s" / "spectrum.csv").read_bytes() == spectrum.read_bytes()
+
+
+def no_library(name):
+    raise OSError(f"{name}: cannot open shared object file")
+
+
+class TestAllocatorPolicy:
+    """main keeps freed heap pages where glibc allows it, once per process."""
+
+    @pytest.fixture(autouse=True)
+    def fresh_policy(self):
+        # a test that patches ctypes must not leave its outcome cached for later calls
+        cli._keep_freed_heap.cache_clear()
+        yield
+        cli._keep_freed_heap.cache_clear()
+
+    @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="the policy acts on glibc only")
+    def test_repeated_validate_reuses_freed_pages(self, tmp_path):
+        import resource
+
+        with open(os.path.join(CONFIG_DIR, "validate_reference.json")) as fh:
+            body = json.load(fh)
+        body["monte_carlo"]["synthesis"] = "gamma"
+        cfg = write_config(tmp_path, body)
+        argv = ["validate", "--config", cfg, "--out", str(tmp_path / "o")]
+        assert main(argv) == 0
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        assert main(argv) == 0
+        # with glibc's default thresholds this call faults over 2000 pages back in
+        assert resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before < 200
+
+    @pytest.mark.parametrize("cdll", [no_library, lambda name: object()], ids=["no-library", "no-mallopt"])
+    def test_missing_mallopt_changes_nothing(self, tmp_path, monkeypatch, cdll):
+        cfg = write_config(tmp_path, BASE)
+        assert run("validate", "--config", cfg, "--out", tmp_path / "ref") == 0
+        cli._keep_freed_heap.cache_clear()
+        monkeypatch.setattr(ctypes, "CDLL", cdll)
+        assert run("validate", "--config", cfg, "--out", tmp_path / "o") == 0
+        ref, out = (tmp_path / d / "validate.json" for d in ("ref", "o"))
+        assert out.read_bytes() == ref.read_bytes()
+
+    def test_mallopt_is_set_once_per_process(self, tmp_path, monkeypatch):
+        calls = []
+
+        class Libc:
+            @staticmethod
+            def mallopt(param, value):
+                calls.append((param, value))
+                return 1
+
+        monkeypatch.setattr(ctypes, "CDLL", lambda name: Libc())
+        cfg = write_config(tmp_path, BASE)
+        assert run("validate", "--config", cfg, "--out", tmp_path / "a") == 0
+        assert run("validate", "--config", cfg, "--out", tmp_path / "b") == 0
+        assert calls == [(-3, 32 << 20), (-1, 64 << 20)]
 
 
 class TestUsageChecks:
