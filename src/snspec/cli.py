@@ -103,7 +103,7 @@ def cmd_fit(args) -> int:
         "chi2": result.chi2,
         "converged": result.converged,
         "n_iter": result.n_iter,
-        "window_hz": list(result.window),
+        "window_hz": [acq.fit_lo, acq.fit_hi],
         **_provenance(cfg, cfg.master_seed),
     }
     path = _outpath(args, "fit.json")

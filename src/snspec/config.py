@@ -21,6 +21,11 @@ from .synthesis import SYNTHESIS_ROUTES, AcquisitionConfig
 
 __all__ = ["ScanSpec", "RunConfig", "check_seed", "load_config", "config_from_dict"]
 
+# counts past these are refused before any axis or trial list is built
+_MAX_SCAN_CELLS = 1 << 20  # one Fisher integral each; 1024 x 1024 is the largest square
+_MAX_TRIALS = 1 << 20  # validate holds one spectrum per trial
+
+
 @dataclass(frozen=True)
 class ScanSpec:
     n_values: np.ndarray
@@ -211,6 +216,8 @@ def _parse_scan(section: dict[str, Any]) -> ScanSpec:
         raise ConfigError("config.scan: ranges must satisfy min < max")
     if n_points < 1 or p_points < 1:
         raise ConfigError("config.scan: point counts must be at least 1")
+    if n_points * p_points > _MAX_SCAN_CELLS:
+        raise ConfigError(f"config.scan: n_points * p_points must be at most {_MAX_SCAN_CELLS} cells")
     # the grids ascend, so the two corners bound every cell's conditions
     for n, p_mw in ((n_min, p_min), (n_max, p_max)):
         s.build(ExperimentConditions, n=n, p=p_mw * 1e-3, xi2=xi2)
@@ -241,6 +248,8 @@ def config_from_dict(doc: dict[str, Any], origin: str = "config") -> RunConfig:
     if n_trials < 2:
         # validate forms a covariance and crb a Wishart spread from n_trials samples
         raise ConfigError(f"{origin}.monte_carlo.n_trials: must be at least 2")
+    if n_trials > _MAX_TRIALS:
+        raise ConfigError(f"{origin}.monte_carlo.n_trials: must be at most {_MAX_TRIALS}")
     if synthesis not in SYNTHESIS_ROUTES:
         raise ConfigError(
             f"{origin}.monte_carlo.synthesis: {synthesis!r} is not one of {SYNTHESIS_ROUTES}"

@@ -11,9 +11,11 @@ model's log-gradient times the log-scale factors) each step solves
 fisher.invert_psd_stack, one lambda per spectrum. That is one Cholesky of
 the active rows, whose pivots certify full rank, and an eigen-factorization
 of the rows they do not certify; a row whose matrix is rank-deficient fails.
-mle_fit_stack fits spectra stacked on one grid, each row with its bits alone,
-and returns arrays; mle_fit is its one-row case and the one place that builds
-a FitResult.
+Every row starts from the moment estimate of its own bins, its only start; a row
+with no positive bin, where W has no minimum, fails there. mle_fit_stack fits
+spectra stacked on one grid, each row with its bits alone, and returns arrays;
+mle_fit is its one-row case and the one place that builds a FitResult, with
+chi2 = sum_i (1 - S_bar_i/f_i(v_hat))^2 over the window's bins.
 """
 from __future__ import annotations
 
@@ -28,9 +30,7 @@ from .synthesis import Spectrum
 
 __all__ = [
     "FitResult",
-    "chi_squared",
     "fit_bins",
-    "initial_guess",
     "mle_fit",
     "mle_fit_stack",
     "sample_covariance",
@@ -40,7 +40,7 @@ __all__ = [
 ]
 
 _MIN_WINDOW_BINS = 8
-# floor for the s_at guess when the spectrum shows no peak, uV^2/Hz
+# floor for the s_at start when the spectrum shows no peak, uV^2/Hz
 _S_AT_FLOOR_FRACTION = 1e-6
 # A row stops once its objective falls (or a rejected step promised to) by at
 # most _STOP_DECREASE per bin, 1e-6 of the log-likelihood n_eff W at the
@@ -60,30 +60,27 @@ class FitResult:
     chi2: float
     n_iter: int
     converged: bool
-    window: tuple[float, float]
 
 
-def fit_bins(nu: np.ndarray, window, min_bins: int = _MIN_WINDOW_BINS) -> np.ndarray:
-    """Indices of the bins inside window; fewer than min_bins is a ConfigError."""
+def fit_bins(nu: np.ndarray, window) -> np.ndarray:
+    """Indices of the bins inside window; fewer than _MIN_WINDOW_BINS is a ConfigError."""
     lo, hi = window
     if not (0.0 <= lo < hi):
         raise ConfigError(f"bad fit window [{lo}, {hi}]")
     idx = np.flatnonzero((nu >= lo) & (nu <= hi))
-    if idx.size < min_bins:
-        raise ConfigError(f"fit window holds {idx.size} bins, need at least {min_bins}")
+    if idx.size < _MIN_WINDOW_BINS:
+        raise ConfigError(f"fit window holds {idx.size} bins, need at least {_MIN_WINDOW_BINS}")
     return idx
 
 
-def chi_squared(v: SpectralParams, sp: Spectrum, window) -> float:
-    """sum over window bins of (1 - S_bar_i/f(nu_i, v))^2; inf or NaN where that leaves the float range."""
-    idx = fit_bins(sp.nu, window, 0)
-    with np.errstate(over="ignore", invalid="ignore"):
-        r = 1.0 - sp.s_bar[idx] / eval_psd(v, sp.nu[idx])
-        return float(np.sum(r * r))
-
-
 def _initial_guess_stack(nu: np.ndarray, s: np.ndarray, window) -> np.ndarray:
-    """initial_guess for every row of s, as an (m, 4) parameter array."""
+    """Moment-style start of every row of s, the window's bins: an (m, 4) parameter array.
+
+    s_ph from the median over the outer quartiles of the window (the line
+    wings), nu_l from the argmax bin, s_at from the peak height above s_ph,
+    delta_nu from the half-maximum crossings (falling back to a quarter of
+    the window when the peak is unresolved).
+    """
     m, k_bins = s.shape
     q = max(k_bins // 4, 1)
     s_ph = np.median(np.concatenate([s[:, :q], s[:, -q:]], axis=1), axis=1)
@@ -101,18 +98,6 @@ def _initial_guess_stack(nu: np.ndarray, s: np.ndarray, window) -> np.ndarray:
     width = nu[right] - nu[left]
     width = np.where(width > 0.0, width, 0.25 * (window[1] - window[0]))
     return np.column_stack([s_ph, nu[k], s_at, width])
-
-
-def initial_guess(sp: Spectrum, window) -> SpectralParams:
-    """Moment-style starting point for mle_fit.
-
-    s_ph from the median over the outer quartiles of the window (the line
-    wings), nu_l from the argmax bin, s_at from the peak height above s_ph,
-    delta_nu from the half-maximum crossings (falling back to a quarter of
-    the window when the peak is unresolved).
-    """
-    idx = fit_bins(sp.nu, window)
-    return SpectralParams.from_array(_initial_guess_stack(sp.nu[idx], sp.s_bar[idx][None], window)[0])
 
 
 _LOG = np.array([True, False, True, True])  # the entries of theta that are logs
@@ -143,16 +128,16 @@ def _score(theta: np.ndarray, nu: np.ndarray, s: np.ndarray):
     return objective, normal, score, ok & (np.diagonal(normal, axis1=1, axis2=2) > 0.0).all(axis=1)
 
 
-def mle_fit_stack(nu, s_bar, window, guess=None):
+def mle_fit_stack(nu, s_bar, window):
     """Whittle fit of every row of s_bar, an (m, len(nu)) stack of spectra.
 
-    guess is None (initial_guess of each row) or an (m, 4) array. Returns
-    (v_hat, n_iter, converged) with shapes (m, 4), (m,) and (m,). A row
-    leaves the active set once its objective stops falling; n_iter counts its
-    steps. A trial step out of the model's range (a non-finite objective or
-    normal matrix, or an exp that underflows) is rejected and the damping
-    raised. A row whose start is out of range or whose damped normal matrix
-    is rank-deficient returns converged=False with its start point as v_hat.
+    Each row starts from its moment estimate. Returns (v_hat, n_iter, converged)
+    with shapes (m, 4), (m,) and (m,). A row leaves the active set once its
+    objective stops falling; n_iter counts its steps. A trial step out of the
+    model's range (a non-finite objective or normal matrix, or an exp that
+    underflows) is rejected and the damping raised. A row with no positive
+    bin, whose start is out of range or whose damped normal matrix is
+    rank-deficient returns converged=False with its start point as v_hat.
     A row whose start level s_ph lies outside [2^-256, 2^256] is solved
     scaled by the power of two that brings that level into [0.5, 1), so a
     spectrum near either end of the float range fits as it does at scale 1.
@@ -160,7 +145,7 @@ def mle_fit_stack(nu, s_bar, window, guess=None):
     nu = np.asarray(nu, dtype=float)
     idx = fit_bins(nu, window)
     nu, s = nu[idx], np.asarray(s_bar, dtype=float)[:, idx]
-    v0 = _initial_guess_stack(nu, s, window) if guess is None else np.asarray(guess, dtype=float)
+    v0 = _initial_guess_stack(nu, s, window)
     bounds = (2.0 * window[0] - window[1], 2.0 * window[1] - window[0])  # padded by one width
     rows = max(1, _BLOCK_BINS // nu.size)
     # a row whose start level is far from 1 is solved scaled by an exact 2^-e,
@@ -180,6 +165,7 @@ def _solve(theta, nu, s, bounds):
 
     The state holds the active rows only; a row that stops writes its outputs and leaves it."""
     objective, normal, score, ok = _score(theta, nu, s)
+    ok &= (s > 0.0).any(axis=1)  # an all-zero window: W = sum ln f has no minimum
     steps, converged, failed = np.zeros(len(s), dtype=int), np.zeros(len(s), dtype=bool), ~ok
     rows = np.flatnonzero(ok)
     th, objective, normal, score, s = theta[rows], objective[rows], normal[rows], score[rows], s[rows]
@@ -214,20 +200,22 @@ def _solve(theta, nu, s, bounds):
     return steps, converged, failed
 
 
-def mle_fit(sp: Spectrum, window, guess: SpectralParams | None = None) -> FitResult:
-    """Whittle fit of one spectrum from guess (or initial_guess) inside window.
+def mle_fit(sp: Spectrum, window) -> FitResult:
+    """Whittle fit of one spectrum inside window, from its moment estimate.
 
     The one-row case of mle_fit_stack, with the same bits. Unlike the relative
-    least squares sum (1 - S_bar/f)^2, whose minimum sits a factor about
-    (1 + 1/n_eff) high in amplitude, the estimate has no 1/n_eff bias; that
-    sum is still reported as chi2. A failed fit returns converged=False.
+    least squares, whose minimum sits a factor about (1 + 1/n_eff) high in
+    amplitude, the estimate has no 1/n_eff bias; that sum is still reported:
+    chi2 = sum (1 - S_bar_i/f_i(v_hat))^2 over the window's bins, inf or NaN
+    where it leaves the float range. A failed fit returns converged=False.
     """
-    v_hat, n_iter, converged = mle_fit_stack(
-        sp.nu, sp.s_bar[None], window, None if guess is None else guess.as_array()[None]
-    )
+    v_hat, n_iter, converged = mle_fit_stack(sp.nu, sp.s_bar[None], window)
     v = SpectralParams.from_array(v_hat[0])
-    window = (float(window[0]), float(window[1]))
-    return FitResult(v, chi_squared(v, sp, window), int(n_iter[0]), bool(converged[0]), window)
+    idx = fit_bins(sp.nu, window)
+    with np.errstate(over="ignore", invalid="ignore"):
+        r = 1.0 - sp.s_bar[idx] / eval_psd(v, sp.nu[idx])
+        chi2 = float(np.sum(r * r))
+    return FitResult(v, chi2, int(n_iter[0]), bool(converged[0]))
 
 
 def sample_covariance(fits) -> tuple[np.ndarray, np.ndarray]:

@@ -66,12 +66,9 @@ SCAN_N_RANGE_CM3 = (1e12, 2e13)
 SCAN_P_RANGE_W = (0.5e-3, 15e-3)
 
 
-def default_scan_axes(n_points: int = 50, p_points: int = 50):
-    """Uniform (n, P) axes spanning the reference scan plane."""
-    return (
-        np.linspace(*SCAN_N_RANGE_CM3, n_points),
-        np.linspace(*SCAN_P_RANGE_W, p_points),
-    )
+def default_scan_axes():
+    """Uniform 50-point (n, P) axes spanning the reference scan plane."""
+    return np.linspace(*SCAN_N_RANGE_CM3, 50), np.linspace(*SCAN_P_RANGE_W, 50)
 
 
 PROFILES = {"reference": REFERENCE_INSTRUMENT}

@@ -11,6 +11,7 @@ import json
 import os
 import pkgutil
 import platform
+import shutil
 import subprocess
 import sys
 import warnings
@@ -22,10 +23,10 @@ import snspec
 from snspec import cli, montecarlo
 from snspec.cli import build_parser, main
 from snspec.fisher import wishart_std
-from snspec.io import read_spectrum_csv
+from snspec.io import read_spectrum_csv, write_spectrum_csv
 from snspec.profiles import REFERENCE_ACQUISITION, REFERENCE_INSTRUMENT
 from snspec.scan import scan_grid
-from snspec.synthesis import AcquisitionConfig
+from snspec.synthesis import AcquisitionConfig, Spectrum
 
 CONFIG_DIR = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "configs")
 
@@ -223,6 +224,16 @@ class TestFit:
     def test_missing_spectrum_file(self, tmp_path):
         cfg = write_config(tmp_path, BASE)
         assert run("fit", tmp_path / "absent.csv", "--config", cfg) == 3
+
+    def test_all_zero_spectrum_is_not_converged(self, tmp_path):
+        # W = sum ln f has no minimum on it; the fit reports its start
+        cfg = write_config(tmp_path, BASE)
+        nu = REFERENCE_ACQUISITION.coarse_grid()
+        write_spectrum_csv(tmp_path / "zero.csv", Spectrum(nu, np.zeros_like(nu), 50))
+        assert run("fit", tmp_path / "zero.csv", "--config", cfg, "--out", tmp_path) == 0
+        doc = json.loads((tmp_path / "fit.json").read_text())
+        assert doc["converged"] is False
+        assert doc["n_iter"] == 0
 
 
 class TestValidate:
@@ -424,6 +435,105 @@ class TestUsageChecks:
         err = capsys.readouterr().err
         assert err == "error: record length t_total/delta = inf must be an integer >= 4\n"
         assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("points", [2**62, 2**63], ids=["2^62", "2^63"])
+    @pytest.mark.parametrize("command", ["synth", "fit", "validate", "crb", "scan"])
+    def test_scan_grid_past_the_cell_cap_exits_config(self, tmp_path, capsys, command, points):
+        # np.linspace ran out of memory on a 2^62-point axis and raised
+        # IndexError on a 2^63-point one; every command loads the scan section
+        body = copy.deepcopy(SCAN)
+        body["scan"]["n_points"] = points
+        cfg = write_config(tmp_path, body)
+        spectrum = [tmp_path / "spectrum.csv"] if command == "fit" else []  # the config is loaded first
+        assert run(command, *spectrum, "--config", cfg, "--out", tmp_path / "o") == 2
+        assert capsys.readouterr().err == "error: config.scan: n_points * p_points must be at most 1048576 cells\n"
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("command", ["validate", "crb"])
+    def test_trial_count_past_the_cap_exits_config(self, tmp_path, capsys, command):
+        # validate would list 2^62 trial seeds until the host ran out of memory
+        body = copy.deepcopy(BASE)
+        body["monte_carlo"]["n_trials"] = 2**62
+        cfg = write_config(tmp_path, body)
+        assert run(command, "--config", cfg, "--out", tmp_path / "o") == 2
+        assert capsys.readouterr().err == f"error: {cfg}.monte_carlo.n_trials: must be at most 1048576\n"
+        assert not (tmp_path / "o").exists()
+
+
+def shipped(name, **updates):
+    """A shipped config with the given sections updated."""
+    with open(os.path.join(CONFIG_DIR, name)) as fh:
+        doc = json.load(fh)
+    for section, values in updates.items():
+        doc.setdefault(section, {}).update(values)
+    return doc
+
+
+def config_leaves(doc, prefix=()):
+    for key, value in doc.items():
+        if isinstance(value, dict):
+            yield from config_leaves(value, prefix + (key,))
+        else:
+            yield prefix + (key,)
+
+
+DELETE = "<delete the key>"
+# the shipped configs with few trials and a small grid, so every call is short
+FUZZ_BASES = {
+    "validate_reference": shipped("validate_reference.json", monte_carlo={"n_trials": 4}),
+    "scan_reference": shipped(
+        "scan_reference.json", monte_carlo={"n_trials": 4}, scan={"n_points": 6, "p_points": 5}
+    ),
+}
+FUZZ_LEAVES = sorted({leaf for doc in FUZZ_BASES.values() for leaf in config_leaves(doc)})
+# the edges of every JSON type, and integers past any count the host can hold
+FUZZ_VALUES = [
+    0, -1, 1, 2**62, 2**63, 1e300, -1e300, 1e-300, 5e-324, float("nan"), float("inf"), float("-inf"),
+    True, False, None, "reference", [], {}, DELETE,
+]
+
+
+class TestExitCodeContract:
+    """Every config a command accepts ends in exit 0, 2, 3 or 4; a failure prints
+    one stderr line and leaves no output directory."""
+
+    def test_mutated_shipped_configs_end_in_a_documented_exit(self, tmp_path, capsys):
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+        spectrum = tmp_path / "spectrum.csv"
+        assert run("synth", "--config", write_config(tmp_path, FUZZ_BASES["validate_reference"]), "--out", tmp_path) == 0
+
+        @hypothesis.settings(deadline=None, derandomize=True, database=None, max_examples=120)
+        @hypothesis.given(
+            base=st.sampled_from(sorted(FUZZ_BASES)),
+            edits=st.lists(st.tuples(st.sampled_from(FUZZ_LEAVES), st.sampled_from(FUZZ_VALUES)), min_size=1, max_size=3),
+            command=st.sampled_from(["synth", "fit", "validate", "crb", "scan"]),
+        )
+        @hypothesis.example(base="scan_reference", edits=[(("scan", "n_points"), 2**63)], command="crb")
+        def check(base, edits, command):
+            doc = copy.deepcopy(FUZZ_BASES[base])
+            for (*path, key), value in edits:
+                section = doc
+                for step in path:
+                    section = section.get(step) if isinstance(section, dict) else None
+                if not isinstance(section, dict):
+                    continue  # an earlier edit replaced or deleted this section
+                if value is DELETE:
+                    section.pop(key, None)
+                else:
+                    section[key] = value
+            cfg = write_config(tmp_path, doc, "fuzz.json")
+            out = tmp_path / "out"
+            shutil.rmtree(out, ignore_errors=True)
+            capsys.readouterr()
+            code = run(command, *([spectrum] if command == "fit" else []), "--config", cfg, "--out", out)
+            err = capsys.readouterr().err
+            assert code in (0, 2, 3, 4)
+            if code:
+                assert len(err.splitlines()) == 1, err
+                assert not out.exists()
+
+        check()
 
 
 class TestCrb:

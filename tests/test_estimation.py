@@ -10,16 +10,7 @@ from snspec import estimation
 from snspec.errors import ConfigError
 from snspec.fisher import invert_psd_stack, wishart_std
 from snspec.model import SpectralParams, eval_psd
-from snspec.estimation import (
-    chi_squared,
-    initial_guess,
-    k2,
-    k4,
-    mle_fit,
-    mle_fit_stack,
-    sample_covariance,
-    var_k2,
-)
+from snspec.estimation import k2, k4, mle_fit, mle_fit_stack, sample_covariance, var_k2
 from snspec.montecarlo import run_validation, trial_spectrum
 from snspec.profiles import REFERENCE_ACQUISITION
 from snspec.synthesis import AcquisitionConfig, Spectrum
@@ -36,42 +27,65 @@ def noiseless_spectrum(v=V, cfg=CFG, n_eff=None):
     return Spectrum(nu=nu, s_bar=eval_psd(v, nu), n_eff=n_eff or cfg.n_eff)
 
 
-class TestChiSquared:
-    def test_zero_at_exact_model(self):
-        assert chi_squared(V, noiseless_spectrum(), WINDOW) == 0.0
+def window_bins(nu, window=WINDOW):
+    return (nu >= window[0]) & (nu <= window[1])
 
-    def test_single_bin_hand_value(self):
-        flat = SpectralParams(s_ph=1.0, nu_l=10.0, s_at=0.0, delta_nu=1.0)
-        sp = Spectrum(nu=np.array([1.0]), s_bar=np.array([2.0]), n_eff=1)
-        assert chi_squared(flat, sp, (0.5, 1.5)) == pytest.approx(1.0, rel=1e-15)
+
+def moment_start(sp, window=WINDOW):
+    """The point mle_fit starts sp from: the moment guess of its window's bins."""
+    idx = estimation.fit_bins(sp.nu, window)
+    return SpectralParams.from_array(estimation._initial_guess_stack(sp.nu[idx], sp.s_bar[idx][None], window)[0])
+
+
+def window_chi2(v, sp, window=WINDOW):
+    """sum over the window's bins of (1 - S_bar/f(v))^2, formed here."""
+    inside = window_bins(sp.nu, window)
+    r = 1.0 - sp.s_bar[inside] / eval_psd(v, sp.nu[inside])
+    return float(np.sum(r * r))
+
+
+@pytest.fixture
+def start_from(monkeypatch):
+    """start_from(v) makes every later fit start from v instead of its moment guess."""
+
+    def use(v):
+        monkeypatch.setattr(estimation, "_initial_guess_stack", lambda nu, s, window: np.tile(v.as_array(), (len(s), 1)))
+
+    return use
+
+
+class TestChiSquared:
+    """mle_fit's chi2: sum of (1 - S_bar/f(v_hat))^2 over the window's bins."""
+
+    def test_zero_at_exact_model(self, start_from):
+        # a fit that starts on the noiseless model takes no step off it
+        start_from(V)
+        assert mle_fit(noiseless_spectrum(), WINDOW).chi2 == 0.0
 
     def test_expectation_is_bins_over_n_eff(self):
-        # var(S_bar/f) = 1/n_eff per bin, so E[chi2] = K/n_eff at the truth
-        k_bins = np.count_nonzero(
-            (CFG.coarse_grid() >= WINDOW[0]) & (CFG.coarse_grid() <= WINDOW[1])
-        )
-        vals = [
-            chi_squared(V, trial_spectrum(V, CFG, (2, i), "gamma"), WINDOW)
-            for i in range(100)
-        ]
+        # var(S_bar/f) = 1/n_eff per bin, and the fit absorbs its 4
+        # parameters, so E[chi2] = (K - 4)/n_eff to leading order
+        k_bins = np.count_nonzero(window_bins(CFG.coarse_grid()))
+        vals = [mle_fit(trial_spectrum(V, CFG, (2, i), "gamma"), WINDOW).chi2 for i in range(100)]
         # per-draw SD is sqrt(2 K)/n_eff = 0.39, so the 100-seed mean carries
         # an SE of 0.039; 0.05 relative is a 5 sigma band
-        assert np.mean(vals) == pytest.approx(k_bins / CFG.n_eff, rel=0.05)
+        assert np.mean(vals) == pytest.approx((k_bins - 4) / CFG.n_eff, rel=0.05)
 
     def test_window_restricts_bins(self):
-        sp = noiseless_spectrum()
-        wrong = SpectralParams(s_ph=2.4, nu_l=42600.0, s_at=4.8, delta_nu=1500.0)
-        full = chi_squared(wrong, sp, WINDOW)
-        assert chi_squared(wrong, sp, (40e3, 45e3)) < full
+        sp = trial_spectrum(V, CFG, 17, "gamma")
+        narrow = (40e3, 45e3)
+        r = mle_fit(sp, narrow)
+        assert r.chi2 == window_chi2(r.v_hat, sp, narrow)
+        assert r.chi2 < window_chi2(r.v_hat, sp, WINDOW)
 
     def test_bad_window_rejected(self):
         with pytest.raises(ConfigError):
-            chi_squared(V, noiseless_spectrum(), (5e4, 3e4))
+            mle_fit(noiseless_spectrum(), (5e4, 3e4))
 
 
 class TestInitialGuess:
     def test_noiseless_recovery_within_coarse_tolerances(self):
-        g = initial_guess(noiseless_spectrum(), WINDOW)
+        g = moment_start(noiseless_spectrum())
         assert g.s_ph == pytest.approx(V.s_ph, rel=0.1)
         assert g.nu_l == pytest.approx(V.nu_l, abs=2 * CFG.coarse_spacing)
         assert g.s_at == pytest.approx(V.s_at, rel=0.1)
@@ -82,15 +96,10 @@ class TestInitialGuess:
         cfg = AcquisitionConfig(
             delta=5e-6, t_total=0.5, fit_lo=33e3, fit_hi=52e3, n_ave=8, n_bin=50
         )
-        g = initial_guess(trial_spectrum(flat, cfg, 4, "gamma"), WINDOW)
+        g = moment_start(trial_spectrum(flat, cfg, 4, "gamma"))
         # SpectralParams construction already enforces positivity
         assert g.s_ph == pytest.approx(2.0, rel=0.05)
         assert g.s_at < 0.5
-
-    def test_too_few_bins_rejected(self):
-        sp = noiseless_spectrum()
-        with pytest.raises(ConfigError):
-            initial_guess(sp, (42600.0, 42600.0 + 3 * CFG.coarse_spacing))
 
     def test_mean_level_is_formed_only_for_wingless_rows(self):
         # near the top of the float range the mean over a spectrum's bins
@@ -98,8 +107,8 @@ class TestInitialGuess:
         sp = trial_spectrum(V, CFG, (5, 0), "gamma")
         huge = Spectrum(sp.nu, sp.s_bar * 1e306, sp.n_eff)
         np.testing.assert_allclose(
-            initial_guess(huge, WINDOW).as_array(),
-            initial_guess(sp, WINDOW).as_array() * [1e306, 1.0, 1e306, 1.0],
+            moment_start(huge).as_array(),
+            moment_start(sp).as_array() * [1e306, 1.0, 1e306, 1.0],
             rtol=1e-15,
         )
         mle_fit(huge, WINDOW)  # ends without a RuntimeWarning, converged or not
@@ -121,22 +130,22 @@ class TestMleFit:
         assert r.converged
         np.testing.assert_allclose(r.v_hat.as_array(), V.as_array(), rtol=1e-6)
         assert r.chi2 < 1e-12
-        assert r.window == WINDOW
 
-    def test_recovers_from_distant_start(self):
+    def test_recovers_from_distant_start(self, start_from):
         start = SpectralParams(
             s_ph=1.3 * V.s_ph,
             nu_l=V.nu_l + 200.0,
             s_at=0.7 * V.s_at,
             delta_nu=1.4 * V.delta_nu,
         )
-        r = mle_fit(noiseless_spectrum(), WINDOW, guess=start)
+        start_from(start)
+        r = mle_fit(noiseless_spectrum(), WINDOW)
         np.testing.assert_allclose(r.v_hat.as_array(), V.as_array(), rtol=1e-6)
 
     def test_reported_chi2_matches_objective(self):
         sp = trial_spectrum(V, CFG, 17, "gamma")
         r = mle_fit(sp, WINDOW)
-        assert r.chi2 == pytest.approx(chi_squared(r.v_hat, sp, WINDOW), rel=1e-10)
+        assert r.chi2 == window_chi2(r.v_hat, sp)
 
     def test_flat_spectrum_background_recovery(self):
         flat = SpectralParams(s_ph=2.0, nu_l=42600.0, s_at=0.0, delta_nu=500.0)
@@ -176,17 +185,30 @@ class TestMleFit:
         [1e-320, 1e308],
         ids=["underflow", "overflow"],
     )
-    def test_fit_that_starts_out_of_range_reports_its_start(self, s_at):
+    def test_fit_that_starts_out_of_range_reports_its_start(self, s_at, start_from):
         sp = trial_spectrum(V, CFG, 17, "gamma")
         start = SpectralParams(s_ph=1.0, nu_l=42600.0, s_at=s_at, delta_nu=1000.0)
+        start_from(start)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            r = mle_fit(sp, WINDOW, guess=start)
+            r = mle_fit(sp, WINDOW)
         assert not r.converged
         assert r.v_hat == start
         assert r.n_iter == 0
         with np.errstate(over="ignore"):
-            assert r.chi2 == chi_squared(start, sp, WINDOW)
+            assert r.chi2 == window_chi2(start, sp)
+
+    def test_all_zero_window_fails_at_its_start(self):
+        # W = sum ln f has no minimum on an all-zero window: its level falls
+        # and its line narrows without end, so no step is taken
+        nu = CFG.coarse_grid()
+        zero = Spectrum(nu, np.zeros_like(nu), CFG.n_eff)
+        r = mle_fit(zero, WINDOW)
+        assert not r.converged
+        assert r.n_iter == 0
+        assert r.v_hat == moment_start(zero)
+        # every bin contributes (1 - 0/f)^2 = 1
+        assert r.chi2 == np.count_nonzero(window_bins(nu))
 
     def test_too_few_bins_rejected(self):
         with pytest.raises(ConfigError):
@@ -237,7 +259,7 @@ class TestMleFitStack:
         singles = [mle_fit(Spectrum(nu=nu, s_bar=row, n_eff=CFG.n_eff), WINDOW) for row in s_bar]
         assert np.unique(fits[1]).size > 2
         v_hat, n_iter, converged = fits
-        start = [initial_guess(Spectrum(nu, row, CFG.n_eff), WINDOW).as_array() for row in s_bar[-3:]]
+        start = [moment_start(Spectrum(nu, row, CFG.n_eff)).as_array() for row in s_bar[-3:]]
         assert n_iter[-3:].tolist() == [0, estimation._MAX_STEPS, 41]
         assert not converged[-3:].any()
         # a failed row returns its start, a row at the step limit its best point
@@ -271,7 +293,7 @@ class TestMleFitStack:
         # brings that level into [0.5, 1), so a spectrum at that scale and
         # the same spectrum times 2^+-1000 give the same bits
         sp = trial_spectrum(V, CFG, (5, 0), "gamma")
-        base = np.ldexp(sp.s_bar, -np.frexp(initial_guess(sp, WINDOW).s_ph)[1])
+        base = np.ldexp(sp.s_bar, -np.frexp(moment_start(sp).s_ph)[1])
         v_hat, n_iter, converged = mle_fit_stack(sp.nu, base[None], WINDOW)
         assert converged[0]
         level = np.array([1, 0, 1, 0])
@@ -294,14 +316,6 @@ class TestMleFitStack:
         # and solve the permuted stack one row per block
         monkeypatch.setattr(estimation, "_BLOCK_BINS", 1)
         self.assert_same(mle_fit_stack(nu, s_bar[perm], WINDOW), [x[perm] for x in fits])
-
-    def test_guesses_are_per_row(self):
-        nu, s_bar = self.mixed_stack()
-        start = SpectralParams(s_ph=1.3 * V.s_ph, nu_l=V.nu_l + 200.0, s_at=0.7 * V.s_at, delta_nu=1.4 * V.delta_nu)
-        guesses = [start if i % 2 else initial_guess(Spectrum(nu, row, CFG.n_eff), WINDOW) for i, row in enumerate(s_bar)]
-        fits = mle_fit_stack(nu, s_bar, WINDOW, guess=np.array([g.as_array() for g in guesses]))
-        singles = [mle_fit(Spectrum(nu, row, CFG.n_eff), WINDOW, g) for row, g in zip(s_bar, guesses)]
-        self.assert_same(fits, self.as_arrays(singles))
 
 
 class TestSampleCovariance:

@@ -1,0 +1,94 @@
+"""The bytes of every shipped-config output, pinned by a committed manifest.
+
+tests/data/golden_outputs.json holds the full sha256 of the 22 files that
+synth, fit (of synth's spectrum.csv), crb, and validate or scan write for the
+shipped configs at their default seeds: validate_reference.json on both
+synthesis routes, and scan_reference.json at xi2 1 and 0.55. It also records
+the numpy version and the platform that made them. The bits depend on numpy's
+Generator and pocketfft, so under another numpy or platform the test skips
+and names both, rather than pass or fail on bits it cannot vouch for.
+
+When a change moves bytes on purpose, rewrite the manifest and cite its diff:
+
+    PYTHONPATH=src python tests/test_golden_outputs.py
+"""
+
+import contextlib
+import hashlib
+import io
+import json
+import platform
+import sys
+import tempfile
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from snspec.cli import main
+
+ROOT = Path(__file__).resolve().parent.parent
+CONFIG_DIR = ROOT / "configs"
+MANIFEST = Path(__file__).resolve().parent / "data" / "golden_outputs.json"
+
+# run name: (shipped config, {key path: value} set on it, the command beyond synth, fit and crb)
+RUNS = {
+    "validate_reference-timeseries": ("validate_reference.json", {}, "validate"),
+    "validate_reference-gamma": ("validate_reference.json", {("monte_carlo", "synthesis"): "gamma"}, "validate"),
+    "scan_reference-xi2_1": ("scan_reference.json", {}, "scan"),
+    "scan_reference-xi2_0.55": (
+        "scan_reference.json",
+        {("model", "conditions", "xi2"): 0.55, ("scan", "xi2"): 0.55},
+        "scan",
+    ),
+}
+
+
+def environment() -> dict:
+    """What the bits depend on beyond the source: numpy and the platform."""
+    return {"numpy": np.__version__, "platform": f"{sys.platform}-{platform.machine()}"}
+
+
+def outputs(root: Path) -> dict:
+    """Run every shipped-config command under root; the sha256 of each file written, by 'run/file'."""
+    digests = {}
+    for name, (config, edits, command) in RUNS.items():
+        doc = json.loads((CONFIG_DIR / config).read_text())
+        for keys, value in edits.items():
+            section = doc
+            for key in keys[:-1]:
+                section = section[key]
+            section[keys[-1]] = value
+        path, out = root / f"{name}.json", root / name
+        path.write_text(json.dumps(doc))
+        calls = [
+            ["synth", "--config", path, "--out", out],
+            ["fit", out / "spectrum.csv", "--config", path, "--out", out],
+            ["crb", "--config", path, "--out", out],
+            [command, "--config", path, "--out", out],
+        ]
+        for argv in calls:
+            with contextlib.redirect_stdout(io.StringIO()):
+                code = main([str(a) for a in argv])
+            assert code == 0, f"{name}: {argv[0]} exited {code}"
+        for f in sorted(out.iterdir()):
+            digests[f"{name}/{f.name}"] = hashlib.sha256(f.read_bytes()).hexdigest()
+    return digests
+
+
+def test_shipped_outputs_match_the_manifest(tmp_path):
+    manifest = json.loads(MANIFEST.read_text())
+    if manifest["made_with"] != environment():
+        pytest.skip(f"manifest made with {manifest['made_with']}, this is {environment()}: bits not comparable")
+    expected, got = manifest["sha256"], outputs(tmp_path)
+    moved = sorted(k for k in expected.keys() | got.keys() if expected.get(k) != got.get(k))
+    assert not moved, "outputs differ from the manifest: " + ", ".join(
+        f"{k} {expected.get(k, 'absent')[:8]} -> {got.get(k, 'absent')[:8]}" for k in moved
+    )
+
+
+if __name__ == "__main__":
+    with tempfile.TemporaryDirectory() as tmp:
+        digests = outputs(Path(tmp))
+    MANIFEST.write_text(json.dumps({"made_with": environment(), "sha256": digests}, indent=1, sort_keys=True) + "\n")
+    print(f"wrote {len(digests)} digests to {MANIFEST}")
