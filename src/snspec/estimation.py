@@ -79,8 +79,14 @@ def _initial_guess_stack(nu: np.ndarray, s: np.ndarray, window) -> np.ndarray:
     s_ph from the median over the outer quartiles of the window (the line
     wings), nu_l from the argmax bin, s_at from the peak height above s_ph,
     delta_nu from the half-maximum crossings (falling back to a quarter of
-    the window when the peak is unresolved).
+    the window when the peak is unresolved). A row whose largest |value|
+    exceeds the top of _LEVEL_RANGE is guessed scaled by its power-of-two
+    level, so that the median of two wing bins and the half maximum cannot
+    overflow; the scale is exact, and e = 0 leaves every other row's bits.
     """
+    top = np.max(np.abs(s), axis=1)
+    e = np.where(top > _LEVEL_RANGE[1], np.frexp(top)[1], 0)
+    s = np.ldexp(s, -e[:, None])
     m, k_bins = s.shape
     q = max(k_bins // 4, 1)
     s_ph = np.median(np.concatenate([s[:, :q], s[:, -q:]], axis=1), axis=1)
@@ -97,7 +103,7 @@ def _initial_guess_stack(nu: np.ndarray, s: np.ndarray, window) -> np.ndarray:
     right = np.min(np.where(below & (j > k[:, None]), j, k_bins), axis=1) - 1
     width = nu[right] - nu[left]
     width = np.where(width > 0.0, width, 0.25 * (window[1] - window[0]))
-    return np.column_stack([s_ph, nu[k], s_at, width])
+    return np.column_stack([np.ldexp(s_ph, e), nu[k], np.ldexp(s_at, e), width])
 
 
 _LOG = np.array([True, False, True, True])  # the entries of theta that are logs

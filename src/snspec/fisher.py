@@ -182,9 +182,23 @@ def fisher_discrete(v: SpectralParams, bins, n_eff: float) -> FisherResult:
     return _result(info, n_eff, spacing, (bins[0], bins[-1]), "discrete-sum")
 
 
-# One fixed Gauss-Legendre rule for every panel, and the cells integrated
-# together: the block size is what bounds the memory of a stack.
-_GL_X, _GL_W = np.polynomial.legendre.leggauss(16)
+# One fixed 16-point Gauss-Legendre rule for every panel: the positive nodes
+# and their weights, repr-exact as leggauss(16) returns them (it makes both
+# symmetric, so mirroring them gives its arrays), with no numpy.polynomial
+# import. _GL_W4 repeats each weight over the 4 gradient components, to weigh
+# the nodes on a contiguous axis. The cells are integrated in blocks: the
+# block size is what bounds the memory of a stack.
+_GL_X_POS = np.array([
+    0.09501250983763744, 0.2816035507792589, 0.45801677765722737, 0.6178762444026438,
+    0.755404408355003, 0.8656312023878318, 0.9445750230732326, 0.9894009349916499,
+])
+_GL_W_POS = np.array([
+    0.18945061045506864, 0.18260341504492364, 0.16915651939500265, 0.1495959888165767,
+    0.12462897125553407, 0.0951585116824926, 0.062253523938647456, 0.027152459411754176,
+])
+_GL_X = np.concatenate([-_GL_X_POS[::-1], _GL_X_POS])
+_GL_W = np.concatenate([_GL_W_POS[::-1], _GL_W_POS])
+_GL_W4 = np.repeat(_GL_W, 4)
 _BLOCK_CELLS = 64
 # S = diag(1, -1, 1, 1): grad_log_psd at nu_l - x is S times its value at
 # nu_l + x. A panel of |x| weighs its outer product M by one of these, when
@@ -214,6 +228,13 @@ def _outer_integral(theta: np.ndarray, lo: float, hi: float) -> np.ndarray:
     or S M S. A clipped panel has zero width and adds exactly zero, and
     each row's panels add in ascending |x|, so a row gets the same bits
     alone or in any stack.
+
+    The panels (edges, widths, centres and side) are built once per call, at
+    the largest depth K of the stack, and the rule is evaluated in blocks of
+    _BLOCK_CELLS rows, each on its own first K_block + 2 panels only. Every
+    edge past a row's depth lies beyond its reach, so it clips to the reach
+    and sorts after the row's own edges: those panels are the ones the block
+    would build alone.
     """
     nu_l, half = theta[:, 1:2], 0.5 * theta[:, 3:4]
     below, above = nu_l - lo, hi - nu_l
@@ -221,22 +242,31 @@ def _outer_integral(theta: np.ndarray, lo: float, hi: float) -> np.ndarray:
     # reach at k = e_reach - e_half + 1; working on exponents rather than on
     # reach / half keeps a tiny linewidth from overflowing u
     reach = np.maximum(np.abs(below), np.abs(above))
-    k = max(0, int(np.max(np.frexp(reach)[1] - np.frexp(half)[1])) + 1)
+    depth = (np.frexp(reach)[1] - np.frexp(half)[1])[:, 0]
+    k = max(0, int(np.max(depth, initial=-1)) + 1)
     near = np.minimum(below, above)  # negative when nu_l is outside the window
     fold = np.maximum(near, 0.0)
     edges = np.hstack([np.zeros_like(half), np.ldexp(half, np.arange(k + 1)), fold])
     edges = np.clip(np.sort(edges, axis=1), np.maximum(-near, 0.0), reach)
     a, b = edges[:, :-1], edges[:, 1:]
     width = 0.5 * (b - a)
-    nodes = (0.5 * (a + b))[..., None] + width[..., None] * _GL_X
+    centre = 0.5 * (a + b)
+    side = np.where(b <= fold, 0, np.where(above >= below, 1, 2))
     centred = theta.copy()
     centred[:, 1] = 0.0
-    g = grad_log_psd(centred[:, None, None, :], nodes)
-    sums = width[..., None, None] * (np.swapaxes(g * _GL_W[:, None], -1, -2) @ g)
-    sums *= _SIDES[np.where(b <= fold, 0, np.where(above >= below, 1, 2))]
     total = np.zeros((theta.shape[0], 4, 4))
-    for panel in range(sums.shape[1]):
-        total += sums[:, panel]
+    for s in range(0, theta.shape[0], _BLOCK_CELLS):
+        block = slice(s, s + _BLOCK_CELLS)
+        panels = max(0, int(np.max(depth[block])) + 1) + 2
+        w = width[block, :panels]
+        nodes = centre[block, :panels, None] + w[..., None] * _GL_X
+        g = grad_log_psd(centred[block, None, None, :], nodes)
+        weighted = (g.reshape(*w.shape, -1) * _GL_W4).reshape(g.shape)
+        sums = w[..., None, None] * (np.swapaxes(weighted, -1, -2) @ g)
+        sums *= _SIDES[side[block, :panels]]
+        out = total[block]
+        for panel in range(panels):
+            out += sums[:, panel]
     return total
 
 
@@ -249,10 +279,7 @@ def _integral_info(theta, window, nu_t: float, n_eff: float) -> np.ndarray:
         raise ValueError(f"nu_t must be > 0, got {nu_t}")
     if n_eff < 1:
         raise ValueError(f"n_eff must be >= 1, got {n_eff}")
-    theta = np.asarray(theta, dtype=float)
-    info = np.empty((theta.shape[0], 4, 4))
-    for s in range(0, theta.shape[0], _BLOCK_CELLS):
-        info[s : s + _BLOCK_CELLS] = _outer_integral(theta[s : s + _BLOCK_CELLS], lo, hi)
+    info = _outer_integral(np.asarray(theta, dtype=float), lo, hi)
     return _symmetrize((n_eff + 2.0) / nu_t * info)
 
 

@@ -4,8 +4,11 @@ Spectrum files are CSV (nu_hz, psd_uv2_per_hz; the caller supplies n_eff) or
 JSON (the same columns as lists, n_eff, provenance keys); only this module
 knows either layout. Readers report a malformed file as a ConfigError.
 
-Both CSV tables (spectrum and scan) are written by one % formatting pass over
-all rows; only the spectrum table is read back, by np.loadtxt. Floats are written with repr-exact precision (%.17g) so
+Each CSV table has its own writer, and both write the bytes of
+np.savetxt(fmt="%.17g", delimiter=","). The spectrum table is one % formatting
+pass over all rows, read back by np.loadtxt. The scan table, which is not read
+back, formats each grid axis value once, since its long format repeats each
+value on many rows. Floats are written with repr-exact precision (%.17g) so
 every emitted file re-ingests bit-identically; writers emit LF newlines and
 sorted JSON keys so identical inputs give byte-identical files. JSON files
 hold no NaN or Infinity, which RFC 8259 lacks: a non-finite float is null.
@@ -44,18 +47,12 @@ def _spectrum(path, nu, s_bar, n_eff) -> Spectrum:
         raise ConfigError(f"{path}: {exc}") from exc
 
 
-def _write_csv(path, header, cols) -> None:
-    """Equal-length columns under the given header, one row per index, in np.savetxt's bytes."""
-    data = np.column_stack(cols)
-    row = ",".join(["%.17g"] * data.shape[1]) + "\n"
-    with open(path, "w", newline="\n") as fh:
-        fh.write(",".join(header) + "\n")
-        fh.write((row * data.shape[0]) % tuple(data.ravel().tolist()))
-
-
 def write_spectrum_csv(path, sp: Spectrum) -> None:
-    """Spectrum to two-column CSV; n_eff is not stored."""
-    _write_csv(path, SPECTRUM_HEADER, (sp.nu, sp.s_bar))
+    """Spectrum to two-column CSV in np.savetxt's bytes; n_eff is not stored."""
+    values = np.column_stack((sp.nu, sp.s_bar)).ravel().tolist()
+    with open(path, "w", newline="\n") as fh:
+        fh.write(",".join(SPECTRUM_HEADER) + "\n")
+        fh.write(("%.17g,%.17g\n" * sp.nu.size) % tuple(values))
 
 
 def read_spectrum_csv(path, n_eff: int = 1) -> Spectrum:
@@ -105,9 +102,21 @@ def read_spectrum_json(path) -> Spectrum:
 
 
 def write_scan_csv(path, sg) -> None:
-    """ScanGrid to long-format CSV, one row per (n, P) cell."""
-    n, p = np.meshgrid(sg.n_values, sg.p_values, indexing="ij")
-    _write_csv(path, SCAN_HEADER, (n.ravel(), p.ravel(), *sg.surfaces.reshape(4, -1)))
+    """ScanGrid to long-format CSV, one row per (n, P) cell, in np.savetxt's bytes.
+
+    Each n and P value is formatted once, as the grid repeats it, and the four
+    surfaces in one % pass; each row is then its n, its P and its line of
+    surfaces.
+    """
+    n = ["%.17g," % x for x in sg.n_values.tolist()]
+    p = ["%.17g," % x for x in sg.p_values.tolist()]
+    cells = sg.surfaces.reshape(4, -1).T
+    lines = iter(
+        (("%.17g,%.17g,%.17g,%.17g\n" * len(cells)) % tuple(cells.ravel().tolist())).splitlines(True)
+    )
+    with open(path, "w", newline="\n") as fh:
+        fh.write(",".join(SCAN_HEADER) + "\n")
+        fh.write("".join([a + b + next(lines) for a in n for b in p]))
 
 
 def _finite(x):

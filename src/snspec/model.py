@@ -174,10 +174,11 @@ def grad_log_psd(v, nu) -> np.ndarray:
     lor = d2 / q
     f = s_ph + s_at * lor
     g = np.empty(np.shape(f) + (4,))
-    g[..., 0] = 1.0 / f
-    g[..., 1] = 8.0 * s_at * off * lor / (q * f)
-    g[..., 2] = lor / f
-    g[..., 3] = 8.0 * s_at * off * off * lor / (d * q * f)
+    np.divide(1.0, f, out=g[..., 0])
+    line = 8.0 * s_at * off
+    np.divide(line * lor, q * f, out=g[..., 1])
+    np.divide(lor, f, out=g[..., 2])
+    np.divide(line * off * lor, d * q * f, out=g[..., 3])
     return g
 
 

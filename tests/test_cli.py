@@ -89,11 +89,15 @@ def negate_psd(rows):
 
 def test_import_does_not_load_scipy():
     # the runtime needs numpy only; scipy is a test dependency. Validate is
-    # one serial array program, so no thread pool is loaded either
+    # one serial array program, so no thread pool is loaded either, and the
+    # quadrature rule is stored, so numpy.polynomial is not loaded
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(snspec.__file__)))
-    code = "import sys, snspec.cli; print('scipy' in sys.modules, 'concurrent.futures' in sys.modules)"
+    code = (
+        "import sys, snspec.cli; "
+        "print(*(m in sys.modules for m in ('scipy', 'concurrent.futures', 'numpy.polynomial')))"
+    )
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "False False"
+    assert out.stdout.strip() == "False False False"
 
 
 def test_import_snspec_loads_no_submodule_and_no_numpy():
@@ -234,6 +238,15 @@ class TestFit:
         doc = json.loads((tmp_path / "fit.json").read_text())
         assert doc["converged"] is False
         assert doc["n_iter"] == 0
+
+    def test_flat_spectrum_at_the_top_of_the_float_range_fits(self, tmp_path):
+        cfg = write_config(tmp_path, BASE)
+        nu = REFERENCE_ACQUISITION.coarse_grid()
+        write_spectrum_csv(tmp_path / "flat.csv", Spectrum(nu, np.full_like(nu, 2.0**1023), 50))
+        assert run("fit", tmp_path / "flat.csv", "--config", cfg, "--out", tmp_path) == 0
+        doc = json.loads((tmp_path / "fit.json").read_text())
+        assert doc["converged"] is True
+        assert doc["s_ph_uv2_per_hz"] == pytest.approx(2.0**1023, rel=1e-6)
 
 
 class TestValidate:
@@ -493,9 +506,45 @@ FUZZ_VALUES = [
 ]
 
 
+# what a line edit of a spectrum or sample file puts in a field: the edges of
+# the float range, text numpy or csv reads in its own way, and a byte that is
+# not UTF-8 (written through surrogateescape)
+FILE_TOKENS = [
+    "nan", "inf", "-inf", "-1", "0", "5e-324", "1e400", "8.98846567431158e+307", "", " ", "x",
+    '"3"', "1e", "0x10", "1_0", "\udcff",
+]
+# each edit acts on one line (a row of fields; the header of a spectrum file)
+LINE_EDITS = ["psd", "nu", "drop", "blank", "extra", "short", "dup", "crlf"]
+
+
+def edit_lines(lines, edits):
+    """lines, a list of field lists, after each (index, edit, token) in turn."""
+    for index, edit, token in edits:
+        if not lines:
+            break
+        i = index % len(lines)
+        if edit == "psd":
+            lines[i] = lines[i][:-1] + [token]
+        elif edit == "nu":
+            lines[i] = [token] + lines[i][1:]
+        elif edit == "drop":
+            del lines[i]
+        elif edit == "blank":
+            lines.insert(i, [])
+        elif edit == "extra":
+            lines[i] = lines[i] + [token]
+        elif edit == "short":
+            lines[i] = lines[i][:-1]
+        elif edit == "dup":
+            lines.insert(i, list(lines[i]))
+        else:
+            lines[i] = lines[i][:-1] + [(lines[i][-1] if lines[i] else "") + "\r"]
+    return lines
+
+
 class TestExitCodeContract:
-    """Every config a command accepts ends in exit 0, 2, 3 or 4; a failure prints
-    one stderr line and leaves no output directory."""
+    """Every config or input file a command accepts ends in exit 0, 2, 3 or 4; a
+    failure prints one stderr line and leaves no output directory."""
 
     def test_mutated_shipped_configs_end_in_a_documented_exit(self, tmp_path, capsys):
         hypothesis = pytest.importorskip("hypothesis")
@@ -527,6 +576,49 @@ class TestExitCodeContract:
             shutil.rmtree(out, ignore_errors=True)
             capsys.readouterr()
             code = run(command, *([spectrum] if command == "fit" else []), "--config", cfg, "--out", out)
+            err = capsys.readouterr().err
+            assert code in (0, 2, 3, 4)
+            if code:
+                assert len(err.splitlines()) == 1, err
+                assert not out.exists()
+
+        check()
+
+    def test_malformed_spectrum_and_sample_files_end_in_a_documented_exit(self, tmp_path, capsys):
+        # fit reads a spectrum file (header and nu,psd rows), kstats a sample
+        # file (the psd column, one value per line); a level sets every psd
+        # value before the edits, and the flat 2^1023 spectrum is an example
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+        cfg = write_config(tmp_path, BASE)
+        assert run("synth", "--config", cfg, "--out", tmp_path) == 0
+        header, *rows = (tmp_path / "spectrum.csv").read_text().splitlines()
+        rows = [row.split(",") for row in rows]
+        path = tmp_path / "input.txt"
+
+        @hypothesis.settings(deadline=None, derandomize=True, database=None, max_examples=60)
+        @hypothesis.given(
+            command=st.sampled_from(["fit", "kstats"]),
+            level=st.sampled_from([None, 0.0, -1.0, 5e-324, 1e-300, 1e300, 2.0**1023]),
+            edits=st.lists(
+                st.tuples(st.integers(0, len(rows)), st.sampled_from(LINE_EDITS), st.sampled_from(FILE_TOKENS)),
+                max_size=3,
+            ),
+        )
+        @hypothesis.example(command="fit", level=2.0**1023, edits=[])
+        @hypothesis.example(command="kstats", level=2.0**1023, edits=[])
+        def check(command, level, edits):
+            body = [[nu, psd if level is None else repr(level)] for nu, psd in rows]
+            if command == "fit":
+                lines = edit_lines([header.split(",")] + body, edits)
+            else:
+                lines = edit_lines([[psd] for _, psd in body], edits)
+            text = "".join(",".join(line) + "\n" for line in lines)
+            path.write_bytes(text.encode("utf-8", "surrogateescape"))
+            out = tmp_path / "out"
+            shutil.rmtree(out, ignore_errors=True)
+            capsys.readouterr()
+            code = run(command, path, *(["--config", cfg] if command == "fit" else []), "--out", out)
             err = capsys.readouterr().err
             assert code in (0, 2, 3, 4)
             if code:

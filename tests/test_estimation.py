@@ -301,6 +301,15 @@ class TestMleFitStack:
             fit = mle_fit_stack(sp.nu, np.ldexp(base, k)[None], WINDOW)
             self.assert_same(fit, (np.ldexp(v_hat, k * level), n_iter, converged))
 
+    def test_flat_spectrum_at_the_top_of_the_float_range_fits_as_at_one(self):
+        # the median of two wing bins at 2^1023 overflows unless the start is
+        # formed at the spectrum's power-of-two level
+        nu = CFG.coarse_grid()
+        v_hat, n_iter, converged = mle_fit_stack(nu, np.ones((1, nu.size)), WINDOW)
+        assert converged[0]
+        fit = mle_fit_stack(nu, np.full((1, nu.size), 2.0**1023), WINDOW)
+        self.assert_same(fit, (np.ldexp(v_hat, 1023 * np.array([1, 0, 1, 0])), n_iter, converged))
+
     @pytest.mark.parametrize("scale", [1e300, 1e306])
     def test_far_scales_converge_as_at_scale_one(self, scale):
         sp = trial_spectrum(V, CFG, (5, 0), "gamma")

@@ -22,7 +22,7 @@ from snspec.fisher import (
     normalized_deviation,
     wishart_std,
 )
-from snspec.model import SpectralParams
+from snspec.model import SpectralParams, grad_log_psd
 from snspec.scan import scan_grid
 from snspec.synthesis import AcquisitionConfig
 
@@ -206,6 +206,41 @@ class TestIntegralRoute:
         ])
         assert np.isfinite(want).all(axis=(1, 2)).sum() > 48
         np.testing.assert_array_equal(integral_covariance_stack(theta, WINDOW, 100.0, 50), want)
+
+    def test_blocks_of_different_depths_equal_single_calls_bit_for_bit(self, monkeypatch):
+        # the panels are built once per call at the stack's largest depth;
+        # blocks of medium, narrow, wide and mixed lines, each in random
+        # order, evaluate only their own first panels
+        rng = np.random.default_rng(7)
+        centres = [20e3, 33e3, 34e3, 42.6e3, 51.5e3, 60e3]
+
+        def block(widths, size):
+            return np.array([
+                (1.0, rng.choice(centres), rng.choice([1e-2, 4.0, 1e3]), rng.choice(widths))
+                for _ in range(size)
+            ])
+
+        theta = np.vstack([block([1e3, 2e4], 64), block([1e-3, 0.3], 64), block([3e4, 1e5], 64), block([0.3, 30.0], 40)])
+        panels = []
+
+        def recording(v, nu):
+            panels.append(nu.shape[1])
+            return grad_log_psd(v, nu)
+
+        monkeypatch.setattr(fisher, "grad_log_psd", recording)
+        got = integral_covariance_stack(theta, WINDOW, 100.0, 50)
+        assert len(panels) == len(set(panels)) == 4, panels
+        want = np.array([
+            fisher_integral(SpectralParams.from_array(row), WINDOW, 100.0, 50).gamma_th
+            for row in theta
+        ])
+        assert np.isfinite(want).all(axis=(1, 2)).sum() > 150
+        np.testing.assert_array_equal(got, want)
+
+    def test_gauss_legendre_literals_are_leggauss(self):
+        x, w = np.polynomial.legendre.leggauss(16)
+        np.testing.assert_array_equal(fisher._GL_X, x, strict=True)
+        np.testing.assert_array_equal(fisher._GL_W, w, strict=True)
 
     @pytest.mark.parametrize("s_at, delta_nu", [(4.0, 1000.0), (1e-2, 0.3), (1e3, 2e4)])
     def test_centred_line_has_no_centre_cross_terms(self, s_at, delta_nu):

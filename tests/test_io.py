@@ -1,5 +1,6 @@
 """CSV and JSON round trips, header validation, parse error reporting."""
 
+import io
 import json
 
 import numpy as np
@@ -103,6 +104,23 @@ class TestScanCsv:
         np.testing.assert_array_equal(data[:, 0], n.ravel())
         np.testing.assert_array_equal(data[:, 1], p.ravel())
         np.testing.assert_array_equal(data[:, 2:].T, sg.surfaces.reshape(4, -1))
+
+    def test_bytes_are_savetxt_under_the_header(self, tmp_path):
+        # awkward axis values, and a NaN, an inf and a subnormal among the cells
+        surfaces = awkward_floats(4 * 7 * 6, seed=4).reshape(4, 7, 6)
+        surfaces[0, 2, 3], surfaces[1, 6, 0], surfaces[3, 0, 5] = np.nan, np.inf, 5e-324
+        sg = ScanGrid(
+            n_values=np.sort(awkward_floats(7, seed=5)),
+            p_values=np.sort(awkward_floats(6, seed=6)),
+            xi2=0.55,
+            surfaces=surfaces,
+        )
+        path = tmp_path / "scan.csv"
+        write_scan_csv(path, sg)
+        n, p = np.meshgrid(sg.n_values, sg.p_values, indexing="ij")
+        buf = io.StringIO()
+        np.savetxt(buf, np.column_stack([n.ravel(), p.ravel(), *surfaces.reshape(4, -1)]), fmt="%.17g", delimiter=",")
+        assert path.read_bytes() == ("n_cm3,p_w,gamma11,gamma22,gamma33,gamma44\n" + buf.getvalue()).encode()
 
     def test_header_and_row_count(self, tmp_path):
         path = tmp_path / "scan.csv"
