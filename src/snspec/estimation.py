@@ -79,14 +79,9 @@ def _initial_guess_stack(nu: np.ndarray, s: np.ndarray, window) -> np.ndarray:
     s_ph from the median over the outer quartiles of the window (the line
     wings), nu_l from the argmax bin, s_at from the peak height above s_ph,
     delta_nu from the half-maximum crossings (falling back to a quarter of
-    the window when the peak is unresolved). A row whose largest |value|
-    exceeds the top of _LEVEL_RANGE is guessed scaled by its power-of-two
-    level, so that the median of two wing bins and the half maximum cannot
-    overflow; the scale is exact, and e = 0 leaves every other row's bits.
+    the window when the peak is unresolved). The rows are taken as given;
+    mle_fit_stack hands over each row scaled to its own level.
     """
-    top = np.max(np.abs(s), axis=1)
-    e = np.where(top > _LEVEL_RANGE[1], np.frexp(top)[1], 0)
-    s = np.ldexp(s, -e[:, None])
     m, k_bins = s.shape
     q = max(k_bins // 4, 1)
     s_ph = np.median(np.concatenate([s[:, :q], s[:, -q:]], axis=1), axis=1)
@@ -103,15 +98,20 @@ def _initial_guess_stack(nu: np.ndarray, s: np.ndarray, window) -> np.ndarray:
     right = np.min(np.where(below & (j > k[:, None]), j, k_bins), axis=1) - 1
     width = nu[right] - nu[left]
     width = np.where(width > 0.0, width, 0.25 * (window[1] - window[0]))
-    return np.column_stack([np.ldexp(s_ph, e), nu[k], np.ldexp(s_at, e), width])
+    return np.column_stack([s_ph, nu[k], s_at, width])
 
 
 _LOG = np.array([True, False, True, True])  # the entries of theta that are logs
 # the entries that scale with the spectrum; int32 as frexp returns, for which
 # ldexp has its fast loop
 _LEVEL = np.array([1, 0, 1, 0], dtype=np.int32)
-# start levels s_ph outside this range are solved at a power-of-two scale
+# levels outside this range are brought into [0.5, 1) by an exact power of two
 _LEVEL_RANGE = (2.0**-256, 2.0**256)
+
+
+def _far(x: np.ndarray) -> np.ndarray:
+    """Whether each level x lies outside _LEVEL_RANGE (zero and NaN do)."""
+    return ~((x >= _LEVEL_RANGE[0]) & (x <= _LEVEL_RANGE[1]))
 
 
 def _params(theta: np.ndarray) -> np.ndarray:
@@ -151,19 +151,24 @@ def mle_fit_stack(nu, s_bar, window):
     nu = np.asarray(nu, dtype=float)
     idx = fit_bins(nu, window)
     nu, s = nu[idx], np.asarray(s_bar, dtype=float)[:, idx]
-    v0 = _initial_guess_stack(nu, s, window)
+    # Each row is solved at one exact power-of-two scale 2^-e from its start
+    # on, and only its output is scaled back; e = 0 leaves a row's bits. Its
+    # start is formed at the level 2^t of its largest bin, where neither the
+    # median of two wing bins overflows nor the s_at floor underflows, and e
+    # is the level of that start's s_ph where it lies outside _LEVEL_RANGE.
+    top = np.max(np.abs(s), axis=1)
+    t = np.where(_far(top), np.frexp(top)[1], 0)
+    v0 = _initial_guess_stack(nu, np.ldexp(s, -t[:, None]), window)
+    e = np.where(_far(np.ldexp(v0[:, 0], t)), np.frexp(v0[:, 0])[1] + t, 0)
     bounds = (2.0 * window[0] - window[1], 2.0 * window[1] - window[0])  # padded by one width
     rows = max(1, _BLOCK_BINS // nu.size)
-    # a row whose start level is far from 1 is solved scaled by an exact 2^-e,
-    # so that its model cannot overflow; e = 0 leaves the other rows' bits
-    far = ~((v0[:, 0] >= _LEVEL_RANGE[0]) & (v0[:, 0] <= _LEVEL_RANGE[1]))
-    e = np.where(far, np.frexp(v0[:, 0])[1], 0)[:, None] * _LEVEL
     with np.errstate(all="ignore"):
-        s, start = np.ldexp(s, -e[:, :1]), np.ldexp(v0, -e)
+        s, start = np.ldexp(s, -e[:, None]), np.ldexp(v0, (t - e)[:, None] * _LEVEL)
         theta = np.where(_LOG, np.log(start), np.clip(start, *bounds))
         done = [_solve(theta[b : b + rows], nu, s[b : b + rows], bounds) for b in range(0, len(s), rows)]
         steps, converged, failed = (np.concatenate(x) for x in zip(*done))
-        return np.where(failed[:, None], v0, np.ldexp(_params(theta), e)), steps, converged
+        v_hat = np.where(failed[:, None], start, _params(theta))
+        return np.ldexp(v_hat, e[:, None] * _LEVEL), steps, converged
 
 
 def _solve(theta, nu, s, bounds):

@@ -129,10 +129,13 @@ def _finite(x):
 
 
 def write_json(path, payload: dict[str, Any]) -> None:
-    """payload as sorted, indented JSON; a non-finite float is written as null."""
+    """payload as sorted, indented JSON; a non-finite float is written as null.
+
+    The document is encoded whole and written once: json.dump would write
+    each of its many small chunks separately."""
+    text = json.dumps(_finite(payload), indent=2, sort_keys=True, allow_nan=False)
     with open(path, "w", newline="\n") as fh:
-        json.dump(_finite(payload), fh, indent=2, sort_keys=True, allow_nan=False)
-        fh.write("\n")
+        fh.write(text + "\n")
 
 
 def read_json(path) -> dict[str, Any]:

@@ -11,8 +11,10 @@ inspect a discrepancy.
 Seeding contract: trial k draws from numpy's default_rng seeded with
 (master_seed, k). Results are therefore independent of execution order, and
 any single trial can be replayed in isolation. The trials are synthesized as
-one serial (n_trials, K) array program and fitted in one stacked solve, each
-bit for bit as if alone.
+one serial (n_trials, window bins) array program, on the fit window's
+contiguous range of coarse bins only, and fitted in one stacked solve, each
+bit for bit as if alone: row k holds the window's columns of
+trial_spectrum(v, cfg, (master_seed, k)).
 """
 from __future__ import annotations
 
@@ -58,10 +60,15 @@ class ValidationReport:
 
 
 def trial_spectra(
-    v: SpectralParams, cfg: AcquisitionConfig, seeds, synthesis: str = "timeseries"
+    v: SpectralParams,
+    cfg: AcquisitionConfig,
+    seeds,
+    synthesis: str = "timeseries",
+    bins: slice = slice(None),
 ) -> np.ndarray:
     """Synthetic averaged spectra by either route, one row of bin means per
-    seed: a (len(seeds), K) array.
+    seed on the contiguous range bins of cfg.coarse_grid(), the whole grid
+    by default: a (len(seeds), len(grid[bins])) array.
 
     "timeseries" runs the physical pipeline: n_ave Gaussian records, a
     periodogram each, average, coarse-grain. "gamma" draws the averaged bins
@@ -74,7 +81,7 @@ def trial_spectra(
         stack = timeseries_periodogram_stack
     else:
         raise ConfigError(f"unknown synthesis route {synthesis!r}; known: {SYNTHESIS_ROUTES}")
-    s_bar = stack(v, cfg, seeds)
+    s_bar = stack(v, cfg, seeds, bins)
     if not (np.isfinite(s_bar).all() and (s_bar >= 0.0).all()):
         raise NumericalError("synthesized spectra hold a non-finite or negative bin")
     return s_bar
@@ -96,7 +103,8 @@ def run_validation(
 ) -> ValidationReport:
     """Synthesize and fit n_trials spectra, then compare scatter to theory.
 
-    One trial_spectra stack holds the spectra, and one mle_fit_stack call
+    One trial_spectra stack holds the spectra on the fit window's bins alone,
+    the only bins the fit and the bound read, and one mle_fit_stack call
     fits them all. Trials whose fit does not converge count as failures,
     excluded from the covariance; the report flags the count rather than
     raising, since a rare non-convergence is a property of the data, not a
@@ -108,14 +116,15 @@ def run_validation(
         raise ConfigError(f"n_trials must be at least 2, got {n_trials}")
     window = (cfg.fit_lo, cfg.fit_hi)
     nu = cfg.coarse_grid()
-    fit_bins(nu, window)  # a window too narrow to fit fails before any synthesis
+    idx = fit_bins(nu, window)  # a window too narrow to fit fails before any synthesis
+    bins = slice(int(idx[0]), int(idx[-1]) + 1)  # the grid rises, so the window's bins are contiguous
     bound = fisher_integral(v, window, cfg.coarse_spacing, cfg.n_eff)
     if bound.rank < 4:
         raise NumericalError("information matrix is singular for this model: no bound to test")
 
     seeds = [(master_seed, k) for k in range(n_trials)]
-    s_bar = trial_spectra(v, cfg, seeds, synthesis)
-    v_hat, _, converged = mle_fit_stack(nu, s_bar, window)
+    s_bar = trial_spectra(v, cfg, seeds, synthesis, bins)
+    v_hat, _, converged = mle_fit_stack(nu[bins], s_bar, window)
 
     good = v_hat[converged]
     n_failures = n_trials - len(good)

@@ -11,6 +11,8 @@ count n_eff of raw periodogram values behind each bin (1 for a raw
 periodogram). Averaging records or coarse-graining bins multiplies n_eff.
 Each route's stack function draws one averaged spectrum per seed into an
 array row, computing what is constant per run once, with the same bits.
+A stack holds a contiguous range of the coarse bins, the whole grid by
+default; its columns have the bits of those columns of the whole stack.
 The stacks are plain serial row loops, and inside them a record is an
 array; synthesize_timeseries alone builds a TimeSeries.
 
@@ -188,25 +190,36 @@ class TimeSeries:
             raise ValueError("time series contains non-finite samples")
 
 
-def sample_periodogram_exact_stack(v, cfg: AcquisitionConfig, seeds) -> np.ndarray:
+def _bin_range(bins: slice, k: int) -> tuple[int, int]:
+    """(start, stop) of bins, a contiguous nonempty slice of k coarse bins."""
+    start, stop, step = bins.indices(k)
+    if step != 1 or start >= stop:
+        raise ValueError(f"need a contiguous, nonempty range of the {k} coarse bins, got {bins}")
+    return start, stop
+
+
+def sample_periodogram_exact_stack(v, cfg: AcquisitionConfig, seeds, bins: slice = slice(None)) -> np.ndarray:
     """Draw one averaged spectrum per seed straight from its sampling law:
-    a (len(seeds), K) array on cfg.coarse_grid().
+    a (len(seeds), len(grid[bins])) array on grid = cfg.coarse_grid().
 
     Each raw periodogram bin of a Gaussian record is exponential with mean
     f(nu_i, v); the mean of n_eff = n_bin*n_ave independent such values is
     Gamma(shape n_eff, mean f), f taken at the coarse-bin center. Bins are
     independent, so a spectrum is drawn in one shot, bypassing the time
-    domain. f/n_eff is evaluated once; each row draws standard Gamma variates
-    from default_rng(seed) in place, and one multiply by f/n_eff ends the
-    stack, with the bits of default_rng(seed).gamma(n_eff, f/n_eff).
+    domain. f/n_eff is evaluated once, on the range; each row draws standard
+    Gamma variates from default_rng(seed) in place up to the range's last
+    bin, a prefix that the stream's order fixes, and one multiply of the
+    range by f/n_eff ends the stack, with the bits of
+    default_rng(seed).gamma(n_eff, f/n_eff)[bins].
     """
     n_eff = cfg.n_eff
-    scale = eval_psd(v, cfg.coarse_grid()) / n_eff
-    out = np.empty((len(seeds), scale.size))
+    nu = cfg.coarse_grid()
+    start, stop = _bin_range(bins, nu.size)
+    scale = eval_psd(v, nu[start:stop]) / n_eff
+    out = np.empty((len(seeds), stop))
     for row, seed in zip(out, seeds):
         np.random.default_rng(seed).standard_gamma(float(n_eff), out=row)
-    out *= scale
-    return out
+    return out[:, start:] * scale
 
 
 def _amplitudes(v, cfg: AcquisitionConfig) -> np.ndarray:
@@ -238,22 +251,25 @@ def synthesize_timeseries(v, cfg: AcquisitionConfig, seed) -> TimeSeries:
     return TimeSeries(cfg.delta, _record(_amplitudes(v, cfg), np.random.default_rng(seed)))
 
 
-def timeseries_periodogram_stack(v, cfg: AcquisitionConfig, seeds) -> np.ndarray:
-    """The timeseries route for each seed: a (len(seeds), K) array.
+def timeseries_periodogram_stack(v, cfg: AcquisitionConfig, seeds, bins: slice = slice(None)) -> np.ndarray:
+    """The timeseries route for each seed: a (len(seeds), len(grid[bins]))
+    array on grid = cfg.coarse_grid().
 
-    Row k holds, bit for bit, what n_ave records drawn in turn from
-    default_rng(seeds[k]) give through periodogram, average_spectra and
+    Row k holds, bit for bit, the bins of what n_ave records drawn in turn
+    from default_rng(seeds[k]) give through periodogram, average_spectra and
     coarse_grain. The amplitudes are computed once, and one buffer holds the
-    n_ave periodograms of the current row.
+    n_ave periodograms of the current row, on the raw bins of the range only.
     """
-    amp = _amplitudes(v, cfg)
-    out = np.empty((len(seeds), amp.size // cfg.n_bin))
-    raw = np.empty((cfg.n_ave, amp.size))
+    amp, n_bin = _amplitudes(v, cfg), cfg.n_bin
+    start, stop = _bin_range(bins, amp.size // n_bin)
+    raw_bins = slice(start * n_bin, stop * n_bin)
+    out = np.empty((len(seeds), stop - start))
+    raw = np.empty((cfg.n_ave, (stop - start) * n_bin))
     for row, seed in zip(out, seeds):
         rng = np.random.default_rng(seed)
         for record in raw:
-            record[:] = _periodogram_bins(_record(amp, rng), cfg.delta)
-        row[:] = _block_mean(raw.mean(axis=0), cfg.n_bin)
+            record[:] = _periodogram_bins(_record(amp, rng), cfg.delta, raw_bins)
+        row[:] = _block_mean(raw.mean(axis=0), n_bin)
     return out
 
 
@@ -262,10 +278,10 @@ def _record_grid(m: int, delta: float) -> np.ndarray:
     return np.arange(1, m // 2, dtype=float) / (m * delta)
 
 
-def _periodogram_bins(y: np.ndarray, delta: float) -> np.ndarray:
-    """2*delta*|rfft(y)|^2/M at i = 1 .. M/2 - 1."""
+def _periodogram_bins(y: np.ndarray, delta: float, bins: slice = slice(None)) -> np.ndarray:
+    """2*delta*|rfft(y)|^2/M at i = 1 .. M/2 - 1, or at the range bins of those."""
     m = y.size
-    return (2.0 * delta / m) * np.abs(np.fft.rfft(y)[1 : m // 2]) ** 2
+    return (2.0 * delta / m) * np.abs(np.fft.rfft(y)[1 : m // 2][bins]) ** 2
 
 
 def periodogram(ts: TimeSeries) -> Spectrum:

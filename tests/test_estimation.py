@@ -310,6 +310,17 @@ class TestMleFitStack:
         fit = mle_fit_stack(nu, np.full((1, nu.size), 2.0**1023), WINDOW)
         self.assert_same(fit, (np.ldexp(v_hat, 1023 * np.array([1, 0, 1, 0])), n_iter, converged))
 
+    @pytest.mark.parametrize("k", [-1000, -1010, -1064])
+    def test_flat_spectrum_at_the_bottom_of_the_float_range_fits_as_at_one(self, k):
+        # a row is solved at its power-of-two level from its start on: at
+        # 2^-1010 the start's s_at floor would be subnormal in physical units,
+        # and at 2^-1064 (itself subnormal) it would underflow to 0
+        nu = CFG.coarse_grid()
+        v_hat, n_iter, converged = mle_fit_stack(nu, np.ones((1, nu.size)), WINDOW)
+        fit = mle_fit_stack(nu, np.full((1, nu.size), np.ldexp(1.0, k)), WINDOW)
+        assert fit[2][0]
+        self.assert_same(fit, (np.ldexp(v_hat, (k, 0, k, 0)), n_iter, converged))
+
     @pytest.mark.parametrize("scale", [1e300, 1e306])
     def test_far_scales_converge_as_at_scale_one(self, scale):
         sp = trial_spectrum(V, CFG, (5, 0), "gamma")

@@ -1,10 +1,11 @@
 """The bytes of every shipped-config output, pinned by a committed manifest.
 
-tests/data/golden_outputs.json holds the full sha256 of the 22 files that
+tests/data/golden_outputs.json holds the full sha256 of the 32 files that
 synth, fit (of synth's spectrum.csv), crb, and validate or scan write for the
 shipped configs at their default seeds: validate_reference.json on both
-synthesis routes, and scan_reference.json at xi2 1 and 0.55. It also records
-the numpy version and the platform that made them. The bits depend on numpy's
+synthesis routes, as shipped and at a short acquisition whose fit window
+ends at the last coarse bin, and scan_reference.json at xi2 1 and 0.55. It
+also records the numpy version and the platform that made them. The bits depend on numpy's
 Generator and pocketfft, so under another numpy or platform the test skips
 and names both, rather than pass or fail on bits it cannot vouch for.
 
@@ -35,6 +36,24 @@ MANIFEST = Path(__file__).resolve().parent / "data" / "golden_outputs.json"
 RUNS = {
     "validate_reference-timeseries": ("validate_reference.json", {}, "validate"),
     "validate_reference-gamma": ("validate_reference.json", {("monte_carlo", "synthesis"): "gamma"}, "validate"),
+    # a short record of 4000 samples, three records a trial, n_bin 5 over 1999
+    # raw bins (a remainder of 4), and a window that runs to the last coarse bin
+    **{
+        f"validate_short-{route}": (
+            "validate_reference.json",
+            {
+                ("acquisition", "t_total_s"): 0.02,
+                ("acquisition", "n_ave"): 3,
+                ("acquisition", "n_bin"): 5,
+                ("acquisition", "fit_lo_hz"): 30000.0,
+                ("acquisition", "fit_hi_hz"): 99900.0,
+                ("monte_carlo", "n_trials"): 40,
+                ("monte_carlo", "synthesis"): route,
+            },
+            "validate",
+        )
+        for route in ("timeseries", "gamma")
+    },
     "scan_reference-xi2_1": ("scan_reference.json", {}, "scan"),
     "scan_reference-xi2_0.55": (
         "scan_reference.json",

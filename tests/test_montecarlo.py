@@ -5,6 +5,7 @@ import pytest
 
 from snspec import montecarlo
 from snspec.errors import ConfigError, NumericalError
+from snspec.estimation import fit_bins, mle_fit_stack
 from snspec.model import SpectralParams, eval_psd
 from snspec.montecarlo import run_validation, trial_spectra, trial_spectrum
 from snspec.synthesis import (
@@ -32,7 +33,13 @@ INEXACT = AcquisitionConfig(
 EDGE = AcquisitionConfig(
     delta=5e-6, t_total=0.5 * (1 + 9e-7), fit_lo=33e3, fit_hi=52e3, n_ave=1, n_bin=50
 )
-GEOMETRIES = pytest.mark.parametrize("cfg", [CFG, ODD, INEXACT], ids=["reference", "odd", "inexact"])
+# the raw grid itself, 399 bins of 250 Hz, two records per trial
+RAW = AcquisitionConfig(
+    delta=5e-6, t_total=0.004, fit_lo=30e3, fit_hi=60e3, n_ave=2, n_bin=1
+)
+GEOMETRIES = pytest.mark.parametrize(
+    "cfg", [CFG, ODD, INEXACT, RAW], ids=["reference", "odd", "inexact", "raw"]
+)
 
 
 class TestTrialSpectrum:
@@ -115,13 +122,28 @@ class TestTrialSpectra:
             sliced = [trial_spectra(V, INEXACT, seeds[a:b], route) for a, b in zip(cuts, cuts[1:])]
             np.testing.assert_array_equal(np.concatenate(sliced), whole, strict=True)
 
+    @pytest.mark.parametrize("route", ["gamma", "timeseries"])
+    @GEOMETRIES
+    def test_bin_range_is_those_columns_of_the_whole_stack(self, route, cfg):
+        seeds = [(7, k) for k in range(3)]
+        whole = trial_spectra(V, cfg, seeds, route)
+        k = whole.shape[1]
+        for a, b in ((0, k), (0, 1), (0, k // 3), (k // 3, 2 * k // 3 + 1), (5, k), (k - 1, k)):
+            got = trial_spectra(V, cfg, seeds, route, slice(a, b))
+            np.testing.assert_array_equal(got, whole[:, a:b], strict=True)
+
+    @pytest.mark.parametrize("bins", [slice(3, 3), slice(0, 10, 2), slice(2000, None)])
+    def test_empty_or_strided_bin_range_rejected(self, bins):
+        with pytest.raises(ValueError, match="contiguous, nonempty range"):
+            trial_spectra(V, CFG, [(0, 0)], "gamma", bins)
+
     def test_unknown_route_rejected(self):
         with pytest.raises(ConfigError, match="unknown synthesis route"):
             trial_spectra(V, CFG, [(0, 0)], "exact")
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -1.0])
     def test_finished_stack_is_checked(self, monkeypatch, bad):
-        def spoiled(v, cfg, seeds):
+        def spoiled(v, cfg, seeds, bins):
             out = np.ones((len(seeds), 4))
             out[-1, 2] = bad
             return out
@@ -185,6 +207,36 @@ class TestRunValidation:
         cfg = AcquisitionConfig(delta=5e-6, t_total=0.5, fit_lo=42e3, fit_hi=42.5e3, n_bin=50)
         with pytest.raises(ConfigError, match="fit window holds 5 bins, need at least 8"):
             run_validation(V, cfg, n_trials=100, master_seed=0, synthesis=route)
+
+    @staticmethod
+    def fitted_stack(monkeypatch, cfg, route, n_trials, master_seed):
+        """The (nu, s_bar) that run_validation hands mle_fit_stack."""
+        seen = []
+
+        def recording(nu, s_bar, window):
+            seen.append((nu, s_bar))
+            return mle_fit_stack(nu, s_bar, window)
+
+        monkeypatch.setattr(montecarlo, "mle_fit_stack", recording)
+        run_validation(V, cfg, n_trials=n_trials, master_seed=master_seed, synthesis=route)
+        ((nu, s_bar),) = seen
+        return nu, s_bar
+
+    @pytest.mark.parametrize("route", ["gamma", "timeseries"])
+    def test_fit_reads_the_window_columns_alone(self, monkeypatch, route):
+        # the reference window holds coarse bins 330 .. 519 of 999
+        nu, s_bar = self.fitted_stack(monkeypatch, CFG, route, 4, 0)
+        idx = fit_bins(CFG.coarse_grid(), (CFG.fit_lo, CFG.fit_hi))
+        assert (idx[0], idx[-1], CFG.coarse_grid().size) == (330, 519, 999)
+        np.testing.assert_array_equal(nu, CFG.coarse_grid()[idx], strict=True)
+        assert s_bar.shape == (4, idx.size)
+
+    @pytest.mark.parametrize("route", ["gamma", "timeseries"])
+    def test_row_k_replays_as_the_window_of_trial_spectrum_k(self, monkeypatch, route):
+        _, s_bar = self.fitted_stack(monkeypatch, ODD, route, 4, 4)
+        idx = fit_bins(ODD.coarse_grid(), (ODD.fit_lo, ODD.fit_hi))
+        for k, row in enumerate(s_bar):
+            np.testing.assert_array_equal(row, trial_spectrum(V, ODD, (4, k), route).s_bar[idx], strict=True)
 
     def test_fewer_than_two_converged_fits_is_a_config_error(self, monkeypatch):
         def no_fit_converges(nu, s_bar, window):
