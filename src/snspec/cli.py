@@ -31,7 +31,7 @@ import numpy as np
 from . import __version__
 from .config import RunConfig, check_seed, load_config
 from .errors import ConfigError, NumericalError
-from .estimation import fit_bins, k2, k4, mle_fit, var_k2
+from .estimation import fit_bins, k_statistics, mle_fit
 from .fisher import fisher_integral, wishart_std
 from .io import (
     read_spectrum_csv,
@@ -222,15 +222,10 @@ def cmd_kstats(args) -> int:
         raise ConfigError(f"{args.sample}: expected one value per line")
     # extreme values overflow to inf or NaN, which kstats.json writes as null
     try:
-        payload = {
-            "n_samples": int(x.size),
-            "k2": k2(x),
-            "k4": k4(x),
-            "var_k2": var_k2(x),
-            "version": __version__,
-        }
+        k2, k4, var_k2 = k_statistics(x)
     except ValueError as exc:
         raise ConfigError(f"{args.sample}: {exc}") from exc
+    payload = {"n_samples": int(x.size), "k2": k2, "k4": k4, "var_k2": var_k2, "version": __version__}
     path = _outpath(args, "kstats.json")
     write_json(path, payload)
     print(

@@ -36,6 +36,7 @@ __all__ = [
     "sample_covariance",
     "k2",
     "k4",
+    "k_statistics",
     "var_k2",
 ]
 
@@ -126,8 +127,11 @@ def _score(theta: np.ndarray, nu: np.ndarray, s: np.ndarray):
     g = grad_log_psd(p[:, None, :], nu)
     ratio = s * g[..., 0]
     objective = np.sum(ratio - np.log(g[..., 0]), axis=1)
-    p[:, 1] = 1.0
-    jac_t = np.swapaxes(np.multiply(g, p[:, None, :], out=g), 1, 2)
+    # J = g times the log-scale factors p, column by column on the rows'
+    # bins; nu_l is not a log, and its factor 1 would leave its column as is
+    for c in (0, 2, 3):
+        np.multiply(g[..., c], p[:, c, None], out=g[..., c])
+    jac_t = np.swapaxes(g, 1, 2)
     normal = jac_t @ np.swapaxes(jac_t, 1, 2)
     score = (jac_t @ (ratio - 1.0)[..., None])[..., 0]
     ok = np.isfinite(objective + score.sum(axis=1) + normal.sum(axis=(1, 2)))
@@ -183,17 +187,18 @@ def _solve(theta, nu, s, bounds):
     lam, grow = np.full(rows.size, _LAMBDA_START), np.full(rows.size, 2.0)
     eye, tol, step = np.eye(4), _STOP_DECREASE * nu.size, 0
     while rows.size:
-        diag = np.diagonal(normal, axis1=1, axis2=2)
-        inverse, rank = invert_psd_stack(normal + (lam[:, None] * diag)[:, None, :] * eye)
+        damping = lam[:, None] * np.diagonal(normal, axis1=1, axis2=2)
+        inverse, rank = invert_psd_stack(normal + damping[:, None, :] * eye)
         delta = (inverse @ score[:, :, None])[..., 0]
         # the decrease of W that the scoring model predicts for this step
-        predicted = 0.5 * np.sum(delta * (lam[:, None] * diag * delta + score), axis=1)
+        predicted = 0.5 * np.sum(delta * (damping * delta + score), axis=1)
         trial = th + delta
         trial[:, 1] = np.clip(trial[:, 1], *bounds)
         t_objective, t_normal, t_score, t_ok = _score(trial, nu, s)
-        gain = (objective - t_objective) / predicted
+        fall = objective - t_objective
+        gain = fall / predicted
         accept = (rank == 4) & t_ok & (gain > 0.0)
-        stop = np.where(accept, objective - t_objective <= tol, ~(predicted > tol))
+        stop = np.where(accept, fall <= tol, ~(predicted > tol))
         # Madsen, Nielsen & Tingleff's damping update
         lam *= np.where(accept, np.maximum(1.0 / 3.0, 1.0 - (2.0 * gain - 1.0) ** 3), grow)
         grow = np.where(accept, 2.0, 2.0 * grow)
@@ -250,13 +255,21 @@ def _centered_power_sums(x, *orders):
     return x.size, [np.sum(d**r) for r in orders]
 
 
+def _require(x, m_min: int, name: str) -> None:
+    m = np.asarray(x).size
+    if m < m_min:
+        raise ValueError(f"{name} needs at least {m_min} samples, got {m}")
+
+
+def _k2(m: int, p2) -> float:
+    return float(p2 / (m - 1))
+
+
 def k2(x) -> float:
     """Unbiased second cumulant (sample variance with 1/(m-1))."""
-    m = np.asarray(x).size
-    if m < 2:
-        raise ValueError(f"k2 needs at least 2 samples, got {m}")
+    _require(x, 2, "k2")
     m, (p2,) = _centered_power_sums(x, 2)
-    return float(p2 / (m - 1))
+    return _k2(m, p2)
 
 
 def k4(x) -> float:
@@ -269,15 +282,22 @@ def k4(x) -> float:
     collapses to the centered expression used here, which avoids the
     catastrophic cancellation of the S_1^4 terms for offset data.
     """
-    m = np.asarray(x).size
-    if m < 4:
-        raise ValueError(f"k4 needs at least 4 samples, got {m}")
+    _require(x, 4, "k4")
+    return k_statistics(x)[1]
+
+
+def k_statistics(x) -> tuple[float, float, float]:
+    """(k2, k4, var_k2) of x, all from one centring of x; too small a sample
+    is a ValueError naming the first of k2 and k4 that it cannot form."""
+    _require(x, 2, "k2")
+    _require(x, 4, "k4")
     m, (p2, p4) = _centered_power_sums(x, 2, 4)
-    return float((m * (m + 1) * p4 - 3 * (m - 1) * p2**2) / ((m - 1) * (m - 2) * (m - 3)))
+    k2_ = _k2(m, p2)
+    k4_ = float((m * (m + 1) * p4 - 3 * (m - 1) * p2**2) / ((m - 1) * (m - 2) * (m - 3)))
+    # float_power is C pow, as float ** is, but overflows to inf instead of raising
+    return k2_, k4_, float((2.0 * m * np.float_power(k2_, 2) + (m - 1) * k4_) / (m * (m + 1.0)))
 
 
 def var_k2(x) -> float:
     """Unbiased estimator of var(k2): (2 m k2^2 + (m-1) k4) / (m (m+1))."""
-    m = np.asarray(x).size  # k4 checks m >= 4
-    # float_power is C pow, as float ** is, but overflows to inf instead of raising
-    return float((2.0 * m * np.float_power(k2(x), 2) + (m - 1) * k4(x)) / (m * (m + 1.0)))
+    return k_statistics(x)[2]

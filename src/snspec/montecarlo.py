@@ -10,20 +10,24 @@ inspect a discrepancy.
 
 Seeding contract: trial k draws from numpy's default_rng seeded with
 (master_seed, k). Results are therefore independent of execution order, and
-any single trial can be replayed in isolation. The trials are synthesized as
-one serial (n_trials, window bins) array program, on the fit window's
-contiguous range of coarse bins only, and fitted in one stacked solve, each
-bit for bit as if alone: row k holds the window's columns of
-trial_spectrum(v, cfg, (master_seed, k)).
+any single trial can be replayed in isolation. The seeds are built once per
+run as the entropy words numpy's SeedSequence forms from (master_seed, k):
+master_seed's 32-bit words, lowest first, then k, one uint32 row per trial,
+which seed default_rng with the tuple's bits without converting a tuple per
+trial. The trials are synthesized as one serial (n_trials, window bins)
+array program, on the fit window's contiguous range of coarse bins only,
+and fitted in one stacked solve, each bit for bit as if alone: row k holds
+the window's columns of trial_spectrum(v, cfg, (master_seed, k)).
 """
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConfigError, NumericalError
-from .estimation import fit_bins, k2, mle_fit_stack, sample_covariance, var_k2
+from .estimation import fit_bins, k_statistics, mle_fit_stack, sample_covariance
 from .fisher import fisher_integral, normalized_deviation, wishart_std
 from .model import SpectralParams
 from .synthesis import (
@@ -34,7 +38,7 @@ from .synthesis import (
     timeseries_periodogram_stack,
 )
 
-__all__ = ["ValidationReport", "run_validation", "trial_spectra", "trial_spectrum"]
+__all__ = ["ValidationReport", "run_validation", "trial_seeds", "trial_spectra", "trial_spectrum"]
 
 
 @dataclass(frozen=True)
@@ -94,6 +98,21 @@ def trial_spectrum(
     return Spectrum(cfg.coarse_grid(), trial_spectra(v, cfg, [seed], synthesis)[0], cfg.n_eff)
 
 
+def trial_seeds(master_seed: int, n_trials: int) -> np.ndarray:
+    """The entropy words of (master_seed, k) for k < n_trials: an (n_trials,
+    w + 1) uint32 array whose row k holds master_seed's w 32-bit words,
+    lowest first, then k (one word, as n_trials <= 2^32). default_rng(row k)
+    has the state of default_rng((master_seed, k))."""
+    n = operator.index(master_seed)
+    if n < 0:
+        raise ValueError(f"master_seed must be a nonnegative integer, got {n}")
+    words = [(n >> shift) & 0xFFFFFFFF for shift in range(0, max(n.bit_length(), 1), 32)]
+    seeds = np.empty((n_trials, len(words) + 1), dtype=np.uint32)
+    seeds[:, :-1] = words
+    seeds[:, -1] = np.arange(n_trials)
+    return seeds
+
+
 def run_validation(
     v: SpectralParams,
     cfg: AcquisitionConfig,
@@ -122,8 +141,7 @@ def run_validation(
     if bound.rank < 4:
         raise NumericalError("information matrix is singular for this model: no bound to test")
 
-    seeds = [(master_seed, k) for k in range(n_trials)]
-    s_bar = trial_spectra(v, cfg, seeds, synthesis, bins)
+    s_bar = trial_spectra(v, cfg, trial_seeds(master_seed, n_trials), synthesis, bins)
     v_hat, _, converged = mle_fit_stack(nu[bins], s_bar, window)
 
     good = v_hat[converged]
@@ -138,8 +156,9 @@ def run_validation(
 
     # a converged fit onto a sub-bin line (s_at ~ 1e138) overflows these: inf/NaN
     with np.errstate(over="ignore", invalid="ignore"):
-        k2_diag = np.array([k2(x) for x in good.T])
-        k2_stderr = np.sqrt([max(var_k2(x), 0.0) for x in good.T])
+        stats = [k_statistics(x) for x in good.T]
+        k2_diag = np.array([k2 for k2, _, _ in stats])
+        k2_stderr = np.sqrt([max(var, 0.0) for _, _, var in stats])
 
     return ValidationReport(
         gamma_exp=gamma_exp,

@@ -122,6 +122,11 @@ class AcquisitionConfig:
         """Spacing of the coarse-grained grid, n_bin*nu_t, Hz."""
         return self.n_bin * self.nu_t
 
+    @property
+    def n_coarse(self) -> int:
+        """Count of coarse bins: the M/2 - 1 raw bins in whole blocks of n_bin."""
+        return (self.record_length // 2 - 1) // self.n_bin
+
     def raw_grid(self) -> np.ndarray:
         """Raw frequencies i/(M*delta), i = 1 .. M/2 - 1: the periodogram grid of a record."""
         return _record_grid(self.record_length, self.delta)
@@ -129,6 +134,14 @@ class AcquisitionConfig:
     def coarse_grid(self) -> np.ndarray:
         """Centers of the coarse bins: block means of the raw grid."""
         return _block_mean(self.raw_grid(), self.n_bin)
+
+
+def _coarse_centres(cfg: AcquisitionConfig, start: int, stop: int) -> np.ndarray:
+    """cfg.coarse_grid()[start:stop], built from those bins' own raw bins
+    alone: each centre is the mean of its own n_bin raw values, so the range
+    has the bits of those entries of the whole grid."""
+    n_bin = cfg.n_bin
+    return _block_mean(_record_grid(cfg.record_length, cfg.delta, start * n_bin, stop * n_bin), n_bin)
 
 
 def _block_mean(x: np.ndarray, width: int) -> np.ndarray:
@@ -206,16 +219,16 @@ def sample_periodogram_exact_stack(v, cfg: AcquisitionConfig, seeds, bins: slice
     f(nu_i, v); the mean of n_eff = n_bin*n_ave independent such values is
     Gamma(shape n_eff, mean f), f taken at the coarse-bin center. Bins are
     independent, so a spectrum is drawn in one shot, bypassing the time
-    domain. f/n_eff is evaluated once, on the range; each row draws standard
-    Gamma variates from default_rng(seed) in place up to the range's last
-    bin, a prefix that the stream's order fixes, and one multiply of the
-    range by f/n_eff ends the stack, with the bits of
-    default_rng(seed).gamma(n_eff, f/n_eff)[bins].
+    domain. f/n_eff is evaluated once, at the range's own centres; each row
+    draws standard Gamma variates from default_rng(seed) in place up to the
+    range's last bin, a prefix that the stream's order fixes, and one
+    multiply of the range by f/n_eff ends the stack, with the bits of
+    default_rng(seed).gamma(n_eff, f/n_eff)[bins]. A seed is anything
+    default_rng takes: an int, a tuple, or a row of uint32 entropy words.
     """
     n_eff = cfg.n_eff
-    nu = cfg.coarse_grid()
-    start, stop = _bin_range(bins, nu.size)
-    scale = eval_psd(v, nu[start:stop]) / n_eff
+    start, stop = _bin_range(bins, cfg.n_coarse)
+    scale = eval_psd(v, _coarse_centres(cfg, start, stop)) / n_eff
     out = np.empty((len(seeds), stop))
     for row, seed in zip(out, seeds):
         np.random.default_rng(seed).standard_gamma(float(n_eff), out=row)
@@ -261,7 +274,7 @@ def timeseries_periodogram_stack(v, cfg: AcquisitionConfig, seeds, bins: slice =
     n_ave periodograms of the current row, on the raw bins of the range only.
     """
     amp, n_bin = _amplitudes(v, cfg), cfg.n_bin
-    start, stop = _bin_range(bins, amp.size // n_bin)
+    start, stop = _bin_range(bins, cfg.n_coarse)
     raw_bins = slice(start * n_bin, stop * n_bin)
     out = np.empty((len(seeds), stop - start))
     raw = np.empty((cfg.n_ave, (stop - start) * n_bin))
@@ -273,9 +286,11 @@ def timeseries_periodogram_stack(v, cfg: AcquisitionConfig, seeds, bins: slice =
     return out
 
 
-def _record_grid(m: int, delta: float) -> np.ndarray:
-    """Periodogram frequencies i/(m*delta), i = 1 .. m/2 - 1."""
-    return np.arange(1, m // 2, dtype=float) / (m * delta)
+def _record_grid(m: int, delta: float, start: int = 0, stop: int | None = None) -> np.ndarray:
+    """Periodogram frequencies i/(m*delta), i = 1 .. m/2 - 1, or at the raw
+    bins start .. stop - 1 of those: exact integers i, divided one by one."""
+    stop = m // 2 - 1 if stop is None else stop
+    return np.arange(start + 1, stop + 1, dtype=float) / (m * delta)
 
 
 def _periodogram_bins(y: np.ndarray, delta: float, bins: slice = slice(None)) -> np.ndarray:

@@ -6,10 +6,10 @@ import warnings
 import numpy as np
 import pytest
 
-from snspec import estimation
+from snspec import estimation, montecarlo
 from snspec.errors import ConfigError
 from snspec.fisher import invert_psd_stack, wishart_std
-from snspec.model import SpectralParams, eval_psd
+from snspec.model import SpectralParams, eval_psd, grad_log_psd
 from snspec.estimation import k2, k4, mle_fit, mle_fit_stack, sample_covariance, var_k2
 from snspec.montecarlo import run_validation, trial_spectrum
 from snspec.profiles import REFERENCE_ACQUISITION
@@ -336,6 +336,117 @@ class TestMleFitStack:
         # and solve the permuted stack one row per block
         monkeypatch.setattr(estimation, "_BLOCK_BINS", 1)
         self.assert_same(mle_fit_stack(nu, s_bar[perm], WINDOW), [x[perm] for x in fits])
+
+
+def score_reference(theta, nu, s):
+    """_score as it was written before the Jacobian's columns were scaled one
+    by one: the (rows, bins, 4) gradient times a (rows, 1, 4) factor."""
+    p = estimation._params(theta)
+    g = grad_log_psd(p[:, None, :], nu)
+    ratio = s * g[..., 0]
+    objective = np.sum(ratio - np.log(g[..., 0]), axis=1)
+    p[:, 1] = 1.0
+    jac_t = np.swapaxes(np.multiply(g, p[:, None, :], out=g), 1, 2)
+    normal = jac_t @ np.swapaxes(jac_t, 1, 2)
+    score = (jac_t @ (ratio - 1.0)[..., None])[..., 0]
+    ok = np.isfinite(objective + score.sum(axis=1) + normal.sum(axis=(1, 2)))
+    return objective, normal, score, ok & (np.diagonal(normal, axis1=1, axis2=2) > 0.0).all(axis=1)
+
+
+class TestScoreBits:
+    """_score keeps the bits of the reference Jacobian product on every row class."""
+
+    def check(self, theta, nu, s):
+        with np.errstate(all="ignore"):
+            got, want = estimation._score(theta.copy(), nu, s), score_reference(theta.copy(), nu, s)
+        for a, b in zip(got, want, strict=True):
+            assert a.shape == b.shape and a.dtype == b.dtype
+            np.testing.assert_array_equal(a.view(np.uint8), b.view(np.uint8))
+
+    def test_rows_of_every_kind(self):
+        sp = trial_spectrum(V, CFG, (5, 0), "gamma")
+        idx = estimation.fit_bins(sp.nu, WINDOW)
+        nu, s = sp.nu[idx], sp.s_bar[idx]
+        log = np.log
+        theta = np.array([
+            [log(1.2), 42600.0, log(4.8), log(1500.0)],
+            [log(1.0), 40000.0, log(0.05), log(1000.0)],
+            [log(1.0), 42600.0, log(4.0), log(1e-200)],  # q^2 would underflow
+            [log(1.0), 42600.0, -800.0, log(1000.0)],  # s_at underflows to 0
+            [800.0, 42600.0, log(4.0), log(1000.0)],  # s_ph overflows
+            [1000 * log(2.0), 42600.0, 1000 * log(2.0), log(1000.0)],
+            [-1000 * log(2.0), 42600.0, -1000 * log(2.0), log(1000.0)],
+            [np.nan, 42600.0, log(4.0), log(1000.0)],
+            [log(1.0), np.inf, log(4.0), log(1000.0)],
+        ])
+        scale = np.ones(len(theta))
+        scale[5], scale[6] = 2.0**1000, 2.0**-1000
+        self.check(theta, nu, s * scale[:, None])
+        self.check(theta[:1], nu, s[None])
+
+
+def cumulants_reference(x):
+    """(k2, k4, var_k2) as written before they shared one centring: var_k2
+    took k2 and k4 from two centrings of their own."""
+    def sums(*orders):
+        y = np.asarray(x, dtype=float).ravel()
+        d = y - y.mean()
+        return y.size, [np.sum(d**r) for r in orders]
+
+    m, (p2,) = sums(2)
+    k2_ = float(p2 / (m - 1))
+    m, (p2, p4) = sums(2, 4)
+    k4_ = float((m * (m + 1) * p4 - 3 * (m - 1) * p2**2) / ((m - 1) * (m - 2) * (m - 3)))
+    return k2_, k4_, float((2.0 * m * np.float_power(k2_, 2) + (m - 1) * k4_) / (m * (m + 1.0)))
+
+
+class TestCumulantBits:
+    @staticmethod
+    def samples():
+        rng = np.random.default_rng(9)
+        cols = rng.exponential(2.0, size=(100, 4))
+        yield from cols.T  # strided column views, as run_validation passes them
+        yield cols[:, 0] + 1e6  # offset data
+        yield cols[:, 1] * 1e-300
+        yield np.array([1.0, 2.0, 3.0, 4.0])  # m = 4
+        yield np.array([1e150, -1e150, 3.0, 4.0, 5.0])  # k2 squared overflows
+        yield np.array([1e200, -1e200, 3.0, 4.0, 5.0])  # p2 overflows
+        yield np.array([1.7e308, 1.7e308, 1.7e308, -1.7e308])  # the mean overflows
+        yield np.full(6, 7.25)
+
+    def test_one_centring_keeps_the_bits(self):
+        def bits(values):
+            return np.array(values, dtype=float).view(np.uint64)
+
+        with np.errstate(all="ignore"):
+            for x in self.samples():
+                want = cumulants_reference(x)
+                np.testing.assert_array_equal(bits(estimation.k_statistics(x)), bits(want))
+                np.testing.assert_array_equal(bits([k2(x), k4(x), var_k2(x)]), bits(want))
+
+    @pytest.mark.parametrize(
+        "x, message",
+        [([1.0], "k2 needs at least 2 samples, got 1"), ([1.0, 2.0, 3.0], "k4 needs at least 4 samples, got 3")],
+    )
+    def test_too_small_a_sample_names_the_first_cumulant_it_lacks(self, x, message):
+        with pytest.raises(ValueError, match=message):
+            estimation.k_statistics(x)
+        with pytest.raises(ValueError, match=message):
+            var_k2(x)
+
+    def test_validate_reports_the_reference_cumulants_of_its_fits(self, monkeypatch):
+        fitted = []
+
+        def recording(nu, s_bar, window):
+            fitted.append(mle_fit_stack(nu, s_bar, window))
+            return fitted[-1]
+
+        monkeypatch.setattr(montecarlo, "mle_fit_stack", recording)
+        rep = run_validation(V, CFG, n_trials=12, master_seed=3, synthesis="gamma")
+        ((v_hat, _, converged),) = fitted
+        want = [cumulants_reference(x) for x in v_hat[converged].T]
+        np.testing.assert_array_equal(rep.k2_diag, [k for k, _, _ in want], strict=True)
+        np.testing.assert_array_equal(rep.k2_stderr, np.sqrt([max(v, 0.0) for _, _, v in want]), strict=True)
 
 
 class TestSampleCovariance:

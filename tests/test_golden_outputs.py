@@ -1,10 +1,12 @@
 """The bytes of every shipped-config output, pinned by a committed manifest.
 
-tests/data/golden_outputs.json holds the full sha256 of the 32 files that
+tests/data/golden_outputs.json holds the full sha256 of the 38 files that
 synth, fit (of synth's spectrum.csv), crb, and validate or scan write for the
-shipped configs at their default seeds: validate_reference.json on both
-synthesis routes, as shipped and at a short acquisition whose fit window
-ends at the last coarse bin, and scan_reference.json at xi2 1 and 0.55. It
+shipped configs: validate_reference.json on both synthesis routes, as
+shipped and at a short acquisition whose fit window ends at the last coarse
+bin, the short gamma run again at a master seed of two 32-bit words, and
+scan_reference.json at xi2 1 and 0.55, all at the default seed otherwise;
+and of what kstats writes for the psd column of one synthesized spectrum. It
 also records the numpy version and the platform that made them. The bits depend on numpy's
 Generator and pocketfft, so under another numpy or platform the test skips
 and names both, rather than pass or fail on bits it cannot vouch for.
@@ -32,33 +34,41 @@ ROOT = Path(__file__).resolve().parent.parent
 CONFIG_DIR = ROOT / "configs"
 MANIFEST = Path(__file__).resolve().parent / "data" / "golden_outputs.json"
 
-# run name: (shipped config, {key path: value} set on it, the command beyond synth, fit and crb)
+# a short record of 4000 samples, three records a trial, n_bin 5 over 1999
+# raw bins (a remainder of 4), and a window that runs to the last coarse bin
+SHORT = {
+    ("acquisition", "t_total_s"): 0.02,
+    ("acquisition", "n_ave"): 3,
+    ("acquisition", "n_bin"): 5,
+    ("acquisition", "fit_lo_hz"): 30000.0,
+    ("acquisition", "fit_hi_hz"): 99900.0,
+    ("monte_carlo", "n_trials"): 40,
+}
+
+# run name: (shipped config, {key path: value} set on it, the commands beyond
+# synth, fit and crb); kstats reads the psd column of the run's spectrum.csv
 RUNS = {
-    "validate_reference-timeseries": ("validate_reference.json", {}, "validate"),
-    "validate_reference-gamma": ("validate_reference.json", {("monte_carlo", "synthesis"): "gamma"}, "validate"),
-    # a short record of 4000 samples, three records a trial, n_bin 5 over 1999
-    # raw bins (a remainder of 4), and a window that runs to the last coarse bin
+    "validate_reference-timeseries": ("validate_reference.json", {}, ("validate",)),
+    "validate_reference-gamma": (
+        "validate_reference.json",
+        {("monte_carlo", "synthesis"): "gamma"},
+        ("validate", "kstats"),
+    ),
     **{
-        f"validate_short-{route}": (
-            "validate_reference.json",
-            {
-                ("acquisition", "t_total_s"): 0.02,
-                ("acquisition", "n_ave"): 3,
-                ("acquisition", "n_bin"): 5,
-                ("acquisition", "fit_lo_hz"): 30000.0,
-                ("acquisition", "fit_hi_hz"): 99900.0,
-                ("monte_carlo", "n_trials"): 40,
-                ("monte_carlo", "synthesis"): route,
-            },
-            "validate",
-        )
+        f"validate_short-{route}": ("validate_reference.json", {**SHORT, ("monte_carlo", "synthesis"): route}, ("validate",))
         for route in ("timeseries", "gamma")
     },
-    "scan_reference-xi2_1": ("scan_reference.json", {}, "scan"),
+    # a master seed of two 32-bit words, 7 and 1
+    "validate_short-gamma-seed_2^32+7": (
+        "validate_reference.json",
+        {**SHORT, ("monte_carlo", "synthesis"): "gamma", ("monte_carlo", "master_seed"): 2**32 + 7},
+        ("validate",),
+    ),
+    "scan_reference-xi2_1": ("scan_reference.json", {}, ("scan",)),
     "scan_reference-xi2_0.55": (
         "scan_reference.json",
         {("model", "conditions", "xi2"): 0.55, ("scan", "xi2"): 0.55},
-        "scan",
+        ("scan",),
     ),
 }
 
@@ -71,22 +81,28 @@ def environment() -> dict:
 def outputs(root: Path) -> dict:
     """Run every shipped-config command under root; the sha256 of each file written, by 'run/file'."""
     digests = {}
-    for name, (config, edits, command) in RUNS.items():
+    for name, (config, edits, commands) in RUNS.items():
         doc = json.loads((CONFIG_DIR / config).read_text())
         for keys, value in edits.items():
             section = doc
             for key in keys[:-1]:
                 section = section[key]
             section[keys[-1]] = value
-        path, out = root / f"{name}.json", root / name
+        path, out, sample = root / f"{name}.json", root / name, root / f"{name}-psd.txt"
         path.write_text(json.dumps(doc))
         calls = [
             ["synth", "--config", path, "--out", out],
             ["fit", out / "spectrum.csv", "--config", path, "--out", out],
             ["crb", "--config", path, "--out", out],
-            [command, "--config", path, "--out", out],
+        ]
+        calls += [
+            ["kstats", sample, "--out", out] if command == "kstats" else [command, "--config", path, "--out", out]
+            for command in commands
         ]
         for argv in calls:
+            if argv[0] == "kstats":
+                rows = (out / "spectrum.csv").read_text().splitlines()[1:]
+                sample.write_text("".join(row.split(",")[1] + "\n" for row in rows))
             with contextlib.redirect_stdout(io.StringIO()):
                 code = main([str(a) for a in argv])
             assert code == 0, f"{name}: {argv[0]} exited {code}"

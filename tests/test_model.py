@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from snspec import fisher
 from snspec.errors import NumericalError
 from snspec.model import (
     ExperimentConditions,
@@ -169,6 +170,100 @@ class TestGradLogPsd:
         np.testing.assert_allclose(
             grad_log_psd(V, nu)[:, 0], 1.0 / eval_psd(V, nu), rtol=1e-15
         )
+
+
+def grad_log_psd_reference(v, nu):
+    """grad_log_psd as it was written before its buffers were reused: one
+    new array per operation, the operations in the same order."""
+    v = np.asarray(v, dtype=float)
+    nu = np.asarray(nu, dtype=float)
+    s_ph, nu_l, s_at, d = v[..., 0], v[..., 1], v[..., 2], v[..., 3]
+    d2 = d * d
+    off = nu - nu_l
+    q = 4.0 * off * off + d2
+    lor = d2 / q
+    f = s_ph + s_at * lor
+    g = np.empty(np.shape(f) + (4,))
+    np.divide(1.0, f, out=g[..., 0])
+    line = 8.0 * s_at * off
+    np.divide(line * lor, q * f, out=g[..., 1])
+    np.divide(lor, f, out=g[..., 2])
+    np.divide(line * off * lor, d * q * f, out=g[..., 3])
+    return g
+
+
+def assert_same_bits(got, want):
+    assert got.shape == want.shape and got.dtype == want.dtype == np.float64
+    np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+class TestGradLogPsdBits:
+    """grad_log_psd keeps the bits of the reference on every input class."""
+
+    NU = np.linspace(33e3, 52e3, 190)
+
+    @staticmethod
+    def stack(rows):
+        return np.array(rows, dtype=float)[:, None, :]
+
+    def check(self, v, nu):
+        with np.errstate(all="ignore"):
+            assert_same_bits(grad_log_psd(v, nu), grad_log_psd_reference(v, nu))
+
+    def test_row_stack_against_a_frequency_row(self):
+        rng = np.random.default_rng(0)
+        theta = np.column_stack([
+            rng.uniform(0.5, 2.0, 50), rng.uniform(4e4, 4.5e4, 50),
+            rng.uniform(0.0, 8.0, 50), rng.uniform(100.0, 3000.0, 50),
+        ])
+        self.check(theta[:, None, :], self.NU)
+        self.check(theta[:1, None, :], self.NU)
+
+    def test_one_vector_and_a_scalar_frequency(self):
+        # a 0-d broadcast shape: every buffer, not a ufunc's scalar result
+        for nu in (40000.0, V.nu_l, np.float64(33e3)):
+            got = grad_log_psd(V, nu)
+            assert got.shape == (4,)
+            assert_same_bits(got, grad_log_psd_reference(V, nu))
+        self.check(V, self.NU)
+
+    def test_quadrature_node_blocks(self, monkeypatch):
+        # the (cells, panels, 16) blocks the integral hands it, at nu_l = 0
+        seen = []
+
+        def recording(v, nu):
+            seen.append((v, nu))
+            return grad_log_psd(v, nu)
+
+        monkeypatch.setattr(fisher, "grad_log_psd", recording)
+        theta = self.stack([V.as_array(), [1.0, 42600.0, 0.05, 1e-3], [3e-3, 40123.5, 7e4, 20.0]])[:, 0]
+        fisher.integral_covariance_stack(theta, (33e3, 52e3), 100.0, 50)
+        ((v, nu),) = seen
+        assert v.shape == (3, 1, 1, 4) and nu.ndim == 3 and nu.shape[2] == 16
+        np.testing.assert_array_equal(v[..., 1], 0.0)
+        self.check(v, nu)
+
+    def test_edges_of_the_parameter_space(self):
+        rows = [
+            [1.0, 42600.0, 4.0, 1e-200],  # q^2 would underflow; q does not
+            [1.0, 42600.0, 0.0, 1000.0],  # s_at = 0
+            [2.0**1000, 42600.0, 2.0**1000, 1000.0],
+            [2.0**-1000, 42600.0, 2.0**-1000, 1000.0],
+            [1.0, 42600.0, 4.0, 2.0**1000],
+            [1.0, 42600.0, 2.0**1000, 2.0**-1000],
+        ]
+        self.check(self.stack(rows), self.NU)
+        self.check(self.stack(rows), 42600.0)
+
+    def test_non_finite_rows(self):
+        rows = [
+            [np.nan, 42600.0, 4.0, 1000.0],
+            [1.0, np.inf, 4.0, 1000.0],
+            [1.0, 42600.0, np.inf, 1000.0],
+            [1.0, 42600.0, 4.0, -np.inf],
+            [np.inf, np.nan, np.inf, 0.0],
+        ]
+        self.check(self.stack(rows), self.NU)
 
 
 class TestParameterStacks:

@@ -3,11 +3,11 @@
 import numpy as np
 import pytest
 
-from snspec import montecarlo
+from snspec import montecarlo, synthesis
 from snspec.errors import ConfigError, NumericalError
 from snspec.estimation import fit_bins, mle_fit_stack
 from snspec.model import SpectralParams, eval_psd
-from snspec.montecarlo import run_validation, trial_spectra, trial_spectrum
+from snspec.montecarlo import run_validation, trial_seeds, trial_spectra, trial_spectrum
 from snspec.synthesis import (
     AcquisitionConfig,
     Spectrum,
@@ -132,6 +132,14 @@ class TestTrialSpectra:
             got = trial_spectra(V, cfg, seeds, route, slice(a, b))
             np.testing.assert_array_equal(got, whole[:, a:b], strict=True)
 
+    @GEOMETRIES
+    def test_range_centres_are_those_of_the_whole_grid(self, cfg):
+        grid = cfg.coarse_grid()
+        k = grid.size
+        assert k == cfg.n_coarse
+        for a, b in ((0, k), (0, 1), (k // 3, 2 * k // 3 + 1), (k - 1, k)):
+            np.testing.assert_array_equal(synthesis._coarse_centres(cfg, a, b), grid[a:b], strict=True)
+
     @pytest.mark.parametrize("bins", [slice(3, 3), slice(0, 10, 2), slice(2000, None)])
     def test_empty_or_strided_bin_range_rejected(self, bins):
         with pytest.raises(ValueError, match="contiguous, nonempty range"):
@@ -151,6 +159,29 @@ class TestTrialSpectra:
         monkeypatch.setattr(montecarlo, "sample_periodogram_exact_stack", spoiled)
         with pytest.raises(NumericalError, match="non-finite or negative"):
             trial_spectra(V, CFG, [(0, 0), (0, 1)], "gamma")
+
+
+class TestTrialSeeds:
+    @pytest.mark.parametrize(
+        "master, words", [(0, 1), (1, 1), (2**32 - 1, 1), (2**32, 2), (2**64 + 3, 3), (10**30, 4)]
+    )
+    def test_row_k_seeds_as_the_tuple_does(self, master, words):
+        seeds = trial_seeds(master, 2**20)
+        assert seeds.dtype == np.uint32 and seeds.shape == (2**20, words + 1)
+        for k in (0, 1, 2**20 - 1):
+            want = np.random.default_rng((master, k)).bit_generator.state
+            assert np.random.default_rng(seeds[k]).bit_generator.state == want
+
+    def test_words_lowest_first_then_k(self):
+        np.testing.assert_array_equal(trial_seeds(2**32 + 7, 3), [[7, 1, 0], [7, 1, 1], [7, 1, 2]])
+        np.testing.assert_array_equal(trial_seeds(0, 2), [[0, 0], [0, 1]])
+
+    @pytest.mark.parametrize("master, error", [(-1, ValueError), (1.0, TypeError)])
+    def test_a_seed_numpy_refuses_is_refused(self, master, error):
+        with pytest.raises(error):
+            np.random.default_rng((master, 0))
+        with pytest.raises(error):
+            trial_seeds(master, 2)
 
 
 class TestRunValidation:
@@ -233,10 +264,17 @@ class TestRunValidation:
 
     @pytest.mark.parametrize("route", ["gamma", "timeseries"])
     def test_row_k_replays_as_the_window_of_trial_spectrum_k(self, monkeypatch, route):
-        _, s_bar = self.fitted_stack(monkeypatch, ODD, route, 4, 4)
+        self.assert_rows_replay(monkeypatch, route, 4)
+
+    @pytest.mark.parametrize("route", ["gamma", "timeseries"])
+    def test_row_k_replays_at_a_two_word_master_seed(self, monkeypatch, route):
+        self.assert_rows_replay(monkeypatch, route, 2**32 + 7)
+
+    def assert_rows_replay(self, monkeypatch, route, master):
+        _, s_bar = self.fitted_stack(monkeypatch, ODD, route, 4, master)
         idx = fit_bins(ODD.coarse_grid(), (ODD.fit_lo, ODD.fit_hi))
         for k, row in enumerate(s_bar):
-            np.testing.assert_array_equal(row, trial_spectrum(V, ODD, (4, k), route).s_bar[idx], strict=True)
+            np.testing.assert_array_equal(row, trial_spectrum(V, ODD, (master, k), route).s_bar[idx], strict=True)
 
     def test_fewer_than_two_converged_fits_is_a_config_error(self, monkeypatch):
         def no_fit_converges(nu, s_bar, window):
