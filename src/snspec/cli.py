@@ -31,7 +31,7 @@ import numpy as np
 from . import __version__
 from .config import RunConfig, check_seed, load_config
 from .errors import ConfigError, NumericalError
-from .estimation import fit_bins, k_statistics, mle_fit
+from .estimation import k_statistics, mle_fit
 from .fisher import fisher_integral, wishart_std
 from .io import (
     read_spectrum_csv,
@@ -60,21 +60,13 @@ def _outpath(args, name: str) -> str:
     return os.path.join(args.out, name)
 
 
-def _fit_window(cfg: RunConfig) -> tuple[float, float]:
-    """The fit window, checked as validate checks it: too few coarse bins is a ConfigError."""
-    acq = cfg.acquisition
-    window = (acq.fit_lo, acq.fit_hi)
-    fit_bins(acq.coarse_grid(), window)
-    return window
-
-
 def _seed(args, cfg: RunConfig) -> int:
     return check_seed(args.seed, "--seed") if args.seed is not None else cfg.master_seed
 
 
 def cmd_synth(args) -> int:
     cfg = load_config(args.config)
-    _fit_window(cfg)  # a spectrum that no fit could use is not written
+    cfg.acquisition.fit_window()  # a spectrum that no fit could use is not written
     v = cfg.spectral_params()
     seed = _seed(args, cfg)
     sp = trial_spectrum(v, cfg.acquisition, (seed, 0), cfg.synthesis)
@@ -134,9 +126,9 @@ def cmd_validate(args) -> int:
         "k2_stderr": report.k2_stderr.tolist(),
         "n_trials": report.n_trials,
         "n_failures": report.n_failures,
-        "synthesis": report.synthesis,
-        "n_eff": report.n_eff,
-        "window_hz": list(report.window),
+        "synthesis": cfg.synthesis,
+        "n_eff": cfg.acquisition.n_eff,
+        "window_hz": [cfg.acquisition.fit_lo, cfg.acquisition.fit_hi],
         **_provenance(cfg, seed),
     }
     path = _outpath(args, "validate.json")
@@ -151,7 +143,8 @@ def cmd_validate(args) -> int:
 def cmd_crb(args) -> int:
     cfg = load_config(args.config)
     acq = cfg.acquisition
-    result = fisher_integral(cfg.spectral_params(), _fit_window(cfg), acq.coarse_spacing, acq.n_eff)
+    acq.fit_window()
+    result = fisher_integral(cfg.spectral_params(), (acq.fit_lo, acq.fit_hi), acq.coarse_spacing, acq.n_eff)
     if result.rank < 4:
         raise NumericalError("information matrix is singular for this model")
     sigma = wishart_std(result.gamma_th, cfg.n_trials)
@@ -185,7 +178,7 @@ def cmd_scan(args) -> int:
             "config.model: scan requires 'conditions' with an instrument, "
             "not direct spectral parameters"
         )
-    _fit_window(cfg)
+    cfg.acquisition.fit_window()
     sg = scan_grid(spec.n_values, spec.p_values, cfg.instrument, cfg.acquisition, spec.xi2)
     optima = {}
     for index in (1, 2, 3, 4):

@@ -1,8 +1,9 @@
 """Spectral fitting and cumulant estimators.
 
 The fit minimizes Whittle's W = sum_i (ln f_i + S_bar_i/f_i) over the bins of
-the fit window: an averaged bin follows a Gamma(n_eff) law with mean f_i, and
-n_eff W is its negative log-likelihood up to a constant, so the estimate is
+the fit window, which synthesis.fit_bins finds as one slice of an ascending
+grid: an averaged bin follows a Gamma(n_eff) law with mean f_i, and n_eff W
+is its negative log-likelihood up to a constant, so the estimate is
 unbiased to leading order at any n_eff. The solver is damped Fisher scoring
 (Levenberg-Marquardt) on theta = (ln s_ph, nu_l, ln s_at, ln delta_nu), nu_l
 clipped to the window padded by one width. With J = d ln f / d theta (the
@@ -23,14 +24,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError
 from .fisher import invert_psd_stack
 from .model import SpectralParams, eval_psd, grad_log_psd
-from .synthesis import Spectrum
+from .synthesis import Spectrum, fit_bins
 
 __all__ = [
     "FitResult",
-    "fit_bins",
     "mle_fit",
     "mle_fit_stack",
     "sample_covariance",
@@ -40,7 +39,6 @@ __all__ = [
     "var_k2",
 ]
 
-_MIN_WINDOW_BINS = 8
 # floor for the s_at start when the spectrum shows no peak, uV^2/Hz
 _S_AT_FLOOR_FRACTION = 1e-6
 # A row stops once its objective falls (or a rejected step promised to) by at
@@ -61,17 +59,6 @@ class FitResult:
     chi2: float
     n_iter: int
     converged: bool
-
-
-def fit_bins(nu: np.ndarray, window) -> np.ndarray:
-    """Indices of the bins inside window; fewer than _MIN_WINDOW_BINS is a ConfigError."""
-    lo, hi = window
-    if not (0.0 <= lo < hi):
-        raise ConfigError(f"bad fit window [{lo}, {hi}]")
-    idx = np.flatnonzero((nu >= lo) & (nu <= hi))
-    if idx.size < _MIN_WINDOW_BINS:
-        raise ConfigError(f"fit window holds {idx.size} bins, need at least {_MIN_WINDOW_BINS}")
-    return idx
 
 
 def _initial_guess_stack(nu: np.ndarray, s: np.ndarray, window) -> np.ndarray:
@@ -139,7 +126,8 @@ def _score(theta: np.ndarray, nu: np.ndarray, s: np.ndarray):
 
 
 def mle_fit_stack(nu, s_bar, window):
-    """Whittle fit of every row of s_bar, an (m, len(nu)) stack of spectra.
+    """Whittle fit of every row of s_bar, an (m, len(nu)) stack of spectra on
+    the ascending grid nu, read through views of the window's bins.
 
     Each row starts from its moment estimate. Returns (v_hat, n_iter, converged)
     with shapes (m, 4), (m,) and (m,). A row leaves the active set once its
@@ -153,8 +141,8 @@ def mle_fit_stack(nu, s_bar, window):
     spectrum near either end of the float range fits as it does at scale 1.
     """
     nu = np.asarray(nu, dtype=float)
-    idx = fit_bins(nu, window)
-    nu, s = nu[idx], np.asarray(s_bar, dtype=float)[:, idx]
+    bins = fit_bins(nu, window)
+    nu, s = nu[bins], np.asarray(s_bar, dtype=float)[:, bins]
     # Each row is solved at one exact power-of-two scale 2^-e from its start
     # on, and only its output is scaled back; e = 0 leaves a row's bits. Its
     # start is formed at the level 2^t of its largest bin, where neither the
@@ -227,9 +215,9 @@ def mle_fit(sp: Spectrum, window) -> FitResult:
     """
     v_hat, n_iter, converged = mle_fit_stack(sp.nu, sp.s_bar[None], window)
     v = SpectralParams.from_array(v_hat[0])
-    idx = fit_bins(sp.nu, window)
+    bins = fit_bins(sp.nu, window)
     with np.errstate(over="ignore", invalid="ignore"):
-        r = 1.0 - sp.s_bar[idx] / eval_psd(v, sp.nu[idx])
+        r = 1.0 - sp.s_bar[bins] / eval_psd(v, sp.nu[bins])
         chi2 = float(np.sum(r * r))
     return FitResult(v, chi2, int(n_iter[0]), bool(converged[0]))
 

@@ -15,9 +15,9 @@ run as the entropy words numpy's SeedSequence forms from (master_seed, k):
 master_seed's 32-bit words, lowest first, then k, one uint32 row per trial,
 which seed default_rng with the tuple's bits without converting a tuple per
 trial. The trials are synthesized as one serial (n_trials, window bins)
-array program, on the fit window's contiguous range of coarse bins only,
-and fitted in one stacked solve, each bit for bit as if alone: row k holds
-the window's columns of trial_spectrum(v, cfg, (master_seed, k)).
+array program, on the coarse bins of cfg.fit_window() only, and fitted in
+one stacked solve, each bit for bit as if alone: row k holds the window's
+columns of trial_spectrum(v, cfg, (master_seed, k)).
 """
 from __future__ import annotations
 
@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, NumericalError
-from .estimation import fit_bins, k_statistics, mle_fit_stack, sample_covariance
+from .estimation import k2, k_statistics, mle_fit_stack, sample_covariance
 from .fisher import fisher_integral, normalized_deviation, wishart_std
 from .model import SpectralParams
 from .synthesis import (
@@ -52,15 +52,11 @@ class ValidationReport:
     max_deviation: float
     mean_fit: np.ndarray
     # per-diagonal unbiased variance of the fitted parameters and its own
-    # standard error, sqrt(var(k2))
+    # standard error, sqrt(var(k2)), NaN below 4 converged fits
     k2_diag: np.ndarray
     k2_stderr: np.ndarray
     n_trials: int
     n_failures: int
-    master_seed: int
-    synthesis: str
-    n_eff: int
-    window: tuple[float, float]
 
 
 def trial_spectra(
@@ -127,22 +123,21 @@ def run_validation(
     fits them all. Trials whose fit does not converge count as failures,
     excluded from the covariance; the report flags the count rather than
     raising, since a rare non-convergence is a property of the data, not a
-    tool fault. A fit window with too few bins raises ConfigError and a
-    singular information matrix NumericalError, both before any trial is
-    synthesized.
+    tool fault; fewer than 2 converged fits raise ConfigError, and with 2 or
+    3 the k2_stderr entries are NaN. A fit window with too few bins raises
+    ConfigError and a singular information matrix NumericalError, both
+    before any trial is synthesized.
     """
     if n_trials < 2:
         raise ConfigError(f"n_trials must be at least 2, got {n_trials}")
     window = (cfg.fit_lo, cfg.fit_hi)
-    nu = cfg.coarse_grid()
-    idx = fit_bins(nu, window)  # a window too narrow to fit fails before any synthesis
-    bins = slice(int(idx[0]), int(idx[-1]) + 1)  # the grid rises, so the window's bins are contiguous
+    bins = cfg.fit_window()  # a window too narrow to fit fails before any synthesis
     bound = fisher_integral(v, window, cfg.coarse_spacing, cfg.n_eff)
     if bound.rank < 4:
         raise NumericalError("information matrix is singular for this model: no bound to test")
 
     s_bar = trial_spectra(v, cfg, trial_seeds(master_seed, n_trials), synthesis, bins)
-    v_hat, _, converged = mle_fit_stack(nu[bins], s_bar, window)
+    v_hat, _, converged = mle_fit_stack(cfg.coarse_grid(bins), s_bar, window)
 
     good = v_hat[converged]
     n_failures = n_trials - len(good)
@@ -154,10 +149,11 @@ def run_validation(
     sigma_th = wishart_std(bound.gamma_th, len(good))
     dev = normalized_deviation(gamma_exp, bound.gamma_th, len(good))
 
-    # a converged fit onto a sub-bin line (s_at ~ 1e138) overflows these: inf/NaN
+    # a converged fit onto a sub-bin line (s_at ~ 1e138) overflows these:
+    # inf/NaN; var(k2) needs 4 samples, so 2 or 3 fits leave it NaN
     with np.errstate(over="ignore", invalid="ignore"):
-        stats = [k_statistics(x) for x in good.T]
-        k2_diag = np.array([k2 for k2, _, _ in stats])
+        stats = [k_statistics(x) if len(good) >= 4 else (k2(x), np.nan, np.nan) for x in good.T]
+        k2_diag = np.array([k for k, _, _ in stats])
         k2_stderr = np.sqrt([max(var, 0.0) for _, _, var in stats])
 
     return ValidationReport(
@@ -171,8 +167,4 @@ def run_validation(
         k2_stderr=k2_stderr,
         n_trials=n_trials,
         n_failures=n_failures,
-        master_seed=int(master_seed),
-        synthesis=synthesis,
-        n_eff=cfg.n_eff,
-        window=window,
     )

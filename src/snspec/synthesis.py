@@ -13,6 +13,9 @@ Each route's stack function draws one averaged spectrum per seed into an
 array row, computing what is constant per run once, with the same bits.
 A stack holds a contiguous range of the coarse bins, the whole grid by
 default; its columns have the bits of those columns of the whole stack.
+AcquisitionConfig is the one home of coarse-bin ranges: coarse_grid(bins)
+builds the centres of any such range, and fit_window() names the fit
+window's bins as one slice, by fit_bins, the rule every fit applies.
 The stacks are plain serial row loops, and inside them a record is an
 array; synthesize_timeseries alone builds a TimeSeries.
 
@@ -46,12 +49,15 @@ __all__ = [
     "periodogram",
     "coarse_grain",
     "average_spectra",
+    "fit_bins",
 ]
 
 SYNTHESIS_ROUTES = ("timeseries", "gamma")
 
 # relative slack when checking t_total/delta against an integer
 _RECORD_LENGTH_TOL = 1e-6
+# the fewest coarse bins a fit window may hold
+_MIN_WINDOW_BINS = 8
 
 
 @dataclass(frozen=True)
@@ -131,17 +137,33 @@ class AcquisitionConfig:
         """Raw frequencies i/(M*delta), i = 1 .. M/2 - 1: the periodogram grid of a record."""
         return _record_grid(self.record_length, self.delta)
 
-    def coarse_grid(self) -> np.ndarray:
-        """Centers of the coarse bins: block means of the raw grid."""
-        return _block_mean(self.raw_grid(), self.n_bin)
+    def coarse_grid(self, bins: slice = slice(None)) -> np.ndarray:
+        """Centres of the coarse bins in bins, a contiguous range, all of them
+        by default: block means of the range's own raw bins alone, so a range
+        has the bits of those entries of the whole grid."""
+        start, stop = _bin_range(bins, self.n_coarse)
+        n_bin = self.n_bin
+        return _block_mean(_record_grid(self.record_length, self.delta, start * n_bin, stop * n_bin), n_bin)
+
+    def fit_window(self) -> slice:
+        """The coarse bins inside [fit_lo, fit_hi], as one slice of coarse_grid();
+        fewer than _MIN_WINDOW_BINS is a ConfigError."""
+        return fit_bins(self.coarse_grid(), (self.fit_lo, self.fit_hi))
 
 
-def _coarse_centres(cfg: AcquisitionConfig, start: int, stop: int) -> np.ndarray:
-    """cfg.coarse_grid()[start:stop], built from those bins' own raw bins
-    alone: each centre is the mean of its own n_bin raw values, so the range
-    has the bits of those entries of the whole grid."""
-    n_bin = cfg.n_bin
-    return _block_mean(_record_grid(cfg.record_length, cfg.delta, start * n_bin, stop * n_bin), n_bin)
+def fit_bins(nu: np.ndarray, window) -> slice:
+    """The bins of the ascending grid nu inside window, as one slice; fewer
+    than _MIN_WINDOW_BINS is a ConfigError, and a grid that does not ascend
+    a ValueError."""
+    lo, hi = window
+    if not (0.0 <= lo < hi):
+        raise ConfigError(f"bad fit window [{lo}, {hi}]")
+    if not (np.diff(nu) > 0.0).all():
+        raise ValueError("the fit needs a strictly increasing frequency grid")
+    start, stop = int(np.searchsorted(nu, lo, "left")), int(np.searchsorted(nu, hi, "right"))
+    if stop - start < _MIN_WINDOW_BINS:
+        raise ConfigError(f"fit window holds {stop - start} bins, need at least {_MIN_WINDOW_BINS}")
+    return slice(start, stop)
 
 
 def _block_mean(x: np.ndarray, width: int) -> np.ndarray:
@@ -228,7 +250,7 @@ def sample_periodogram_exact_stack(v, cfg: AcquisitionConfig, seeds, bins: slice
     """
     n_eff = cfg.n_eff
     start, stop = _bin_range(bins, cfg.n_coarse)
-    scale = eval_psd(v, _coarse_centres(cfg, start, stop)) / n_eff
+    scale = eval_psd(v, cfg.coarse_grid(bins)) / n_eff
     out = np.empty((len(seeds), stop))
     for row, seed in zip(out, seeds):
         np.random.default_rng(seed).standard_gamma(float(n_eff), out=row)

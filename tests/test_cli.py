@@ -295,6 +295,18 @@ class TestValidate:
         assert doc["n_trials"] == 100
         assert doc["n_failures"] >= 1
 
+    @pytest.mark.parametrize("n_trials", [2, 3])
+    def test_fewer_than_four_trials_write_null_k2_stderr(self, tmp_path, n_trials):
+        # var(k2) needs 4 samples; the covariance and its bound need 2
+        body = copy.deepcopy(BASE)
+        body["monte_carlo"]["n_trials"] = n_trials
+        cfg = write_config(tmp_path, body)
+        assert run("validate", "--config", cfg, "--out", tmp_path / "v") == 0
+        doc = json.loads((tmp_path / "v" / "validate.json").read_text())
+        assert (doc["n_trials"], doc["n_failures"]) == (n_trials, 0)
+        assert doc["k2_stderr"] == [None] * 4
+        assert all(k > 0.0 for k in doc["k2_diag"])
+
     def test_singular_bound_exits_before_fitting(self, tmp_path, capsys):
         body = copy.deepcopy(BASE)
         body["model"]["spectral_params"]["s_at_uv2_per_hz"] = 0.0
@@ -807,10 +819,10 @@ class TestErrorPaths:
         # a grid the host refuses to allocate (t_total_s 1e7 asks for 2e12
         # bins) exits 4 like any numerical failure; the refusal is simulated,
         # so nothing large is ever allocated
-        def refused(self):
+        def refused(self, bins=slice(None)):
             raise MemoryError("Unable to allocate 7.28 TiB for an array with shape (999999999999,)")
 
-        monkeypatch.setattr(AcquisitionConfig, "raw_grid", refused)
+        monkeypatch.setattr(AcquisitionConfig, "coarse_grid", refused)
         cfg = write_config(tmp_path, BASE)
         assert run("synth", "--config", cfg, "--out", tmp_path / "o") == 4
         assert capsys.readouterr().err.startswith("numerical failure: Unable to allocate")

@@ -13,7 +13,7 @@ from snspec.model import SpectralParams, eval_psd, grad_log_psd
 from snspec.estimation import k2, k4, mle_fit, mle_fit_stack, sample_covariance, var_k2
 from snspec.montecarlo import run_validation, trial_spectrum
 from snspec.profiles import REFERENCE_ACQUISITION
-from snspec.synthesis import AcquisitionConfig, Spectrum
+from snspec.synthesis import AcquisitionConfig, Spectrum, fit_bins
 
 V = SpectralParams(s_ph=1.2, nu_l=42600.0, s_at=4.8, delta_nu=1500.0)
 CFG = AcquisitionConfig(
@@ -33,8 +33,8 @@ def window_bins(nu, window=WINDOW):
 
 def moment_start(sp, window=WINDOW):
     """The point mle_fit starts sp from: the moment guess of its window's bins."""
-    idx = estimation.fit_bins(sp.nu, window)
-    return SpectralParams.from_array(estimation._initial_guess_stack(sp.nu[idx], sp.s_bar[idx][None], window)[0])
+    bins = fit_bins(sp.nu, window)
+    return SpectralParams.from_array(estimation._initial_guess_stack(sp.nu[bins], sp.s_bar[None, bins], window)[0])
 
 
 def window_chi2(v, sp, window=WINDOW):
@@ -114,11 +114,11 @@ class TestInitialGuess:
         mle_fit(huge, WINDOW)  # ends without a RuntimeWarning, converged or not
         # a row whose wings are zero takes the mean level, and its neighbour
         # keeps the bits it has alone
-        idx = estimation.fit_bins(sp.nu, WINDOW)
-        nu, q = sp.nu[idx], idx.size // 4
+        bins = fit_bins(sp.nu, WINDOW)
+        nu, q = sp.nu[bins], (bins.stop - bins.start) // 4
         wingless = eval_psd(V, nu)
         wingless[:q] = wingless[-q:] = 0.0
-        rows = np.array([huge.s_bar[idx], wingless])
+        rows = np.array([huge.s_bar[bins], wingless])
         guess = estimation._initial_guess_stack(nu, rows, WINDOW)
         assert guess[1, 0] == np.mean(wingless)
         np.testing.assert_array_equal(guess[0], estimation._initial_guess_stack(nu, rows[:1], WINDOW)[0], strict=True)
@@ -365,8 +365,8 @@ class TestScoreBits:
 
     def test_rows_of_every_kind(self):
         sp = trial_spectrum(V, CFG, (5, 0), "gamma")
-        idx = estimation.fit_bins(sp.nu, WINDOW)
-        nu, s = sp.nu[idx], sp.s_bar[idx]
+        bins = fit_bins(sp.nu, WINDOW)
+        nu, s = sp.nu[bins], sp.s_bar[bins]
         log = np.log
         theta = np.array([
             [log(1.2), 42600.0, log(4.8), log(1500.0)],

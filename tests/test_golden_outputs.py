@@ -1,10 +1,11 @@
 """The bytes of every shipped-config output, pinned by a committed manifest.
 
-tests/data/golden_outputs.json holds the full sha256 of the 38 files that
+tests/data/golden_outputs.json holds the full sha256 of the 43 files that
 synth, fit (of synth's spectrum.csv), crb, and validate or scan write for the
 shipped configs: validate_reference.json on both synthesis routes, as
 shipped and at a short acquisition whose fit window ends at the last coarse
-bin, the short gamma run again at a master seed of two 32-bit words, and
+bin, the short gamma run again at a master seed of two 32-bit words and at
+3 trials (too few for a k2 standard error, written as null), and
 scan_reference.json at xi2 1 and 0.55, all at the default seed otherwise;
 and of what kstats writes for the psd column of one synthesized spectrum. It
 also records the numpy version and the platform that made them. The bits depend on numpy's
@@ -62,6 +63,12 @@ RUNS = {
     "validate_short-gamma-seed_2^32+7": (
         "validate_reference.json",
         {**SHORT, ("monte_carlo", "synthesis"): "gamma", ("monte_carlo", "master_seed"): 2**32 + 7},
+        ("validate",),
+    ),
+    # 3 trials: k2_stderr needs 4 converged fits, so it is written as null
+    "validate_short-gamma-n_trials_3": (
+        "validate_reference.json",
+        {**SHORT, ("monte_carlo", "synthesis"): "gamma", ("monte_carlo", "n_trials"): 3},
         ("validate",),
     ),
     "scan_reference-xi2_1": ("scan_reference.json", {}, ("scan",)),

@@ -3,9 +3,9 @@
 import numpy as np
 import pytest
 
-from snspec import montecarlo, synthesis
+from snspec import montecarlo
 from snspec.errors import ConfigError, NumericalError
-from snspec.estimation import fit_bins, mle_fit_stack
+from snspec.estimation import k2, mle_fit_stack
 from snspec.model import SpectralParams, eval_psd
 from snspec.montecarlo import run_validation, trial_seeds, trial_spectra, trial_spectrum
 from snspec.synthesis import (
@@ -13,6 +13,7 @@ from snspec.synthesis import (
     Spectrum,
     average_spectra,
     coarse_grain,
+    fit_bins,
     periodogram,
     synthesize_timeseries,
 )
@@ -138,7 +139,28 @@ class TestTrialSpectra:
         k = grid.size
         assert k == cfg.n_coarse
         for a, b in ((0, k), (0, 1), (k // 3, 2 * k // 3 + 1), (k - 1, k)):
-            np.testing.assert_array_equal(synthesis._coarse_centres(cfg, a, b), grid[a:b], strict=True)
+            np.testing.assert_array_equal(cfg.coarse_grid(slice(a, b)), grid[a:b], strict=True)
+
+    @GEOMETRIES
+    def test_fit_window_is_the_range_the_window_mask_selects(self, cfg):
+        grid = cfg.coarse_grid()
+        (inside,) = np.nonzero((grid >= cfg.fit_lo) & (grid <= cfg.fit_hi))
+        assert cfg.fit_window() == slice(inside[0], inside[-1] + 1)
+        assert inside.size == inside[-1] + 1 - inside[0]
+
+    def test_fit_window_of_five_bins_is_refused(self):
+        # 42000-42500 Hz holds the 100 Hz bins centred at 42051 .. 42451
+        cfg = AcquisitionConfig(delta=5e-6, t_total=0.5, fit_lo=42e3, fit_hi=42.5e3, n_bin=50)
+        with pytest.raises(ConfigError, match="^fit window holds 5 bins, need at least 8$"):
+            cfg.fit_window()
+
+    def test_descending_grid_is_refused(self):
+        nu = CFG.coarse_grid()[::-1]
+        window = (CFG.fit_lo, CFG.fit_hi)
+        with pytest.raises(ValueError, match="strictly increasing"):
+            fit_bins(nu, window)
+        with pytest.raises(ValueError, match="strictly increasing"):
+            mle_fit_stack(nu, np.ones((2, nu.size)), window)
 
     @pytest.mark.parametrize("bins", [slice(3, 3), slice(0, 10, 2), slice(2000, None)])
     def test_empty_or_strided_bin_range_rejected(self, bins):
@@ -190,9 +212,6 @@ class TestRunValidation:
         assert rep.gamma_exp.shape == rep.gamma_th.shape == (4, 4)
         assert rep.n_trials == 60
         assert rep.n_failures == 0
-        assert rep.synthesis == "gamma"
-        assert rep.n_eff == 50
-        assert rep.window == (33e3, 52e3)
         assert rep.max_deviation == np.max(rep.deviation)
         np.testing.assert_allclose(rep.gamma_th, rep.gamma_th.T)
         assert np.all(np.isfinite(rep.deviation))
@@ -257,10 +276,10 @@ class TestRunValidation:
     def test_fit_reads_the_window_columns_alone(self, monkeypatch, route):
         # the reference window holds coarse bins 330 .. 519 of 999
         nu, s_bar = self.fitted_stack(monkeypatch, CFG, route, 4, 0)
-        idx = fit_bins(CFG.coarse_grid(), (CFG.fit_lo, CFG.fit_hi))
-        assert (idx[0], idx[-1], CFG.coarse_grid().size) == (330, 519, 999)
-        np.testing.assert_array_equal(nu, CFG.coarse_grid()[idx], strict=True)
-        assert s_bar.shape == (4, idx.size)
+        bins = CFG.fit_window()
+        assert (bins, CFG.coarse_grid().size) == (slice(330, 520), 999)
+        np.testing.assert_array_equal(nu, CFG.coarse_grid()[bins], strict=True)
+        assert s_bar.shape == (4, bins.stop - bins.start)
 
     @pytest.mark.parametrize("route", ["gamma", "timeseries"])
     def test_row_k_replays_as_the_window_of_trial_spectrum_k(self, monkeypatch, route):
@@ -272,9 +291,27 @@ class TestRunValidation:
 
     def assert_rows_replay(self, monkeypatch, route, master):
         _, s_bar = self.fitted_stack(monkeypatch, ODD, route, 4, master)
-        idx = fit_bins(ODD.coarse_grid(), (ODD.fit_lo, ODD.fit_hi))
+        bins = ODD.fit_window()
         for k, row in enumerate(s_bar):
-            np.testing.assert_array_equal(row, trial_spectrum(V, ODD, (master, k), route).s_bar[idx], strict=True)
+            np.testing.assert_array_equal(row, trial_spectrum(V, ODD, (master, k), route).s_bar[bins], strict=True)
+
+    def test_three_converged_fits_leave_k2_stderr_nan(self, monkeypatch):
+        # var(k2) needs 4 samples: 3 converged fits give k2 alone
+        kept = []
+
+        def three_converge(nu, s_bar, window):
+            v_hat, n_iter, _ = mle_fit_stack(nu, s_bar, window)
+            converged = np.zeros(len(s_bar), dtype=bool)
+            converged[[1, 4, 8]] = True
+            kept.append(v_hat[converged])
+            return v_hat, n_iter, converged
+
+        monkeypatch.setattr(montecarlo, "mle_fit_stack", three_converge)
+        rep = run_validation(V, CFG, n_trials=10, master_seed=0, synthesis="gamma")
+        assert (rep.n_trials, rep.n_failures) == (10, 7)
+        assert np.isnan(rep.k2_stderr).all() and rep.k2_stderr.shape == (4,)
+        np.testing.assert_array_equal(rep.k2_diag, [k2(x) for x in kept[0].T])
+        assert np.isfinite(rep.deviation).all()
 
     def test_fewer_than_two_converged_fits_is_a_config_error(self, monkeypatch):
         def no_fit_converges(nu, s_bar, window):
