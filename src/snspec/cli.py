@@ -29,7 +29,7 @@ import warnings
 import numpy as np
 
 from . import __version__
-from .config import RunConfig, check_seed, load_config
+from .config import SPECTRAL_KEYS, RunConfig, check_seed, load_config
 from .errors import ConfigError, NumericalError
 from .estimation import k_statistics, mle_fit
 from .fisher import fisher_integral, wishart_std
@@ -88,10 +88,7 @@ def cmd_fit(args) -> int:
     result = mle_fit(sp, (acq.fit_lo, acq.fit_hi))
     v = result.v_hat
     payload = {
-        "s_ph_uv2_per_hz": v.s_ph,
-        "nu_l_hz": v.nu_l,
-        "s_at_uv2_per_hz": v.s_at,
-        "delta_nu_hz": v.delta_nu,
+        **dict(zip(SPECTRAL_KEYS, v.as_array())),
         "chi2": result.chi2,
         "converged": result.converged,
         "n_iter": result.n_iter,
@@ -101,10 +98,8 @@ def cmd_fit(args) -> int:
     path = _outpath(args, "fit.json")
     write_json(path, payload)
     print(f"{'parameter':<12}{'value':>16}")
-    print(f"{'s_ph':<12}{v.s_ph:>16.6g}")
-    print(f"{'nu_l':<12}{v.nu_l:>16.6g}")
-    print(f"{'s_at':<12}{v.s_at:>16.6g}")
-    print(f"{'delta_nu':<12}{v.delta_nu:>16.6g}")
+    for name, value in vars(v).items():
+        print(f"{name:<12}{value:>16.6g}")
     print(f"chi2={result.chi2:.6g} converged={result.converged} wrote {path}")
     return 0
 
@@ -116,16 +111,7 @@ def cmd_validate(args) -> int:
         cfg.spectral_params(), cfg.acquisition, cfg.n_trials, seed, synthesis=cfg.synthesis
     )
     payload = {
-        "gamma_exp": report.gamma_exp.tolist(),
-        "gamma_th": report.gamma_th.tolist(),
-        "sigma_th": report.sigma_th.tolist(),
-        "deviation": report.deviation.tolist(),
-        "max_deviation": report.max_deviation,
-        "mean_fit": report.mean_fit.tolist(),
-        "k2_diag": report.k2_diag.tolist(),
-        "k2_stderr": report.k2_stderr.tolist(),
-        "n_trials": report.n_trials,
-        "n_failures": report.n_failures,
+        **vars(report),
         "synthesis": cfg.synthesis,
         "n_eff": cfg.acquisition.n_eff,
         "window_hz": [cfg.acquisition.fit_lo, cfg.acquisition.fit_hi],
@@ -149,9 +135,9 @@ def cmd_crb(args) -> int:
         raise NumericalError("information matrix is singular for this model")
     sigma = wishart_std(result.gamma_th, cfg.n_trials)
     payload = {
-        "info": result.info.tolist(),
-        "gamma_th": result.gamma_th.tolist(),
-        "sigma_th": sigma.tolist(),
+        "info": result.info,
+        "gamma_th": result.gamma_th,
+        "sigma_th": sigma,
         "sigma_n_samples": cfg.n_trials,
         "n_eff": result.n_eff,
         "nu_t_hz": result.nu_t,

@@ -19,7 +19,11 @@ from .model import ExperimentConditions, InstrumentConstants, SpectralParams, pa
 from .profiles import PROFILES, REFERENCE_INSTRUMENT
 from .synthesis import SYNTHESIS_ROUTES, AcquisitionConfig
 
-__all__ = ["ScanSpec", "RunConfig", "check_seed", "load_config", "config_from_dict"]
+__all__ = ["SPECTRAL_KEYS", "ScanSpec", "RunConfig", "check_seed", "load_config", "config_from_dict"]
+
+# the keys of model.spectral_params, in SpectralParams order; fit.json reports
+# its fitted parameters under the same keys
+SPECTRAL_KEYS = ("s_ph_uv2_per_hz", "nu_l_hz", "s_at_uv2_per_hz", "delta_nu_hz")
 
 # counts past these are refused before any axis or trial list is built
 _MAX_SCAN_CELLS = 1 << 20  # one Fisher integral each; 1024 x 1024 is the largest square
@@ -63,6 +67,15 @@ class RunConfig:
         return self.scan
 
 
+# each kind take reads: the JSON types it accepts, and its noun in messages
+_KINDS = {
+    float: ((int, float), "a number"),
+    int: (int, "an integer"),
+    str: (str, "a string"),
+    dict: (dict, "an object"),
+}
+
+
 class _Section:
     """One config object: tracked key set, typed extraction, unknown-key check."""
 
@@ -80,28 +93,16 @@ class _Section:
                 raise ConfigError(f"{self.path}: missing required field '{key}'")
             return default
         value = self.doc[key]
-        if kind is float:
-            if isinstance(value, bool) or not isinstance(value, (int, float)):
-                raise ConfigError(f"{self.path}.{key}: expected a number, got {value!r}")
-            return float(value)
-        if kind is int:
-            if isinstance(value, bool) or not isinstance(value, int):
-                raise ConfigError(f"{self.path}.{key}: expected an integer, got {value!r}")
-            return value
-        if kind is str:
-            if not isinstance(value, str):
-                raise ConfigError(f"{self.path}.{key}: expected a string, got {value!r}")
-            return value
-        if kind is dict:
-            if not isinstance(value, dict):
-                raise ConfigError(f"{self.path}.{key}: expected an object, got {value!r}")
-            return value
-        raise AssertionError(f"unhandled kind {kind}")
+        types, noun = _KINDS[kind]
+        # json yields bool for true and false, and a bool is not a number
+        if isinstance(value, bool) or not isinstance(value, types):
+            raise ConfigError(f"{self.path}.{key}: expected {noun}, got {value!r}")
+        return float(value) if kind is float else value
 
-    def build(self, cls, **fields):
-        """cls(**fields), with the range errors of its constructor named by section."""
+    def build(self, cls, *args, **fields):
+        """cls(*args, **fields), with the range errors of its constructor named by section."""
         try:
-            return cls(**fields)
+            return cls(*args, **fields)
         except ValueError as exc:
             raise ConfigError(f"{self.path}: {exc}") from exc
 
@@ -138,13 +139,7 @@ def _parse_model(section: dict[str, Any]):
         if inst_raw is not None:
             raise ConfigError("config.model: 'instrument' only applies to 'conditions'")
         p = _Section("config.model.spectral_params", sp)
-        params = p.build(
-            SpectralParams,
-            s_ph=p.take("s_ph_uv2_per_hz", float, required=True),
-            nu_l=p.take("nu_l_hz", float, required=True),
-            s_at=p.take("s_at_uv2_per_hz", float, required=True),
-            delta_nu=p.take("delta_nu_hz", float, required=True),
-        )
+        params = p.build(SpectralParams, *[p.take(key, float, required=True) for key in SPECTRAL_KEYS])
         p.finish()
         return params, None, None
     c = _Section("config.model.conditions", cond)

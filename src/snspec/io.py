@@ -10,8 +10,10 @@ pass over all rows, read back by np.loadtxt. The scan table, which is not read
 back, formats each grid axis value once, since its long format repeats each
 value on many rows. Floats are written with repr-exact precision (%.17g) so
 every emitted file re-ingests bit-identically; writers emit LF newlines and
-sorted JSON keys so identical inputs give byte-identical files. JSON files
-hold no NaN or Infinity, which RFC 8259 lacks: a non-finite float is null.
+sorted JSON keys so identical inputs give byte-identical files. write_json
+is the one place that turns numpy values into JSON: an array is written as
+its nested lists (a numpy float is a float already). JSON files hold no NaN
+or Infinity, which RFC 8259 lacks: a non-finite float is null.
 """
 from __future__ import annotations
 
@@ -87,7 +89,7 @@ def write_spectrum_json(path, sp: Spectrum, **extra) -> None:
     """Spectrum to JSON with n_eff; extra keys (provenance) go alongside."""
     write_json(
         path,
-        {"nu_hz": sp.nu.tolist(), "psd_uv2_per_hz": sp.s_bar.tolist(), "n_eff": sp.n_eff, **extra},
+        {"nu_hz": sp.nu, "psd_uv2_per_hz": sp.s_bar, "n_eff": sp.n_eff, **extra},
     )
 
 
@@ -120,16 +122,20 @@ def write_scan_csv(path, sg) -> None:
 
 
 def _finite(x):
-    """x with every non-finite float as None: RFC 8259 JSON has no NaN or Infinity."""
+    """x with every numpy array as its nested lists and every non-finite
+    float as None: RFC 8259 JSON has no NaN or Infinity."""
     if isinstance(x, dict):
         return {key: _finite(value) for key, value in x.items()}
     if isinstance(x, (list, tuple)):
         return [_finite(value) for value in x]
+    if isinstance(x, np.ndarray):
+        return _finite(x.tolist())
     return None if isinstance(x, float) and not math.isfinite(x) else x
 
 
 def write_json(path, payload: dict[str, Any]) -> None:
-    """payload as sorted, indented JSON; a non-finite float is written as null.
+    """payload as sorted, indented JSON; its values may be numpy arrays and
+    floats, and a non-finite float is written as null.
 
     The document is encoded whole and written once: json.dump would write
     each of its many small chunks separately."""

@@ -43,7 +43,12 @@ __all__ = ["ValidationReport", "run_validation", "trial_seeds", "trial_spectra",
 
 @dataclass(frozen=True)
 class ValidationReport:
-    """Everything a theory-vs-Monte-Carlo comparison produced."""
+    """Everything a theory-vs-Monte-Carlo comparison produced.
+
+    Its fields are the computed fields of validate.json, under the same
+    names: the CLI writes vars(report) and adds only the run's settings and
+    provenance, so a field added here is a field of the file.
+    """
 
     gamma_exp: np.ndarray
     gamma_th: np.ndarray
@@ -52,7 +57,8 @@ class ValidationReport:
     max_deviation: float
     mean_fit: np.ndarray
     # per-diagonal unbiased variance of the fitted parameters and its own
-    # standard error, sqrt(var(k2)), NaN below 4 converged fits
+    # standard error, sqrt(var(k2)); NaN below 4 converged fits, and where
+    # the var(k2) estimate is negative, as it can be at a few fits
     k2_diag: np.ndarray
     k2_stderr: np.ndarray
     n_trials: int
@@ -124,9 +130,10 @@ def run_validation(
     excluded from the covariance; the report flags the count rather than
     raising, since a rare non-convergence is a property of the data, not a
     tool fault; fewer than 2 converged fits raise ConfigError, and with 2 or
-    3 the k2_stderr entries are NaN. A fit window with too few bins raises
-    ConfigError and a singular information matrix NumericalError, both
-    before any trial is synthesized.
+    3 the k2_stderr entries are NaN, as is any whose var(k2) estimate is
+    negative. A fit window with too few bins raises ConfigError and a
+    singular information matrix NumericalError, both before any trial is
+    synthesized.
     """
     if n_trials < 2:
         raise ConfigError(f"n_trials must be at least 2, got {n_trials}")
@@ -150,11 +157,12 @@ def run_validation(
     dev = normalized_deviation(gamma_exp, bound.gamma_th, len(good))
 
     # a converged fit onto a sub-bin line (s_at ~ 1e138) overflows these:
-    # inf/NaN; var(k2) needs 4 samples, so 2 or 3 fits leave it NaN
+    # inf/NaN; var(k2) needs 4 samples, so 2 or 3 fits leave it NaN, and the
+    # root of a negative estimate is NaN too, not a standard error of 0
     with np.errstate(over="ignore", invalid="ignore"):
         stats = [k_statistics(x) if len(good) >= 4 else (k2(x), np.nan, np.nan) for x in good.T]
         k2_diag = np.array([k for k, _, _ in stats])
-        k2_stderr = np.sqrt([max(var, 0.0) for _, _, var in stats])
+        k2_stderr = np.sqrt([var for _, _, var in stats])
 
     return ValidationReport(
         gamma_exp=gamma_exp,

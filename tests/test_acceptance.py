@@ -19,7 +19,7 @@ from snspec.fisher import (
     wishart_std,
 )
 from snspec.model import ExperimentConditions, SpectralParams, eval_psd
-from snspec.montecarlo import run_validation, trial_spectrum
+from snspec.montecarlo import run_validation, trial_seeds, trial_spectra
 from snspec.profiles import (
     REFERENCE_ACQUISITION,
     REFERENCE_INSTRUMENT,
@@ -135,12 +135,15 @@ def test_criterion_4_pipeline_equivalence():
     sums = {route: np.zeros((6, f.size)) for route in ("timeseries", "gamma")}
     for route, base in (("timeseries", 40), ("gamma", 41)):
         s = sums[route]
-        for k in range(n_seeds):
-            x = trial_spectrum(v, cfg, (base, k), synthesis=route).s_bar / f
-            p = x.copy()
-            for r in range(6):
-                s[r] += p
-                p *= x
+        # seeds (base, k) in stacks of 1000, each row the spectrum of its seed
+        seeds = trial_seeds(base, n_seeds)
+        for start in range(0, n_seeds, 1000):
+            # row by row, in k order, so that the sums keep their bits
+            for x in trial_spectra(v, cfg, seeds[start : start + 1000], route) / f:
+                p = x.copy()
+                for r in range(6):
+                    s[r] += p
+                    p *= x
     mom = {route: sums[route] / n_seeds for route in sums}
     pooled = []
     for r in range(3):

@@ -6,6 +6,7 @@ checked without subprocess overhead.
 
 import copy
 import ctypes
+import dataclasses
 import importlib
 import json
 import os
@@ -189,6 +190,9 @@ class TestFit:
         assert doc["delta_nu_hz"] == pytest.approx(TRUTH["delta_nu"], rel=0.3)
         assert doc["window_hz"] == [33000.0, 52000.0]
         assert doc["config"] == BASE
+        # the fitted parameters under the config's own spectral_params keys
+        fit_keys = {"chi2", "converged", "n_iter", "window_hz", "config", "master_seed_used", "version"}
+        assert set(doc) == set(BASE["model"]["spectral_params"]) | fit_keys
 
     def test_csv_and_json_inputs_agree_exactly(self, tmp_path):
         a = self.synth_then_fit(tmp_path, "spectrum.csv")
@@ -262,6 +266,9 @@ class TestValidate:
         assert doc["synthesis"] == "gamma"
         assert doc["master_seed_used"] == 0
         assert doc["max_deviation"] < 30.0  # 6 trials only, loose sanity
+        # the report's fields, then the run's settings and its provenance
+        report = {f.name for f in dataclasses.fields(montecarlo.ValidationReport)}
+        assert set(doc) == report | {"synthesis", "n_eff", "window_hz", "config", "master_seed_used", "version"}
 
     @pytest.mark.parametrize("route", ["gamma", "timeseries"])
     def test_rerun_writes_identical_bytes(self, tmp_path, route):
@@ -306,6 +313,20 @@ class TestValidate:
         assert (doc["n_trials"], doc["n_failures"]) == (n_trials, 0)
         assert doc["k2_stderr"] == [None] * 4
         assert all(k > 0.0 for k in doc["k2_diag"])
+
+    def test_negative_var_k2_estimate_writes_null_k2_stderr(self, tmp_path):
+        # the reference config at 4 gamma-route trials, seed 0: the s_at
+        # column's var(k2) estimate is negative, so it has no standard error
+        with open(os.path.join(CONFIG_DIR, "validate_reference.json")) as fh:
+            body = json.load(fh)
+        body["monte_carlo"].update(n_trials=4, master_seed=0, synthesis="gamma")
+        cfg = write_config(tmp_path, body)
+        assert run("validate", "--config", cfg, "--out", tmp_path / "v") == 0
+        doc = json.loads((tmp_path / "v" / "validate.json").read_text())
+        assert (doc["n_trials"], doc["n_failures"]) == (4, 0)
+        stderr = doc["k2_stderr"]
+        assert stderr[2] is None
+        assert all(x > 0.0 for x in stderr[:2] + stderr[3:])
 
     def test_singular_bound_exits_before_fitting(self, tmp_path, capsys):
         body = copy.deepcopy(BASE)

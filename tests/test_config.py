@@ -171,6 +171,22 @@ class TestTypesAndValues:
         with pytest.raises(ConfigError, match="expected an integer"):
             config_from_dict(doc(acquisition__n_bin=50.0))
 
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (dict(model__conditions__p_mw="2"), "config.model.conditions.p_mw: expected a number, got '2'"),
+            (dict(model__conditions__p_mw=False), "config.model.conditions.p_mw: expected a number, got False"),
+            (dict(acquisition__n_bin=True), "config.acquisition.n_bin: expected an integer, got True"),
+            (dict(monte_carlo__synthesis=1), "config.monte_carlo.synthesis: expected a string, got 1"),
+            (dict(monte_carlo__synthesis=True), "config.monte_carlo.synthesis: expected a string, got True"),
+            (dict(model=None), "config.model: expected an object, got None"),
+        ],
+    )
+    def test_kind_messages_are_exact(self, edit, message):
+        with pytest.raises(ConfigError) as exc:
+            config_from_dict(doc(**edit))
+        assert str(exc.value) == message
+
     def test_section_must_be_object(self):
         with pytest.raises(ConfigError, match="expected an object"):
             config_from_dict(doc(model__conditions=[1, 2]))

@@ -1,12 +1,14 @@
 """The bytes of every shipped-config output, pinned by a committed manifest.
 
-tests/data/golden_outputs.json holds the full sha256 of the 43 files that
+tests/data/golden_outputs.json holds the full sha256 of the 48 files that
 synth, fit (of synth's spectrum.csv), crb, and validate or scan write for the
 shipped configs: validate_reference.json on both synthesis routes, as
 shipped and at a short acquisition whose fit window ends at the last coarse
 bin, the short gamma run again at a master seed of two 32-bit words and at
-3 trials (too few for a k2 standard error, written as null), and
-scan_reference.json at xi2 1 and 0.55, all at the default seed otherwise;
+3 trials (too few for a k2 standard error, written as null), the shipped
+gamma run at 4 trials (one negative var(k2) estimate, its k2 standard error
+written as null), and scan_reference.json at xi2 1 and 0.55, all at the
+default seed otherwise;
 and of what kstats writes for the psd column of one synthesized spectrum. It
 also records the numpy version and the platform that made them. The bits depend on numpy's
 Generator and pocketfft, so under another numpy or platform the test skips
@@ -69,6 +71,13 @@ RUNS = {
     "validate_short-gamma-n_trials_3": (
         "validate_reference.json",
         {**SHORT, ("monte_carlo", "synthesis"): "gamma", ("monte_carlo", "n_trials"): 3},
+        ("validate",),
+    ),
+    # 4 trials, seed 0: the s_at column's var(k2) estimate is negative, so
+    # its k2_stderr is written as null
+    "validate_reference-gamma-n_trials_4": (
+        "validate_reference.json",
+        {("monte_carlo", "synthesis"): "gamma", ("monte_carlo", "n_trials"): 4},
         ("validate",),
     ),
     "scan_reference-xi2_1": ("scan_reference.json", {}, ("scan",)),

@@ -154,6 +154,14 @@ class TestJson:
         doc = json.loads(path.read_text(), parse_constant=reject)
         assert doc == {"a": [None, None, 1.0], "b": {"c": [None]}}
 
+    def test_array_is_written_as_its_lists(self, tmp_path):
+        # only write_json turns numpy into JSON; non-finite entries become null
+        grid = np.array([[1.5, np.nan], [np.inf, -np.inf], [0.1, -2.0]])
+        write_json(tmp_path / "array.json", {"m": grid, "v": grid[0]})
+        write_json(tmp_path / "lists.json", {"m": grid.tolist(), "v": grid[0].tolist()})
+        assert (tmp_path / "array.json").read_bytes() == (tmp_path / "lists.json").read_bytes()
+        assert json.loads((tmp_path / "array.json").read_text())["m"] == [[1.5, None], [None, None], [0.1, -2.0]]
+
     def test_read_back(self, tmp_path):
         path = tmp_path / "r.json"
         write_json(path, {"x": 1})

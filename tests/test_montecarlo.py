@@ -5,7 +5,7 @@ import pytest
 
 from snspec import montecarlo
 from snspec.errors import ConfigError, NumericalError
-from snspec.estimation import k2, mle_fit_stack
+from snspec.estimation import k2, k_statistics, mle_fit_stack
 from snspec.model import SpectralParams, eval_psd
 from snspec.montecarlo import run_validation, trial_seeds, trial_spectra, trial_spectrum
 from snspec.synthesis import (
@@ -312,6 +312,24 @@ class TestRunValidation:
         assert np.isnan(rep.k2_stderr).all() and rep.k2_stderr.shape == (4,)
         np.testing.assert_array_equal(rep.k2_diag, [k2(x) for x in kept[0].T])
         assert np.isfinite(rep.deviation).all()
+
+    def test_negative_var_k2_estimate_leaves_k2_stderr_nan(self, monkeypatch):
+        # at 4 gamma-route trials and seed 0, the s_at column's var(k2)
+        # estimate is negative: it has no root, and a stderr of 0 would be false
+        kept = []
+
+        def recording(nu, s_bar, window):
+            v_hat, n_iter, converged = mle_fit_stack(nu, s_bar, window)
+            kept.append(v_hat[converged])
+            return v_hat, n_iter, converged
+
+        monkeypatch.setattr(montecarlo, "mle_fit_stack", recording)
+        rep = run_validation(V, CFG, n_trials=4, master_seed=0, synthesis="gamma")
+        var = np.array([k_statistics(x)[2] for x in kept[0].T])
+        assert rep.n_failures == 0
+        assert var[2] < 0.0 and (var[[0, 1, 3]] > 0.0).all()
+        assert np.isnan(rep.k2_stderr[2])
+        np.testing.assert_array_equal(rep.k2_stderr[[0, 1, 3]], np.sqrt(var[[0, 1, 3]]))
 
     def test_fewer_than_two_converged_fits_is_a_config_error(self, monkeypatch):
         def no_fit_converges(nu, s_bar, window):
