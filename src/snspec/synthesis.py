@@ -16,8 +16,13 @@ default; its columns have the bits of those columns of the whole stack.
 AcquisitionConfig is the one home of coarse-bin ranges: coarse_grid(bins)
 builds the centres of any such range, and fit_window() names the fit
 window's bins as one slice, by fit_bins, the rule every fit applies.
-The stacks are plain serial row loops, and inside them a record is an
-array; synthesize_timeseries alone builds a TimeSeries.
+The gamma stack is a serial row loop. The timeseries stack fills its rows
+in contiguous slices, one per CPU the process may use, once a record holds
+_THREAD_MIN_SAMPLES samples (1 worker below that), since its normal draws
+and FFTs run without the GIL; each worker reuses one record and one
+coefficient buffer, so any worker count gives the same bits. Inside the
+stacks a record is an array; synthesize_timeseries alone builds a
+TimeSeries.
 
 Conventions, fixed across the package:
   - one-sided PSD, S(nu) = 2*delta*|DFT|^2 / M in uV^2/Hz, so the PSD sums
@@ -30,7 +35,10 @@ Conventions, fixed across the package:
 """
 from __future__ import annotations
 
+import contextvars
 import math
+import os
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -58,6 +66,10 @@ SYNTHESIS_ROUTES = ("timeseries", "gamma")
 _RECORD_LENGTH_TOL = 1e-6
 # the fewest coarse bins a fit window may hold
 _MIN_WINDOW_BINS = 8
+# the shortest record whose timeseries stack runs on more than one thread:
+# 2 workers took 0.85x the rows/s of 1 at M = 8192 and 1.29x at 16384
+# (BENCH_27.json, crossover)
+_THREAD_MIN_SAMPLES = 16384
 
 
 @dataclass(frozen=True)
@@ -147,8 +159,17 @@ class AcquisitionConfig:
 
     def fit_window(self) -> slice:
         """The coarse bins inside [fit_lo, fit_hi], as one slice of coarse_grid();
-        fewer than _MIN_WINDOW_BINS is a ConfigError."""
-        return fit_bins(self.coarse_grid(), (self.fit_lo, self.fit_hi))
+        fewer than _MIN_WINDOW_BINS is a ConfigError.
+
+        Coarse bin j is centred in (j + 1/2, j + 1] coarse spacings, so the
+        window's bins lie in the range its edges give in spacings; widened by
+        2 bins a side, that range holds them all with a bin outside at each
+        end, and fit_bins on its centres alone finds them."""
+        lo, hi, spacing = self.fit_lo, self.fit_hi, self.coarse_spacing
+        start = max(0, math.floor(lo / spacing) - 2)
+        stop = min(self.n_coarse, math.floor(hi / spacing) + 3)
+        window = fit_bins(self.coarse_grid(slice(start, stop)), (lo, hi))
+        return slice(start + window.start, start + window.stop)
 
 
 def fit_bins(nu: np.ndarray, window) -> slice:
@@ -263,15 +284,20 @@ def _amplitudes(v, cfg: AcquisitionConfig) -> np.ndarray:
     return np.sqrt(cfg.record_length * eval_psd(v, cfg.raw_grid()) / (4.0 * cfg.delta))
 
 
-def _record(amp: np.ndarray, rng) -> np.ndarray:
-    """Inverse real FFT of amp*(a + ib) at i = 1 .. M/2 - 1, zero DC and
-    Nyquist: the M samples of one record. Both parts of the coefficients are
-    written in place, with the bits of the complex product."""
-    ab = rng.standard_normal((2, amp.size))
-    coeff = np.zeros(amp.size + 2, dtype=complex)
+def _record(amp: np.ndarray, rng, y: np.ndarray, coeff: np.ndarray) -> None:
+    """Write into y, of M = 2K + 2 samples for the K amplitudes, the inverse
+    real FFT of amp*(a + ib) at i = 1 .. K, zero DC and Nyquist: one record.
+    a and b are drawn in turn, K standard normals each, into y's own memory;
+    coeff, K + 2 complex entries, holds the coefficients, both parts written
+    in place with the bits of the complex product. Neither buffer's content
+    on entry matters, so one pair serves any count of records."""
+    k = amp.size
+    ab = y[: 2 * k].reshape(2, k)
+    rng.standard_normal(out=ab)
+    coeff[0] = coeff[-1] = 0.0
     np.multiply(amp, ab[0], out=coeff.real[1:-1])
     np.multiply(amp, ab[1], out=coeff.imag[1:-1])
-    return np.fft.irfft(coeff, n=2 * amp.size + 2)
+    np.fft.irfft(coeff, n=y.size, out=y)
 
 
 def synthesize_timeseries(v, cfg: AcquisitionConfig, seed) -> TimeSeries:
@@ -283,7 +309,55 @@ def synthesize_timeseries(v, cfg: AcquisitionConfig, seed) -> TimeSeries:
     i = 1 .. M/2 - 1, zero DC and Nyquist, inverse real FFT. Deterministic
     given the seed.
     """
-    return TimeSeries(cfg.delta, _record(_amplitudes(v, cfg), np.random.default_rng(seed)))
+    amp, y = _amplitudes(v, cfg), np.empty(cfg.record_length)
+    _record(amp, np.random.default_rng(seed), y, np.empty(amp.size + 2, dtype=complex))
+    return TimeSeries(cfg.delta, y)
+
+
+def _cpu_count() -> int:
+    """The CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _workers(n_rows: int, record_length: int) -> int:
+    """Threads for a stack of n_rows records of record_length samples each:
+    one per CPU, at most one per row, where a record is long enough for its
+    GIL-free draws and FFTs to outweigh a thread's cost; else 1."""
+    if record_length < _THREAD_MIN_SAMPLES:
+        return 1
+    return max(1, min(_cpu_count(), n_rows))
+
+
+def _fill_in_slices(fill, n_rows: int, n_workers: int) -> None:
+    """Call fill(rows) on n_workers contiguous slices of range(n_rows): the
+    caller runs the first, and each further slice runs in a thread of its own,
+    inside a copy of the caller's context, so numpy's errstate holds there
+    too. Every thread is joined before the first exception of any slice, in
+    slice order, is raised in the caller."""
+    cuts = [n_rows * i // n_workers for i in range(n_workers + 1)]
+    errors: list[BaseException | None] = [None] * n_workers
+
+    def run(i: int) -> None:
+        try:
+            fill(slice(cuts[i], cuts[i + 1]))
+        except BaseException as exc:  # raised in the caller, after the join
+            errors[i] = exc
+
+    threads = [
+        threading.Thread(target=contextvars.copy_context().run, args=(run, i))
+        for i in range(1, n_workers)
+    ]
+    for thread in threads:
+        thread.start()
+    run(0)
+    for thread in threads:
+        thread.join()
+    for exc in errors:
+        if exc is not None:
+            raise exc
 
 
 def timeseries_periodogram_stack(v, cfg: AcquisitionConfig, seeds, bins: slice = slice(None)) -> np.ndarray:
@@ -292,19 +366,28 @@ def timeseries_periodogram_stack(v, cfg: AcquisitionConfig, seeds, bins: slice =
 
     Row k holds, bit for bit, the bins of what n_ave records drawn in turn
     from default_rng(seeds[k]) give through periodogram, average_spectra and
-    coarse_grain. The amplitudes are computed once, and one buffer holds the
-    n_ave periodograms of the current row, on the raw bins of the range only.
+    coarse_grain. The amplitudes are computed once. The rows are filled in
+    contiguous slices, one per worker (see _workers), and each worker reuses
+    one record, one coefficient buffer and one buffer for the n_ave
+    periodograms of its current row, on the raw bins of the range only, so
+    a row has the same bits for any worker count.
     """
-    amp, n_bin = _amplitudes(v, cfg), cfg.n_bin
+    amp, n_bin, delta = _amplitudes(v, cfg), cfg.n_bin, cfg.delta
     start, stop = _bin_range(bins, cfg.n_coarse)
     raw_bins = slice(start * n_bin, stop * n_bin)
     out = np.empty((len(seeds), stop - start))
-    raw = np.empty((cfg.n_ave, (stop - start) * n_bin))
-    for row, seed in zip(out, seeds):
-        rng = np.random.default_rng(seed)
-        for record in raw:
-            record[:] = _periodogram_bins(_record(amp, rng), cfg.delta, raw_bins)
-        row[:] = _block_mean(raw.mean(axis=0), n_bin)
+
+    def fill(rows: slice) -> None:
+        y, coeff = np.empty(cfg.record_length), np.empty(amp.size + 2, dtype=complex)
+        raw = np.empty((cfg.n_ave, (stop - start) * n_bin))
+        for row, seed in zip(out[rows], seeds[rows]):
+            rng = np.random.default_rng(seed)
+            for record in raw:
+                _record(amp, rng, y, coeff)
+                _periodogram_bins(y, delta, raw_bins, coeff, record)
+            row[:] = _block_mean(raw.mean(axis=0), n_bin)
+
+    _fill_in_slices(fill, len(out), _workers(len(out), cfg.record_length))
     return out
 
 
@@ -315,10 +398,14 @@ def _record_grid(m: int, delta: float, start: int = 0, stop: int | None = None) 
     return np.arange(start + 1, stop + 1, dtype=float) / (m * delta)
 
 
-def _periodogram_bins(y: np.ndarray, delta: float, bins: slice = slice(None)) -> np.ndarray:
-    """2*delta*|rfft(y)|^2/M at i = 1 .. M/2 - 1, or at the range bins of those."""
+def _periodogram_bins(y: np.ndarray, delta: float, bins: slice = slice(None), coeff=None, out=None) -> np.ndarray:
+    """2*delta*|rfft(y)|^2/M at i = 1 .. M/2 - 1, or at the range bins of
+    those; rfft writes into coeff and the bins into out, where given."""
     m = y.size
-    return (2.0 * delta / m) * np.abs(np.fft.rfft(y)[1 : m // 2][bins]) ** 2
+    out = np.abs(np.fft.rfft(y, out=coeff)[1 : m // 2][bins], out=out)
+    np.square(out, out=out)
+    out *= 2.0 * delta / m
+    return out
 
 
 def periodogram(ts: TimeSeries) -> Spectrum:

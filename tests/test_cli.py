@@ -15,13 +15,14 @@ import platform
 import shutil
 import subprocess
 import sys
+import threading
 import warnings
 
 import numpy as np
 import pytest
 
 import snspec
-from snspec import cli, montecarlo
+from snspec import cli, montecarlo, synthesis
 from snspec.cli import build_parser, main
 from snspec.fisher import wishart_std
 from snspec.io import read_spectrum_csv, write_spectrum_csv
@@ -89,9 +90,10 @@ def negate_psd(rows):
 
 
 def test_import_does_not_load_scipy():
-    # the runtime needs numpy only; scipy is a test dependency. Validate is
-    # one serial array program, so no thread pool is loaded either, and the
-    # quadrature rule is stored, so numpy.polynomial is not loaded
+    # the runtime needs numpy only; scipy is a test dependency. The
+    # timeseries stack starts its workers with threading and contextvars,
+    # which importing numpy loads anyway, so no pool module is loaded
+    # either; and the quadrature rule is stored, so numpy.polynomial is not
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(snspec.__file__)))
     code = (
         "import sys, snspec.cli; "
@@ -848,6 +850,28 @@ class TestErrorPaths:
         assert run("synth", "--config", cfg, "--out", tmp_path / "o") == 4
         assert capsys.readouterr().err.startswith("numerical failure: Unable to allocate")
         assert not (tmp_path / "o").exists()
+
+    def test_memory_error_in_a_synthesis_worker_exits_numerical(self, tmp_path, capsys, monkeypatch):
+        # the second of two workers is refused its record: validate exits 4
+        # with one line, writes nothing, and leaves no thread running
+        monkeypatch.setattr(synthesis, "_cpu_count", lambda: 2)
+        caller, record = threading.get_ident(), synthesis._record
+
+        def refused(amp, rng, y, coeff):
+            if threading.get_ident() != caller:
+                raise MemoryError("Unable to allocate 781 KiB for an array with shape (100000,)")
+            record(amp, rng, y, coeff)
+
+        monkeypatch.setattr(synthesis, "_record", refused)
+        body = copy.deepcopy(BASE)
+        body["monte_carlo"].update(synthesis="timeseries", n_trials=4)
+        cfg = write_config(tmp_path, body)
+        running = threading.active_count()
+        assert run("validate", "--config", cfg, "--out", tmp_path / "v") == 4
+        err = capsys.readouterr().err
+        assert err == "numerical failure: Unable to allocate 781 KiB for an array with shape (100000,)\n"
+        assert not (tmp_path / "v").exists()
+        assert threading.active_count() == running
 
     def test_undecodable_file_is_a_config_error(self, tmp_path):
         # UnicodeDecodeError is a ValueError, yet not a numerical failure

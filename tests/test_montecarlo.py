@@ -1,9 +1,14 @@
 """Validation runner: seeding contract, both synthesis routes, report shape."""
 
+import dataclasses
+import sys
+import threading
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from snspec import montecarlo
+from snspec import montecarlo, synthesis
 from snspec.errors import ConfigError, NumericalError
 from snspec.estimation import k2, k_statistics, mle_fit_stack
 from snspec.model import SpectralParams, eval_psd
@@ -40,6 +45,10 @@ RAW = AcquisitionConfig(
 )
 GEOMETRIES = pytest.mark.parametrize(
     "cfg", [CFG, ODD, INEXACT, RAW], ids=["reference", "odd", "inexact", "raw"]
+)
+# two records of 20000 samples per trial: long enough to run on threads
+PAIR = AcquisitionConfig(
+    delta=5e-6, t_total=0.1, fit_lo=33e3, fit_hi=52e3, n_ave=2, n_bin=5
 )
 
 
@@ -154,6 +163,44 @@ class TestTrialSpectra:
         with pytest.raises(ConfigError, match="^fit window holds 5 bins, need at least 8$"):
             cfg.fit_window()
 
+    @GEOMETRIES
+    def test_fit_window_is_the_rule_on_the_whole_grid(self, cfg):
+        # fit_window() reads only the centres near the window's edges; it
+        # must give the slice, or the ConfigError text, that fit_bins gives
+        # on the whole grid: edges on a centre or one ulp either side of it,
+        # at 0 Hz and at Nyquist, and windows of 7 and 8 bins
+        grid, nyquist = cfg.coarse_grid(), cfg.nyquist
+        k = grid.size
+        a, b = k // 3, 2 * k // 3
+        windows = [
+            (0.0, nyquist),
+            (cfg.fit_lo, cfg.fit_hi),
+            (grid[a], grid[b]),
+            (np.nextafter(grid[a], 0.0), np.nextafter(grid[b], np.inf)),
+            (np.nextafter(grid[a], np.inf), np.nextafter(grid[b], 0.0)),
+            ((grid[a] + grid[a + 1]) / 2, (grid[b] + grid[b + 1]) / 2),
+            (0.0, grid[7]),
+            (0.0, grid[6]),
+            (grid[-8], nyquist),
+            (grid[-7], nyquist),
+            (grid[a], grid[a + 7]),
+            (grid[a], grid[a + 6]),
+            (np.nextafter(grid[a], 0.0), np.nextafter(grid[a + 7], 0.0)),
+        ]
+        refused = 0
+        for lo, hi in windows:
+            window = dataclasses.replace(cfg, fit_lo=float(lo), fit_hi=float(hi))
+            try:
+                want = fit_bins(grid, (lo, hi))
+            except ConfigError as exc:
+                refused += 1
+                with pytest.raises(ConfigError) as got:
+                    window.fit_window()
+                assert str(got.value) == str(exc)
+            else:
+                assert window.fit_window() == want
+        assert refused == 4
+
     def test_descending_grid_is_refused(self):
         nu = CFG.coarse_grid()[::-1]
         window = (CFG.fit_lo, CFG.fit_hi)
@@ -181,6 +228,118 @@ class TestTrialSpectra:
         monkeypatch.setattr(montecarlo, "sample_periodogram_exact_stack", spoiled)
         with pytest.raises(NumericalError, match="non-finite or negative"):
             trial_spectra(V, CFG, [(0, 0), (0, 1)], "gamma")
+
+
+def threads_made(monkeypatch) -> list:
+    """Every threading.Thread made from now until the test ends, in order."""
+    made = []
+
+    class Recorded(threading.Thread):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            made.append(self)
+
+    monkeypatch.setattr(threading, "Thread", Recorded)
+    return made
+
+
+class TestWorkers:
+    """The timeseries stack fills its rows in one slice per worker."""
+
+    @pytest.mark.parametrize("cfg", [CFG, PAIR], ids=["reference", "two-records"])
+    def test_rows_keep_their_bits_on_any_worker_count(self, monkeypatch, cfg):
+        # every worker reuses its record and coefficient buffers: a DC or
+        # Nyquist term left in them, or a row in two slices or in none,
+        # shows as a changed bit
+        assert cfg.record_length >= synthesis._THREAD_MIN_SAMPLES
+        seeds = trial_seeds(13, 13)
+        monkeypatch.setattr(synthesis, "_cpu_count", lambda: 1)
+        serial = trial_spectra(V, cfg, seeds, "timeseries")
+        for row, seed in zip(serial, seeds):
+            np.testing.assert_array_equal(row, trial_spectrum(V, cfg, seed).s_bar, strict=True)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # the workers trade the interpreter as often as it allows
+        try:
+            for cpus in (1, 2, 3, 7):
+                monkeypatch.setattr(synthesis, "_cpu_count", lambda cpus=cpus: cpus)
+                made = threads_made(monkeypatch)
+                np.testing.assert_array_equal(trial_spectra(V, cfg, seeds, "timeseries"), serial, strict=True)
+                assert len(made) == cpus - 1
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_worker_count_comes_from_cpus_rows_and_record_length(self, monkeypatch):
+        monkeypatch.setattr(synthesis, "_cpu_count", lambda: 7)
+        m = synthesis._THREAD_MIN_SAMPLES
+        assert [synthesis._workers(13, m), synthesis._workers(13, m - 2)] == [7, 1]
+        assert [synthesis._workers(3, m), synthesis._workers(1, m), synthesis._workers(0, m)] == [3, 1, 1]
+
+    def test_short_records_and_the_gamma_route_start_no_thread(self, monkeypatch):
+        monkeypatch.setattr(synthesis, "_cpu_count", lambda: 7)
+        made = threads_made(monkeypatch)
+        assert INEXACT.record_length < synthesis._THREAD_MIN_SAMPLES
+        trial_spectra(V, INEXACT, trial_seeds(0, 13), "timeseries")
+        trial_spectra(V, CFG, trial_seeds(0, 13), "gamma")
+        assert made == []
+
+    def test_error_in_the_last_slice_reaches_the_caller(self, monkeypatch):
+        monkeypatch.setattr(synthesis, "_cpu_count", lambda: 3)
+        made = threads_made(monkeypatch)
+        record = synthesis._record
+
+        def refused(amp, rng, y, coeff):
+            if made and threading.current_thread() is made[-1]:
+                raise MemoryError("Unable to allocate 781 KiB for an array with shape (100000,)")
+            record(amp, rng, y, coeff)
+
+        monkeypatch.setattr(synthesis, "_record", refused)
+        running = threading.active_count()
+        with pytest.raises(MemoryError, match="^Unable to allocate 781 KiB"):
+            trial_spectra(V, CFG, trial_seeds(0, 13), "timeseries", CFG.fit_window())
+        assert len(made) == 2
+        assert threading.active_count() == running  # every worker was joined
+
+    def test_callers_errstate_holds_in_every_worker(self, monkeypatch):
+        # numpy keeps errstate in a context variable, which a plain thread
+        # does not inherit: there an overflow would pass silently
+        monkeypatch.setattr(synthesis, "_cpu_count", lambda: 2)
+        caller, record = threading.get_ident(), synthesis._record
+
+        def overflowing(amp, rng, y, coeff):
+            record(amp, rng, y, coeff)
+            if threading.get_ident() != caller:
+                y *= 1e308
+
+        monkeypatch.setattr(synthesis, "_record", overflowing)
+        seeds, bins = trial_seeds(0, 4), CFG.fit_window()
+        with np.errstate(over="raise"), pytest.raises(FloatingPointError, match="overflow"):
+            trial_spectra(V, CFG, seeds, "timeseries", bins)
+        # under the CLI's errstate the worker warns nothing, and the stack's
+        # own check turns its infinite rows into a NumericalError
+        with np.errstate(all="ignore"), pytest.raises(NumericalError, match="non-finite"):
+            trial_spectra(V, CFG, seeds, "timeseries", bins)
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_each_worker_holds_two_records(self, monkeypatch, cpus):
+        # numpy reports its buffers to tracemalloc. The bound is the
+        # amplitudes plus, per worker, a record, the coefficient buffer and
+        # twice the window's raw bins (the n_ave periodograms and their
+        # mean), with 128 KiB of slack for the Python objects. At one worker
+        # it is 2.28 MB; the serial stack that drew a new record and new
+        # coefficients per record peaked at 2.89 MB.
+        monkeypatch.setattr(synthesis, "_cpu_count", lambda: cpus)
+        seeds, bins = trial_seeds(0, 8), CFG.fit_window()
+        synthesis.timeseries_periodogram_stack(V, CFG, seeds, bins)  # the FFT plans are cached
+        tracemalloc.start()
+        try:
+            synthesis.timeseries_periodogram_stack(V, CFG, seeds, bins)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        m = CFG.record_length
+        record, coeff, amp = 8 * m, 16 * (m // 2 + 1), 8 * (m // 2 - 1)
+        window = 8 * CFG.n_ave * (bins.stop - bins.start) * CFG.n_bin
+        assert peak <= amp + cpus * (record + coeff + 2 * window) + 128 * 1024
 
 
 class TestTrialSeeds:
