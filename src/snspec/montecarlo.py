@@ -14,10 +14,11 @@ any single trial can be replayed in isolation. The seeds are built once per
 run as the entropy words numpy's SeedSequence forms from (master_seed, k):
 master_seed's 32-bit words, lowest first, then k, one uint32 row per trial,
 which seed default_rng with the tuple's bits without converting a tuple per
-trial. The trials are synthesized as one serial (n_trials, window bins)
-array program, on the coarse bins of cfg.fit_window() only, and fitted in
-one stacked solve, each bit for bit as if alone: row k holds the window's
-columns of trial_spectrum(v, cfg, (master_seed, k)).
+trial. The trials are synthesized into one (n_trials, window bins) array
+by the route's stack in synthesis (in slices on worker threads for the
+timeseries route's long records), on the coarse bins of cfg.fit_window()
+only, and fitted in one stacked solve, each bit for bit as if alone: row k
+holds the window's columns of trial_spectrum(v, cfg, (master_seed, k)).
 """
 from __future__ import annotations
 

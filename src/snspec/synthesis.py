@@ -17,12 +17,12 @@ AcquisitionConfig is the one home of coarse-bin ranges: coarse_grid(bins)
 builds the centres of any such range, and fit_window() names the fit
 window's bins as one slice, by fit_bins, the rule every fit applies.
 The gamma stack is a serial row loop. The timeseries stack fills its rows
-in contiguous slices, one per CPU the process may use, once a record holds
-_THREAD_MIN_SAMPLES samples (1 worker below that), since its normal draws
-and FFTs run without the GIL; each worker reuses one record and one
-coefficient buffer, so any worker count gives the same bits. Inside the
-stacks a record is an array; synthesize_timeseries alone builds a
-TimeSeries.
+in contiguous slices, one per CPU the process may use up to _MAX_WORKERS,
+once a record holds _THREAD_MIN_SAMPLES samples (1 worker below that),
+since its normal draws and FFTs run without the GIL; each worker reuses one
+record and one coefficient buffer, so any worker count gives the same bits.
+Inside the stacks a record is an array; synthesize_timeseries alone builds
+a TimeSeries.
 
 Conventions, fixed across the package:
   - one-sided PSD, S(nu) = 2*delta*|DFT|^2 / M in uV^2/Hz, so the PSD sums
@@ -67,9 +67,12 @@ _RECORD_LENGTH_TOL = 1e-6
 # the fewest coarse bins a fit window may hold
 _MIN_WINDOW_BINS = 8
 # the shortest record whose timeseries stack runs on more than one thread:
-# 2 workers took 0.85x the rows/s of 1 at M = 8192 and 1.29x at 16384
-# (BENCH_27.json, crossover)
+# in two runs, 2 workers took 0.85x and 1.36x the rows/s of 1 at M = 8192,
+# and 1.29x and 1.59x at 16384 (BENCH_27.json, crossover)
 _THREAD_MIN_SAMPLES = 16384
+# the most workers a timeseries stack runs on: the most measured (on 2 CPUs,
+# BENCH_27.json); each adds about 2.6 MB of peak RSS at the reference record
+_MAX_WORKERS = 2
 
 
 @dataclass(frozen=True)
@@ -159,17 +162,8 @@ class AcquisitionConfig:
 
     def fit_window(self) -> slice:
         """The coarse bins inside [fit_lo, fit_hi], as one slice of coarse_grid();
-        fewer than _MIN_WINDOW_BINS is a ConfigError.
-
-        Coarse bin j is centred in (j + 1/2, j + 1] coarse spacings, so the
-        window's bins lie in the range its edges give in spacings; widened by
-        2 bins a side, that range holds them all with a bin outside at each
-        end, and fit_bins on its centres alone finds them."""
-        lo, hi, spacing = self.fit_lo, self.fit_hi, self.coarse_spacing
-        start = max(0, math.floor(lo / spacing) - 2)
-        stop = min(self.n_coarse, math.floor(hi / spacing) + 3)
-        window = fit_bins(self.coarse_grid(slice(start, stop)), (lo, hi))
-        return slice(start + window.start, start + window.stop)
+        fewer than _MIN_WINDOW_BINS is a ConfigError."""
+        return fit_bins(self.coarse_grid(), (self.fit_lo, self.fit_hi))
 
 
 def fit_bins(nu: np.ndarray, window) -> slice:
@@ -324,37 +318,50 @@ def _cpu_count() -> int:
 
 def _workers(n_rows: int, record_length: int) -> int:
     """Threads for a stack of n_rows records of record_length samples each:
-    one per CPU, at most one per row, where a record is long enough for its
-    GIL-free draws and FFTs to outweigh a thread's cost; else 1."""
+    one per CPU, at most one per row and _MAX_WORKERS in all, where a record
+    is long enough for its GIL-free draws and FFTs to outweigh a thread's
+    cost; else 1."""
     if record_length < _THREAD_MIN_SAMPLES:
         return 1
-    return max(1, min(_cpu_count(), n_rows))
+    return max(1, min(_cpu_count(), n_rows, _MAX_WORKERS))
 
 
 def _fill_in_slices(fill, n_rows: int, n_workers: int) -> None:
-    """Call fill(rows) on n_workers contiguous slices of range(n_rows): the
-    caller runs the first, and each further slice runs in a thread of its own,
-    inside a copy of the caller's context, so numpy's errstate holds there
-    too. Every thread is joined before the first exception of any slice, in
-    slice order, is raised in the caller."""
+    """Call fill(rows, halt) on n_workers contiguous slices of range(n_rows):
+    the caller runs the first, and each further slice runs in a thread of its
+    own, inside a copy of the caller's context, so numpy's errstate holds
+    there too. fill checks the threading.Event halt before each row and
+    returns once it is set, which the first exception of any slice does, so
+    a failure or an interrupt in one slice ends the others at their next row.
+    Every thread is joined before the first exception of any slice, in slice
+    order, is raised in the caller."""
     cuts = [n_rows * i // n_workers for i in range(n_workers + 1)]
     errors: list[BaseException | None] = [None] * n_workers
+    halt = threading.Event()
 
     def run(i: int) -> None:
         try:
-            fill(slice(cuts[i], cuts[i + 1]))
+            fill(slice(cuts[i], cuts[i + 1]), halt)
         except BaseException as exc:  # raised in the caller, after the join
             errors[i] = exc
+            halt.set()
 
     threads = [
-        threading.Thread(target=contextvars.copy_context().run, args=(run, i))
+        threading.Thread(target=contextvars.copy_context().run, args=(run, i), daemon=True)
         for i in range(1, n_workers)
     ]
-    for thread in threads:
-        thread.start()
-    run(0)
-    for thread in threads:
-        thread.join()
+    started = []
+    try:
+        for thread in threads:
+            thread.start()
+            started.append(thread)
+        run(0)
+        for thread in started:
+            thread.join()
+    finally:  # a thread refused or an interrupt in the join: end the rest
+        halt.set()
+        for thread in started:
+            thread.join()
     for exc in errors:
         if exc is not None:
             raise exc
@@ -377,10 +384,12 @@ def timeseries_periodogram_stack(v, cfg: AcquisitionConfig, seeds, bins: slice =
     raw_bins = slice(start * n_bin, stop * n_bin)
     out = np.empty((len(seeds), stop - start))
 
-    def fill(rows: slice) -> None:
+    def fill(rows: slice, halt: threading.Event) -> None:
         y, coeff = np.empty(cfg.record_length), np.empty(amp.size + 2, dtype=complex)
         raw = np.empty((cfg.n_ave, (stop - start) * n_bin))
         for row, seed in zip(out[rows], seeds[rows]):
+            if halt.is_set():  # another slice failed
+                return
             rng = np.random.default_rng(seed)
             for record in raw:
                 _record(amp, rng, y, coeff)

@@ -1,6 +1,5 @@
 """Validation runner: seeding contract, both synthesis routes, report shape."""
 
-import dataclasses
 import sys
 import threading
 import tracemalloc
@@ -163,44 +162,6 @@ class TestTrialSpectra:
         with pytest.raises(ConfigError, match="^fit window holds 5 bins, need at least 8$"):
             cfg.fit_window()
 
-    @GEOMETRIES
-    def test_fit_window_is_the_rule_on_the_whole_grid(self, cfg):
-        # fit_window() reads only the centres near the window's edges; it
-        # must give the slice, or the ConfigError text, that fit_bins gives
-        # on the whole grid: edges on a centre or one ulp either side of it,
-        # at 0 Hz and at Nyquist, and windows of 7 and 8 bins
-        grid, nyquist = cfg.coarse_grid(), cfg.nyquist
-        k = grid.size
-        a, b = k // 3, 2 * k // 3
-        windows = [
-            (0.0, nyquist),
-            (cfg.fit_lo, cfg.fit_hi),
-            (grid[a], grid[b]),
-            (np.nextafter(grid[a], 0.0), np.nextafter(grid[b], np.inf)),
-            (np.nextafter(grid[a], np.inf), np.nextafter(grid[b], 0.0)),
-            ((grid[a] + grid[a + 1]) / 2, (grid[b] + grid[b + 1]) / 2),
-            (0.0, grid[7]),
-            (0.0, grid[6]),
-            (grid[-8], nyquist),
-            (grid[-7], nyquist),
-            (grid[a], grid[a + 7]),
-            (grid[a], grid[a + 6]),
-            (np.nextafter(grid[a], 0.0), np.nextafter(grid[a + 7], 0.0)),
-        ]
-        refused = 0
-        for lo, hi in windows:
-            window = dataclasses.replace(cfg, fit_lo=float(lo), fit_hi=float(hi))
-            try:
-                want = fit_bins(grid, (lo, hi))
-            except ConfigError as exc:
-                refused += 1
-                with pytest.raises(ConfigError) as got:
-                    window.fit_window()
-                assert str(got.value) == str(exc)
-            else:
-                assert window.fit_window() == want
-        assert refused == 4
-
     def test_descending_grid_is_refused(self):
         nu = CFG.coarse_grid()[::-1]
         window = (CFG.fit_lo, CFG.fit_hi)
@@ -250,8 +211,9 @@ class TestWorkers:
     def test_rows_keep_their_bits_on_any_worker_count(self, monkeypatch, cfg):
         # every worker reuses its record and coefficient buffers: a DC or
         # Nyquist term left in them, or a row in two slices or in none,
-        # shows as a changed bit
+        # shows as a changed bit. The slicing is checked beyond the cap.
         assert cfg.record_length >= synthesis._THREAD_MIN_SAMPLES
+        monkeypatch.setattr(synthesis, "_MAX_WORKERS", 7)
         seeds = trial_seeds(13, 13)
         monkeypatch.setattr(synthesis, "_cpu_count", lambda: 1)
         serial = trial_spectra(V, cfg, seeds, "timeseries")
@@ -269,8 +231,13 @@ class TestWorkers:
             sys.setswitchinterval(interval)
 
     def test_worker_count_comes_from_cpus_rows_and_record_length(self, monkeypatch):
-        monkeypatch.setattr(synthesis, "_cpu_count", lambda: 7)
         m = synthesis._THREAD_MIN_SAMPLES
+        monkeypatch.setattr(synthesis, "_cpu_count", lambda: 7)
+        assert [synthesis._workers(13, m), synthesis._workers(13, m - 2)] == [synthesis._MAX_WORKERS, 1]
+        monkeypatch.setattr(synthesis, "_cpu_count", lambda: 1)
+        assert synthesis._workers(13, m) == 1
+        monkeypatch.setattr(synthesis, "_cpu_count", lambda: 7)
+        monkeypatch.setattr(synthesis, "_MAX_WORKERS", 8)
         assert [synthesis._workers(13, m), synthesis._workers(13, m - 2)] == [7, 1]
         assert [synthesis._workers(3, m), synthesis._workers(1, m), synthesis._workers(0, m)] == [3, 1, 1]
 
@@ -284,6 +251,7 @@ class TestWorkers:
 
     def test_error_in_the_last_slice_reaches_the_caller(self, monkeypatch):
         monkeypatch.setattr(synthesis, "_cpu_count", lambda: 3)
+        monkeypatch.setattr(synthesis, "_MAX_WORKERS", 3)
         made = threads_made(monkeypatch)
         record = synthesis._record
 
@@ -298,6 +266,50 @@ class TestWorkers:
             trial_spectra(V, CFG, trial_seeds(0, 13), "timeseries", CFG.fit_window())
         assert len(made) == 2
         assert threading.active_count() == running  # every worker was joined
+
+    @pytest.mark.parametrize(
+        "failing, error", [(0, KeyboardInterrupt), (0, MemoryError), (2, MemoryError)],
+        ids=["caller-interrupted", "caller-fails", "worker-fails"],
+    )
+    def test_a_failing_slice_ends_the_others_at_their_next_row(self, failing, error):
+        # each row of a healthy slice lasts until the halt is set, so a slice
+        # that ran past one row, or a halt that never came, shows in rows
+        rows, running = [], threading.active_count()
+
+        def fill(part, halt):
+            for row in range(part.start, part.stop):
+                if halt.is_set():
+                    return
+                if part.start == 3 * failing:
+                    raise error("refused")
+                rows.append((row, halt.wait(10)))
+
+        with pytest.raises(error, match="^refused$"):
+            synthesis._fill_in_slices(fill, 9, 3)
+        assert all(halted for _, halted in rows)
+        healthy = [part for part in range(3) if part != failing]
+        assert all(sum(row // 3 == part for row, _ in rows) <= 1 for part in healthy)
+        assert threading.active_count() == running  # every worker was joined
+
+    def test_the_stack_reads_the_halt_before_each_row(self, monkeypatch):
+        # the halt, set during the first row, lets that row's records finish
+        # and starts no other
+        calls, record = [], synthesis._record
+
+        def halted_in_the_first_row(fill, n_rows, n_workers):
+            halt = threading.Event()
+            calls.append(halt)
+            fill(slice(0, n_rows), halt)
+
+        def counted(amp, rng, y, coeff):
+            record(amp, rng, y, coeff)
+            calls[0].set()
+            calls.append(None)
+
+        monkeypatch.setattr(synthesis, "_fill_in_slices", halted_in_the_first_row)
+        monkeypatch.setattr(synthesis, "_record", counted)
+        synthesis.timeseries_periodogram_stack(V, PAIR, trial_seeds(0, 4), PAIR.fit_window())
+        assert len(calls) == 1 + PAIR.n_ave
 
     def test_callers_errstate_holds_in_every_worker(self, monkeypatch):
         # numpy keeps errstate in a context variable, which a plain thread
