@@ -1,13 +1,14 @@
 """The bytes of every shipped-config output, pinned by a committed manifest.
 
-tests/data/golden_outputs.json holds the full sha256 of the 48 files that
+tests/data/golden_outputs.json holds the full sha256 of the 53 files that
 synth, fit (of synth's spectrum.csv), crb, and validate or scan write for the
 shipped configs: validate_reference.json on both synthesis routes, as
 shipped and at a short acquisition whose fit window ends at the last coarse
 bin, the short gamma run again at a master seed of two 32-bit words and at
 3 trials (too few for a k2 standard error, written as null), the shipped
 gamma run at 4 trials (one negative var(k2) estimate, its k2 standard error
-written as null), and scan_reference.json at xi2 1 and 0.55, all at the
+written as null), the shipped gamma run at s_at 0.05 (a weak line: the
+solver's long tail), and scan_reference.json at xi2 1 and 0.55, all at the
 default seed otherwise;
 and of what kstats writes for the psd column of one synthesized spectrum. It
 also records the numpy version and the platform that made them. The bits depend on numpy's
@@ -78,6 +79,13 @@ RUNS = {
     "validate_reference-gamma-n_trials_4": (
         "validate_reference.json",
         {("monte_carlo", "synthesis"): "gamma", ("monte_carlo", "n_trials"): 4},
+        ("validate",),
+    ),
+    # a weak line, s_at 0.05: the solver's long tail (13 steps in fit, one
+    # failed fit of the 100 in validate)
+    "validate_reference-gamma-s_at_0.05": (
+        "validate_reference.json",
+        {("monte_carlo", "synthesis"): "gamma", ("model", "spectral_params", "s_at_uv2_per_hz"): 0.05},
         ("validate",),
     ),
     "scan_reference-xi2_1": ("scan_reference.json", {}, ("scan",)),
