@@ -12,10 +12,11 @@ model's log-gradient times the log-scale factors) each step solves
 fisher.invert_psd_stack, one lambda per spectrum. That is one Cholesky of
 the active rows, whose pivots certify full rank, and an eigen-factorization
 of the rows they do not certify; a row whose matrix is rank-deficient fails.
-Every row starts from the moment estimate of its own bins, its only start; a row
-with no positive bin, where W has no minimum, fails there. mle_fit_stack fits
-spectra stacked on one grid, each row with its bits alone, and returns arrays;
-mle_fit is its one-row case and the one place that builds a FitResult, with
+A step that every row accepts adopts the trial state. Every row starts from
+the moment estimate of its own bins, its only start; a row with no positive
+bin, where W has no minimum, fails there. mle_fit_stack fits spectra stacked
+on one grid, each row with its bits alone, and returns arrays; mle_fit is its
+one-row case and the one place that builds a FitResult, with
 chi2 = sum_i (1 - S_bar_i/f_i(v_hat))^2 over the window's bins.
 """
 from __future__ import annotations
@@ -113,16 +114,17 @@ def _score(theta: np.ndarray, nu: np.ndarray, s: np.ndarray):
     p = _params(theta)
     g = grad_log_psd(p[:, None, :], nu)
     ratio = s * g[..., 0]
-    objective = np.sum(ratio - np.log(g[..., 0]), axis=1)
+    objective = (ratio - np.log(g[..., 0])).sum(axis=1)
     # J = g times the log-scale factors p, column by column on the rows'
     # bins; nu_l is not a log, and its factor 1 would leave its column as is
     for c in (0, 2, 3):
         np.multiply(g[..., c], p[:, c, None], out=g[..., c])
-    jac_t = np.swapaxes(g, 1, 2)
-    normal = jac_t @ np.swapaxes(jac_t, 1, 2)
-    score = (jac_t @ (ratio - 1.0)[..., None])[..., 0]
+    jac_t = g.swapaxes(1, 2)
+    normal = jac_t @ g
+    ratio -= 1.0
+    score = (jac_t @ ratio[..., None])[..., 0]
     ok = np.isfinite(objective + score.sum(axis=1) + normal.sum(axis=(1, 2)))
-    return objective, normal, score, ok & (np.diagonal(normal, axis1=1, axis2=2) > 0.0).all(axis=1)
+    return objective, normal, score, ok & (normal.diagonal(0, 1, 2) > 0.0).all(axis=1)
 
 
 def mle_fit_stack(nu, s_bar, window):
@@ -157,7 +159,8 @@ def mle_fit_stack(nu, s_bar, window):
     with np.errstate(all="ignore"):
         s, start = np.ldexp(s, -e[:, None]), np.ldexp(v0, (t - e)[:, None] * _LEVEL)
         theta = np.where(_LOG, np.log(start), np.clip(start, *bounds))
-        done = [_solve(theta[b : b + rows], nu, s[b : b + rows], bounds) for b in range(0, len(s), rows)]
+        blocks = range(0, max(len(s), 1), rows)  # an empty stack is one empty block
+        done = [_solve(theta[b : b + rows], nu, s[b : b + rows], bounds) for b in blocks]
         steps, converged, failed = (np.concatenate(x) for x in zip(*done))
         v_hat = np.where(failed[:, None], start, _params(theta))
         return np.ldexp(v_hat, e[:, None] * _LEVEL), steps, converged
@@ -175,23 +178,30 @@ def _solve(theta, nu, s, bounds):
     lam, grow = np.full(rows.size, _LAMBDA_START), np.full(rows.size, 2.0)
     eye, tol, step = np.eye(4), _STOP_DECREASE * nu.size, 0
     while rows.size:
-        damping = lam[:, None] * np.diagonal(normal, axis1=1, axis2=2)
+        damping = lam[:, None] * normal.diagonal(0, 1, 2)
         inverse, rank = invert_psd_stack(normal + damping[:, None, :] * eye)
         delta = (inverse @ score[:, :, None])[..., 0]
         # the decrease of W that the scoring model predicts for this step
-        predicted = 0.5 * np.sum(delta * (damping * delta + score), axis=1)
+        predicted = 0.5 * (delta * (damping * delta + score)).sum(axis=1)
         trial = th + delta
-        trial[:, 1] = np.clip(trial[:, 1], *bounds)
+        trial[:, 1].clip(*bounds, out=trial[:, 1])
         t_objective, t_normal, t_score, t_ok = _score(trial, nu, s)
         fall = objective - t_objective
         gain = fall / predicted
         accept = (rank == 4) & t_ok & (gain > 0.0)
-        stop = np.where(accept, fall <= tol, ~(predicted > tol))
         # Madsen, Nielsen & Tingleff's damping update
-        lam *= np.where(accept, np.maximum(1.0 / 3.0, 1.0 - (2.0 * gain - 1.0) ** 3), grow)
-        grow = np.where(accept, 2.0, 2.0 * grow)
-        th[accept], objective[accept] = trial[accept], t_objective[accept]
-        normal[accept], score[accept] = t_normal[accept], t_score[accept]
+        shrink = np.maximum(1.0 / 3.0, 1.0 - (2.0 * gain - 1.0) ** 3)
+        if accept.all():  # the common step: the trial is the new state
+            stop = fall <= tol
+            lam *= shrink
+            grow.fill(2.0)
+            th, objective, normal, score = trial, t_objective, t_normal, t_score
+        else:
+            stop = np.where(accept, fall <= tol, ~(predicted > tol))
+            lam *= np.where(accept, shrink, grow)
+            grow = np.where(accept, 2.0, 2.0 * grow)
+            for x, t_x in ((th, trial), (objective, t_objective), (normal, t_normal), (score, t_score)):
+                np.copyto(x, t_x, where=accept.reshape((-1,) + (1,) * (x.ndim - 1)))
         step += 1
         now_failed, now_converged = rank < 4, stop & (rank == 4)
         leave = now_failed | now_converged | (step >= _MAX_STEPS)

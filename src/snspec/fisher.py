@@ -30,6 +30,7 @@ says that the information is singular.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -103,7 +104,14 @@ def invert_psd_stack(a: np.ndarray):
     if not certified.all():
         rest = ~certified
         inverse[rest], rank[rest] = _eigh_inverse(corr[rest], zero[rest])
-    return inverse / scale, rank
+    inverse /= scale
+    return inverse, rank
+
+
+@functools.cache
+def _identity(n: int) -> np.ndarray:
+    """The I of _cholesky_inverse's [C | I], (n, n, 1): one read-only constant per n."""
+    return np.broadcast_to(np.eye(n)[:, :, None], (n, n, 1))
 
 
 def _cholesky_inverse(c: np.ndarray):
@@ -118,12 +126,13 @@ def _cholesky_inverse(c: np.ndarray):
     n = c.shape[-1]
     b = np.empty((n, 2 * n, c.shape[0]))
     b[:, :n] = c.transpose(1, 2, 0)
-    b[:, n:] = np.eye(n)[:, :, None]
+    b[:, n:] = _identity(n)
     with np.errstate(all="ignore"):
         for j in range(n):
             row = b[j, j + 1 :]
             row /= np.sqrt(b[j, j])
-            b[j + 1 :, j + 1 :] -= row[: n - 1 - j, None] * row
+            if j < n - 1:  # the last row has none below it
+                b[j + 1 :, j + 1 :] -= row[: n - 1 - j, None] * row
         det = b[0, 0]
         for j in range(1, n):
             det = det * b[j, j]

@@ -168,15 +168,16 @@ def grad_log_psd(v, nu) -> np.ndarray:
     With off = nu - nu_l, q = 4 off off + d^2, lor = d^2 / q, f = s_ph +
     s_at lor and line = 8 s_at off the gradient is (1 / f, line lor / (q f),
     lor / f, line off lor / (d q f)), each product taken left to right. The
-    operations write into six arrays of the broadcast shape, each reused
+    operations write into off and five slices of one buffer, each reused
     once its value is spent, rather than each into a new array.
     """
     v = np.asarray(v, dtype=float)
     nu = np.asarray(nu, dtype=float)
     s_ph, nu_l, s_at, d = v[..., 0], v[..., 1], v[..., 2], v[..., 3]
-    # an array even when 0-d (one vector, a scalar nu), so it can take an out
+    # arrays even when 0-d (one vector, a scalar nu), so they take an out
     off = np.asarray(nu - nu_l)
-    q, lor, f, line, tmp = (np.empty(off.shape) for _ in range(5))
+    buf = np.empty((5,) + off.shape)
+    q, lor, f, line, tmp = (buf[k, ...] for k in range(5))
     g = np.empty(off.shape + (4,))
     d2 = d * d
     np.multiply(4.0, off, out=q)

@@ -329,6 +329,12 @@ class TestMleFitStack:
         assert fit[2][0] and fit[1][0] == n_iter[0]
         np.testing.assert_allclose(fit[0] / [scale, 1.0, scale, 1.0], v_hat, rtol=1e-12)
 
+    def test_empty_stack_gives_empty_arrays(self):
+        nu = CFG.coarse_grid()
+        want = mle_fit_stack(nu, np.ones((1, nu.size)), WINDOW)
+        got = mle_fit_stack(nu, np.empty((0, nu.size)), WINDOW)
+        assert [(x.shape, x.dtype) for x in got] == [((0, 4), want[0].dtype), ((0,), want[1].dtype), ((0,), want[2].dtype)]
+
     def test_permuted_stack_gives_permuted_results(self, monkeypatch):
         nu, s_bar = self.mixed_stack()
         fits = mle_fit_stack(nu, s_bar, WINDOW)
@@ -383,6 +389,82 @@ class TestScoreBits:
         scale[5], scale[6] = 2.0**1000, 2.0**-1000
         self.check(theta, nu, s * scale[:, None])
         self.check(theta[:1], nu, s[None])
+
+
+def solve_reference(theta, nu, s, bounds, accepted):
+    """estimation._solve as it was before a step whose rows all accept adopted
+    the trial state, verbatim but for the module names and one line that
+    appends accept.all() of each step to the list accepted."""
+    objective, normal, score, ok = score_reference(theta, nu, s)
+    ok &= (s > 0.0).any(axis=1)  # an all-zero window: W = sum ln f has no minimum
+    steps, converged, failed = np.zeros(len(s), dtype=int), np.zeros(len(s), dtype=bool), ~ok
+    rows = np.flatnonzero(ok)
+    th, objective, normal, score, s = theta[rows], objective[rows], normal[rows], score[rows], s[rows]
+    lam, grow = np.full(rows.size, estimation._LAMBDA_START), np.full(rows.size, 2.0)
+    eye, tol, step = np.eye(4), estimation._STOP_DECREASE * nu.size, 0
+    while rows.size:
+        damping = lam[:, None] * np.diagonal(normal, axis1=1, axis2=2)
+        inverse, rank = invert_psd_stack(normal + damping[:, None, :] * eye)
+        delta = (inverse @ score[:, :, None])[..., 0]
+        # the decrease of W that the scoring model predicts for this step
+        predicted = 0.5 * np.sum(delta * (damping * delta + score), axis=1)
+        trial = th + delta
+        trial[:, 1] = np.clip(trial[:, 1], *bounds)
+        t_objective, t_normal, t_score, t_ok = score_reference(trial, nu, s)
+        fall = objective - t_objective
+        gain = fall / predicted
+        accept = (rank == 4) & t_ok & (gain > 0.0)
+        accepted.append(accept.all())
+        stop = np.where(accept, fall <= tol, ~(predicted > tol))
+        # Madsen, Nielsen & Tingleff's damping update
+        lam *= np.where(accept, np.maximum(1.0 / 3.0, 1.0 - (2.0 * gain - 1.0) ** 3), grow)
+        grow = np.where(accept, 2.0, 2.0 * grow)
+        th[accept], objective[accept] = trial[accept], t_objective[accept]
+        normal[accept], score[accept] = t_normal[accept], t_score[accept]
+        step += 1
+        now_failed, now_converged = rank < 4, stop & (rank == 4)
+        leave = now_failed | now_converged | (step >= estimation._MAX_STEPS)
+        if leave.any():
+            out, keep = rows[leave], ~leave
+            theta[out], steps[out] = th[leave], step
+            converged[out], failed[out] = now_converged[leave], now_failed[leave]
+            rows, th, objective, normal, score, s, lam, grow = (
+                x[keep] for x in (rows, th, objective, normal, score, s, lam, grow))
+    return steps, converged, failed
+
+
+class TestSolveBits:
+    """mle_fit_stack keeps the bits of the reference solve on every kind of row."""
+
+    def check(self, monkeypatch, nu, s_bar, accepted):
+        got = mle_fit_stack(nu, s_bar, WINDOW)
+        with monkeypatch.context() as m:
+            m.setattr(estimation, "_solve", lambda *a: solve_reference(*a, accepted))
+            want = mle_fit_stack(nu, s_bar, WINDOW)
+        for a, b in zip(got, want, strict=True):
+            assert a.shape == b.shape and a.dtype == b.dtype
+            np.testing.assert_array_equal(a.view(np.uint8), b.view(np.uint8))
+
+    def test_mixed_and_weak_line_stacks(self, monkeypatch):
+        # the mixed stack's rows leave out of range, at the step limit and
+        # at a rank loss; the weak-line gamma stacks take the long tail
+        accepted = []
+        self.check(monkeypatch, *TestMleFitStack.mixed_stack(), accepted)
+        for s_at in (0.05, 0.2):
+            v = SpectralParams(s_ph=1.0, nu_l=42600.0, s_at=s_at, delta_nu=1000.0)
+            s_bar = montecarlo.trial_spectra(v, CFG, montecarlo.trial_seeds(0, 100), "gamma")
+            self.check(monkeypatch, CFG.coarse_grid(), s_bar, accepted)
+        assert any(accepted) and not all(accepted)
+
+    def test_one_row_at_a_time_on_every_rung(self, monkeypatch):
+        # 25 spectra of each line strength of the benchmark's fit ladder
+        accepted = []
+        for s_at in (0.05, 0.2, 1.0, 4.0):
+            v = SpectralParams(s_ph=1.0, nu_l=42600.0, s_at=s_at, delta_nu=1000.0)
+            s_bar = montecarlo.trial_spectra(v, CFG, montecarlo.trial_seeds(1, 25), "gamma")
+            for row in s_bar:
+                self.check(monkeypatch, CFG.coarse_grid(), row[None], accepted)
+        assert any(accepted) and not all(accepted)
 
 
 def cumulants_reference(x):

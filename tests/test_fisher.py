@@ -513,6 +513,89 @@ class TestInvertPsdStack:
         assert np.max(np.abs(gamma - want) / (g[:, :, None] * g[:, None, :])) <= 1e-13
 
 
+def invert_psd_stack_reference(a):
+    """fisher.invert_psd_stack as it was before the inverse was rescaled in
+    place and _cholesky_inverse took its identity from a constant: verbatim
+    but for the module names, with _cholesky_inverse copied in below."""
+    a = np.asarray(a, dtype=float)
+    m, n = a.shape[0], a.shape[-1]
+    d = np.sqrt(np.maximum(a.diagonal(0, 1, 2), 0.0))
+    zero = d <= 0
+    scale = np.where(zero, 1.0, d)
+    scale = scale[:, :, None] * scale[:, None, :]
+    corr = fisher._symmetrize(a / scale)
+    inverse, certified = cholesky_inverse_reference(corr)
+    rank = np.full(m, n)
+    if not certified.all():
+        rest = ~certified
+        inverse[rest], rank[rest] = fisher._eigh_inverse(corr[rest], zero[rest])
+    return inverse / scale, rank
+
+
+def cholesky_inverse_reference(c):
+    n = c.shape[-1]
+    b = np.empty((n, 2 * n, c.shape[0]))
+    b[:, :n] = c.transpose(1, 2, 0)
+    b[:, n:] = np.eye(n)[:, :, None]
+    with np.errstate(all="ignore"):
+        for j in range(n):
+            row = b[j, j + 1 :]
+            row /= np.sqrt(b[j, j])
+            b[j + 1 :, j + 1 :] -= row[: n - 1 - j, None] * row
+        det = b[0, 0]
+        for j in range(1, n):
+            det = det * b[j, j]
+        certified = det > float(n) ** n * fisher.RANK_TOL
+        inv_l = np.ascontiguousarray(b[:, n:].transpose(2, 0, 1))
+        return inv_l.swapaxes(1, 2) @ inv_l, certified
+
+
+class TestInvertPsdStackBits:
+    """invert_psd_stack keeps the reference's bits on every class of matrix."""
+
+    @staticmethod
+    def classes():
+        """{class: (m, 4, 4) stack}, each matrix of its class."""
+        mats, ranks = TestInvertPsdStack().stack()
+        ranks = np.array(ranks)
+        near = [
+            random_correlation.rvs([r * 2.1 / (1 + r), 0.9, 1.0, 2.1 / (1 + r)], random_state=np.random.default_rng(5))
+            for r in (1e-10, 2e-12, 1e-12, 5e-13, 1e-14)
+        ]
+        indefinite = []
+        for eigenvalues, seed in (((-0.5, -0.5, 2.5, 2.5), 4), ((-0.5, -0.5, 2.5, 2.5), 18), ((-0.5, 1.5, 1.5, 2.5), 1)):
+            q = np.linalg.qr(np.random.default_rng(seed).normal(size=(4, 4)))[0]
+            indefinite.append(q @ np.diag(eigenvalues) @ q.T)
+        return {
+            "certified": mats[ranks == 4],
+            "zero diagonal": mats[[10, 11]],
+            "non-finite": mats[[12]],
+            "rank-deficient": mats[[7, 8, 9]],
+            "near RANK_TOL": np.array(near),
+            "indefinite": np.array(indefinite),
+        }
+
+    def assert_same_bits(self, a):
+        got, want = invert_psd_stack(a), invert_psd_stack_reference(a)
+        for x, y in zip(got, want, strict=True):
+            assert x.shape == y.shape and x.dtype == y.dtype
+            np.testing.assert_array_equal(x.view(np.uint8), y.view(np.uint8))
+
+    def test_one_matrix_of_every_class(self):
+        for name, mats in self.classes().items():
+            for a in mats:
+                self.assert_same_bits(a[None])
+
+    def test_mixed_stacks(self):
+        classes = self.classes()
+        assert not fisher._cholesky_inverse(TestInvertPsdStack.correlation(classes["indefinite"]))[1].any()
+        mats = np.concatenate(list(classes.values()))
+        self.assert_same_bits(mats)
+        self.assert_same_bits(mats[np.random.default_rng(7).permutation(len(mats))])
+        self.assert_same_bits(classes["certified"])
+        self.assert_same_bits(np.eye(3)[None] + np.zeros((2, 1, 1)))
+
+
 class TestWishartStd:
     def test_diagonal_rule(self):
         g = np.diag([4.0, 9.0])
