@@ -393,8 +393,9 @@ class TestScoreBits:
 
 def solve_reference(theta, nu, s, bounds, accepted):
     """estimation._solve as it was before a step whose rows all accept adopted
-    the trial state, verbatim but for the module names and one line that
-    appends accept.all() of each step to the list accepted."""
+    the trial state, verbatim but for the module names, score_reference in
+    place of _score, and one line that appends accept.all() of each step to
+    the list accepted."""
     objective, normal, score, ok = score_reference(theta, nu, s)
     ok &= (s > 0.0).any(axis=1)  # an all-zero window: W = sum ln f has no minimum
     steps, converged, failed = np.zeros(len(s), dtype=int), np.zeros(len(s), dtype=bool), ~ok
