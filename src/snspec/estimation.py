@@ -104,8 +104,9 @@ def _far(x: np.ndarray) -> np.ndarray:
 
 
 def _params(theta: np.ndarray) -> np.ndarray:
-    """(s_ph, nu_l, s_at, delta_nu) per row of theta, unvalidated: exp may overflow or underflow."""
-    return np.where(_LOG, np.exp(theta), theta)
+    """(s_ph, nu_l, s_at, delta_nu) per row of theta, unvalidated: exp of the
+    log entries alone may overflow or underflow."""
+    return np.exp(theta, out=theta.copy(), where=_LOG)
 
 
 def _score(theta: np.ndarray, nu: np.ndarray, s: np.ndarray):

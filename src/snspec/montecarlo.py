@@ -8,14 +8,17 @@ covariance estimate. Deviations of a few or less mean the bound describes the
 estimator; the report carries all four matrices so nothing has to be rerun to
 inspect a discrepancy.
 
-Seeding contract: trial k draws from numpy's default_rng seeded with
-(master_seed, k). Results are therefore independent of execution order, and
-any single trial can be replayed in isolation. The seeds are built once per
-run as the entropy words numpy's SeedSequence forms from (master_seed, k):
-master_seed's 32-bit words, lowest first, then k, one uint32 row per trial,
-which seed default_rng with the tuple's bits without converting a tuple per
-trial. The trials are synthesized into one (n_trials, window bins) array
-by the route's stack in synthesis (in slices on worker threads for the
+Seeding contract: trial k draws from the generator numpy's
+default_rng((master_seed, k)) gives, PCG64 in the same state, so results
+are independent of execution order and any single trial can be replayed in
+isolation. The seeds are built once per run (trial_seeds) as the entropy
+words numpy's SeedSequence forms from (master_seed, k): master_seed's
+32-bit words, lowest first, then k, one uint32 row per trial. The route's
+stack in synthesis hashes all the rows into their PCG64 states in one pass
+of array arithmetic, SeedSequence's own steps on every row at once, and
+builds each trial's generator from its state as the trial is drawn;
+default_rng itself is not called. The trials are synthesized into one
+(n_trials, window bins) array (in slices on worker threads for the
 timeseries route's long records), on the coarse bins of cfg.fit_window()
 only, and fitted in one stacked solve, each bit for bit as if alone: row k
 holds the window's columns of trial_spectrum(v, cfg, (master_seed, k)).
@@ -35,6 +38,7 @@ from .synthesis import (
     SYNTHESIS_ROUTES,
     AcquisitionConfig,
     Spectrum,
+    _seed_words,
     sample_periodogram_exact_stack,
     timeseries_periodogram_stack,
 )
@@ -109,7 +113,7 @@ def trial_seeds(master_seed: int, n_trials: int) -> np.ndarray:
     n = operator.index(master_seed)
     if n < 0:
         raise ValueError(f"master_seed must be a nonnegative integer, got {n}")
-    words = [(n >> shift) & 0xFFFFFFFF for shift in range(0, max(n.bit_length(), 1), 32)]
+    words = _seed_words(n)
     seeds = np.empty((n_trials, len(words) + 1), dtype=np.uint32)
     seeds[:, :-1] = words
     seeds[:, -1] = np.arange(n_trials)

@@ -11,6 +11,11 @@ count n_eff of raw periodogram values behind each bin (1 for a raw
 periodogram). Averaging records or coarse-graining bins multiplies n_eff.
 Each route's stack function draws one averaged spectrum per seed into an
 array row, computing what is constant per run once, with the same bits.
+Both stacks seed through _generators: row k draws from the generator
+default_rng(seeds[k]) would give, PCG64 in the same state, but the seeds'
+SeedSequence hashes are computed for all rows in one pass of uint32 array
+arithmetic, and each row's generator is built from its hashed words as the
+row is drawn. numpy.random is loaded on the first draw, not on import.
 A stack holds a contiguous range of the coarse bins, the whole grid by
 default; its columns have the bits of those columns of the whole stack.
 AcquisitionConfig is the one home of coarse-bin ranges: coarse_grid(bins)
@@ -36,7 +41,9 @@ Conventions, fixed across the package:
 from __future__ import annotations
 
 import contextvars
+import functools
 import math
+import operator
 import os
 import threading
 from dataclasses import dataclass, field
@@ -73,6 +80,13 @@ _THREAD_MIN_SAMPLES = 16384
 # the most workers a timeseries stack runs on: the most measured (on 2 CPUs,
 # BENCH_27.json); each adds about 2.6 MB of peak RSS at the reference record
 _MAX_WORKERS = 2
+# numpy's SeedSequence: its pool of 32-bit words, its two hash constants,
+# each with its multiplier, and the multipliers of its mix
+_POOL = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_MASK32 = 0xFFFFFFFF
 
 
 @dataclass(frozen=True)
@@ -248,6 +262,120 @@ def _bin_range(bins: slice, k: int) -> tuple[int, int]:
     return start, stop
 
 
+def _seed_words(seed) -> list[int]:
+    """The 32-bit entropy words numpy's SeedSequence forms from seed: a
+    nonnegative integer's words, lowest first (one word for 0), or those of
+    each entry of a list, tuple, range or array in turn."""
+    if isinstance(seed, (int, np.integer)):
+        n = operator.index(seed)
+        if n < 0:
+            raise ValueError(f"a seed must be a nonnegative integer, got {n}")
+        return [(n >> shift) & _MASK32 for shift in range(0, max(n.bit_length(), 1), 32)]
+    if isinstance(seed, (list, tuple, range, np.ndarray)):
+        return [word for entry in seed for word in _seed_words(entry)]
+    raise TypeError(f"a seed is a nonnegative integer or a sequence of them, got {type(seed).__name__}")
+
+
+def _entropy(seeds):
+    """Each seed's entropy words as one (n, w) uint32 array, each row
+    zero-padded to the longest, and the count of each row's own words: the
+    array itself and its width for a 2-d uint32 array such as trial_seeds
+    builds."""
+    if isinstance(seeds, np.ndarray) and seeds.dtype == np.uint32 and seeds.ndim == 2:
+        return seeds, seeds.shape[1]
+    rows = [_seed_words(seed) for seed in seeds]
+    sizes = np.array([len(words) for words in rows], dtype=np.intp)
+    entropy = np.zeros((len(rows), sizes.max(initial=0)), dtype=np.uint32)
+    for row, words in zip(entropy, rows):
+        row[: len(words)] = words
+    return entropy, sizes
+
+
+def _hash_constants(init: int, mult: int, n: int) -> np.ndarray:
+    """The running hash constant from init through its n updates c <- c*mult,
+    each a Python int masked to 32 bits: an (n + 1, 1) uint32 array."""
+    c = [init]
+    for _ in range(n):
+        c.append(c[-1] * mult & _MASK32)
+    return np.array(c, dtype=np.uint32)[:, None]
+
+
+def _hashmix(x: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """SeedSequence's hashmix of each row of x in turn, c holding the running
+    constant before the first and after each: (x ^ c_i) * c_(i+1), then
+    xor-shifted right by 16, all mod 2^32."""
+    x = x ^ c[:-1]
+    x *= c[1:]
+    x ^= x >> 16
+    return x
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """SeedSequence's mix: x*_MIX_MULT_L - y*_MIX_MULT_R, then xor-shifted right by 16, mod 2^32."""
+    r = x * _MIX_MULT_L
+    r -= y * _MIX_MULT_R
+    r ^= r >> 16
+    return r
+
+
+def _seed_states(entropy: np.ndarray, sizes) -> np.ndarray:
+    """SeedSequence(words).generate_state(4, np.uint64) of each row's first
+    sizes words of the (n, w) uint32 array entropy: an (n, 4) uint64 array.
+
+    It runs SeedSequence's own steps on all rows at once, in uint32 array
+    arithmetic, which wraps mod 2^32 as its C does. The hash constant runs
+    through the same values on every row, so it is computed once. mix_entropy
+    hashes the first _POOL words (0 past a row's end) into the pool, mixes
+    each pool word into the others, then each further word into all of them,
+    on the rows that hold that word; generate_state hashes the pool, taken
+    twice in turn, into 8 words, paired lowest first into 4 uint64."""
+    words = np.zeros((max(entropy.shape[1], _POOL), len(entropy)), dtype=np.uint32)
+    words[: entropy.shape[1]] = entropy.T
+    c = _hash_constants(_INIT_A, _MULT_A, _POOL * _POOL + _POOL * (len(words) - _POOL))
+    pool = _hashmix(words[:_POOL], c[: _POOL + 1])
+    i = _POOL
+    for src in range(_POOL):
+        dst = [d for d in range(_POOL) if d != src]
+        pool[dst] = _mix(pool[dst], _hashmix(pool[src], c[i : i + _POOL]))
+        i += _POOL - 1
+    for src in range(_POOL, len(words)):
+        np.copyto(pool, _mix(pool, _hashmix(words[src], c[i : i + _POOL + 1])), where=src < sizes)
+        i += _POOL
+    state = _hashmix(np.concatenate([pool, pool]), _hash_constants(_INIT_B, _MULT_B, 2 * _POOL))
+    return np.ascontiguousarray(state.T, dtype="<u4").view("<u8").astype(np.uint64, copy=False)
+
+
+@functools.cache
+def _pcg64_generator():
+    """The function that makes, from a row of _seed_states, the Generator of
+    PCG64 on those words: a seed sequence whose generate_state returns the row
+    feeds PCG64's own seeding. Built on first use, so that importing the
+    package does not load numpy.random."""
+    from numpy.random import PCG64, Generator
+    from numpy.random.bit_generator import ISeedSequence
+
+    class Words(ISeedSequence):
+        def __init__(self, words: np.ndarray) -> None:
+            self.words = words
+
+        def generate_state(self, n_words, dtype=np.uint32) -> np.ndarray:
+            return self.words  # PCG64 asks for (4, np.uint64), once
+
+    return lambda words: Generator(PCG64(Words(words)))
+
+
+def _generators(seeds):
+    """Yield, seed by seed, the Generator default_rng(seed) gives: PCG64 in
+    the same state. A seed is a nonnegative integer, a sequence of them such
+    as a tuple, or a row of uint32 entropy words; seeds is a sequence of
+    seeds or a 2-d uint32 array of rows. All the seeds are hashed in one
+    pass (_seed_states) when the first is asked for; each Generator is built
+    as it is asked for, so no more than one needs to be held at a time."""
+    make = _pcg64_generator()
+    for words in _seed_states(*_entropy(seeds)):
+        yield make(words)
+
+
 def sample_periodogram_exact_stack(v, cfg: AcquisitionConfig, seeds, bins: slice = slice(None)) -> np.ndarray:
     """Draw one averaged spectrum per seed straight from its sampling law:
     a (len(seeds), len(grid[bins])) array on grid = cfg.coarse_grid().
@@ -257,18 +385,19 @@ def sample_periodogram_exact_stack(v, cfg: AcquisitionConfig, seeds, bins: slice
     Gamma(shape n_eff, mean f), f taken at the coarse-bin center. Bins are
     independent, so a spectrum is drawn in one shot, bypassing the time
     domain. f/n_eff is evaluated once, at the range's own centres; each row
-    draws standard Gamma variates from default_rng(seed) in place up to the
-    range's last bin, a prefix that the stream's order fixes, and one
-    multiply of the range by f/n_eff ends the stack, with the bits of
-    default_rng(seed).gamma(n_eff, f/n_eff)[bins]. A seed is anything
-    default_rng takes: an int, a tuple, or a row of uint32 entropy words.
+    draws standard Gamma variates in place up to the range's last bin, a
+    prefix that the stream's order fixes, from its seed's generator (see
+    _generators: the seeds are hashed in one pass), and one multiply of the
+    range by f/n_eff ends the stack, with the bits of
+    default_rng(seed).gamma(n_eff, f/n_eff)[bins]. A seed is a nonnegative
+    int, a tuple of them, or a row of uint32 entropy words.
     """
     n_eff = cfg.n_eff
     start, stop = _bin_range(bins, cfg.n_coarse)
     scale = eval_psd(v, cfg.coarse_grid(bins)) / n_eff
     out = np.empty((len(seeds), stop))
-    for row, seed in zip(out, seeds):
-        np.random.default_rng(seed).standard_gamma(float(n_eff), out=row)
+    for row, rng in zip(out, _generators(seeds)):
+        rng.standard_gamma(float(n_eff), out=row)
     return out[:, start:] * scale
 
 
@@ -373,11 +502,13 @@ def timeseries_periodogram_stack(v, cfg: AcquisitionConfig, seeds, bins: slice =
 
     Row k holds, bit for bit, the bins of what n_ave records drawn in turn
     from default_rng(seeds[k]) give through periodogram, average_spectra and
-    coarse_grain. The amplitudes are computed once. The rows are filled in
-    contiguous slices, one per worker (see _workers), and each worker reuses
-    one record, one coefficient buffer and one buffer for the n_ave
-    periodograms of its current row, on the raw bins of the range only, so
-    a row has the same bits for any worker count.
+    coarse_grain; a seed takes the forms sample_periodogram_exact_stack
+    takes. The amplitudes are computed once. The rows are filled in
+    contiguous slices, one per worker (see _workers); each worker hashes its
+    slice's seeds in one pass and builds each row's generator as it comes
+    (_generators), and reuses one record, one coefficient buffer and one
+    buffer for the n_ave periodograms of its current row, on the raw bins of
+    the range only, so a row has the same bits for any worker count.
     """
     amp, n_bin, delta = _amplitudes(v, cfg), cfg.n_bin, cfg.delta
     start, stop = _bin_range(bins, cfg.n_coarse)
@@ -387,10 +518,9 @@ def timeseries_periodogram_stack(v, cfg: AcquisitionConfig, seeds, bins: slice =
     def fill(rows: slice, halt: threading.Event) -> None:
         y, coeff = np.empty(cfg.record_length), np.empty(amp.size + 2, dtype=complex)
         raw = np.empty((cfg.n_ave, (stop - start) * n_bin))
-        for row, seed in zip(out[rows], seeds[rows]):
+        for row, rng in zip(out[rows], _generators(seeds[rows])):
             if halt.is_set():  # another slice failed
                 return
-            rng = np.random.default_rng(seed)
             for record in raw:
                 _record(amp, rng, y, coeff)
                 _periodogram_bins(y, delta, raw_bins, coeff, record)

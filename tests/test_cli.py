@@ -93,14 +93,16 @@ def test_import_does_not_load_scipy():
     # the runtime needs numpy only; scipy is a test dependency. The
     # timeseries stack starts its workers with threading and contextvars,
     # which importing numpy loads anyway, so no pool module is loaded
-    # either; and the quadrature rule is stored, so numpy.polynomial is not
+    # either; the quadrature rule is stored, so numpy.polynomial is not; and
+    # the stacks build their generators' seeding on first use, so
+    # numpy.random waits for the first draw
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(snspec.__file__)))
     code = (
         "import sys, snspec.cli; "
-        "print(*(m in sys.modules for m in ('scipy', 'concurrent.futures', 'numpy.polynomial')))"
+        "print(*(m in sys.modules for m in ('scipy', 'concurrent.futures', 'numpy.polynomial', 'numpy.random')))"
     )
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "False False False"
+    assert out.stdout.strip() == "False False False False"
 
 
 def test_import_snspec_loads_no_submodule_and_no_numpy():

@@ -390,6 +390,30 @@ class TestScoreBits:
         self.check(theta, nu, s * scale[:, None])
         self.check(theta[:1], nu, s[None])
 
+    def test_params_keep_the_bits_of_exp_on_every_entry(self):
+        log = np.log
+        theta = np.array([
+            [log(1.2), 42600.0, log(4.8), log(1500.0)],
+            [800.0, -1e308, -800.0, 710.0],  # exp overflows and underflows
+            [np.nan, np.nan, np.inf, -np.inf],
+        ])
+        with np.errstate(all="ignore"):
+            want = np.where(estimation._LOG, np.exp(theta), theta)
+            got = estimation._params(theta)
+        np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+
+    def test_score_at_the_reference_start_raises_no_overflow(self):
+        # exp is taken of the log entries alone: nu_l (about 4e4) is no log,
+        # and exp of it overflowed to inf on every call
+        sp = trial_spectrum(V, CFG, (5, 0), "gamma")
+        bins = fit_bins(sp.nu, WINDOW)
+        nu, s = sp.nu[bins], sp.s_bar[bins][None]
+        start = estimation._initial_guess_stack(nu, s, WINDOW)
+        theta = np.where(estimation._LOG, np.log(start), start)
+        with np.errstate(over="raise"):
+            _, _, _, ok = estimation._score(theta, nu, s)
+        assert ok.all()
+
 
 def solve_reference(theta, nu, s, bounds, accepted):
     """estimation._solve as it was before a step whose rows all accept adopted

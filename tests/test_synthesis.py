@@ -9,15 +9,18 @@ import pytest
 
 from snspec.errors import ConfigError
 from snspec.model import SpectralParams, eval_psd
-from snspec.montecarlo import trial_spectrum
+from snspec.montecarlo import trial_seeds, trial_spectra, trial_spectrum
 from snspec.synthesis import (
     AcquisitionConfig,
     Spectrum,
     TimeSeries,
+    _generators,
     average_spectra,
     coarse_grain,
     periodogram,
+    sample_periodogram_exact_stack,
     synthesize_timeseries,
+    timeseries_periodogram_stack,
 )
 
 V = SpectralParams(s_ph=1.0, nu_l=5000.0, s_at=4.0, delta_nu=1000.0)
@@ -317,3 +320,79 @@ def test_adjacent_bins_uncorrelated():
     c = np.corrcoef(rows, rowvar=False)
     off_diag = c[~np.eye(c.shape[0], dtype=bool)]
     assert np.max(np.abs(off_diag)) < 0.06  # SE = 1/sqrt(4000) = 0.016
+
+
+# master seeds of 1, 2, 3, 4 and 7 words, so that with k the entropy runs
+# from within SeedSequence's pool of 4 words to 8 words past it; the extreme k
+MASTERS = [0, 2**31 - 1, 2**32, 2**64 + 3, 2**96 + 7, 2**200]
+KS = [0, 2**32 - 1]
+
+
+def seed_row(master, k):
+    """The trial_seeds row of (master, k): master's 32-bit words, lowest first, then k."""
+    row = trial_seeds(master, 1)[0]
+    row[-1] = k
+    return row
+
+
+def assert_same_generator(got, seed):
+    want = np.random.default_rng(seed)
+    assert got.bit_generator.state == want.bit_generator.state
+    for draw in (lambda g: g.random(5), lambda g: g.standard_gamma(3.0, 5), lambda g: g.standard_normal(5)):
+        np.testing.assert_array_equal(draw(got).view(np.uint64), draw(want).view(np.uint64))
+
+
+class TestGenerators:
+    """_generators gives each seed the generator default_rng(seed) gives."""
+
+    @pytest.mark.parametrize("master", MASTERS)
+    @pytest.mark.parametrize("k", KS)
+    @pytest.mark.parametrize("form", ["int", "tuple", "row"])
+    def test_state_and_first_draws_are_default_rngs(self, master, k, form):
+        seed = {"int": master + k, "tuple": (master, k), "row": seed_row(master, k)}[form]
+        (got,) = _generators([seed])
+        assert_same_generator(got, seed)
+
+    def test_seeds_of_every_length_in_one_call(self):
+        # rows of 0 to 8 words share one pass, each zero-padded to the longest
+        seeds = [(m, k) for m in MASTERS for k in KS] + [0, 2**200, (), [1, 2, 3, 4, 5], np.arange(3, dtype=np.int64)]
+        generators = _generators(seeds)
+        for seed in seeds:
+            assert_same_generator(next(generators), seed)
+        assert next(generators, None) is None
+
+    @pytest.mark.parametrize("master", MASTERS)
+    def test_trial_seeds_array(self, master):
+        seeds = trial_seeds(master, 300)
+        for k, got in enumerate(_generators(seeds)):
+            assert got.bit_generator.state == np.random.default_rng((master, k)).bit_generator.state
+
+    @pytest.mark.parametrize("seed, error", [(-1, ValueError), ((3, -1), ValueError), (1.0, TypeError), ("7", TypeError), (None, TypeError)])
+    def test_a_seed_outside_the_forms_is_refused(self, seed, error):
+        with pytest.raises(error):
+            next(_generators([seed]))
+
+
+class TestStackSeeding:
+    CFG = make_cfg(t_total=0.01, fit_lo=30e3, fit_hi=60e3, n_ave=2, n_bin=3)
+
+    @pytest.mark.parametrize("stack", [sample_periodogram_exact_stack, timeseries_periodogram_stack])
+    @pytest.mark.parametrize("seeds", [trial_seeds(0, 0), trial_seeds(2**200, 0), []], ids=["one-word", "long", "list"])
+    def test_no_seed_gives_an_empty_stack(self, stack, seeds):
+        bins = self.CFG.fit_window()
+        out = stack(V, self.CFG, seeds, bins)
+        assert out.shape == (0, bins.stop - bins.start)
+        assert stack(V, self.CFG, seeds).shape == (0, self.CFG.n_coarse)
+
+    @pytest.mark.parametrize("route", ["gamma", "timeseries"])
+    def test_stacks_seed_without_default_rng(self, monkeypatch, route):
+        # one seeding path: neither stack calls default_rng, for an array or a list of seeds
+        seeds = trial_seeds(2**96 + 7, 3)
+        want = trial_spectra(V, self.CFG, seeds, route)
+
+        def refused(seed=None):
+            raise AssertionError("a stack called default_rng")
+
+        monkeypatch.setattr(np.random, "default_rng", refused)
+        np.testing.assert_array_equal(trial_spectra(V, self.CFG, seeds, route), want, strict=True)
+        np.testing.assert_array_equal(trial_spectra(V, self.CFG, [(2**96 + 7, k) for k in range(3)], route), want, strict=True)
