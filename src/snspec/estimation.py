@@ -69,11 +69,15 @@ def _initial_guess_stack(nu: np.ndarray, s: np.ndarray, window) -> np.ndarray:
     wings), nu_l from the argmax bin, s_at from the peak height above s_ph,
     delta_nu from the half-maximum crossings (falling back to a quarter of
     the window when the peak is unresolved). The rows are taken as given;
-    mle_fit_stack hands over each row scaled to its own level.
+    mle_fit_stack hands over each row scaled to its own level. The 2q wing
+    bins are sorted once, and their median is the mean of the middle pair,
+    NaN where the sorted row ends in NaN, as np.median takes it.
     """
     m, k_bins = s.shape
     q = max(k_bins // 4, 1)
-    s_ph = np.median(np.concatenate([s[:, :q], s[:, -q:]], axis=1), axis=1)
+    wings = np.sort(np.concatenate([s[:, :q], s[:, -q:]], axis=1), axis=1)
+    s_ph = (wings[:, q - 1] + wings[:, q]) / 2.0
+    s_ph[np.isnan(wings[:, -1])] = np.nan
     flat = ~(s_ph > 0.0)  # no wing level: the mean level, for these rows only
     s_ph[flat] = np.maximum(np.mean(np.abs(s[flat]), axis=1), _S_AT_FLOOR_FRACTION)
     k = np.argmax(s, axis=1)
@@ -145,7 +149,11 @@ def mle_fit_stack(nu, s_bar, window):
     """
     nu = np.asarray(nu, dtype=float)
     bins = fit_bins(nu, window)
-    nu, s = nu[bins], np.asarray(s_bar, dtype=float)[:, bins]
+    return _fit_window(nu[bins], np.asarray(s_bar, dtype=float)[:, bins], window)
+
+
+def _fit_window(nu, s, window):
+    """mle_fit_stack on the window's bins alone: nu and the columns of s are those bins."""
     # Each row is solved at one exact power-of-two scale 2^-e from its start
     # on, and only its output is scaled back; e = 0 leaves a row's bits. Its
     # start is formed at the level 2^t of its largest bin, where neither the
@@ -224,11 +232,12 @@ def mle_fit(sp: Spectrum, window) -> FitResult:
     chi2 = sum (1 - S_bar_i/f_i(v_hat))^2 over the window's bins, inf or NaN
     where it leaves the float range. A failed fit returns converged=False.
     """
-    v_hat, n_iter, converged = mle_fit_stack(sp.nu, sp.s_bar[None], window)
-    v = SpectralParams.from_array(v_hat[0])
     bins = fit_bins(sp.nu, window)
+    nu, s = sp.nu[bins], sp.s_bar[bins]
+    v_hat, n_iter, converged = _fit_window(nu, s[None], window)
+    v = SpectralParams.from_array(v_hat[0])
     with np.errstate(over="ignore", invalid="ignore"):
-        r = 1.0 - sp.s_bar[bins] / eval_psd(v, sp.nu[bins])
+        r = 1.0 - s / eval_psd(v, nu)
         chi2 = float(np.sum(r * r))
     return FitResult(v, chi2, int(n_iter[0]), bool(converged[0]))
 

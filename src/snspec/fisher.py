@@ -6,19 +6,26 @@ they can cross-check each other:
 * a discrete sum over the fitted frequency bins, info = (n_eff + 2) *
   sum_i g_i g_i^T with g_i the log-spectrum gradient, and
 * a continuous-frequency approximation, info = (n_eff + 2) / nu_t *
-  integral of g g^T over the fit window, evaluated by one fixed-order
-  Gauss-Legendre rule on panels that double in width away from the line.
-  The rule is folded about the line centre: f is even in nu - nu_l, so g at
-  nu_l - x is g at nu_l + x with its nu_l component negated, and each panel
-  of |nu - nu_l| is evaluated once for both sides of the line.
+  integral of g g^T over the fit window. Where its elementary
+  antiderivatives are certified, it is taken in closed form: for a line
+  inside the window, at least one half-width from its farther edge, with
+  s_at / s_ph in _CLOSED_BAND (0.1 to 100; the shipped scan spans 0.20 to
+  59), where they hold 1e-11 of the rule below. Every other row, a weak or
+  dominant line, a line outside the window or a window inside the line,
+  takes one fixed-order Gauss-Legendre rule on panels that double in width
+  away from the line. The rule is folded about the line centre: f is even
+  in nu - nu_l, so g at nu_l - x is g at nu_l + x with its nu_l component
+  negated, and each panel of |nu - nu_l| is evaluated once for both sides
+  of the line.
 
 `nu_t` is the frequency spacing of the grid actually fit (after any
 coarse-graining), not necessarily 1/T of the raw record. The covariance
 bound is the inverse information matrix; rank-deficient information is
 reported instead of pseudo-inverted.
 
-The quadrature and the inverse work on stacks: `_outer_integral` integrates
-many parameter vectors at once, each on its own panels, and
+The integral and the inverse work on stacks: `_integral_info` splits the
+rows between `_closed_form` and `_outer_integral`, which integrate many
+parameter vectors at once, each row alone (the latter on its own panels), and
 `invert_psd_stack` factors many n x n matrices at once by a Cholesky written
 as array operations, keeping an eigen-factorization for the matrices whose
 pivots do not certify full rank.
@@ -215,6 +222,13 @@ _BLOCK_CELLS = 64
 # (M) or its lower side only (S M S).
 _MIRROR = np.outer([1.0, -1.0, 1.0, 1.0], [1.0, -1.0, 1.0, 1.0])
 _SIDES = np.stack([1.0 + _MIRROR, np.ones((4, 4)), _MIRROR])
+# The s_at / s_ph band in which _closed_form holds 1e-11 of _outer_integral
+# (normalized by the diagonal), for a line inside the window and at least
+# one half-width from its farther edge; it held 8.5e-13 at the band's ends.
+# Its partial fractions cancel away from r = 1: the error passes 1e-11 near
+# 0.03 and 300 and reaches 1e-8 near 1e-3 and 1e4. A window within a
+# hundredth of a half-width of the line cancels too (2e-5).
+_CLOSED_BAND = (0.1, 100.0)
 
 
 def _outer_integral(theta: np.ndarray, lo: float, hi: float) -> np.ndarray:
@@ -237,6 +251,12 @@ def _outer_integral(theta: np.ndarray, lo: float, hi: float) -> np.ndarray:
     or S M S. A clipped panel has zero width and adds exactly zero, and
     each row's panels add in ascending |x|, so a row gets the same bits
     alone or in any stack.
+
+    _integral_info hands it the rows that _closed_rows does not certify for
+    _closed_form: there the closed form's partial fractions cancel (s_at /
+    s_ph far from 1) or the window is a sliver of the line, and this rule
+    keeps its digits. It is also the reference the closed form is tested
+    against.
 
     The panels (edges, widths, centres and side) are built once per call, at
     the largest depth K of the stack, and the rule is evaluated in blocks of
@@ -279,8 +299,84 @@ def _outer_integral(theta: np.ndarray, lo: float, hi: float) -> np.ndarray:
     return total
 
 
+def _closed_form(theta: np.ndarray, u: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """_outer_integral of each row of theta in closed form: (rows, 4, 4).
+
+    u holds the window's edges as (2, rows), in half-widths from the line,
+    and r = s_at / s_ph. In u = 2 (nu - nu_l) / delta_nu, with a^2 = 1 + r,
+    p = 1 / (1 + u^2) and q = 1 / (a^2 + u^2), f = s_ph (a^2 + u^2) p and
+    grad_log_psd is c * ((1 + u^2) q, u p q, q, u^2 p q), c = (1 / s_ph,
+    4 r / delta_nu, 1 / s_ph, 2 r / delta_nu). Each entry of the outer
+    product is u^m p^i q^j, m <= 4 and i, j <= 2, whose partial fractions
+    (p q = (p - q) / r) integrate to u, atan(u), atan(u / a), ln((a^2 + u^2)
+    p) = log1p(r p) and rational terms. The two differences that vanish with
+    r are taken without cancelling: atan(u) - atan(u / a) = atan((a - 1) u /
+    (a + u^2)), a - 1 = r / (1 + a). An antiderivative is a function of u^2
+    when its integrand is odd in u and odd in u when it is even, exactly in
+    floating point, so a centred line gives the nu_l cross terms exactly
+    zero and a reflected window exactly S M S.
+    """
+    s_ph, d = theta[:, 0], theta[:, 3]
+    aa = 1.0 + r
+    a = np.sqrt(aa)
+    uu = u * u
+    p, q = 1.0 / (1.0 + uu), 1.0 / (aa + uu)
+    at, at_a = np.arctan(u), np.arctan(u / a)
+    at_diff = np.arctan(u * (r / (1.0 + a)) / (a + uu))  # atan(u) - atan(u / a)
+    log = np.log1p(r * p)
+    # antiderivatives of q, q^2, p^2, u^2 q^2 and u^2 p^2, in this order
+    q1 = at_a / a
+    q2 = (u * q + q1) / (2.0 * aa)
+    p2 = 0.5 * (u * p + at)
+    uq2 = q1 - aa * q2
+    up2 = 0.5 * (at - u * p)
+    d_pq = at_diff + at_a * (r / (a + aa))  # atan(u) - atan(u / a) / a
+    e_pq = at_a * (r / (1.0 + a)) - at_diff  # a atan(u / a) - atan(u)
+    rr = r * r
+    f = np.empty((4, 4) + u.shape)
+    f[0, 0] = u - 2.0 * r * q1 + rr * q2
+    f[0, 1] = -0.5 * q
+    f[0, 2] = q1 - r * q2
+    f[0, 3] = uq2
+    f[1, 1] = (up2 + uq2 - 2.0 * e_pq / r) / rr
+    f[1, 2] = (r * q - log) / (2.0 * rr)
+    f[1, 3] = ((r + 1.0) * r * q + r * p - (r + 2.0) * log) / (2.0 * rr * r)
+    f[2, 2] = q2
+    f[2, 3] = (e_pq - r * uq2) / rr
+    f[3, 3] = (aa * aa * q2 + p2 - 2.0 * aa * d_pq / r) / rr
+    upper = np.triu_indices(4, 1)
+    f[upper[::-1]] = f[upper]
+    c = np.stack([1.0 / s_ph, 4.0 * r / d, 1.0 / s_ph, 2.0 * r / d])
+    info = (0.5 * d) * c[:, None] * c[None, :] * (f[..., 1, :] - f[..., 0, :])
+    return info.transpose(2, 0, 1)
+
+
+def _closed_rows(theta: np.ndarray, lo: float, hi: float):
+    """(closed, u, r): which rows of theta take _closed_form, with its arguments for every row.
+
+    A row is closed when s_at / s_ph lies in _CLOSED_BAND and its line lies
+    inside [lo, hi], at least one half-width from the farther edge; u holds
+    the edges in half-widths from the line, (2, rows). A row that overflows
+    u or r, or holds a NaN, is not closed.
+    """
+    with np.errstate(all="ignore"):
+        u = (np.array([[lo], [hi]]) - theta[:, 1]) / (0.5 * theta[:, 3])
+        r = theta[:, 2] / theta[:, 0]
+        closed = (
+            (r >= _CLOSED_BAND[0]) & (r <= _CLOSED_BAND[1])
+            & (u[0] <= 0.0) & (u[1] >= 0.0) & (u[1] - u[0] < np.inf)
+            & (np.maximum(-u[0], u[1]) >= 1.0)
+        )
+    return closed, u, r
+
+
 def _integral_info(theta, window, nu_t: float, n_eff: float) -> np.ndarray:
-    """The symmetric integral-form information of each row of theta, after the argument checks."""
+    """The symmetric integral-form information of each row of theta, after the argument checks.
+
+    The rows that _closed_rows certifies take _closed_form, every other row
+    _outer_integral. Each path works row by row, so a row gets the same bits
+    alone or in any stack.
+    """
     lo, hi = float(window[0]), float(window[1])
     if not (0 <= lo < hi):
         raise ValueError(f"window must satisfy 0 <= lo < hi, got ({lo}, {hi})")
@@ -288,7 +384,13 @@ def _integral_info(theta, window, nu_t: float, n_eff: float) -> np.ndarray:
         raise ValueError(f"nu_t must be > 0, got {nu_t}")
     if n_eff < 1:
         raise ValueError(f"n_eff must be >= 1, got {n_eff}")
-    info = _outer_integral(np.asarray(theta, dtype=float), lo, hi)
+    theta = np.asarray(theta, dtype=float)
+    closed, u, r = _closed_rows(theta, lo, hi)
+    info = np.empty((theta.shape[0], 4, 4))
+    if closed.any():
+        info[closed] = _closed_form(theta[closed], u[:, closed], r[closed])
+    if not closed.all():
+        info[~closed] = _outer_integral(theta[~closed], lo, hi)
     return _symmetrize((n_eff + 2.0) / nu_t * info)
 
 
@@ -301,7 +403,10 @@ def fisher_integral(
     (n_eff + 2) / nu_t times the window integral of the log-gradient outer
     product. Agrees with fisher_discrete on the same window once the
     linewidth spans many grid steps. The one-row case of
-    integral_covariance_stack.
+    integral_covariance_stack: the integral is in closed form when the row
+    lies in the closed form's band (s_at / s_ph in 0.1 to 100, the line
+    inside the window and at least a half-width from its farther edge), and
+    by the panel quadrature otherwise, with the bits of the stack either way.
     """
     info = _integral_info(v.as_array()[None], window, nu_t, n_eff)[0]
     return _result(info, n_eff, nu_t, window, "integral")

@@ -124,6 +124,47 @@ class TestInitialGuess:
         np.testing.assert_array_equal(guess[0], estimation._initial_guess_stack(nu, rows[:1], WINDOW)[0], strict=True)
 
 
+def initial_guess_reference(nu, s, window):
+    """estimation._initial_guess_stack as it was when it took the wing level
+    from np.median: verbatim but for the module names."""
+    m, k_bins = s.shape
+    q = max(k_bins // 4, 1)
+    s_ph = np.median(np.concatenate([s[:, :q], s[:, -q:]], axis=1), axis=1)
+    flat = ~(s_ph > 0.0)
+    s_ph[flat] = np.maximum(np.mean(np.abs(s[flat]), axis=1), estimation._S_AT_FLOOR_FRACTION)
+    k = np.argmax(s, axis=1)
+    s_at = s[np.arange(m), k] - s_ph
+    s_at = np.where(s_at > 0.0, s_at, estimation._S_AT_FLOOR_FRACTION * s_ph)
+    below = s < (s_ph + 0.5 * s_at)[:, None]
+    j = np.arange(k_bins)
+    left = np.max(np.where(below & (j < k[:, None]), j, -1), axis=1) + 1
+    right = np.min(np.where(below & (j > k[:, None]), j, k_bins), axis=1) - 1
+    width = nu[right] - nu[left]
+    width = np.where(width > 0.0, width, 0.25 * (window[1] - window[0]))
+    return np.column_stack([s_ph, nu[k], s_at, width])
+
+
+class TestMomentStart:
+    @pytest.mark.parametrize("k_bins", [1, 2, 3, 7, 8, 190])
+    def test_wing_median_keeps_the_np_median_bits(self, k_bins):
+        # random stacks with tied wing values, NaN rows (s_ph NaN, then the
+        # mean level, NaN too), infinities and signed zeros: every entry of
+        # every start has the bits of the np.median start
+        rng = np.random.default_rng(k_bins)
+        nu = np.linspace(WINDOW[0], WINDOW[1], k_bins)
+        s = rng.choice([-0.0, 0.0, 0.5, 1.0, 1.0, 2.0, 3.0], size=(300, k_bins))
+        s[::5] = rng.exponential(size=s[::5].shape)
+        s[1::7, 0] = s[3::17, -1] = s[6::19, rng.integers(k_bins)] = np.nan
+        s[2::11, 0] = s[8::23, rng.integers(k_bins)] = np.inf
+        s[4::13, -1] = -np.inf
+        s[9::29] = np.inf
+        with np.errstate(all="ignore"):
+            got = estimation._initial_guess_stack(nu, s.copy(), WINDOW)
+            want = initial_guess_reference(nu, s.copy(), WINDOW)
+        assert np.isnan(want[:, 0]).any() and np.isinf(want[:, 0]).any()
+        np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64), strict=True)
+
+
 class TestMleFit:
     def test_noiseless_recovery_to_machine_precision(self):
         r = mle_fit(noiseless_spectrum(), WINDOW)

@@ -22,7 +22,7 @@ from snspec.fisher import (
     normalized_deviation,
     wishart_std,
 )
-from snspec.model import SpectralParams, grad_log_psd
+from snspec.model import SpectralParams, grad_log_psd, params_from_conditions_array
 from snspec.scan import scan_grid
 from snspec.synthesis import AcquisitionConfig
 
@@ -190,16 +190,18 @@ class TestIntegralRoute:
 
     def test_stack_equals_single_calls_bit_for_bit(self):
         # one block of lines below, inside and above the window, at widths
-        # that need panel depths K from 1 to 18
+        # that need panel depths K from 1 to 18, and at s_at / s_ph outside
+        # the closed form's band, so that every row takes the quadrature
         centres = [20e3, 32.9e3, 33e3, 34e3, 42.5e3, 42.6e3, 51.5e3, 60e3]
         theta = np.array(
             [
                 (1.0, centre, s_at, delta_nu)
                 for centre in centres
-                for s_at, delta_nu in itertools.product([1e-2, 4.0], [0.3, 30.0, 1e3, 2e4])
+                for s_at, delta_nu in itertools.product([1e-2, 1e3], [0.3, 30.0, 1e3, 2e4])
             ]
         )
         assert len(theta) == fisher._BLOCK_CELLS
+        assert not fisher._closed_rows(theta, *WINDOW)[0].any()
         want = np.array([
             fisher_integral(SpectralParams.from_array(row), WINDOW, 100.0, 50).gamma_th
             for row in theta
@@ -210,17 +212,19 @@ class TestIntegralRoute:
     def test_blocks_of_different_depths_equal_single_calls_bit_for_bit(self, monkeypatch):
         # the panels are built once per call at the stack's largest depth;
         # blocks of medium, narrow, wide and mixed lines, each in random
-        # order, evaluate only their own first panels
+        # order, evaluate only their own first panels; every s_at / s_ph
+        # lies outside the closed form's band, so every row takes the rule
         rng = np.random.default_rng(7)
         centres = [20e3, 33e3, 34e3, 42.6e3, 51.5e3, 60e3]
 
         def block(widths, size):
             return np.array([
-                (1.0, rng.choice(centres), rng.choice([1e-2, 4.0, 1e3]), rng.choice(widths))
+                (1.0, rng.choice(centres), rng.choice([1e-2, 5e-2, 1e3]), rng.choice(widths))
                 for _ in range(size)
             ])
 
         theta = np.vstack([block([1e3, 2e4], 64), block([1e-3, 0.3], 64), block([3e4, 1e5], 64), block([0.3, 30.0], 40)])
+        assert not fisher._closed_rows(theta, *WINDOW)[0].any()
         panels = []
 
         def recording(v, nu):
@@ -236,6 +240,21 @@ class TestIntegralRoute:
         ])
         assert np.isfinite(want).all(axis=(1, 2)).sum() > 150
         np.testing.assert_array_equal(got, want)
+
+    def test_interleaved_closed_and_quadrature_rows_equal_single_calls_bit_for_bit(self):
+        # rows in the closed form's band alternate with rows outside it (by
+        # s_at / s_ph, by a line outside the window, by a window shorter
+        # than a half-width) and with singular rows; each keeps its bits
+        closed_rows = [(1.0, 42.6e3, 4.0, 1e3), (2.0, 33e3, 0.3, 300.0), (0.5, 52e3, 40.0, 3e4), (1.0, 40e3, 0.1, 0.3)]
+        other_rows = [(1.0, 42.6e3, 0.05, 1e3), (1.0, 60e3, 4.0, 1e3), (1.0, 42.5e3, 4.0, 4e4), (2.0, 42.6e3, 0.0, 500.0)]
+        theta = np.array([row for pair in zip(closed_rows, other_rows) for row in pair] * 10)
+        closed = fisher._closed_rows(theta, *WINDOW)[0]
+        np.testing.assert_array_equal(closed, np.tile([True, False], 40))
+        want = np.array([
+            fisher_integral(SpectralParams.from_array(row), WINDOW, 100.0, 50).gamma_th for row in theta
+        ])
+        assert np.isnan(want).all(axis=(1, 2)).sum() == 10
+        np.testing.assert_array_equal(integral_covariance_stack(theta, WINDOW, 100.0, 50), want)
 
     def test_gauss_legendre_literals_are_leggauss(self):
         x, w = np.polynomial.legendre.leggauss(16)
@@ -292,6 +311,52 @@ class TestIntegralRoute:
             fisher_integral(V, WINDOW, 0.0, 50)
         with pytest.raises(ValueError):
             fisher_integral(V, WINDOW, 100.0, 0)
+
+
+class TestClosedForm:
+    """The closed form against the quadrature it replaces, where it is used."""
+
+    @pytest.mark.parametrize("r", [fisher._CLOSED_BAND[0], 0.2, 1.0, 10.0, fisher._CLOSED_BAND[1]])
+    def test_matches_the_rule_across_the_band(self, r):
+        # the line at either window edge, inside and at the centre, and the
+        # farther edge 1 and 2 to 1e4 half-widths away; normalized by the
+        # diagonal, 100 times under the adaptive oracle's 1e-9
+        lo, hi = WINDOW
+        rows = []
+        reaches = np.concatenate([[1.0], np.geomspace(2.0, 1e4, 14)])
+        for where, reach in itertools.product([0.0, 0.1, 0.5, 0.9, 1.0], reaches):
+            nu_l = lo + where * (hi - lo)
+            rows.append((2.0, nu_l, 2.0 * r, 2.0 * max(nu_l - lo, hi - nu_l) / reach))
+        theta = np.array(rows)
+        closed, u, r = fisher._closed_rows(theta, *WINDOW)
+        assert closed.all()
+        got, want = fisher._closed_form(theta, u, r), fisher._outer_integral(theta, *WINDOW)
+        d = np.sqrt(np.diagonal(want, axis1=1, axis2=2))
+        assert np.max(np.abs(got - want) / (d[:, :, None] * d[:, None, :])) <= 1e-11
+
+    @pytest.mark.parametrize("xi2", [1.0, 0.55])
+    def test_the_shipped_scan_grid_takes_the_closed_form(self, xi2):
+        cfg = load_config(CONFIG_DIR / "scan_reference.json")
+        theta = params_from_conditions_array(cfg.scan.n_values[:, None], cfg.scan.p_values[None, :], xi2, cfg.instrument)
+        acq = cfg.acquisition
+        assert fisher._closed_rows(theta.reshape(-1, 4), acq.fit_lo, acq.fit_hi)[0].all()
+
+    def test_the_validate_reference_takes_the_closed_form(self):
+        cfg = load_config(CONFIG_DIR / "validate_reference.json")
+        acq = cfg.acquisition
+        assert fisher._closed_rows(cfg.spectral_params().as_array()[None], acq.fit_lo, acq.fit_hi)[0].all()
+
+    def test_rows_outside_the_band_keep_the_rule_bits(self):
+        # below and above the band, a line outside the window, a window
+        # shorter than a half-width, a non-finite row: the quadrature's bits
+        theta = np.array([
+            (1.0, 42.6e3, 0.05, 1e3), (1.0, 42.6e3, 200.0, 1e3), (1.0, 20e3, 4.0, 1e3),
+            (1.0, 42.5e3, 4.0, 4e4), (1.0, 42.6e3, 4.0, 1e-320), (np.nan, 42.6e3, 4.0, 1e3),
+        ])
+        assert not fisher._closed_rows(theta, *WINDOW)[0].any()
+        with np.errstate(all="ignore"):
+            want = fisher._symmetrize(52 / 100.0 * fisher._outer_integral(theta, *WINDOW))
+            np.testing.assert_array_equal(fisher._integral_info(theta, WINDOW, 100.0, 50), want)
 
 
 def test_bin_width_invariance_of_underlying_information():

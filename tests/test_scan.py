@@ -136,8 +136,10 @@ class TestBatchedScanEqualsPerCell:
     # window's shorter side ends, so a cell of depth K has K + 2 panels. The
     # cells of one block need different depths, and the shallow ones are
     # padded with zero-width panels in the stack but not alone. n = 0 is a
-    # singular row, and the 88 cells span more than one block.
-    K = replace(REFERENCE_INSTRUMENT, gamma0=5.0)
+    # singular row, and the 88 cells span more than one block. kappa2 at
+    # 1e-3 of the reference keeps s_at / s_ph below 0.085 in every cell, out
+    # of the closed form's band, so every cell takes the rule.
+    K = replace(REFERENCE_INSTRUMENT, gamma0=5.0, kappa2=REFERENCE_INSTRUMENT.kappa2 * 1e-3)
     N = np.array([0.0, 1e9, 1e10, 1e11, 1e12, 4e12, 1e13, 4e13])
     P = np.geomspace(1e-6, 1e-2, 11)
 
@@ -156,6 +158,9 @@ class TestBatchedScanEqualsPerCell:
         depth = np.maximum(np.ceil(np.log2(reach / half)), 0)  # least K with 2^K >= |u|
         for s in range(0, depth.size, fisher._BLOCK_CELLS):
             assert np.unique(depth[s : s + fisher._BLOCK_CELLS]).size >= 3
+        for xi2 in (1.0, 0.55):
+            theta = params_from_conditions_array(self.N[:, None], self.P[None, :], xi2, self.K)
+            assert not fisher._closed_rows(theta.reshape(-1, 4), cfg.fit_lo, cfg.fit_hi)[0].any()
         nan_cells = np.isnan(scan_grid(self.N, self.P, self.K, cfg).surfaces).sum()
         assert nan_cells == 4 * self.P.size  # the n = 0 row only
 
