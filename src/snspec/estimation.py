@@ -67,8 +67,10 @@ def _initial_guess_stack(nu: np.ndarray, s: np.ndarray, window) -> np.ndarray:
 
     s_ph from the median over the outer quartiles of the window (the line
     wings), nu_l from the argmax bin, s_at from the peak height above s_ph,
-    delta_nu from the half-maximum crossings (falling back to a quarter of
-    the window when the peak is unresolved). The rows are taken as given;
+    delta_nu from the run of bins at or above half maximum around the
+    argmax, bounded by the nearest bin below it on each side: the span of
+    the run's bin centres, or a quarter of the window where that is zero
+    (ROADMAP item 17 revises this rule). The rows are taken as given;
     mle_fit_stack hands over each row scaled to its own level. The 2q wing
     bins are sorted once, and their median is the mean of the middle pair,
     NaN where the sorted row ends in NaN, as np.median takes it.
@@ -83,8 +85,8 @@ def _initial_guess_stack(nu: np.ndarray, s: np.ndarray, window) -> np.ndarray:
     k = np.argmax(s, axis=1)
     s_at = s[np.arange(m), k] - s_ph
     s_at = np.where(s_at > 0.0, s_at, _S_AT_FLOOR_FRACTION * s_ph)
-    # width from the outermost half-maximum crossings around the peak: the
-    # nearest bin below half maximum on each side of it bounds the run
+    # width: the run of bins at or above half maximum around the argmax,
+    # bounded by the nearest bin below it on each side (ROADMAP item 17)
     below = s < (s_ph + 0.5 * s_at)[:, None]
     j = np.arange(k_bins)
     left = np.max(np.where(below & (j < k[:, None]), j, -1), axis=1) + 1

@@ -6,17 +6,27 @@ they can cross-check each other:
 * a discrete sum over the fitted frequency bins, info = (n_eff + 2) *
   sum_i g_i g_i^T with g_i the log-spectrum gradient, and
 * a continuous-frequency approximation, info = (n_eff + 2) / nu_t *
-  integral of g g^T over the fit window. Where its elementary
-  antiderivatives are certified, it is taken in closed form: for a line
-  inside the window, at least one half-width from its farther edge, with
-  s_at / s_ph in _CLOSED_BAND (0.1 to 100; the shipped scan spans 0.20 to
-  59), where they hold 1e-11 of the rule below. Every other row, a weak or
-  dominant line, a line outside the window or a window inside the line,
-  takes one fixed-order Gauss-Legendre rule on panels that double in width
-  away from the line. The rule is folded about the line centre: f is even
-  in nu - nu_l, so g at nu_l - x is g at nu_l + x with its nu_l component
-  negated, and each panel of |nu - nu_l| is evaluated once for both sides
-  of the line.
+  integral of g g^T over the fit window.
+
+The integral takes one of two paths per row. The closed form's band is
+s_at / s_ph = r in _CLOSED_BAND, 0.1 to 100 (the shipped scan spans 0.20 to
+59), with the line inside the window and at least one half-width from its
+farther edge. There the elementary antiderivatives hold 1e-11 of the
+quadrature, normalized by the diagonal (8.5e-13 at the band's ends), and
+the integral is taken in closed form. Every other row, a weak or dominant
+line, a line outside the window or a window inside the line, takes one
+fixed-order Gauss-Legendre rule on panels that double in width away from
+the line. The quadrature stays because the partial fractions cancel among
+themselves off the band, not only in their differences: the error passes
+1e-11 near r 0.03 and 300 and reaches 1e-8 near 1e-3 and 1e4, and a window
+within a hundredth of a half-width of the line gives 2e-5. With every
+F(u_hi) - F(u_lo) taken exactly, a line far outside the 33-52 kHz window
+still leaves the nu_l entry off by 3.0e-4 (r 0.1, delta_nu 30 Hz, 268
+half-widths below) and 3.8e-9 (r 4, delta_nu 1 kHz, at 100 kHz); ROADMAP
+item 18 records what one closed form for every row would take. The rule is
+folded about the line centre: f is even in nu - nu_l, so g at nu_l - x is g
+at nu_l + x with its nu_l component negated, and each panel of |nu - nu_l|
+is evaluated once for both sides of the line.
 
 `nu_t` is the frequency spacing of the grid actually fit (after any
 coarse-graining), not necessarily 1/T of the raw record. The covariance
@@ -222,12 +232,7 @@ _BLOCK_CELLS = 64
 # (M) or its lower side only (S M S).
 _MIRROR = np.outer([1.0, -1.0, 1.0, 1.0], [1.0, -1.0, 1.0, 1.0])
 _SIDES = np.stack([1.0 + _MIRROR, np.ones((4, 4)), _MIRROR])
-# The s_at / s_ph band in which _closed_form holds 1e-11 of _outer_integral
-# (normalized by the diagonal), for a line inside the window and at least
-# one half-width from its farther edge; it held 8.5e-13 at the band's ends.
-# Its partial fractions cancel away from r = 1: the error passes 1e-11 near
-# 0.03 and 300 and reaches 1e-8 near 1e-3 and 1e4. A window within a
-# hundredth of a half-width of the line cancels too (2e-5).
+# The s_at / s_ph range of the closed form's band (module docstring).
 _CLOSED_BAND = (0.1, 100.0)
 
 
@@ -252,11 +257,9 @@ def _outer_integral(theta: np.ndarray, lo: float, hi: float) -> np.ndarray:
     each row's panels add in ascending |x|, so a row gets the same bits
     alone or in any stack.
 
-    _integral_info hands it the rows that _closed_rows does not certify for
-    _closed_form: there the closed form's partial fractions cancel (s_at /
-    s_ph far from 1) or the window is a sliver of the line, and this rule
-    keeps its digits. It is also the reference the closed form is tested
-    against.
+    _integral_info hands it the rows outside the closed form's band (module
+    docstring), where this rule keeps its digits. It is also the reference
+    the closed form is tested against.
 
     The panels (edges, widths, centres and side) are built once per call, at
     the largest depth K of the stack, and the rule is evaluated in blocks of
@@ -354,10 +357,10 @@ def _closed_form(theta: np.ndarray, u: np.ndarray, r: np.ndarray) -> np.ndarray:
 def _closed_rows(theta: np.ndarray, lo: float, hi: float):
     """(closed, u, r): which rows of theta take _closed_form, with its arguments for every row.
 
-    A row is closed when s_at / s_ph lies in _CLOSED_BAND and its line lies
-    inside [lo, hi], at least one half-width from the farther edge; u holds
-    the edges in half-widths from the line, (2, rows). A row that overflows
-    u or r, or holds a NaN, is not closed.
+    A row is closed when it lies in the closed form's band (module
+    docstring) for the window [lo, hi]; u holds the edges in half-widths
+    from the line, (2, rows). A row that overflows u or r, or holds a NaN,
+    is not closed.
     """
     with np.errstate(all="ignore"):
         u = (np.array([[lo], [hi]]) - theta[:, 1]) / (0.5 * theta[:, 3])
@@ -403,10 +406,9 @@ def fisher_integral(
     (n_eff + 2) / nu_t times the window integral of the log-gradient outer
     product. Agrees with fisher_discrete on the same window once the
     linewidth spans many grid steps. The one-row case of
-    integral_covariance_stack: the integral is in closed form when the row
-    lies in the closed form's band (s_at / s_ph in 0.1 to 100, the line
-    inside the window and at least a half-width from its farther edge), and
-    by the panel quadrature otherwise, with the bits of the stack either way.
+    integral_covariance_stack: the integral is in closed form inside the
+    closed form's band (module docstring) and by the panel quadrature
+    otherwise, with the bits of the stack either way.
     """
     info = _integral_info(v.as_array()[None], window, nu_t, n_eff)[0]
     return _result(info, n_eff, nu_t, window, "integral")

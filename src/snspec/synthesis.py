@@ -12,10 +12,10 @@ periodogram). Averaging records or coarse-graining bins multiplies n_eff.
 Each route's stack function draws one averaged spectrum per seed into an
 array row, computing what is constant per run once, with the same bits.
 Both stacks seed through _generators: row k draws from the generator
-default_rng(seeds[k]) would give, PCG64 in the same state, but the seeds'
-SeedSequence hashes are computed for all rows in one pass of uint32 array
-arithmetic, and each row's generator is built from its hashed words as the
-row is drawn. numpy.random is loaded on the first draw, not on import.
+default_rng(seeds[k]) would give, PCG64 in the same state, but a 2-d uint32
+array of seeds is SeedSequence-hashed in one pass of uint32 array arithmetic,
+and each row's generator is built from its hashed words as the row is drawn.
+numpy.random is loaded on the first draw, not on import.
 A stack holds a contiguous range of the coarse bins, the whole grid by
 default; its columns have the bits of those columns of the whole stack.
 AcquisitionConfig is the one home of coarse-bin ranges: coarse_grid(bins)
@@ -276,21 +276,6 @@ def _seed_words(seed) -> list[int]:
     raise TypeError(f"a seed is a nonnegative integer or a sequence of them, got {type(seed).__name__}")
 
 
-def _entropy(seeds):
-    """Each seed's entropy words as one (n, w) uint32 array, each row
-    zero-padded to the longest, and the count of each row's own words: the
-    array itself and its width for a 2-d uint32 array such as trial_seeds
-    builds."""
-    if isinstance(seeds, np.ndarray) and seeds.dtype == np.uint32 and seeds.ndim == 2:
-        return seeds, seeds.shape[1]
-    rows = [_seed_words(seed) for seed in seeds]
-    sizes = np.array([len(words) for words in rows], dtype=np.intp)
-    entropy = np.zeros((len(rows), sizes.max(initial=0)), dtype=np.uint32)
-    for row, words in zip(entropy, rows):
-        row[: len(words)] = words
-    return entropy, sizes
-
-
 def _hash_constants(init: int, mult: int, n: int) -> np.ndarray:
     """The running hash constant from init through its n updates c <- c*mult,
     each a Python int masked to 32 bits: an (n + 1, 1) uint32 array."""
@@ -318,17 +303,17 @@ def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return r
 
 
-def _seed_states(entropy: np.ndarray, sizes) -> np.ndarray:
-    """SeedSequence(words).generate_state(4, np.uint64) of each row's first
-    sizes words of the (n, w) uint32 array entropy: an (n, 4) uint64 array.
+def _seed_states(entropy: np.ndarray) -> np.ndarray:
+    """SeedSequence(words).generate_state(4, np.uint64) of each row of the
+    (n, w) uint32 array entropy: an (n, 4) uint64 array.
 
     It runs SeedSequence's own steps on all rows at once, in uint32 array
     arithmetic, which wraps mod 2^32 as its C does. The hash constant runs
     through the same values on every row, so it is computed once. mix_entropy
     hashes the first _POOL words (0 past a row's end) into the pool, mixes
-    each pool word into the others, then each further word into all of them,
-    on the rows that hold that word; generate_state hashes the pool, taken
-    twice in turn, into 8 words, paired lowest first into 4 uint64."""
+    each pool word into the others, then each further word into all of them;
+    generate_state hashes the pool, taken twice in turn, into 8 words, paired
+    lowest first into 4 uint64."""
     words = np.zeros((max(entropy.shape[1], _POOL), len(entropy)), dtype=np.uint32)
     words[: entropy.shape[1]] = entropy.T
     c = _hash_constants(_INIT_A, _MULT_A, _POOL * _POOL + _POOL * (len(words) - _POOL))
@@ -339,7 +324,7 @@ def _seed_states(entropy: np.ndarray, sizes) -> np.ndarray:
         pool[dst] = _mix(pool[dst], _hashmix(pool[src], c[i : i + _POOL]))
         i += _POOL - 1
     for src in range(_POOL, len(words)):
-        np.copyto(pool, _mix(pool, _hashmix(words[src], c[i : i + _POOL + 1])), where=src < sizes)
+        pool = _mix(pool, _hashmix(words[src], c[i : i + _POOL + 1]))
         i += _POOL
     state = _hashmix(np.concatenate([pool, pool]), _hash_constants(_INIT_B, _MULT_B, 2 * _POOL))
     return np.ascontiguousarray(state.T, dtype="<u4").view("<u8").astype(np.uint64, copy=False)
@@ -368,11 +353,16 @@ def _generators(seeds):
     """Yield, seed by seed, the Generator default_rng(seed) gives: PCG64 in
     the same state. A seed is a nonnegative integer, a sequence of them such
     as a tuple, or a row of uint32 entropy words; seeds is a sequence of
-    seeds or a 2-d uint32 array of rows. All the seeds are hashed in one
-    pass (_seed_states) when the first is asked for; each Generator is built
-    as it is asked for, so no more than one needs to be held at a time."""
+    seeds or a 2-d uint32 array of rows. When the first is asked for, every
+    seed is checked and hashed, the rows of such an array in one pass
+    (_seed_states), any other seed by numpy's own SeedSequence. Each
+    Generator is built as it is asked for, so one at a time is held."""
     make = _pcg64_generator()
-    for words in _seed_states(*_entropy(seeds)):
+    if isinstance(seeds, np.ndarray) and seeds.dtype == np.uint32 and seeds.ndim == 2:
+        states = _seed_states(seeds)
+    else:
+        states = [np.random.SeedSequence(_seed_words(seed)).generate_state(4, np.uint64) for seed in seeds]
+    for words in states:
         yield make(words)
 
 
@@ -387,8 +377,8 @@ def sample_periodogram_exact_stack(v, cfg: AcquisitionConfig, seeds, bins: slice
     domain. f/n_eff is evaluated once, at the range's own centres; each row
     draws standard Gamma variates in place up to the range's last bin, a
     prefix that the stream's order fixes, from its seed's generator (see
-    _generators: the seeds are hashed in one pass), and one multiply of the
-    range by f/n_eff ends the stack, with the bits of
+    _generators: the seeds are hashed before the first draw), and one
+    multiply of the range by f/n_eff ends the stack, with the bits of
     default_rng(seed).gamma(n_eff, f/n_eff)[bins]. A seed is a nonnegative
     int, a tuple of them, or a row of uint32 entropy words.
     """
@@ -430,10 +420,12 @@ def synthesize_timeseries(v, cfg: AcquisitionConfig, seed) -> TimeSeries:
     The record is built in the frequency domain: independent complex
     Gaussian coefficients C_i with E|C_i|^2 = M*f_i/(2*delta) for
     i = 1 .. M/2 - 1, zero DC and Nyquist, inverse real FFT. Deterministic
-    given the seed.
+    given the seed: a Generator to draw from, or a seed in a form _generators
+    takes, whose generator is default_rng(seed)'s (None is a TypeError).
     """
+    rng = seed if isinstance(seed, np.random.Generator) else next(_generators([seed]))
     amp, y = _amplitudes(v, cfg), np.empty(cfg.record_length)
-    _record(amp, np.random.default_rng(seed), y, np.empty(amp.size + 2, dtype=complex))
+    _record(amp, rng, y, np.empty(amp.size + 2, dtype=complex))
     return TimeSeries(cfg.delta, y)
 
 
@@ -505,10 +497,10 @@ def timeseries_periodogram_stack(v, cfg: AcquisitionConfig, seeds, bins: slice =
     coarse_grain; a seed takes the forms sample_periodogram_exact_stack
     takes. The amplitudes are computed once. The rows are filled in
     contiguous slices, one per worker (see _workers); each worker hashes its
-    slice's seeds in one pass and builds each row's generator as it comes
-    (_generators), and reuses one record, one coefficient buffer and one
-    buffer for the n_ave periodograms of its current row, on the raw bins of
-    the range only, so a row has the same bits for any worker count.
+    slice's seeds before its first draw and builds each row's generator as
+    it comes (_generators), and reuses one record, one coefficient buffer
+    and one buffer for the n_ave periodograms of its current row, on the raw
+    bins of the range only, so a row has the same bits for any worker count.
     """
     amp, n_bin, delta = _amplitudes(v, cfg), cfg.n_bin, cfg.delta
     start, stop = _bin_range(bins, cfg.n_coarse)

@@ -203,6 +203,16 @@ class TestTimeSeriesSynthesis:
         b = synthesize_timeseries(V, self.CFG, seed=21)
         np.testing.assert_array_equal(a.y, b.y)
 
+    @pytest.mark.parametrize("seed", [21, (21, 3)])
+    def test_a_seed_or_a_generator_gives_default_rngs_record(self, seed):
+        want = synthesize_timeseries(V, self.CFG, np.random.default_rng(seed))
+        np.testing.assert_array_equal(synthesize_timeseries(V, self.CFG, seed).y, want.y, strict=True)
+
+    def test_no_seed_is_refused(self):
+        # None would draw OS entropy: a record that cannot be repeated
+        with pytest.raises(TypeError):
+            synthesize_timeseries(V, self.CFG, None)
+
 
 class TestPeriodogram:
     def test_single_tone_lands_in_one_bin(self):
@@ -342,6 +352,10 @@ def assert_same_generator(got, seed):
         np.testing.assert_array_equal(draw(got).view(np.uint64), draw(want).view(np.uint64))
 
 
+# lists whose first seed is valid and whose last is not
+BAD_LAST_SEEDS = [([0, (1, 2), -1], ValueError), ([0, None], TypeError)]
+
+
 class TestGenerators:
     """_generators gives each seed the generator default_rng(seed) gives."""
 
@@ -354,7 +368,7 @@ class TestGenerators:
         assert_same_generator(got, seed)
 
     def test_seeds_of_every_length_in_one_call(self):
-        # rows of 0 to 8 words share one pass, each zero-padded to the longest
+        # seeds of 0 to 8 words in one list: each gets default_rng's generator
         seeds = [(m, k) for m in MASTERS for k in KS] + [0, 2**200, (), [1, 2, 3, 4, 5], np.arange(3, dtype=np.int64)]
         generators = _generators(seeds)
         for seed in seeds:
@@ -372,6 +386,12 @@ class TestGenerators:
         with pytest.raises(error):
             next(_generators([seed]))
 
+    @pytest.mark.parametrize("seeds, error", BAD_LAST_SEEDS)
+    def test_a_bad_seed_late_in_a_list_raises_at_the_first_draw(self, seeds, error):
+        # every seed is checked before the first generator is built
+        with pytest.raises(error):
+            next(_generators(seeds))
+
 
 class TestStackSeeding:
     CFG = make_cfg(t_total=0.01, fit_lo=30e3, fit_hi=60e3, n_ave=2, n_bin=3)
@@ -383,6 +403,12 @@ class TestStackSeeding:
         out = stack(V, self.CFG, seeds, bins)
         assert out.shape == (0, bins.stop - bins.start)
         assert stack(V, self.CFG, seeds).shape == (0, self.CFG.n_coarse)
+
+    @pytest.mark.parametrize("stack", [sample_periodogram_exact_stack, timeseries_periodogram_stack])
+    @pytest.mark.parametrize("seeds, error", BAD_LAST_SEEDS)
+    def test_a_bad_seed_late_in_a_list_fails_the_stack(self, stack, seeds, error):
+        with pytest.raises(error):
+            stack(V, self.CFG, seeds, self.CFG.fit_window())
 
     @pytest.mark.parametrize("route", ["gamma", "timeseries"])
     def test_stacks_seed_without_default_rng(self, monkeypatch, route):
