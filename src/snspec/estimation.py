@@ -12,10 +12,16 @@ model's log-gradient times the log-scale factors) each step solves
 fisher.invert_psd_stack, one lambda per spectrum. That is one Cholesky of
 the active rows, whose pivots certify full rank, and an eigen-factorization
 of the rows they do not certify; a row whose matrix is rank-deficient fails.
+Convergence is decided on the fall of W that the scoring model predicts
+(Madsen, Nielsen & Tingleff, Methods for Non-Linear Least Squares Problems,
+2004): a row whose certified step predicts a fall of at most tol takes that
+step without evaluating W there, a Newton step of about sqrt(tol), and
+stops; a row also stops after an accepted step that fell by at most tol.
 A step that every row accepts adopts the trial state. Every row starts from
-the moment estimate of its own bins, its only start; a row with no positive
-bin, where W has no minimum, fails there. mle_fit_stack fits spectra stacked
-on one grid, each row with its bits alone, and returns arrays; mle_fit is its
+the moment estimate of its own bins, its only start, whose width is at
+least the bins at or above half maximum; a row with no positive bin, where
+W has no minimum, fails there. mle_fit_stack fits spectra stacked on one
+grid, each row with its bits alone, and returns arrays; mle_fit is its
 one-row case and the one place that builds a FitResult, with
 chi2 = sum_i (1 - S_bar_i/f_i(v_hat))^2 over the window's bins.
 """
@@ -42,9 +48,10 @@ __all__ = [
 
 # floor for the s_at start when the spectrum shows no peak, uV^2/Hz
 _S_AT_FLOOR_FRACTION = 1e-6
-# A row stops once its objective falls (or a rejected step promised to) by at
-# most _STOP_DECREASE per bin, 1e-6 of the log-likelihood n_eff W at the
-# reference; after _MAX_STEPS steps a row keeps its best point, unconverged.
+# A row stops once its certified step predicts, or its accepted step makes, a
+# fall of W of at most _STOP_DECREASE per bin, 1e-6 of the log-likelihood
+# n_eff W at the reference; after _MAX_STEPS steps a row keeps its best
+# point, unconverged.
 # _BLOCK_BINS, rows times bins solved together, bounds the memory.
 _STOP_DECREASE = 1e-10
 _MAX_STEPS = 200
@@ -67,13 +74,16 @@ def _initial_guess_stack(nu: np.ndarray, s: np.ndarray, window) -> np.ndarray:
 
     s_ph from the median over the outer quartiles of the window (the line
     wings), nu_l from the argmax bin, s_at from the peak height above s_ph,
-    delta_nu from the run of bins at or above half maximum around the
-    argmax, bounded by the nearest bin below it on each side: the span of
-    the run's bin centres, or a quarter of the window where that is zero
-    (ROADMAP item 17 revises this rule). The rows are taken as given;
-    mle_fit_stack hands over each row scaled to its own level. The 2q wing
-    bins are sorted once, and their median is the mean of the middle pair,
-    NaN where the sorted row ends in NaN, as np.median takes it.
+    delta_nu the larger of two widths at half maximum: the span of the bin
+    centres of the run at or above it around the argmax, bounded by the
+    nearest bin below it on each side (a quarter of the window where that
+    span is zero), and the bin spacing times the count of the window's bins
+    at or above it, which a core bin that dips below cannot cut short (from
+    the run alone, a strong, wide line could fall into a sub-bin local
+    minimum; a one-bin window has no spacing). The rows are taken as given;
+    mle_fit_stack hands over each row scaled to its own level.
+    The 2q wing bins are sorted once, and their median is the mean of the
+    middle pair, NaN where the sorted row ends in NaN, as np.median takes it.
     """
     m, k_bins = s.shape
     q = max(k_bins // 4, 1)
@@ -86,13 +96,16 @@ def _initial_guess_stack(nu: np.ndarray, s: np.ndarray, window) -> np.ndarray:
     s_at = s[np.arange(m), k] - s_ph
     s_at = np.where(s_at > 0.0, s_at, _S_AT_FLOOR_FRACTION * s_ph)
     # width: the run of bins at or above half maximum around the argmax,
-    # bounded by the nearest bin below it on each side (ROADMAP item 17)
+    # bounded by the nearest bin below it on each side
     below = s < (s_ph + 0.5 * s_at)[:, None]
     j = np.arange(k_bins)
     left = np.max(np.where(below & (j < k[:, None]), j, -1), axis=1) + 1
     right = np.min(np.where(below & (j > k[:, None]), j, k_bins), axis=1) - 1
     width = nu[right] - nu[left]
     width = np.where(width > 0.0, width, 0.25 * (window[1] - window[0]))
+    # and at least the spacing times the count of bins at or above it
+    spacing = (nu[-1] - nu[0]) / max(k_bins - 1, 1)
+    width = np.maximum(width, spacing * (k_bins - np.count_nonzero(below, axis=1)))
     return np.column_stack([s_ph, nu[k], s_at, width])
 
 
@@ -139,12 +152,16 @@ def mle_fit_stack(nu, s_bar, window):
     the ascending grid nu, read through views of the window's bins.
 
     Each row starts from its moment estimate. Returns (v_hat, n_iter, converged)
-    with shapes (m, 4), (m,) and (m,). A row leaves the active set once its
-    objective stops falling; n_iter counts its steps. A trial step out of the
-    model's range (a non-finite objective or normal matrix, or an exp that
-    underflows) is rejected and the damping raised. A row with no positive
-    bin, whose start is out of range or whose damped normal matrix is
-    rank-deficient returns converged=False with its start point as v_hat.
+    with shapes (m, 4), (m,) and (m,). A row converges once its certified
+    step predicts a fall of W of at most tol (1e-10 per bin), and takes that
+    last step without a trial if its parameters stay in the model's range
+    (s_ph, s_at and delta_nu^2 finite and above 0), or once an accepted step
+    falls by at most tol; n_iter counts its trials, and the last step when
+    taken. A trial step out of the model's range (a non-finite objective or
+    normal matrix, or an exp that underflows) is rejected and the damping
+    raised. A row with no positive bin, whose start is out of range or whose
+    damped normal matrix is rank-deficient returns converged=False with its
+    start point as v_hat.
     A row whose start level s_ph lies outside [2^-256, 2^256] is solved
     scaled by the power of two that brings that level into [0.5, 1), so a
     spectrum near either end of the float range fits as it does at scale 1.
@@ -180,7 +197,13 @@ def _fit_window(nu, s, window):
 def _solve(theta, nu, s, bounds):
     """Damped scoring of every row of theta, in place; returns (steps, converged, failed).
 
-    The state holds the active rows only; a row that stops writes its outputs and leaves it."""
+    The state holds the active rows only; a row that stops writes its outputs
+    and leaves it. A row leaves before its trial when its damped normal
+    matrix is rank-deficient (failed) or its certified step predicts a fall
+    of W of at most tol (converged, the step kept where its parameters stay
+    in the model's range), so no row evaluates W only to confirm that it
+    has converged; and after its trial when an accepted step fell by at
+    most tol (converged) or at _MAX_STEPS steps (not converged)."""
     objective, normal, score, ok = _score(theta, nu, s)
     ok &= (s > 0.0).any(axis=1)  # an all-zero window: W = sum ln f has no minimum
     steps, converged, failed = np.zeros(len(s), dtype=int), np.zeros(len(s), dtype=bool), ~ok
@@ -196,30 +219,44 @@ def _solve(theta, nu, s, bounds):
         predicted = 0.5 * (delta * (damping * delta + score)).sum(axis=1)
         trial = th + delta
         trial[:, 1].clip(*bounds, out=trial[:, 1])
+        # before the trial: a rank loss fails, a predicted fall of at most tol converges
+        now_failed = rank < 4
+        now_converged = ~now_failed & ~(predicted > tol)
+        leave = now_failed | now_converged
+        if leave.any():
+            # the model's range: s_ph, s_at and delta_nu^2, which it forms, finite and above 0
+            p = _params(trial)
+            p[:, 3] *= p[:, 3]
+            taken = now_converged & np.isfinite(p).all(axis=1) & (p[:, _LOG] > 0.0).all(axis=1)
+            out, keep = rows[leave], ~leave
+            theta[out] = np.where(taken[:, None], trial, th)[leave]
+            steps[out], converged[out], failed[out] = step + taken[leave], now_converged[leave], now_failed[leave]
+            rows, th, objective, normal, score, s, lam, grow, trial, predicted = (
+                x[keep] for x in (rows, th, objective, normal, score, s, lam, grow, trial, predicted))
+            if not rows.size:
+                break
         t_objective, t_normal, t_score, t_ok = _score(trial, nu, s)
         fall = objective - t_objective
         gain = fall / predicted
-        accept = (rank == 4) & t_ok & (gain > 0.0)
+        accept = t_ok & (gain > 0.0)
         # Madsen, Nielsen & Tingleff's damping update
         shrink = np.maximum(1.0 / 3.0, 1.0 - (2.0 * gain - 1.0) ** 3)
         if accept.all():  # the common step: the trial is the new state
-            stop = fall <= tol
             lam *= shrink
             grow.fill(2.0)
             th, objective, normal, score = trial, t_objective, t_normal, t_score
         else:
-            stop = np.where(accept, fall <= tol, ~(predicted > tol))
             lam *= np.where(accept, shrink, grow)
             grow = np.where(accept, 2.0, 2.0 * grow)
             for x, t_x in ((th, trial), (objective, t_objective), (normal, t_normal), (score, t_score)):
                 np.copyto(x, t_x, where=accept.reshape((-1,) + (1,) * (x.ndim - 1)))
         step += 1
-        now_failed, now_converged = rank < 4, stop & (rank == 4)
-        leave = now_failed | now_converged | (step >= _MAX_STEPS)
+        # after it: an accepted step that fell by at most tol converges its row
+        stop = accept & (fall <= tol)
+        leave = stop | (step >= _MAX_STEPS)
         if leave.any():
             out, keep = rows[leave], ~leave
-            theta[out], steps[out] = th[leave], step
-            converged[out], failed[out] = now_converged[leave], now_failed[leave]
+            theta[out], steps[out], converged[out] = th[leave], step, stop[leave]
             rows, th, objective, normal, score, s, lam, grow = (
                 x[keep] for x in (rows, th, objective, normal, score, s, lam, grow))
     return steps, converged, failed

@@ -126,7 +126,9 @@ class TestInitialGuess:
 
 def initial_guess_reference(nu, s, window):
     """estimation._initial_guess_stack as it was when it took the wing level
-    from np.median: verbatim but for the module names."""
+    from np.median: verbatim but for the module names and the last two
+    lines of the width, the rule that now floors it at the count of bins at
+    or above half maximum."""
     m, k_bins = s.shape
     q = max(k_bins // 4, 1)
     s_ph = np.median(np.concatenate([s[:, :q], s[:, -q:]], axis=1), axis=1)
@@ -141,6 +143,8 @@ def initial_guess_reference(nu, s, window):
     right = np.min(np.where(below & (j > k[:, None]), j, k_bins), axis=1) - 1
     width = nu[right] - nu[left]
     width = np.where(width > 0.0, width, 0.25 * (window[1] - window[0]))
+    spacing = (nu[-1] - nu[0]) / max(k_bins - 1, 1)
+    width = np.maximum(width, spacing * (k_bins - np.count_nonzero(below, axis=1)))
     return np.column_stack([s_ph, nu[k], s_at, width])
 
 
@@ -275,7 +279,7 @@ class TestMleFitStack:
         out_of_range[np.flatnonzero(strong[0].nu >= WINDOW[0])[40]] = 1e300
         # this weak-line trial is still falling after _MAX_STEPS steps
         step_limit = trial_spectrum(weak_v, CFG, (0, 94), "gamma").s_bar
-        # and this weaker one's damped normal matrix loses rank at step 41
+        # and this weaker one's damped normal matrix loses rank at step 40
         weaker_v = dataclasses.replace(weak_v, s_at=0.02)
         deficient = trial_spectrum(weaker_v, CFG, (0, 243), "gamma").s_bar
         rows = [sp.s_bar for sp in spectra] + [out_of_range, step_limit, deficient]
@@ -301,7 +305,7 @@ class TestMleFitStack:
         assert np.unique(fits[1]).size > 2
         v_hat, n_iter, converged = fits
         start = [moment_start(Spectrum(nu, row, CFG.n_eff)).as_array() for row in s_bar[-3:]]
-        assert n_iter[-3:].tolist() == [0, estimation._MAX_STEPS, 41]
+        assert n_iter[-3:].tolist() == [0, estimation._MAX_STEPS, 40]
         assert not converged[-3:].any()
         # a failed row returns its start, a row at the step limit its best point
         np.testing.assert_array_equal(v_hat[[-3, -1]], [start[0], start[2]])
@@ -321,7 +325,7 @@ class TestMleFitStack:
         monkeypatch.setattr(estimation, "invert_psd_stack", recording)
         nu, s_bar = self.mixed_stack()
         n_iter = mle_fit_stack(nu, s_bar, WINDOW)[1]
-        assert n_iter[-3:].tolist() == [0, estimation._MAX_STEPS, 41]
+        assert n_iter[-3:].tolist() == [0, estimation._MAX_STEPS, 40]
         weak_v = SpectralParams(s_ph=1.0, nu_l=42600.0, s_at=0.05, delta_nu=1000.0)
         run_validation(weak_v, CFG, n_trials=20, master_seed=0, synthesis="gamma")
         mats = np.concatenate([a for a, _ in calls])
@@ -459,8 +463,11 @@ class TestScoreBits:
 def solve_reference(theta, nu, s, bounds, accepted):
     """estimation._solve as it was before a step whose rows all accept adopted
     the trial state, verbatim but for the module names, score_reference in
-    place of _score, and one line that appends accept.all() of each step to
-    the list accepted."""
+    place of _score, one line that appends accept.all() of each step to the
+    list accepted, and the stop rule of today's solve: a rank loss or a
+    certified step that predicts a fall of at most tol leaves before the
+    trial, the latter taking its step where s_ph, s_at and delta_nu^2 stay
+    finite and above 0."""
     objective, normal, score, ok = score_reference(theta, nu, s)
     ok &= (s > 0.0).any(axis=1)  # an all-zero window: W = sum ln f has no minimum
     steps, converged, failed = np.zeros(len(s), dtype=int), np.zeros(len(s), dtype=bool), ~ok
@@ -476,24 +483,37 @@ def solve_reference(theta, nu, s, bounds, accepted):
         predicted = 0.5 * np.sum(delta * (damping * delta + score), axis=1)
         trial = th + delta
         trial[:, 1] = np.clip(trial[:, 1], *bounds)
+        now_failed = rank < 4
+        now_converged = (rank == 4) & ~(predicted > tol)
+        p = estimation._params(trial)
+        p[:, 3] = p[:, 3] ** 2
+        taken = now_converged & np.all(np.isfinite(p), axis=1) & np.all(p[:, estimation._LOG] > 0.0, axis=1)
+        th[taken] = trial[taken]
+        leave = now_failed | now_converged
+        if leave.any():
+            out, keep = rows[leave], ~leave
+            theta[out], steps[out] = th[leave], step + taken[leave]
+            converged[out], failed[out] = now_converged[leave], now_failed[leave]
+            rows, th, objective, normal, score, s, lam, grow, trial, predicted = (
+                x[keep] for x in (rows, th, objective, normal, score, s, lam, grow, trial, predicted))
+            if not rows.size:
+                break
         t_objective, t_normal, t_score, t_ok = score_reference(trial, nu, s)
         fall = objective - t_objective
         gain = fall / predicted
-        accept = (rank == 4) & t_ok & (gain > 0.0)
+        accept = t_ok & (gain > 0.0)
         accepted.append(accept.all())
-        stop = np.where(accept, fall <= tol, ~(predicted > tol))
+        stop = accept & (fall <= tol)
         # Madsen, Nielsen & Tingleff's damping update
         lam *= np.where(accept, np.maximum(1.0 / 3.0, 1.0 - (2.0 * gain - 1.0) ** 3), grow)
         grow = np.where(accept, 2.0, 2.0 * grow)
         th[accept], objective[accept] = trial[accept], t_objective[accept]
         normal[accept], score[accept] = t_normal[accept], t_score[accept]
         step += 1
-        now_failed, now_converged = rank < 4, stop & (rank == 4)
-        leave = now_failed | now_converged | (step >= estimation._MAX_STEPS)
+        leave = stop | (step >= estimation._MAX_STEPS)
         if leave.any():
             out, keep = rows[leave], ~leave
-            theta[out], steps[out] = th[leave], step
-            converged[out], failed[out] = now_converged[leave], now_failed[leave]
+            theta[out], steps[out], converged[out] = th[leave], step, stop[leave]
             rows, th, objective, normal, score, s, lam, grow = (
                 x[keep] for x in (rows, th, objective, normal, score, s, lam, grow))
     return steps, converged, failed
@@ -531,6 +551,54 @@ class TestSolveBits:
             for row in s_bar:
                 self.check(monkeypatch, CFG.coarse_grid(), row[None], accepted)
         assert any(accepted) and not all(accepted)
+
+
+class TestStopRule:
+    """A certified step that predicts a fall of W of at most tol converges its
+    row, taken without a trial where it stays in the model's range."""
+
+    def test_one_more_step_at_every_converged_row_predicts_at_most_tol(self):
+        # the reference gamma stack; the undamped scoring step bounds the fall
+        # that every damped step predicts, as it minimizes the model of W
+        v = SpectralParams(s_ph=1.0, nu_l=42600.0, s_at=4.0, delta_nu=1000.0)
+        nu, s_bar = CFG.coarse_grid(), montecarlo.trial_spectra(v, CFG, montecarlo.trial_seeds(0, 100), "gamma")
+        v_hat, _, converged = mle_fit_stack(nu, s_bar, WINDOW)
+        bins = fit_bins(nu, WINDOW)
+        theta = np.where(estimation._LOG, np.log(v_hat), v_hat)
+        _, normal, score, ok = estimation._score(theta, nu[bins], s_bar[:, bins])
+        inverse, rank = invert_psd_stack(normal)
+        predicted = 0.5 * np.einsum("ri,rij,rj->r", score, inverse, score)
+        assert converged.all() and ok.all() and (rank == 4).all()
+        assert np.max(predicted) <= estimation._STOP_DECREASE * nu[bins].size
+
+    @pytest.mark.parametrize(
+        "v, seed",
+        [
+            # a fit that ends on a sub-bin spike (delta_nu 1e-18 Hz), whose last
+            # step takes s_at and delta_nu past the float range
+            (SpectralParams(8.945682811221126, 49132.69889963333, 0.12462897125553407, 4955.699033510336), 117184379),
+            # a weak line parked at the padded window's edge, whose last step
+            # takes delta_nu to 1e241 Hz: finite, but not its square, which
+            # the model forms (chi2 would be NaN there)
+            (SpectralParams(s_ph=1.0, nu_l=42600.0, s_at=0.01, delta_nu=1000.0), (3, 39)),
+        ],
+        ids=["overflow", "square-overflow"],
+    )
+    def test_a_last_step_out_of_the_model_range_is_not_taken(self, monkeypatch, v, seed):
+        # the row converges at the last point it scored instead
+        sp = trial_spectrum(v, REFERENCE_ACQUISITION, seed, "gamma")
+        scored, inverted = [], []
+        score, invert = estimation._score, estimation.invert_psd_stack
+        monkeypatch.setattr(estimation, "_score", lambda *a: scored.append((a[0].copy(), score(*a))) or scored[-1][1])
+        monkeypatch.setattr(estimation, "invert_psd_stack", lambda a: inverted.append(invert(a)) or inverted[-1])
+        r = mle_fit(sp, (REFERENCE_ACQUISITION.fit_lo, REFERENCE_ACQUISITION.fit_hi))
+        assert r.converged and np.all(np.isfinite(r.v_hat.as_array())) and np.isfinite(r.chi2)
+        # its start and one trial per step were scored, and nothing more taken
+        assert r.n_iter == len(scored) - 1
+        with np.errstate(all="ignore"):
+            theta, (_, _, g, _) = [x for x in scored if np.array_equal(estimation._params(x[0])[0], r.v_hat.as_array())][-1]
+            last = estimation._params(theta + (inverted[-1][0] @ g[..., None])[..., 0])[0]
+            assert np.isinf(last[3] * last[3])
 
 
 def cumulants_reference(x):

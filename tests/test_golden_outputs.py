@@ -18,6 +18,9 @@ and names both, rather than pass or fail on bits it cannot vouch for.
 When a change moves bytes on purpose, rewrite the manifest and cite its diff:
 
     PYTHONPATH=src python tests/test_golden_outputs.py
+
+Before it writes, it prints each digest that moved, was added or was
+removed, as 'run/file old8 -> new8' ('absent' for a side that lacks it).
 """
 
 import contextlib
@@ -135,19 +138,28 @@ def outputs(root: Path) -> dict:
     return digests
 
 
+def moved(expected: dict, got: dict) -> list:
+    """'run/file old8 -> new8' for each digest that differs between two manifests, sorted."""
+    return [
+        f"{k} {expected.get(k, 'absent')[:8]} -> {got.get(k, 'absent')[:8]}"
+        for k in sorted(expected.keys() | got.keys())
+        if expected.get(k) != got.get(k)
+    ]
+
+
 def test_shipped_outputs_match_the_manifest(tmp_path):
     manifest = json.loads(MANIFEST.read_text())
     if manifest["made_with"] != environment():
         pytest.skip(f"manifest made with {manifest['made_with']}, this is {environment()}: bits not comparable")
-    expected, got = manifest["sha256"], outputs(tmp_path)
-    moved = sorted(k for k in expected.keys() | got.keys() if expected.get(k) != got.get(k))
-    assert not moved, "outputs differ from the manifest: " + ", ".join(
-        f"{k} {expected.get(k, 'absent')[:8]} -> {got.get(k, 'absent')[:8]}" for k in moved
-    )
+    changes = moved(manifest["sha256"], outputs(tmp_path))
+    assert not changes, "outputs differ from the manifest: " + ", ".join(changes)
 
 
 if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as tmp:
         digests = outputs(Path(tmp))
+    old = json.loads(MANIFEST.read_text())["sha256"] if MANIFEST.exists() else {}
+    changes = moved(old, digests)
+    print("\n".join(changes + [f"{len(changes)} of {len(old.keys() | digests.keys())} digests moved, added or removed"]))
     MANIFEST.write_text(json.dumps({"made_with": environment(), "sha256": digests}, indent=1, sort_keys=True) + "\n")
     print(f"wrote {len(digests)} digests to {MANIFEST}")
