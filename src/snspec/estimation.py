@@ -6,9 +6,12 @@ grid: an averaged bin follows a Gamma(n_eff) law with mean f_i, and n_eff W
 is its negative log-likelihood up to a constant, so the estimate is
 unbiased to leading order at any n_eff. The solver is damped Fisher scoring
 (Levenberg-Marquardt) on theta = (ln s_ph, nu_l, ln s_at, ln delta_nu), nu_l
-clipped to the window padded by one width. With J = d ln f / d theta (the
-model's log-gradient times the log-scale factors) each step solves
-(J^T J + lambda diag(J^T J)) delta = J^T (S_bar/f - 1) through
+clipped to the window padded by one width. J = d ln f / d theta, the 4 x bins
+Jacobian, is the model's log-gradient in v = (s_ph, nu_l, s_at, delta_nu)
+times (s_ph, 1, s_at, delta_nu), taken in closed form: with off = nu - nu_l,
+w = 4 off^2, q = w + delta_nu^2, a = s_at delta_nu^2 / q and f = s_ph + a,
+its rows are (s_ph/f, 8 off (a/f)/q, a/f, 2 (a/f) w/q). Each step solves
+(J J^T + lambda diag(J J^T)) delta = J (S_bar/f - 1) through
 fisher.invert_psd_stack, one lambda per spectrum. That is one Cholesky of
 the active rows, whose pivots certify full rank, and an eigen-factorization
 of the rows they do not certify; a row whose matrix is rank-deficient fails.
@@ -32,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fisher import invert_psd_stack
-from .model import SpectralParams, eval_psd, grad_log_psd
+from .model import SpectralParams, eval_psd
 from .synthesis import Spectrum, fit_bins
 
 __all__ = [
@@ -129,20 +132,44 @@ def _params(theta: np.ndarray) -> np.ndarray:
 
 
 def _score(theta: np.ndarray, nu: np.ndarray, s: np.ndarray):
-    """Objective W, normal matrix J^T J, score J^T (S/f - 1), and whether the
-    row is usable: all finite (their sum is), no zero column (an exp underflow)."""
+    """Objective W = sum (S/f + ln f), normal matrix J J^T, score J (S/f - 1),
+    and whether the row is usable: all finite (their sum is), no zero row of J
+    (an exp underflow).
+
+    Each row of J (the module docstring's closed form) is written into one
+    contiguous (rows, bins) plane of a (4, rows, bins) buffer, and both
+    products are batched matmuls on its (rows, 4, bins) view. Neither q^2 nor
+    8 s_at off is formed, so a row at levels near 2^1000 stays usable.
+    """
     p = _params(theta)
-    g = grad_log_psd(p[:, None, :], nu)
-    ratio = s * g[..., 0]
-    objective = (ratio - np.log(g[..., 0])).sum(axis=1)
-    # J = g times the log-scale factors p, column by column on the rows'
-    # bins; nu_l is not a log, and its factor 1 would leave its column as is
-    for c in (0, 2, 3):
-        np.multiply(g[..., c], p[:, c, None], out=g[..., c])
-    jac_t = g.swapaxes(1, 2)
-    normal = jac_t @ g
+    s_ph, nu_l, s_at, d = (p[:, c, None] for c in range(4))
+    d2 = d * d
+    jac = np.empty((4,) + s.shape)
+    j_ph, j_nu, j_at, j_d = jac
+    # j_nu holds off and j_d holds w, and j_at a, until each row is formed
+    np.subtract(nu, nu_l, out=j_nu)
+    np.multiply(j_nu, j_nu, out=j_d)
+    j_d *= 4.0
+    q = np.add(j_d, d2)
+    np.divide(d2, q, out=j_at)
+    j_at *= s_at
+    f = np.add(j_at, s_ph)
+    j_at /= f
+    np.divide(s_ph, f, out=j_ph)
+    j_nu *= j_at
+    j_nu /= q
+    j_nu *= 8.0
+    j_d /= q
+    j_d *= j_at
+    j_d *= 2.0
+    ratio = np.divide(s, f)
+    np.log(f, out=f)
+    f += ratio
+    objective = f.sum(axis=1)
     ratio -= 1.0
-    score = (jac_t @ ratio[..., None])[..., 0]
+    jac = jac.transpose(1, 0, 2)  # (rows, 4, bins)
+    normal = jac @ jac.transpose(0, 2, 1)
+    score = (jac @ ratio[..., None])[..., 0]
     ok = np.isfinite(objective + score.sum(axis=1) + normal.sum(axis=(1, 2)))
     return objective, normal, score, ok & (normal.diagonal(0, 1, 2) > 0.0).all(axis=1)
 

@@ -390,8 +390,8 @@ class TestMleFitStack:
 
 
 def score_reference(theta, nu, s):
-    """_score as it was written before the Jacobian's columns were scaled one
-    by one: the (rows, bins, 4) gradient times a (rows, 1, 4) factor."""
+    """_score as it was written before it formed J in theta: the model's
+    (rows, bins, 4) log-gradient in v times a (rows, 1, 4) factor."""
     p = estimation._params(theta)
     g = grad_log_psd(p[:, None, :], nu)
     ratio = s * g[..., 0]
@@ -404,36 +404,81 @@ def score_reference(theta, nu, s):
     return objective, normal, score, ok & (np.diagonal(normal, axis1=1, axis2=2) > 0.0).all(axis=1)
 
 
-class TestScoreBits:
-    """_score keeps the bits of the reference Jacobian product on every row class."""
+def rows_of_every_kind():
+    """(theta, nu, s): the window's bins of one gamma trial, and a theta row of
+    every class, each row's spectrum scaled to its s_ph level where that is 2^+-1000."""
+    sp = trial_spectrum(V, CFG, (5, 0), "gamma")
+    bins = fit_bins(sp.nu, WINDOW)
+    nu, s = sp.nu[bins], sp.s_bar[bins]
+    log = np.log
+    theta = np.array([
+        [log(1.2), 42600.0, log(4.8), log(1500.0)],
+        [log(1.0), 40000.0, log(0.05), log(1000.0)],
+        [log(1.0), 42600.0, log(4.0), log(1e-200)],  # q^2 would underflow
+        [log(1.0), 42600.0, -800.0, log(1000.0)],  # s_at underflows to 0
+        [800.0, 42600.0, log(4.0), log(1000.0)],  # s_ph overflows
+        [1000 * log(2.0), 42600.0, 1000 * log(2.0), log(1000.0)],
+        [-1000 * log(2.0), 42600.0, -1000 * log(2.0), log(1000.0)],
+        [np.nan, 42600.0, log(4.0), log(1000.0)],
+        [log(1.0), np.inf, log(4.0), log(1000.0)],
+    ])
+    scale = np.ones(len(theta))
+    scale[5], scale[6] = 2.0**1000, 2.0**-1000
+    return theta, nu, s * scale[:, None]
 
-    def check(self, theta, nu, s):
-        with np.errstate(all="ignore"):
-            got, want = estimation._score(theta.copy(), nu, s), score_reference(theta.copy(), nu, s)
-        for a, b in zip(got, want, strict=True):
-            assert a.shape == b.shape and a.dtype == b.dtype
-            np.testing.assert_array_equal(a.view(np.uint8), b.view(np.uint8))
+
+class TestScoreBits:
+    """_score's Jacobian in theta, and its products against the reference's."""
+
+    @pytest.mark.parametrize("s_at", [4.0, 0.05])
+    def test_jacobian_matches_central_differences_of_ln_f(self, s_at):
+        # at one bin and S = 0 the score is -J, with no sum: J read off _score
+        nu = CFG.coarse_grid()[fit_bins(CFG.coarse_grid(), WINDOW)]
+        theta = np.array([[0.0, 42600.0, np.log(s_at), np.log(1000.0)]])
+        jac = -np.concatenate([estimation._score(theta, nu[k : k + 1], np.zeros((1, 1)))[2] for k in range(nu.size)])
+        h = np.array([1e-5, 1e-5 * 1000.0, 1e-5, 1e-5])
+        want = np.empty_like(jac)
+        for c in range(4):
+            up, down = theta[0].copy(), theta[0].copy()
+            up[c] += h[c]
+            down[c] -= h[c]
+            ln_f = [np.log(eval_psd(estimation._params(x), nu)) for x in (up, down)]
+            want[:, c] = (ln_f[0] - ln_f[1]) / (2.0 * h[c])
+        assert np.all(np.abs(jac - want) <= 1e-8 * np.abs(want).max(axis=0)), np.abs(jac - want).max(axis=0)
 
     def test_rows_of_every_kind(self):
-        sp = trial_spectrum(V, CFG, (5, 0), "gamma")
-        bins = fit_bins(sp.nu, WINDOW)
-        nu, s = sp.nu[bins], sp.s_bar[bins]
-        log = np.log
-        theta = np.array([
-            [log(1.2), 42600.0, log(4.8), log(1500.0)],
-            [log(1.0), 40000.0, log(0.05), log(1000.0)],
-            [log(1.0), 42600.0, log(4.0), log(1e-200)],  # q^2 would underflow
-            [log(1.0), 42600.0, -800.0, log(1000.0)],  # s_at underflows to 0
-            [800.0, 42600.0, log(4.0), log(1000.0)],  # s_ph overflows
-            [1000 * log(2.0), 42600.0, 1000 * log(2.0), log(1000.0)],
-            [-1000 * log(2.0), 42600.0, -1000 * log(2.0), log(1000.0)],
-            [np.nan, 42600.0, log(4.0), log(1000.0)],
-            [log(1.0), np.inf, log(4.0), log(1000.0)],
-        ])
-        scale = np.ones(len(theta))
-        scale[5], scale[6] = 2.0**1000, 2.0**-1000
-        self.check(theta, nu, s * scale[:, None])
-        self.check(theta[:1], nu, s[None])
+        # W, J J^T and the score within 1e-15 of the reference, normalized by
+        # |W|, by the diagonal, and by the diagonal times |S/f - 1| (the
+        # Cauchy-Schwarz bound on the score's sum); the same usable rows, but
+        # the one at 2^1000, whose 8 s_at off the reference overflowed
+        theta, nu, s = rows_of_every_kind()
+        with np.errstate(all="ignore"):
+            (w, n, g, ok), (w_ref, n_ref, g_ref, ok_ref) = estimation._score(theta.copy(), nu, s), score_reference(theta.copy(), nu, s)
+            r_norm = np.linalg.norm(s / eval_psd(estimation._params(theta)[:, None, :], nu) - 1.0, axis=1)
+        for a, b in zip((w, n, g, ok), (w_ref, n_ref, g_ref, ok_ref), strict=True):
+            assert a.shape == b.shape and a.dtype == b.dtype
+        np.testing.assert_array_equal(ok, ok_ref | (np.arange(len(theta)) == 5))
+        assert ok[5] and not ok_ref[5]
+        both = ok & ok_ref
+        w, n, g, w_ref, n_ref, g_ref, r_norm = (x[both] for x in (w, n, g, w_ref, n_ref, g_ref, r_norm))
+        diag = np.sqrt(n_ref.diagonal(0, 1, 2))
+        assert np.all(np.abs(w - w_ref) <= 1e-15 * np.abs(w_ref))
+        assert np.all(np.abs(n - n_ref) <= 1e-15 * diag[:, :, None] * diag[:, None, :])
+        assert np.all(np.abs(g - g_ref) <= 1e-15 * diag * r_norm[:, None])
+
+    def test_the_row_at_2_to_the_1000_is_the_row_at_one(self):
+        # _fit_window brings such levels into [0.5, 1) before any fit, but
+        # _score stays right there: J and S/f do not depend on the level, and
+        # W moves by bins times 1000 ln 2 (exp(1000 ln 2) is 2^1000 to 1e-13)
+        theta, nu, s = rows_of_every_kind()
+        at_one = np.array([[0.0, 42600.0, 0.0, np.log(1000.0)]])
+        w, n, g, ok = estimation._score(theta[5:6], nu, s[5:6])
+        w_one, n_one, g_one, ok_one = estimation._score(at_one, nu, s[5:6] * 2.0**-1000)
+        assert ok[0] and ok_one[0]
+        np.testing.assert_allclose(w - nu.size * 1000 * np.log(2.0), w_one, rtol=1e-12)
+        diag = np.sqrt(n_one[0].diagonal())
+        assert np.all(np.abs(n - n_one)[0] <= 1e-11 * np.outer(diag, diag))
+        assert np.all(np.abs(g - g_one)[0] <= 1e-11 * diag * np.linalg.norm(s[5] * 2.0**-1000))
 
     def test_params_keep_the_bits_of_exp_on_every_entry(self):
         log = np.log
@@ -462,13 +507,13 @@ class TestScoreBits:
 
 def solve_reference(theta, nu, s, bounds, accepted):
     """estimation._solve as it was before a step whose rows all accept adopted
-    the trial state, verbatim but for the module names, score_reference in
-    place of _score, one line that appends accept.all() of each step to the
-    list accepted, and the stop rule of today's solve: a rank loss or a
-    certified step that predicts a fall of at most tol leaves before the
-    trial, the latter taking its step where s_ph, s_at and delta_nu^2 stay
-    finite and above 0."""
-    objective, normal, score, ok = score_reference(theta, nu, s)
+    the trial state, verbatim but for the module names, one line that
+    appends accept.all() of each step to the list accepted, and the stop
+    rule of today's solve: a rank loss or a certified step that predicts a
+    fall of at most tol leaves before the trial, the latter taking its step
+    where s_ph, s_at and delta_nu^2 stay finite and above 0. It calls
+    estimation._score, so the loop is pinned on the kernel it runs."""
+    objective, normal, score, ok = estimation._score(theta, nu, s)
     ok &= (s > 0.0).any(axis=1)  # an all-zero window: W = sum ln f has no minimum
     steps, converged, failed = np.zeros(len(s), dtype=int), np.zeros(len(s), dtype=bool), ~ok
     rows = np.flatnonzero(ok)
@@ -498,7 +543,7 @@ def solve_reference(theta, nu, s, bounds, accepted):
                 x[keep] for x in (rows, th, objective, normal, score, s, lam, grow, trial, predicted))
             if not rows.size:
                 break
-        t_objective, t_normal, t_score, t_ok = score_reference(trial, nu, s)
+        t_objective, t_normal, t_score, t_ok = estimation._score(trial, nu, s)
         fall = objective - t_objective
         gain = fall / predicted
         accept = t_ok & (gain > 0.0)
