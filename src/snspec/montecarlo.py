@@ -22,6 +22,8 @@ default_rng itself is not called. The trials are synthesized into one
 timeseries route's long records), on the coarse bins of cfg.fit_window()
 only, and fitted in one stacked solve, each bit for bit as if alone: row k
 holds the window's columns of trial_spectrum(v, cfg, (master_seed, k)).
+On the gamma route a trial's generator draws the window's bins first (the
+stream order of synthesis), so a trial draws its window's variates alone.
 """
 from __future__ import annotations
 

@@ -18,6 +18,12 @@ and each row's generator is built from its hashed words as the row is drawn.
 numpy.random is loaded on the first draw, not on import.
 A stack holds a contiguous range of the coarse bins, the whole grid by
 default; its columns have the bits of those columns of the whole stack.
+The gamma stack's generators draw the coarse bins in stream order: from the
+fit window's first bin, the first at or above fit_lo, to the end of the
+grid, then the bins below it, where fit_lo above the last centre makes the
+origin n_coarse, modulo itself 0, the grid's own order. A row stops at its
+range's last bin in that order, so a stack on the fit window draws its own
+bins alone, and a range across the origin draws the whole grid.
 AcquisitionConfig is the one home of coarse-bin ranges: coarse_grid(bins)
 builds the centres of any such range, and fit_window() names the fit
 window's bins as one slice, by fit_bins, the rule every fit applies.
@@ -366,6 +372,23 @@ def _generators(seeds):
         yield make(words)
 
 
+def _stream_origin(cfg: AcquisitionConfig) -> int:
+    """The coarse bin a gamma-route generator draws first: the first one
+    whose centre is at or above fit_lo, the start of fit_window(), taken
+    modulo n_coarse, so 0 where fit_lo lies above the last centre. A guess
+    from the centres' closed form, (b*n_bin + (n_bin + 1)/2)/(M*delta), is
+    moved to the exact bin by the centres of its neighbours alone, each with
+    the bits of its entry of coarse_grid()."""
+    n, n_bin, lo = cfg.n_coarse, cfg.n_bin, cfg.fit_lo
+    b = math.ceil((lo * cfg.record_length * cfg.delta - (n_bin + 1) / 2) / n_bin)
+    b = min(max(b, 0), n)
+    while b > 0 and cfg.coarse_grid(slice(b - 1, b))[0] >= lo:
+        b -= 1
+    while b < n and cfg.coarse_grid(slice(b, b + 1))[0] < lo:
+        b += 1
+    return b % n
+
+
 def sample_periodogram_exact_stack(v, cfg: AcquisitionConfig, seeds, bins: slice = slice(None)) -> np.ndarray:
     """Draw one averaged spectrum per seed straight from its sampling law:
     a (len(seeds), len(grid[bins])) array on grid = cfg.coarse_grid().
@@ -374,21 +397,33 @@ def sample_periodogram_exact_stack(v, cfg: AcquisitionConfig, seeds, bins: slice
     f(nu_i, v); the mean of n_eff = n_bin*n_ave independent such values is
     Gamma(shape n_eff, mean f), f taken at the coarse-bin center. Bins are
     independent, so a spectrum is drawn in one shot, bypassing the time
-    domain. f/n_eff is evaluated once, at the range's own centres; each row
-    draws standard Gamma variates in place up to the range's last bin, a
-    prefix that the stream's order fixes, from its seed's generator (see
-    _generators: the seeds are hashed before the first draw), and one
-    multiply of the range by f/n_eff ends the stack, with the bits of
-    default_rng(seed).gamma(n_eff, f/n_eff)[bins]. A seed is a nonnegative
-    int, a tuple of them, or a row of uint32 entropy words.
+    domain. Each seed's generator (see _generators: the seeds are hashed
+    before the first draw) draws standard Gamma variates in the stream
+    order: the coarse bins from the origin o, the first one at or above
+    fit_lo (_stream_origin), to the end of the grid, then bins 0 .. o - 1;
+    where fit_lo lies above the last centre, o = n_coarse modulo itself = 0,
+    the grid's own order. A row draws the stream up to the range's last
+    bin, so a range inside [o, n_coarse), the fit window among them, draws
+    exactly its own bins; a range that holds bins o - 1 and o draws the
+    whole stream and is put back in grid order. f/n_eff is evaluated once,
+    at the range's own centres, and one multiply by it ends the stack: row
+    k has the bits of default_rng(seeds[k]).gamma(n_eff, g), g being f/n_eff
+    in stream order, at the range's bins. A seed is a nonnegative int, a
+    tuple of them, or a row of uint32 entropy words.
     """
-    n_eff = cfg.n_eff
-    start, stop = _bin_range(bins, cfg.n_coarse)
+    n_eff, n = cfg.n_eff, cfg.n_coarse
+    start, stop = _bin_range(bins, n)
     scale = eval_psd(v, cfg.coarse_grid(bins)) / n_eff
-    out = np.empty((len(seeds), stop))
+    first, count = (start - _stream_origin(cfg)) % n, stop - start
+    out = np.empty((len(seeds), min(first + count, n)))
     for row, rng in zip(out, _generators(seeds)):
         rng.standard_gamma(float(n_eff), out=row)
-    return out[:, start:] * scale
+    if first + count > n:  # the range runs past the stream's end: grid order again
+        out = np.concatenate((out[:, first:], out[:, : first + count - n]), axis=1)
+    elif first:
+        return out[:, first:] * scale
+    out *= scale
+    return out
 
 
 def _amplitudes(v, cfg: AcquisitionConfig) -> np.ndarray:

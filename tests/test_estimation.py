@@ -27,6 +27,14 @@ def noiseless_spectrum(v=V, cfg=CFG, n_eff=None):
     return Spectrum(nu=nu, s_bar=eval_psd(v, nu), n_eff=n_eff or cfg.n_eff)
 
 
+def grid_order_gamma(v, cfg, seed):
+    """A spectrum drawn by numpy's own gamma sampler on cfg's grid, bins in
+    grid order: the fixtures below keep their draws whatever order the
+    gamma route's stream takes."""
+    nu = cfg.coarse_grid()
+    return Spectrum(nu, np.random.default_rng(seed).gamma(cfg.n_eff, eval_psd(v, nu) / cfg.n_eff), cfg.n_eff)
+
+
 def window_bins(nu, window=WINDOW):
     return (nu >= window[0]) & (nu <= window[1])
 
@@ -268,9 +276,9 @@ class TestMleFitStack:
         # reference rows converge in a few steps, weak-line rows (trial 56
         # among them) take up to a hundred, so rows leave the solve at
         # different iterations; the last three rows leave it every other way
-        strong = [trial_spectrum(V, CFG, (5, k), "gamma") for k in range(6)]
+        strong = [grid_order_gamma(V, CFG, (5, k)) for k in range(6)]
         weak_v = SpectralParams(s_ph=1.0, nu_l=42600.0, s_at=0.05, delta_nu=1000.0)
-        weak = [trial_spectrum(weak_v, CFG, (0, k), "gamma") for k in (3, 56, 90)]
+        weak = [grid_order_gamma(weak_v, CFG, (0, k)) for k in (3, 56, 90)]
         spectra = strong[:3] + weak + strong[3:]
         # a start whose model overflows fails before step 1: one bin at 1e300
         # makes the start's s_at overflow it, while s_ph, from the wings, is
@@ -278,10 +286,10 @@ class TestMleFitStack:
         out_of_range = strong[0].s_bar.copy()
         out_of_range[np.flatnonzero(strong[0].nu >= WINDOW[0])[40]] = 1e300
         # this weak-line trial is still falling after _MAX_STEPS steps
-        step_limit = trial_spectrum(weak_v, CFG, (0, 94), "gamma").s_bar
+        step_limit = grid_order_gamma(weak_v, CFG, (0, 94)).s_bar
         # and this weaker one's damped normal matrix loses rank at step 40
         weaker_v = dataclasses.replace(weak_v, s_at=0.02)
-        deficient = trial_spectrum(weaker_v, CFG, (0, 243), "gamma").s_bar
+        deficient = grid_order_gamma(weaker_v, CFG, (0, 243)).s_bar
         rows = [sp.s_bar for sp in spectra] + [out_of_range, step_limit, deficient]
         return spectra[0].nu, np.array(rows)
 
@@ -631,7 +639,7 @@ class TestStopRule:
     )
     def test_a_last_step_out_of_the_model_range_is_not_taken(self, monkeypatch, v, seed):
         # the row converges at the last point it scored instead
-        sp = trial_spectrum(v, REFERENCE_ACQUISITION, seed, "gamma")
+        sp = grid_order_gamma(v, REFERENCE_ACQUISITION, seed)
         scored, inverted = [], []
         score, invert = estimation._score, estimation.invert_psd_stack
         monkeypatch.setattr(estimation, "_score", lambda *a: scored.append((a[0].copy(), score(*a))) or scored[-1][1])

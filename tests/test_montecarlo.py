@@ -85,8 +85,12 @@ class TestTrialSpectrum:
 def public_pipeline(v, cfg, seed, route):
     """One trial spectrum composed from the public one-spectrum functions."""
     if route == "gamma":
+        # numpy's gamma sampler on the bins in stream order, from the first at
+        # or above fit_lo round to the one below it, then put back in grid order
         nu = cfg.coarse_grid()
-        s_bar = np.random.default_rng(seed).gamma(cfg.n_eff, eval_psd(v, nu) / cfg.n_eff)
+        order = np.roll(np.arange(nu.size), -np.searchsorted(nu, cfg.fit_lo))
+        s_bar = np.empty_like(nu)
+        s_bar[order] = np.random.default_rng(seed).gamma(cfg.n_eff, eval_psd(v, nu[order]) / cfg.n_eff)
         return Spectrum(nu, s_bar, cfg.n_eff)
     rng = np.random.default_rng(seed)
     records = [periodogram(synthesize_timeseries(v, cfg, rng)) for _ in range(cfg.n_ave)]
@@ -194,6 +198,76 @@ class TestTrialSpectra:
         monkeypatch.setattr(montecarlo, "sample_periodogram_exact_stack", spoiled)
         with pytest.raises(NumericalError, match="non-finite or negative"):
             trial_spectra(V, CFG, [(0, 0), (0, 1)], "gamma")
+
+
+def counted_draws(monkeypatch) -> list:
+    """The count of Gamma variates each row of every later gamma stack draws, in order."""
+    drawn = []
+    make = synthesis._generators
+
+    class Counting:
+        def __init__(self, rng):
+            self.rng = rng
+
+        def standard_gamma(self, shape, out):
+            drawn.append(out.size)
+            return self.rng.standard_gamma(shape, out=out)
+
+    monkeypatch.setattr(synthesis, "_generators", lambda seeds: map(Counting, make(seeds)))
+    return drawn
+
+
+class TestGammaStreamOrder:
+    """A gamma-route generator draws the coarse bins from the first at or
+    above fit_lo, the origin, to the end of the grid, then the bins below it,
+    and stops at the range's last bin."""
+
+    SEEDS = [(7, k) for k in range(3)]
+
+    def assert_draws(self, monkeypatch, cfg, bins, count):
+        want = np.array([public_pipeline(V, cfg, seed, "gamma").s_bar[bins] for seed in self.SEEDS])
+        drawn = counted_draws(monkeypatch)
+        got = trial_spectra(V, cfg, self.SEEDS, "gamma", bins)
+        assert drawn == [count] * len(self.SEEDS)
+        np.testing.assert_array_equal(got, want, strict=True)
+
+    @GEOMETRIES
+    def test_a_windowed_row_draws_the_window_alone(self, monkeypatch, cfg):
+        bins = cfg.fit_window()
+        self.assert_draws(monkeypatch, cfg, bins, bins.stop - bins.start)
+
+    @GEOMETRIES
+    def test_a_range_draws_the_stream_up_to_its_last_bin(self, monkeypatch, cfg):
+        n, origin = cfg.n_coarse, cfg.fit_window().start
+        below = slice(0, max(origin - 1, 1))
+        self.assert_draws(monkeypatch, cfg, below, n - origin + below.stop)  # below the window
+        self.assert_draws(monkeypatch, cfg, slice(n - 2, n), n - origin)  # the end of the grid
+        self.assert_draws(monkeypatch, cfg, slice(max(origin - 2, 0), origin + 2), n)  # across the origin
+        self.assert_draws(monkeypatch, cfg, slice(None), n)  # the whole grid
+
+    @pytest.mark.parametrize("fit_lo", [0.0, 99900.0], ids=["zero", "above-the-last-centre"])
+    def test_an_origin_at_either_end_keeps_the_grid_order(self, monkeypatch, fit_lo):
+        # above the last centre (99851 Hz) the origin is n_coarse, modulo itself 0
+        cfg = AcquisitionConfig(delta=5e-6, t_total=0.5, fit_lo=fit_lo, fit_hi=99950.0, n_bin=50)
+        nu = cfg.coarse_grid()
+        for bins, count in ((slice(None), nu.size), (slice(3, 10), 10)):
+            self.assert_draws(monkeypatch, cfg, bins, count)
+        want = [np.random.default_rng(seed).gamma(cfg.n_eff, eval_psd(V, nu) / cfg.n_eff) for seed in self.SEEDS]
+        np.testing.assert_array_equal(trial_spectra(V, cfg, self.SEEDS, "gamma"), want, strict=True)
+
+    @GEOMETRIES
+    def test_origin_is_the_first_centre_at_or_above_fit_lo(self, cfg):
+        # fit_lo on a centre, a float either side of it, and between centres
+        grid = cfg.coarse_grid()
+        for b in (0, 1, grid.size // 3, grid.size - 1):
+            for lo, want in (
+                (grid[b], b),
+                (np.nextafter(grid[b], 0.0), b),
+                (np.nextafter(grid[b], np.inf), b + 1),
+                (grid[b] - 0.5 * cfg.coarse_spacing, b),
+            ):
+                at = AcquisitionConfig(cfg.delta, cfg.t_total, max(lo, 0.0), cfg.nyquist, cfg.n_ave, cfg.n_bin)
+                assert synthesis._stream_origin(at) == want % grid.size
 
 
 def threads_made(monkeypatch) -> list:
