@@ -27,7 +27,9 @@ SPECTRAL_KEYS = ("s_ph_uv2_per_hz", "nu_l_hz", "s_at_uv2_per_hz", "delta_nu_hz")
 
 # counts past these are refused before any axis or trial list is built
 _MAX_SCAN_CELLS = 1 << 20  # one Fisher integral each; 1024 x 1024 is the largest square
-_MAX_TRIALS = 1 << 20  # validate holds one spectrum per trial
+# validate runs its trials in blocks of bounded memory, so this cap is a time
+# guard on its O(n_trials) seed and fit arrays: about 40 s by gamma on 2 vCPUs
+_MAX_TRIALS = 1 << 20
 
 
 @dataclass(frozen=True)

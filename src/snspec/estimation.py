@@ -55,11 +55,9 @@ _S_AT_FLOOR_FRACTION = 1e-6
 # fall of W of at most _STOP_DECREASE per bin, 1e-6 of the log-likelihood
 # n_eff W at the reference; after _MAX_STEPS steps a row keeps its best
 # point, unconverged.
-# _BLOCK_BINS, rows times bins solved together, bounds the memory.
 _STOP_DECREASE = 1e-10
 _MAX_STEPS = 200
 _LAMBDA_START = 1e-3
-_BLOCK_BINS = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -192,6 +190,8 @@ def mle_fit_stack(nu, s_bar, window):
     A row whose start level s_ph lies outside [2^-256, 2^256] is solved
     scaled by the power of two that brings that level into [0.5, 1), so a
     spectrum near either end of the float range fits as it does at scale 1.
+    The whole stack is solved at once: its caller bounds the memory by the
+    rows it passes, as montecarlo.run_validation passes blocks of trials.
     """
     nu = np.asarray(nu, dtype=float)
     bins = fit_bins(nu, window)
@@ -210,13 +210,10 @@ def _fit_window(nu, s, window):
     v0 = _initial_guess_stack(nu, np.ldexp(s, -t[:, None]), window)
     e = np.where(_far(np.ldexp(v0[:, 0], t)), np.frexp(v0[:, 0])[1] + t, 0)
     bounds = (2.0 * window[0] - window[1], 2.0 * window[1] - window[0])  # padded by one width
-    rows = max(1, _BLOCK_BINS // nu.size)
     with np.errstate(all="ignore"):
         s, start = np.ldexp(s, -e[:, None]), np.ldexp(v0, (t - e)[:, None] * _LEVEL)
         theta = np.where(_LOG, np.log(start), np.clip(start, *bounds))
-        blocks = range(0, max(len(s), 1), rows)  # an empty stack is one empty block
-        done = [_solve(theta[b : b + rows], nu, s[b : b + rows], bounds) for b in blocks]
-        steps, converged, failed = (np.concatenate(x) for x in zip(*done))
+        steps, converged, failed = _solve(theta, nu, s, bounds)
         v_hat = np.where(failed[:, None], start, _params(theta))
         return np.ldexp(v_hat, e[:, None] * _LEVEL), steps, converged
 

@@ -167,36 +167,22 @@ def grad_log_psd(v, nu) -> np.ndarray:
 
     With off = nu - nu_l, q = 4 off off + d^2, lor = d^2 / q, f = s_ph +
     s_at lor and line = 8 s_at off the gradient is (1 / f, line lor / (q f),
-    lor / f, line off lor / (d q f)), each product taken left to right. The
-    operations write into off and five slices of one buffer, each reused
-    once its value is spent, rather than each into a new array.
+    lor / f, line off lor / (d q f)), each product taken left to right.
     """
     v = np.asarray(v, dtype=float)
     nu = np.asarray(nu, dtype=float)
     s_ph, nu_l, s_at, d = v[..., 0], v[..., 1], v[..., 2], v[..., 3]
-    # arrays even when 0-d (one vector, a scalar nu), so they take an out
-    off = np.asarray(nu - nu_l)
-    buf = np.empty((5,) + off.shape)
-    q, lor, f, line, tmp = (buf[k, ...] for k in range(5))
-    g = np.empty(off.shape + (4,))
     d2 = d * d
-    np.multiply(4.0, off, out=q)
-    np.multiply(q, off, out=q)
-    np.add(q, d2, out=q)
-    np.divide(d2, q, out=lor)
-    np.multiply(s_at, lor, out=f)
-    np.add(s_ph, f, out=f)
+    off = nu - nu_l
+    q = 4.0 * off * off + d2
+    lor = d2 / q
+    f = s_ph + s_at * lor
+    g = np.empty(np.shape(f) + (4,))
     np.divide(1.0, f, out=g[..., 0])
-    np.multiply(8.0 * s_at, off, out=line)
-    np.multiply(line, lor, out=tmp)
-    np.multiply(line, off, out=line)
-    np.multiply(q, f, out=off)  # off is spent
-    np.divide(tmp, off, out=g[..., 1])
+    line = 8.0 * s_at * off
+    np.divide(line * lor, q * f, out=g[..., 1])
     np.divide(lor, f, out=g[..., 2])
-    np.multiply(line, lor, out=line)
-    np.multiply(d, q, out=q)
-    np.multiply(q, f, out=q)
-    np.divide(line, q, out=g[..., 3])
+    np.divide(line * off * lor, d * q * f, out=g[..., 3])
     return g
 
 

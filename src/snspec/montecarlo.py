@@ -17,11 +17,12 @@ words numpy's SeedSequence forms from (master_seed, k): master_seed's
 stack in synthesis hashes all the rows into their PCG64 states in one pass
 of array arithmetic, SeedSequence's own steps on every row at once, and
 builds each trial's generator from its state as the trial is drawn;
-default_rng itself is not called. The trials are synthesized into one
-(n_trials, window bins) array (in slices on worker threads for the
-timeseries route's long records), on the coarse bins of cfg.fit_window()
-only, and fitted in one stacked solve, each bit for bit as if alone: row k
-holds the window's columns of trial_spectrum(v, cfg, (master_seed, k)).
+default_rng itself is not called. The trials run in blocks of
+_BLOCK_BINS // (window bins) consecutive trials (one at least), each
+synthesized on the coarse bins of cfg.fit_window() only (in slices on worker
+threads for the timeseries route's long records) and fitted in one stacked
+solve, each row bit for bit as if alone: row k holds the window's columns of
+trial_spectrum(v, cfg, (master_seed, k)). Only fits and flags outlive a block.
 On the gamma route a trial's generator draws the window's bins first (the
 stream order of synthesis), so a trial draws its window's variates alone.
 """
@@ -46,6 +47,8 @@ from .synthesis import (
 )
 
 __all__ = ["ValidationReport", "run_validation", "trial_seeds", "trial_spectra", "trial_spectrum"]
+
+_BLOCK_BINS = 1 << 18  # rows x window bins of a block: its solve bounds a run's memory
 
 
 @dataclass(frozen=True)
@@ -131,9 +134,9 @@ def run_validation(
 ) -> ValidationReport:
     """Synthesize and fit n_trials spectra, then compare scatter to theory.
 
-    One trial_spectra stack holds the spectra on the fit window's bins alone,
-    the only bins the fit and the bound read, and one mle_fit_stack call
-    fits them all. Trials whose fit does not converge count as failures,
+    Each block of trials is one trial_spectra stack on the fit window's bins
+    alone, the only bins the fit and the bound read, fitted by one
+    mle_fit_stack call. Trials whose fit does not converge count as failures,
     excluded from the covariance; the report flags the count rather than
     raising, since a rare non-convergence is a property of the data, not a
     tool fault; fewer than 2 converged fits raise ConfigError, and with 2 or
@@ -150,8 +153,12 @@ def run_validation(
     if bound.rank < 4:
         raise NumericalError("information matrix is singular for this model: no bound to test")
 
-    s_bar = trial_spectra(v, cfg, trial_seeds(master_seed, n_trials), synthesis, bins)
-    v_hat, _, converged = mle_fit_stack(cfg.coarse_grid(bins), s_bar, window)
+    seeds, nu = trial_seeds(master_seed, n_trials), cfg.coarse_grid(bins)
+    rows = max(1, _BLOCK_BINS // nu.size)
+    v_hat, converged = np.empty((n_trials, 4)), np.empty(n_trials, dtype=bool)
+    for b in range(0, n_trials, rows):
+        s_bar = trial_spectra(v, cfg, seeds[b : b + rows], synthesis, bins)
+        v_hat[b : b + rows], _, converged[b : b + rows] = mle_fit_stack(nu, s_bar, window)
 
     good = v_hat[converged]
     n_failures = n_trials - len(good)

@@ -356,7 +356,10 @@ class TestMleFitStack:
 
     def test_flat_spectrum_at_the_top_of_the_float_range_fits_as_at_one(self):
         # the median of two wing bins at 2^1023 overflows unless the start is
-        # formed at the spectrum's power-of-two level
+        # formed at the spectrum's power-of-two level. The flat row at 1 is
+        # solved at level 1 and the one at 2^1023 at level 0.5, so their bit
+        # equality holds by rounding, not by construction; the pin below
+        # compares solves at one level
         nu = CFG.coarse_grid()
         v_hat, n_iter, converged = mle_fit_stack(nu, np.ones((1, nu.size)), WINDOW)
         assert converged[0]
@@ -367,12 +370,23 @@ class TestMleFitStack:
     def test_flat_spectrum_at_the_bottom_of_the_float_range_fits_as_at_one(self, k):
         # a row is solved at its power-of-two level from its start on: at
         # 2^-1010 the start's s_at floor would be subnormal in physical units,
-        # and at 2^-1064 (itself subnormal) it would underflow to 0
+        # and at 2^-1064 (itself subnormal) it would underflow to 0. As at
+        # the top, the solves at levels 1 and 0.5 agree by rounding
         nu = CFG.coarse_grid()
         v_hat, n_iter, converged = mle_fit_stack(nu, np.ones((1, nu.size)), WINDOW)
         fit = mle_fit_stack(nu, np.full((1, nu.size), np.ldexp(1.0, k)), WINDOW)
         assert fit[2][0]
         self.assert_same(fit, (np.ldexp(v_hat, (k, 0, k, 0)), n_iter, converged))
+
+    @pytest.mark.parametrize("k", [1023, -1000, -1010, -1064])
+    def test_flat_spectrum_at_2_to_the_k_fits_as_at_one_half(self, k):
+        # 0.5 and 2^k flat are both solved at level 0.5, so their solves are
+        # the same arithmetic and the bits agree by construction
+        nu = CFG.coarse_grid()
+        v_hat, n_iter, converged = mle_fit_stack(nu, np.full((1, nu.size), 0.5), WINDOW)
+        fit = mle_fit_stack(nu, np.full((1, nu.size), np.ldexp(1.0, k)), WINDOW)
+        assert converged[0]
+        self.assert_same(fit, (np.ldexp(v_hat, (k + 1, 0, k + 1, 0)), n_iter, converged))
 
     @pytest.mark.parametrize("scale", [1e300, 1e306])
     def test_far_scales_converge_as_at_scale_one(self, scale):
@@ -388,12 +402,10 @@ class TestMleFitStack:
         got = mle_fit_stack(nu, np.empty((0, nu.size)), WINDOW)
         assert [(x.shape, x.dtype) for x in got] == [((0, 4), want[0].dtype), ((0,), want[1].dtype), ((0,), want[2].dtype)]
 
-    def test_permuted_stack_gives_permuted_results(self, monkeypatch):
+    def test_permuted_stack_gives_permuted_results(self):
         nu, s_bar = self.mixed_stack()
         fits = mle_fit_stack(nu, s_bar, WINDOW)
         perm = np.random.default_rng(0).permutation(len(s_bar))
-        # and solve the permuted stack one row per block
-        monkeypatch.setattr(estimation, "_BLOCK_BINS", 1)
         self.assert_same(mle_fit_stack(nu, s_bar[perm], WINDOW), [x[perm] for x in fits])
 
 

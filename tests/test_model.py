@@ -173,22 +173,35 @@ class TestGradLogPsd:
 
 
 def grad_log_psd_reference(v, nu):
-    """grad_log_psd as it was written before its buffers were reused: one
-    new array per operation, the operations in the same order."""
+    """grad_log_psd as it was written with reused buffers: the same operations
+    in the same order, each writing into off or one of five slices of one
+    buffer once its value is spent. The plain form must keep these bits."""
     v = np.asarray(v, dtype=float)
     nu = np.asarray(nu, dtype=float)
     s_ph, nu_l, s_at, d = v[..., 0], v[..., 1], v[..., 2], v[..., 3]
+    # arrays even when 0-d (one vector, a scalar nu), so they take an out
+    off = np.asarray(nu - nu_l)
+    buf = np.empty((5,) + off.shape)
+    q, lor, f, line, tmp = (buf[k, ...] for k in range(5))
+    g = np.empty(off.shape + (4,))
     d2 = d * d
-    off = nu - nu_l
-    q = 4.0 * off * off + d2
-    lor = d2 / q
-    f = s_ph + s_at * lor
-    g = np.empty(np.shape(f) + (4,))
+    np.multiply(4.0, off, out=q)
+    np.multiply(q, off, out=q)
+    np.add(q, d2, out=q)
+    np.divide(d2, q, out=lor)
+    np.multiply(s_at, lor, out=f)
+    np.add(s_ph, f, out=f)
     np.divide(1.0, f, out=g[..., 0])
-    line = 8.0 * s_at * off
-    np.divide(line * lor, q * f, out=g[..., 1])
+    np.multiply(8.0 * s_at, off, out=line)
+    np.multiply(line, lor, out=tmp)
+    np.multiply(line, off, out=line)
+    np.multiply(q, f, out=off)  # off is spent
+    np.divide(tmp, off, out=g[..., 1])
     np.divide(lor, f, out=g[..., 2])
-    np.divide(line * off * lor, d * q * f, out=g[..., 3])
+    np.multiply(line, lor, out=line)
+    np.multiply(d, q, out=q)
+    np.multiply(q, f, out=q)
+    np.divide(line, q, out=g[..., 3])
     return g
 
 
@@ -220,7 +233,7 @@ class TestGradLogPsdBits:
         self.check(theta[:1, None, :], self.NU)
 
     def test_one_vector_and_a_scalar_frequency(self):
-        # a 0-d broadcast shape: every buffer, not a ufunc's scalar result
+        # a 0-d broadcast shape: numpy scalars in the plain form, 0-d buffers in the reference
         for nu in (40000.0, V.nu_l, np.float64(33e3)):
             got = grad_log_psd(V, nu)
             assert got.shape == (4,)
