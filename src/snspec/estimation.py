@@ -7,14 +7,12 @@ is its negative log-likelihood up to a constant, so the estimate is
 unbiased to leading order at any n_eff. The solver is damped Fisher scoring
 (Levenberg-Marquardt) on theta = (ln s_ph, nu_l, ln s_at, ln delta_nu), nu_l
 clipped to the window padded by one width. J = d ln f / d theta, the 4 x bins
-Jacobian, is the model's log-gradient in v = (s_ph, nu_l, s_at, delta_nu)
-times (s_ph, 1, s_at, delta_nu), taken in closed form: with off = nu - nu_l,
-w = 4 off^2, q = w + delta_nu^2, a = s_at delta_nu^2 / q and f = s_ph + a,
-its rows are (s_ph/f, 8 off (a/f)/q, a/f, 2 (a/f) w/q). Each step solves
-(J J^T + lambda diag(J J^T)) delta = J (S_bar/f - 1) through
-fisher.invert_psd_stack, one lambda per spectrum. That is one Cholesky of
-the active rows, whose pivots certify full rank, and an eigen-factorization
-of the rows they do not certify; a row whose matrix is rank-deficient fails.
+Jacobian, is model.log_jacobian, the kernel the Fisher bounds take to v.
+Each step solves (J J^T + lambda diag(J J^T)) delta = J (S_bar/f - 1)
+through fisher.invert_psd_stack, one lambda per spectrum. That is one
+Cholesky of the active rows, whose pivots certify full rank, and an
+eigen-factorization of the rows they do not certify; a row whose matrix is
+rank-deficient fails.
 Convergence is decided on the fall of W that the scoring model predicts
 (Madsen, Nielsen & Tingleff, Methods for Non-Linear Least Squares Problems,
 2004): a row whose certified step predicts a fall of at most tol takes that
@@ -35,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fisher import invert_psd_stack
-from .model import SpectralParams, eval_psd
+from .model import SpectralParams, eval_psd, log_jacobian
 from .synthesis import Spectrum, fit_bins
 
 __all__ = [
@@ -134,33 +132,12 @@ def _score(theta: np.ndarray, nu: np.ndarray, s: np.ndarray):
     and whether the row is usable: all finite (their sum is), no zero row of J
     (an exp underflow).
 
-    Each row of J (the module docstring's closed form) is written into one
-    contiguous (rows, bins) plane of a (4, rows, bins) buffer, and both
-    products are batched matmuls on its (rows, 4, bins) view. Neither q^2 nor
-    8 s_at off is formed, so a row at levels near 2^1000 stays usable.
+    J is model.log_jacobian's (4, rows, bins) planes, and both products are
+    batched matmuls on their (rows, 4, bins) view; a row at levels near
+    2^1000 stays usable.
     """
-    p = _params(theta)
-    s_ph, nu_l, s_at, d = (p[:, c, None] for c in range(4))
-    d2 = d * d
-    jac = np.empty((4,) + s.shape)
-    j_ph, j_nu, j_at, j_d = jac
-    # j_nu holds off and j_d holds w, and j_at a, until each row is formed
-    np.subtract(nu, nu_l, out=j_nu)
-    np.multiply(j_nu, j_nu, out=j_d)
-    j_d *= 4.0
-    q = np.add(j_d, d2)
-    np.divide(d2, q, out=j_at)
-    j_at *= s_at
-    f = np.add(j_at, s_ph)
-    j_at /= f
-    np.divide(s_ph, f, out=j_ph)
-    j_nu *= j_at
-    j_nu /= q
-    j_nu *= 8.0
-    j_d /= q
-    j_d *= j_at
-    j_d *= 2.0
-    ratio = np.divide(s, f)
+    jac, f, ratio = log_jacobian(_params(theta)[:, None, :], nu)
+    np.divide(s, f, out=ratio)  # in the bare line's buffer, which the fit does not use
     np.log(f, out=f)
     f += ratio
     objective = f.sum(axis=1)

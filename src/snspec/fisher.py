@@ -4,7 +4,7 @@ Two construction routes are provided and kept deliberately independent so
 they can cross-check each other:
 
 * a discrete sum over the fitted frequency bins, info = (n_eff + 2) *
-  sum_i g_i g_i^T with g_i the log-spectrum gradient, and
+  sum_i g_i g_i^T with g_i the log-spectrum gradient (_log_gradient), and
 * a continuous-frequency approximation, info = (n_eff + 2) / nu_t *
   integral of g g^T over the fit window.
 
@@ -53,7 +53,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericalError
-from .model import SpectralParams, grad_log_psd
+from .model import SpectralParams, log_jacobian
 
 # Eigenvalues below RANK_TOL times the largest (on the correlation-equilibrated
 # matrix) count as zero for the rank check.
@@ -190,10 +190,25 @@ def _result(info, n_eff, nu_t, window, method) -> FisherResult:
     )
 
 
+def _log_gradient(v, nu) -> np.ndarray:
+    """d ln f / d v, v = (s_ph, nu_l, s_at, delta_nu), on model.log_jacobian's planes.
+
+    v and nu are taken as by log_jacobian. Its planes in theta are taken
+    to v as (1 / f, J_nu, lor / f, J_delta / delta_nu): the s_at plane is
+    the line's own share of f, not J_at / s_at, so it holds at s_at = 0.
+    """
+    v = np.asarray(v, dtype=float)
+    g, f, lor = log_jacobian(v, nu)
+    np.divide(1.0, f, out=g[0])
+    np.divide(lor, f, out=g[2])
+    g[3] /= v[..., 3]
+    return g
+
+
 def _gram(v: SpectralParams, bins: np.ndarray) -> np.ndarray:
-    """G^T G for the log-spectrum gradient G on the bins, not yet symmetrized."""
-    g = grad_log_psd(v, bins)
-    return g.T @ g
+    """G G^T for the log-spectrum gradient G on the bins, not yet symmetrized."""
+    g = _log_gradient(v, bins)
+    return g @ g.T
 
 
 def fisher_discrete(v: SpectralParams, bins, n_eff: float) -> FisherResult:
@@ -211,9 +226,8 @@ def fisher_discrete(v: SpectralParams, bins, n_eff: float) -> FisherResult:
 # One fixed 16-point Gauss-Legendre rule for every panel: the positive nodes
 # and their weights, repr-exact as leggauss(16) returns them (it makes both
 # symmetric, so mirroring them gives its arrays), with no numpy.polynomial
-# import. _GL_W4 repeats each weight over the 4 gradient components, to weigh
-# the nodes on a contiguous axis. The cells are integrated in blocks: the
-# block size is what bounds the memory of a stack.
+# import. The cells are integrated in blocks: the block size is what bounds
+# the memory of a stack.
 _GL_X_POS = np.array([
     0.09501250983763744, 0.2816035507792589, 0.45801677765722737, 0.6178762444026438,
     0.755404408355003, 0.8656312023878318, 0.9445750230732326, 0.9894009349916499,
@@ -224,9 +238,8 @@ _GL_W_POS = np.array([
 ])
 _GL_X = np.concatenate([-_GL_X_POS[::-1], _GL_X_POS])
 _GL_W = np.concatenate([_GL_W_POS[::-1], _GL_W_POS])
-_GL_W4 = np.repeat(_GL_W, 4)
 _BLOCK_CELLS = 64
-# S = diag(1, -1, 1, 1): grad_log_psd at nu_l - x is S times its value at
+# S = diag(1, -1, 1, 1): _log_gradient at nu_l - x is S times its value at
 # nu_l + x. A panel of |x| weighs its outer product M by one of these, when
 # the window holds both sides of the line (M + S M S), its upper side only
 # (M) or its lower side only (S M S).
@@ -237,7 +250,7 @@ _CLOSED_BAND = (0.1, 100.0)
 
 
 def _outer_integral(theta: np.ndarray, lo: float, hi: float) -> np.ndarray:
-    """Integral over [lo, hi] of the 4x4 outer product of grad_log_psd, per cell.
+    """Integral over [lo, hi] of the 4x4 outer product of _log_gradient, per cell.
 
     theta holds one parameter vector (s_ph, nu_l, s_at, delta_nu) per row;
     the result has shape (rows, 4, 4). f is even in x = nu - nu_l, so the
@@ -292,9 +305,9 @@ def _outer_integral(theta: np.ndarray, lo: float, hi: float) -> np.ndarray:
         panels = max(0, int(np.max(depth[block])) + 1) + 2
         w = width[block, :panels]
         nodes = centre[block, :panels, None] + w[..., None] * _GL_X
-        g = grad_log_psd(centred[block, None, None, :], nodes)
-        weighted = (g.reshape(*w.shape, -1) * _GL_W4).reshape(g.shape)
-        sums = w[..., None, None] * (np.swapaxes(weighted, -1, -2) @ g)
+        g = _log_gradient(centred[block, None, None, :], nodes)
+        weighted = g * (w[..., None] * _GL_W)
+        sums = weighted.transpose(1, 2, 0, 3) @ g.transpose(1, 2, 3, 0)
         sums *= _SIDES[side[block, :panels]]
         out = total[block]
         for panel in range(panels):
@@ -308,7 +321,7 @@ def _closed_form(theta: np.ndarray, u: np.ndarray, r: np.ndarray) -> np.ndarray:
     u holds the window's edges as (2, rows), in half-widths from the line,
     and r = s_at / s_ph. In u = 2 (nu - nu_l) / delta_nu, with a^2 = 1 + r,
     p = 1 / (1 + u^2) and q = 1 / (a^2 + u^2), f = s_ph (a^2 + u^2) p and
-    grad_log_psd is c * ((1 + u^2) q, u p q, q, u^2 p q), c = (1 / s_ph,
+    _log_gradient is c * ((1 + u^2) q, u p q, q, u^2 p q), c = (1 / s_ph,
     4 r / delta_nu, 1 / s_ph, 2 r / delta_nu). Each entry of the outer
     product is u^m p^i q^j, m <= 4 and i, j <= 2, whose partial fractions
     (p q = (p - q) / r) integrate to u, atan(u), atan(u / a), ln((a^2 + u^2)

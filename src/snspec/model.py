@@ -155,35 +155,39 @@ def eval_psd(v, nu):
     return float(out) if out.ndim == 0 else out
 
 
-def grad_log_psd(v, nu) -> np.ndarray:
-    """Gradient of ln f with respect to (s_ph, nu_l, s_at, delta_nu).
+def log_jacobian(v, nu):
+    """J = d ln f / d theta, theta = (ln s_ph, nu_l, ln s_at, ln delta_nu): (J, f, lor).
 
-    v and nu are taken as by eval_psd. Returns the broadcast shape plus a
-    trailing axis of length 4; shape (4,) for one vector and a scalar nu,
-    (K, 4) for a length-K frequency array. Components 2 and 4 vanish on
-    resonance (the spectrum there is s_ph + s_at regardless of nu_l, delta_nu)
-    and the whole nu_l / delta_nu pair vanishes identically when s_at = 0.
-    The line terms avoid q^2, which underflows for tiny delta_nu.
-
-    With off = nu - nu_l, q = 4 off off + d^2, lor = d^2 / q, f = s_ph +
-    s_at lor and line = 8 s_at off the gradient is (1 / f, line lor / (q f),
-    lor / f, line off lor / (d q f)), each product taken left to right.
+    The one place the model's log-derivative is formed: the fit uses J, and
+    fisher takes it to v. v and nu broadcast as in eval_psd, to a shape of at
+    least one axis; J is (4,) + that shape, one contiguous plane per
+    parameter, and f and lor = delta_nu^2 / q have that shape. With off =
+    nu - nu_l, w = 4 off^2, q = w + delta_nu^2 and a = s_at lor, f = s_ph + a
+    and J = (s_ph/f, 8 off (a/f)/q, a/f, 2 (a/f) w/q). Neither q^2 nor
+    8 s_at off is formed, so levels near 2^1000 stay finite.
     """
     v = np.asarray(v, dtype=float)
-    nu = np.asarray(nu, dtype=float)
     s_ph, nu_l, s_at, d = v[..., 0], v[..., 1], v[..., 2], v[..., 3]
     d2 = d * d
-    off = nu - nu_l
-    q = 4.0 * off * off + d2
-    lor = d2 / q
-    f = s_ph + s_at * lor
-    g = np.empty(np.shape(f) + (4,))
-    np.divide(1.0, f, out=g[..., 0])
-    line = 8.0 * s_at * off
-    np.divide(line * lor, q * f, out=g[..., 1])
-    np.divide(lor, f, out=g[..., 2])
-    np.divide(line * off * lor, d * q * f, out=g[..., 3])
-    return g
+    jac = np.empty((4,) + np.broadcast(nu, s_ph).shape)
+    j_ph, j_nu, j_at, j_d = jac
+    # j_nu holds off and j_d holds w, and j_at a, until each plane is formed
+    np.subtract(nu, nu_l, out=j_nu)
+    np.multiply(j_nu, j_nu, out=j_d)
+    j_d *= 4.0
+    q = np.add(j_d, d2)
+    lor = np.divide(d2, q)
+    np.multiply(lor, s_at, out=j_at)
+    f = np.add(j_at, s_ph)
+    j_at /= f
+    np.divide(s_ph, f, out=j_ph)
+    j_nu *= j_at
+    j_nu /= q
+    j_nu *= 8.0
+    j_d /= q
+    j_d *= j_at
+    j_d *= 2.0
+    return jac, f, lor
 
 
 def params_from_conditions(

@@ -9,7 +9,7 @@ import pytest
 from snspec import estimation, montecarlo
 from snspec.errors import ConfigError
 from snspec.fisher import invert_psd_stack, wishart_std
-from snspec.model import SpectralParams, eval_psd, grad_log_psd
+from snspec.model import SpectralParams, eval_psd
 from snspec.estimation import k2, k4, mle_fit, mle_fit_stack, sample_covariance, var_k2
 from snspec.montecarlo import run_validation, trial_spectrum
 from snspec.profiles import REFERENCE_ACQUISITION
@@ -409,11 +409,26 @@ class TestMleFitStack:
         self.assert_same(mle_fit_stack(nu, s_bar[perm], WINDOW), [x[perm] for x in fits])
 
 
+def log_gradient_reference(v, nu):
+    """The model's (..., 4) log-gradient in v = (s_ph, nu_l, s_at, delta_nu), as
+    plain expressions: with off = nu - nu_l, q = 4 off off + d^2, lor = d^2 / q,
+    f = s_ph + s_at lor and line = 8 s_at off, it is (1 / f, line lor / (q f),
+    lor / f, line off lor / (d q f)). line overflows near 2^1000."""
+    s_ph, nu_l, s_at, d = (v[..., c] for c in range(4))
+    off = nu - nu_l
+    q = 4.0 * off * off + d * d
+    lor = d * d / q
+    f = s_ph + s_at * lor
+    line = 8.0 * s_at * off
+    return np.stack([1.0 / f, line * lor / (q * f), lor / f, line * off * lor / (d * q * f)], axis=-1)
+
+
 def score_reference(theta, nu, s):
-    """_score as it was written before it formed J in theta: the model's
-    (rows, bins, 4) log-gradient in v times a (rows, 1, 4) factor."""
+    """_score as it was written before it formed J in theta, independent of
+    model.log_jacobian: the (rows, bins, 4) log-gradient in v times a
+    (rows, 1, 4) factor."""
     p = estimation._params(theta)
-    g = grad_log_psd(p[:, None, :], nu)
+    g = log_gradient_reference(p[:, None, :], nu)
     ratio = s * g[..., 0]
     objective = np.sum(ratio - np.log(g[..., 0]), axis=1)
     p[:, 1] = 1.0

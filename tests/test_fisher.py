@@ -22,7 +22,7 @@ from snspec.fisher import (
     normalized_deviation,
     wishart_std,
 )
-from snspec.model import SpectralParams, grad_log_psd, params_from_conditions_array
+from snspec.model import SpectralParams, params_from_conditions_array
 from snspec.scan import scan_grid
 from snspec.synthesis import AcquisitionConfig
 
@@ -226,12 +226,13 @@ class TestIntegralRoute:
         theta = np.vstack([block([1e3, 2e4], 64), block([1e-3, 0.3], 64), block([3e4, 1e5], 64), block([0.3, 30.0], 40)])
         assert not fisher._closed_rows(theta, *WINDOW)[0].any()
         panels = []
+        unrecorded = fisher._log_gradient
 
         def recording(v, nu):
             panels.append(nu.shape[1])
-            return grad_log_psd(v, nu)
+            return unrecorded(v, nu)
 
-        monkeypatch.setattr(fisher, "grad_log_psd", recording)
+        monkeypatch.setattr(fisher, "_log_gradient", recording)
         got = integral_covariance_stack(theta, WINDOW, 100.0, 50)
         assert len(panels) == len(set(panels)) == 4, panels
         want = np.array([

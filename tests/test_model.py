@@ -12,7 +12,7 @@ from snspec.model import (
     InstrumentConstants,
     SpectralParams,
     eval_psd,
-    grad_log_psd,
+    log_jacobian,
     params_from_conditions,
 )
 
@@ -134,14 +134,17 @@ class TestEvalPsd:
 
 
 class TestGradLogPsd:
+    """d ln f / d v, v = (s_ph, nu_l, s_at, delta_nu): fisher._log_gradient,
+    model.log_jacobian's planes taken to v."""
+
     def test_shape(self):
         nu = np.linspace(33e3, 52e3, 13)
-        assert grad_log_psd(V, nu).shape == (13, 4)
-        assert grad_log_psd(V, 40000.0).shape == (4,)
+        assert fisher._log_gradient(V, nu).shape == (4, 13)
+        assert fisher._log_gradient(np.array([V.as_array()] * 3)[:, None, :], nu).shape == (4, 3, 13)
 
     def test_matches_finite_differences(self):
         nu = np.linspace(33e3, 52e3, 25)
-        g = grad_log_psd(V, nu)
+        g = fisher._log_gradient(V, nu)
         v0 = V.as_array()
         for j in range(4):
             h = 1e-6 * abs(v0[j]) if v0[j] != 0 else 1e-6
@@ -152,133 +155,81 @@ class TestGradLogPsd:
                 np.log(eval_psd(SpectralParams.from_array(vp), nu))
                 - np.log(eval_psd(SpectralParams.from_array(vm), nu))
             ) / (2 * h)
-            np.testing.assert_allclose(g[:, j], fd, rtol=5e-6, atol=1e-12)
+            np.testing.assert_allclose(g[j], fd, rtol=5e-6, atol=1e-12)
+
+    def test_peak_component_without_peak_matches_central_differences(self):
+        # at s_at = 0 the s_at component is the line's share lor / s_ph, which
+        # J_at / s_at would leave 0/0; the step down takes a negative peak,
+        # which the unvalidated array form of eval_psd evaluates
+        nu = np.linspace(33e3, 52e3, 25)
+        v0 = np.array([1.2, 42600.0, 0.0, 1500.0])
+        h = 1e-6
+        fd = (np.log(eval_psd(v0 + [0, 0, h, 0], nu)) - np.log(eval_psd(v0 - [0, 0, h, 0], nu))) / (2 * h)
+        g = fisher._log_gradient(v0, nu)[2]
+        np.testing.assert_allclose(g, fd, rtol=5e-6, atol=1e-12)
+        lor = 1500.0**2 / (4.0 * (nu - 42600.0) ** 2 + 1500.0**2)
+        np.testing.assert_allclose(g, lor / 1.2, rtol=1e-15)
 
     def test_center_and_width_components_vanish_on_resonance(self):
-        g = grad_log_psd(V, V.nu_l)
-        assert g[1] == 0.0 and g[3] == 0.0
+        g = fisher._log_gradient(V, np.array([V.nu_l]))
+        assert g[1, 0] == 0.0 and g[3, 0] == 0.0
 
     def test_line_components_vanish_without_peak(self):
         flat = SpectralParams(s_ph=1.0, nu_l=42600.0, s_at=0.0, delta_nu=500.0)
-        g = grad_log_psd(flat, np.linspace(33e3, 52e3, 9))
-        np.testing.assert_array_equal(g[:, 1], 0.0)
-        np.testing.assert_array_equal(g[:, 3], 0.0)
-        np.testing.assert_array_equal(g[:, 0], 1.0)  # d ln f / d s_ph = 1/f = 1
+        g = fisher._log_gradient(flat, np.linspace(33e3, 52e3, 9))
+        np.testing.assert_array_equal(g[1], 0.0)
+        np.testing.assert_array_equal(g[3], 0.0)
+        np.testing.assert_array_equal(g[0], 1.0)  # d ln f / d s_ph = 1/f = 1
 
     def test_background_component_is_inverse_psd(self):
         nu = np.linspace(33e3, 52e3, 9)
         np.testing.assert_allclose(
-            grad_log_psd(V, nu)[:, 0], 1.0 / eval_psd(V, nu), rtol=1e-15
+            fisher._log_gradient(V, nu)[0], 1.0 / eval_psd(V, nu), rtol=1e-15
         )
 
 
-def grad_log_psd_reference(v, nu):
-    """grad_log_psd as it was written with reused buffers: the same operations
-    in the same order, each writing into off or one of five slices of one
-    buffer once its value is spent. The plain form must keep these bits."""
-    v = np.asarray(v, dtype=float)
-    nu = np.asarray(nu, dtype=float)
-    s_ph, nu_l, s_at, d = v[..., 0], v[..., 1], v[..., 2], v[..., 3]
-    # arrays even when 0-d (one vector, a scalar nu), so they take an out
-    off = np.asarray(nu - nu_l)
-    buf = np.empty((5,) + off.shape)
-    q, lor, f, line, tmp = (buf[k, ...] for k in range(5))
-    g = np.empty(off.shape + (4,))
-    d2 = d * d
-    np.multiply(4.0, off, out=q)
-    np.multiply(q, off, out=q)
-    np.add(q, d2, out=q)
-    np.divide(d2, q, out=lor)
-    np.multiply(s_at, lor, out=f)
-    np.add(s_ph, f, out=f)
-    np.divide(1.0, f, out=g[..., 0])
-    np.multiply(8.0 * s_at, off, out=line)
-    np.multiply(line, lor, out=tmp)
-    np.multiply(line, off, out=line)
-    np.multiply(q, f, out=off)  # off is spent
-    np.divide(tmp, off, out=g[..., 1])
-    np.divide(lor, f, out=g[..., 2])
-    np.multiply(line, lor, out=line)
-    np.multiply(d, q, out=q)
-    np.multiply(q, f, out=q)
-    np.divide(line, q, out=g[..., 3])
-    return g
+class TestLogJacobian:
+    """model.log_jacobian, the one kernel of the model's log-derivative."""
+
+    NU = np.linspace(33e3, 52e3, 25)
+
+    def test_planes_are_the_v_gradient_times_the_parameters(self):
+        # J in theta = d ln f / d v times (s_ph, 1, s_at, delta_nu)
+        jac, _, _ = log_jacobian(V, self.NU)
+        scale = np.array([V.s_ph, 1.0, V.s_at, V.delta_nu])[:, None]
+        np.testing.assert_allclose(jac, fisher._log_gradient(V, self.NU) * scale, rtol=1e-15, atol=0.0)
+
+    def test_f_and_lor_are_the_model_and_its_bare_line(self):
+        _, f, lor = log_jacobian(V, self.NU)
+        np.testing.assert_allclose(f, eval_psd(V, self.NU), rtol=1e-15)
+        d2 = V.delta_nu**2
+        np.testing.assert_allclose(lor, d2 / (4.0 * (self.NU - V.nu_l) ** 2 + d2), rtol=1e-15)
+
+    @pytest.mark.parametrize("k", [1000, -1000])
+    def test_a_power_of_two_level_keeps_every_plane_bit_for_bit(self, k):
+        # s_ph and s_at at 2^k: J and lor are unchanged and f is scaled exactly,
+        # since no product of two levels is formed
+        v = V.as_array()
+        at_k = v * [2.0**k, 1.0, 2.0**k, 1.0]
+        (jac, f, lor), (jac_k, f_k, lor_k) = log_jacobian(v, self.NU), log_jacobian(at_k, self.NU)
+        np.testing.assert_array_equal(jac_k, jac, strict=True)
+        np.testing.assert_array_equal(lor_k, lor, strict=True)
+        np.testing.assert_array_equal(f_k, np.ldexp(f, k), strict=True)
+
+    def test_a_tiny_width_stays_finite_at_the_line(self):
+        # delta_nu 1e-100 and offsets of 1e-100 from the line: q is 5e-200 at
+        # the second node, where q^2 would underflow; there lor = 0.2, a / f
+        # = 4/9, J_nu = 8 off (a/f) / q and J_delta = 2 (a/f) w / q
+        nu = np.array([0.0, 1e-100, 3e-100])
+        jac, f, lor = log_jacobian(np.array([1.0, 0.0, 4.0, 1e-100]), nu)
+        assert np.isfinite(jac).all() and lor[0] == 1.0 and jac[1, 0] == jac[3, 0] == 0.0
+        np.testing.assert_allclose(jac[:, 1], [5 / 9, 8e-100 * (4 / 9) / 5e-200, 4 / 9, 2 * (4 / 9) * 0.8], rtol=1e-15)
 
 
-def assert_same_bits(got, want):
-    assert got.shape == want.shape and got.dtype == want.dtype == np.float64
-    np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
-
-
-class TestGradLogPsdBits:
-    """grad_log_psd keeps the bits of the reference on every input class."""
-
-    NU = np.linspace(33e3, 52e3, 190)
-
-    @staticmethod
-    def stack(rows):
-        return np.array(rows, dtype=float)[:, None, :]
-
-    def check(self, v, nu):
-        with np.errstate(all="ignore"):
-            assert_same_bits(grad_log_psd(v, nu), grad_log_psd_reference(v, nu))
-
-    def test_row_stack_against_a_frequency_row(self):
-        rng = np.random.default_rng(0)
-        theta = np.column_stack([
-            rng.uniform(0.5, 2.0, 50), rng.uniform(4e4, 4.5e4, 50),
-            rng.uniform(0.0, 8.0, 50), rng.uniform(100.0, 3000.0, 50),
-        ])
-        self.check(theta[:, None, :], self.NU)
-        self.check(theta[:1, None, :], self.NU)
-
-    def test_one_vector_and_a_scalar_frequency(self):
-        # a 0-d broadcast shape: numpy scalars in the plain form, 0-d buffers in the reference
-        for nu in (40000.0, V.nu_l, np.float64(33e3)):
-            got = grad_log_psd(V, nu)
-            assert got.shape == (4,)
-            assert_same_bits(got, grad_log_psd_reference(V, nu))
-        self.check(V, self.NU)
-
-    def test_quadrature_node_blocks(self, monkeypatch):
-        # the (cells, panels, 16) blocks the integral hands it, at nu_l = 0;
-        # s_at / s_ph of 0.05, 1e3 and 2.3e7 keep every row out of the closed
-        # form's band
-        seen = []
-
-        def recording(v, nu):
-            seen.append((v, nu))
-            return grad_log_psd(v, nu)
-
-        monkeypatch.setattr(fisher, "grad_log_psd", recording)
-        theta = self.stack([[1.0, 42600.0, 1e3, 1000.0], [1.0, 42600.0, 0.05, 1e-3], [3e-3, 40123.5, 7e4, 20.0]])[:, 0]
-        fisher.integral_covariance_stack(theta, (33e3, 52e3), 100.0, 50)
-        ((v, nu),) = seen
-        assert v.shape == (3, 1, 1, 4) and nu.ndim == 3 and nu.shape[2] == 16
-        np.testing.assert_array_equal(v[..., 1], 0.0)
-        self.check(v, nu)
-
-    def test_edges_of_the_parameter_space(self):
-        rows = [
-            [1.0, 42600.0, 4.0, 1e-200],  # q^2 would underflow; q does not
-            [1.0, 42600.0, 0.0, 1000.0],  # s_at = 0
-            [2.0**1000, 42600.0, 2.0**1000, 1000.0],
-            [2.0**-1000, 42600.0, 2.0**-1000, 1000.0],
-            [1.0, 42600.0, 4.0, 2.0**1000],
-            [1.0, 42600.0, 2.0**1000, 2.0**-1000],
-        ]
-        self.check(self.stack(rows), self.NU)
-        self.check(self.stack(rows), 42600.0)
-
-    def test_non_finite_rows(self):
-        rows = [
-            [np.nan, 42600.0, 4.0, 1000.0],
-            [1.0, np.inf, 4.0, 1000.0],
-            [1.0, 42600.0, np.inf, 1000.0],
-            [1.0, 42600.0, 4.0, -np.inf],
-            [np.inf, np.nan, np.inf, 0.0],
-        ]
-        self.check(self.stack(rows), self.NU)
+def jacobian_last(v, nu):
+    """log_jacobian's J, f and lor as one array with the 6 planes last."""
+    jac, f, lor = log_jacobian(v, nu)
+    return np.moveaxis(np.concatenate([jac, [f, lor]]), 0, -1)
 
 
 class TestParameterStacks:
@@ -292,7 +243,7 @@ class TestParameterStacks:
     def test_spectral_params_is_its_array(self):
         np.testing.assert_array_equal(np.asarray(V), V.as_array(), strict=True)
 
-    @pytest.mark.parametrize("fn", [eval_psd, grad_log_psd], ids=["eval_psd", "grad_log_psd"])
+    @pytest.mark.parametrize("fn", [eval_psd, jacobian_last], ids=["eval_psd", "jacobian"])
     def test_stack_with_frequency_rows_equals_each_row_alone(self, fn):
         # one (m, 4) stack against an (m, K) frequency block: row i of the
         # result has the bits of the SpectralParams call on row i of nu
@@ -304,11 +255,12 @@ class TestParameterStacks:
             np.testing.assert_array_equal(got[i], fn(v, nu[i]), strict=True)
 
     def test_stack_with_scalar_frequency(self):
+        # the kernel's shape has an axis: a row alone takes a one-bin row
         theta = np.array([v.as_array() for v in self.ROWS])
         np.testing.assert_array_equal(eval_psd(theta, 42000.0), [eval_psd(v, 42000.0) for v in self.ROWS])
-        np.testing.assert_array_equal(grad_log_psd(theta, 42000.0), [grad_log_psd(v, 42000.0) for v in self.ROWS])
-
-
+        np.testing.assert_array_equal(
+            jacobian_last(theta, 42000.0), np.vstack([jacobian_last(v, [42000.0]) for v in self.ROWS])
+        )
 
 
 class TestForwardModel:
