@@ -1,6 +1,6 @@
 """The bytes of every shipped-config output, pinned by a committed manifest.
 
-tests/data/golden_outputs.json holds the full sha256 of the 53 files that
+tests/data/golden_outputs.json holds the full sha256 of the 59 files that
 synth, fit (of synth's spectrum.csv), crb, and validate or scan write for the
 shipped configs: validate_reference.json on both synthesis routes, as
 shipped and at a short acquisition whose fit window ends at the last coarse
@@ -9,7 +9,9 @@ bin, the short gamma run again at a master seed of two 32-bit words and at
 gamma run at 4 trials (one negative var(k2) estimate, its k2 standard error
 written as null), the shipped gamma run at s_at 0.05 (a weak line: the
 solver's long tail), and scan_reference.json at xi2 1 and 0.55, all at the
-default seed otherwise;
+default seed otherwise, and scan_reference.json again with an explicit
+instrument at a tenth of the reference kappa2, whose stack mixes the
+closed form and the quadrature;
 and of what kstats writes for the psd column of one synthesized spectrum. It
 also records the numpy version and the platform that made them. The bits depend on numpy's
 Generator and pocketfft, so under another numpy or platform the test skips
@@ -24,6 +26,7 @@ removed, as 'run/file old8 -> new8' ('absent' for a side that lacks it).
 """
 
 import contextlib
+import dataclasses
 import hashlib
 import io
 import json
@@ -36,6 +39,8 @@ import numpy as np
 import pytest
 
 from snspec.cli import main
+from snspec.config import _parse_instrument
+from snspec.profiles import REFERENCE_INSTRUMENT
 
 ROOT = Path(__file__).resolve().parent.parent
 CONFIG_DIR = ROOT / "configs"
@@ -50,6 +55,22 @@ SHORT = {
     ("acquisition", "fit_lo_hz"): 30000.0,
     ("acquisition", "fit_hi_hz"): 99900.0,
     ("monte_carlo", "n_trials"): 40,
+}
+
+# profiles.REFERENCE_INSTRUMENT written out, with kappa2 times 0.1
+KAPPA2_TENTH = {
+    "g_v_per_a": 1.0e6,
+    "q_c": 1.6e-19,
+    "eta": 0.880011,
+    "e_ph_j": 2.49e-19,
+    "kappa2": 9.97625e-26,
+    "a_eff_cm2": 0.054,
+    "l_cell_cm": 3.0,
+    "isotope_fraction": 0.72,
+    "gamma0_per_s": 3720.15,
+    "nu_l_hz": 42600.0,
+    "alpha_cm3_per_s": 2.39751e-10,
+    "beta_per_s_w": 449124.0,
 }
 
 # run name: (shipped config, {key path: value} set on it, the commands beyond
@@ -95,6 +116,13 @@ RUNS = {
     "scan_reference-xi2_0.55": (
         "scan_reference.json",
         {("model", "conditions", "xi2"): 0.55, ("scan", "xi2"): 0.55},
+        ("scan",),
+    ),
+    # the reference instrument at a tenth of its kappa2: 39 of the 2500
+    # cells lie off the closed form's band and take the quadrature
+    "scan_reference-kappa2_0.1": (
+        "scan_reference.json",
+        {("model", "instrument"): KAPPA2_TENTH},
         ("scan",),
     ),
 }
@@ -145,6 +173,11 @@ def moved(expected: dict, got: dict) -> list:
         for k in sorted(expected.keys() | got.keys())
         if expected.get(k) != got.get(k)
     ]
+
+
+def test_kappa2_tenth_is_the_reference_instrument_at_a_tenth_of_kappa2():
+    want = dataclasses.replace(REFERENCE_INSTRUMENT, kappa2=REFERENCE_INSTRUMENT.kappa2 * 0.1)
+    assert _parse_instrument(KAPPA2_TENTH) == want
 
 
 def test_shipped_outputs_match_the_manifest(tmp_path):
