@@ -33,12 +33,14 @@ coarse-graining), not necessarily 1/T of the raw record. The covariance
 bound is the inverse information matrix; rank-deficient information is
 reported instead of pseudo-inverted.
 
-The integral and the inverse work on stacks: `_integral_info` splits the
-rows between `_closed_form` and `_outer_integral`, which integrate many
-parameter vectors at once, each row alone (the latter on its own panels), and
-`invert_psd_stack` factors many n x n matrices at once by a Cholesky written
-as array operations, keeping an eigen-factorization for the matrices whose
-pivots do not certify full rank.
+The integral and the inverse work on stacks of (4, 4, m) planes, one (m,)
+array per entry: `_closed_form` writes the rows in its band, `_integral_info`
+the rest from `_outer_integral` (each row alone, on its own panels), and
+`invert_psd_stack` equilibrates them into the [C | I] buffer of a Cholesky in
+array operations, keeping an eigen-factorization for the matrices whose pivots
+do not certify full rank. Only L^-T L^-1 leaves the planes, as (m, n, n), for
+one batched matmul: a product on the planes would not repeat its FMA sums bit
+for bit.
 `integral_covariance_stack` is the bound of a whole stack (the (n, P) scan),
 and `fisher_integral` is its one-row slice, equal to it bit for bit. Every
 bound is a row of an `invert_psd_stack` call, and NaN is the one way a bound
@@ -82,15 +84,16 @@ class FisherResult:
     method: str
 
 
-def _symmetrize(a: np.ndarray) -> np.ndarray:
-    return 0.5 * (a + a.swapaxes(-1, -2))
+def _symmetrize(a: np.ndarray, axes=(-1, -2), out=None) -> np.ndarray:
+    return np.multiply(0.5, a + a.swapaxes(*axes), out=out)
 
 
 def invert_psd_stack(a: np.ndarray):
     """Invert a stack of symmetric positive-semidefinite matrices, (m, n, n).
 
     Returns (inverses, ranks): inverses has shape (m, n, n) and holds NaN for
-    every matrix whose rank is below n; one matrix is the stack a[None]. Each
+    every matrix whose rank is below n; one matrix is the stack a[None]. The
+    work runs on a's view as (n, n, m) planes (module docstring). Each
     is equilibrated to its correlation form C (unit diagonal), so mixed units
     (uV^2 vs Hz) do not masquerade as rank deficiency, and C is factored by a
     Cholesky as array operations over the stack. A row is certified when the
@@ -109,19 +112,20 @@ def invert_psd_stack(a: np.ndarray):
     the rank is that of the remaining submatrix. A matrix with a non-finite
     entry has rank 0 and never reaches the eigen-factorization.
     """
-    a = np.asarray(a, dtype=float)
-    m, n = a.shape[0], a.shape[-1]
-    d = np.sqrt(np.maximum(a.diagonal(0, 1, 2), 0.0))
+    a = np.asarray(a, dtype=float).transpose(1, 2, 0)
+    n, m = a.shape[0], a.shape[-1]
+    d = np.sqrt(np.maximum(a.diagonal(), 0.0))
     zero = d <= 0
-    scale = np.where(zero, 1.0, d)
-    scale = scale[:, :, None] * scale[:, None, :]
-    corr = _symmetrize(a / scale)
-    inverse, certified = _cholesky_inverse(corr)
+    scale = np.where(zero, 1.0, d).T
+    scale = scale[:, None] * scale[None, :]
+    b = np.empty((n, 2 * n, m))
+    b[:, :n] = corr = _symmetrize(a / scale, (0, 1))
+    inverse, certified = _cholesky_inverse(b)
     rank = np.full(m, n)
     if not certified.all():
         rest = ~certified
-        inverse[rest], rank[rest] = _eigh_inverse(corr[rest], zero[rest])
-    inverse /= scale
+        inverse[rest], rank[rest] = _eigh_inverse(corr[..., rest].transpose(2, 0, 1), zero[rest])
+    inverse /= scale.transpose(2, 0, 1)
     return inverse, rank
 
 
@@ -131,18 +135,16 @@ def _identity(n: int) -> np.ndarray:
     return np.broadcast_to(np.eye(n)[:, :, None], (n, n, 1))
 
 
-def _cholesky_inverse(c: np.ndarray):
-    """(inverses, certified) of an (m, n, n) correlation stack, by Cholesky.
+def _cholesky_inverse(b: np.ndarray):
+    """(inverses, certified) of the correlation stack in b, by Cholesky.
 
-    The stack is laid out as (n, 2n, m), [C | I] with one (m,) array per
-    entry, and eliminated row by row: row j is divided by the square root of
-    its pivot and its outer product taken off the rows below. That leaves the
-    pivots on the diagonal of C, L^T above it, and L^-1 in place of I. Rows
-    that are not certified hold arbitrary values.
+    b is the (n, 2n, m) buffer [C | I], one (m,) array per entry, holding C;
+    I is written here. It is eliminated row by row: row j is divided by the
+    square root of its pivot and its outer product taken off the rows below.
+    That leaves the pivots on the diagonal of C, L^T above it, and L^-1 in
+    place of I. Rows that are not certified hold arbitrary values.
     """
-    n = c.shape[-1]
-    b = np.empty((n, 2 * n, c.shape[0]))
-    b[:, :n] = c.transpose(1, 2, 0)
+    n = b.shape[0]
     b[:, n:] = _identity(n)
     with np.errstate(all="ignore"):
         for j in range(n):
@@ -163,13 +165,12 @@ def _eigh_inverse(corr: np.ndarray, zero: np.ndarray):
 
     The inverses are those of corr (not yet rescaled), NaN below full rank.
     """
-    n = corr.shape[-1]
     corr[zero[:, :, None] | zero[:, None, :]] = 0.0
     corr[~np.isfinite(corr).all(axis=(1, 2))] = 0.0
     w, q = np.linalg.eigh(corr)
     top = w[:, -1:]
     rank = np.where(top[:, 0] > 0, np.sum(w > RANK_TOL * top, axis=1), 0)
-    deficient = rank < n
+    deficient = rank < corr.shape[-1]
     w[deficient] = 1.0  # any finite inverse; NaN-filled below
     inverse = _symmetrize((q / w[:, None, :]) @ np.swapaxes(q, 1, 2))
     inverse[deficient] = np.nan
@@ -316,7 +317,7 @@ def _outer_integral(theta: np.ndarray, lo: float, hi: float) -> np.ndarray:
 
 
 def _closed_form(theta: np.ndarray, u: np.ndarray, r: np.ndarray) -> np.ndarray:
-    """_outer_integral of each row of theta in closed form: (rows, 4, 4).
+    """_outer_integral of each row of theta in closed form, as (4, 4, rows) planes.
 
     u holds the window's edges as (2, rows), in half-widths from the line,
     and r = s_at / s_ph. In u = 2 (nu - nu_l) / delta_nu, with a^2 = 1 + r,
@@ -363,8 +364,7 @@ def _closed_form(theta: np.ndarray, u: np.ndarray, r: np.ndarray) -> np.ndarray:
     upper = np.triu_indices(4, 1)
     f[upper[::-1]] = f[upper]
     c = np.stack([1.0 / s_ph, 4.0 * r / d, 1.0 / s_ph, 2.0 * r / d])
-    info = (0.5 * d) * c[:, None] * c[None, :] * (f[..., 1, :] - f[..., 0, :])
-    return info.transpose(2, 0, 1)
+    return (0.5 * d) * c[:, None] * c[None, :] * (f[..., 1, :] - f[..., 0, :])
 
 
 def _closed_rows(theta: np.ndarray, lo: float, hi: float):
@@ -387,7 +387,7 @@ def _closed_rows(theta: np.ndarray, lo: float, hi: float):
 
 
 def _integral_info(theta, window, nu_t: float, n_eff: float) -> np.ndarray:
-    """The symmetric integral-form information of each row of theta, after the argument checks.
+    """The symmetric integral-form information of each row of theta, as (4, 4, rows) planes.
 
     The rows that _closed_rows certifies take _closed_form, every other row
     _outer_integral. Each path works row by row, so a row gets the same bits
@@ -402,12 +402,14 @@ def _integral_info(theta, window, nu_t: float, n_eff: float) -> np.ndarray:
         raise ValueError(f"n_eff must be >= 1, got {n_eff}")
     theta = np.asarray(theta, dtype=float)
     closed, u, r = _closed_rows(theta, lo, hi)
-    info = np.empty((theta.shape[0], 4, 4))
-    if closed.any():
-        info[closed] = _closed_form(theta[closed], u[:, closed], r[closed])
-    if not closed.all():
-        info[~closed] = _outer_integral(theta[~closed], lo, hi)
-    return _symmetrize((n_eff + 2.0) / nu_t * info)
+    if closed.all():
+        info = _closed_form(theta, u, r)
+    else:
+        info = np.empty((4, 4, theta.shape[0]))
+        info[..., closed] = _closed_form(theta[closed], u[:, closed], r[closed])
+        info[..., ~closed] = _outer_integral(theta[~closed], lo, hi).transpose(1, 2, 0)
+    info *= (n_eff + 2.0) / nu_t
+    return _symmetrize(info, (0, 1), out=info)  # _closed_form's c_i c_j and c_j c_i round apart
 
 
 def fisher_integral(
@@ -419,11 +421,9 @@ def fisher_integral(
     (n_eff + 2) / nu_t times the window integral of the log-gradient outer
     product. Agrees with fisher_discrete on the same window once the
     linewidth spans many grid steps. The one-row case of
-    integral_covariance_stack: the integral is in closed form inside the
-    closed form's band (module docstring) and by the panel quadrature
-    otherwise, with the bits of the stack either way.
+    integral_covariance_stack, with the bits of the stack on either path.
     """
-    info = _integral_info(v.as_array()[None], window, nu_t, n_eff)[0]
+    info = _integral_info(v.as_array()[None], window, nu_t, n_eff)[..., 0]
     return _result(info, n_eff, nu_t, window, "integral")
 
 
@@ -437,7 +437,7 @@ def integral_covariance_stack(
     cell whose information is singular. Each bound equals
     fisher_integral(...).gamma_th bit for bit.
     """
-    return invert_psd_stack(_integral_info(theta, window, nu_t, n_eff))[0]
+    return invert_psd_stack(_integral_info(theta, window, nu_t, n_eff).transpose(2, 0, 1))[0]
 
 
 def error_propagation_covariance(v: SpectralParams, bins, n_eff: float) -> np.ndarray:

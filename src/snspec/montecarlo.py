@@ -48,7 +48,7 @@ from .synthesis import (
 
 __all__ = ["ValidationReport", "run_validation", "trial_seeds", "trial_spectra", "trial_spectrum"]
 
-_BLOCK_BINS = 1 << 18  # rows x window bins of a block: its solve bounds a run's memory
+_BLOCK_BINS = 1 << 16  # rows x window bins of a block: its solve bounds a run's memory
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,6 @@
 """Fisher information routes, covariance bounds, Wishart error bars."""
 
+import dataclasses
 import itertools
 import math
 import warnings
@@ -331,7 +332,7 @@ class TestClosedForm:
         theta = np.array(rows)
         closed, u, r = fisher._closed_rows(theta, *WINDOW)
         assert closed.all()
-        got, want = fisher._closed_form(theta, u, r), fisher._outer_integral(theta, *WINDOW)
+        got, want = fisher._closed_form(theta, u, r).transpose(2, 0, 1), fisher._outer_integral(theta, *WINDOW)
         d = np.sqrt(np.diagonal(want, axis1=1, axis2=2))
         assert np.max(np.abs(got - want) / (d[:, :, None] * d[:, None, :])) <= 1e-11
 
@@ -357,7 +358,7 @@ class TestClosedForm:
         assert not fisher._closed_rows(theta, *WINDOW)[0].any()
         with np.errstate(all="ignore"):
             want = fisher._symmetrize(52 / 100.0 * fisher._outer_integral(theta, *WINDOW))
-            np.testing.assert_array_equal(fisher._integral_info(theta, WINDOW, 100.0, 50), want)
+            np.testing.assert_array_equal(fisher._integral_info(theta, WINDOW, 100.0, 50).transpose(2, 0, 1), want)
 
 
 def test_bin_width_invariance_of_underlying_information():
@@ -488,6 +489,14 @@ class TestInvertPsdStack:
         c = a / (d[:, :, None] * d[:, None, :])
         return 0.5 * (c + np.swapaxes(c, 1, 2))
 
+    @staticmethod
+    def certified(c):
+        """_cholesky_inverse's certificate of each matrix of an (m, n, n) correlation stack."""
+        n = c.shape[-1]
+        b = np.empty((n, 2 * n, c.shape[0]))
+        b[:, :n] = c.transpose(1, 2, 0)
+        return fisher._cholesky_inverse(b)[1]
+
     @pytest.mark.parametrize(
         "eigenvalues, seed", [((-0.5, -0.5, 2.5, 2.5), 4), ((-0.5, -0.5, 2.5, 2.5), 18), ((-0.5, 1.5, 1.5, 2.5), 1)]
     )
@@ -504,7 +513,7 @@ class TestInvertPsdStack:
         w = np.linalg.eigvalsh(c[0])
         assert np.sum(w < 0) == np.sum(np.array(eigenvalues) < 0)
         assert abs(np.prod(w)) > 256 * fisher.RANK_TOL
-        assert not fisher._cholesky_inverse(c)[1][0]
+        assert not self.certified(c)[0]
         inverse, rank = invert_psd_stack(c)
         assert rank[0] == eigh_verdict(c)[0] < 4
         assert np.all(np.isnan(inverse))
@@ -538,7 +547,7 @@ class TestInvertPsdStack:
             a = (x @ np.swapaxes(x, 1, 2)) * d[:, :, None] * d[:, None, :]
             inverse, rank = invert_psd_stack(a)
             np.testing.assert_array_equal(rank, eigh_verdict(a))
-            for i in np.flatnonzero(fisher._cholesky_inverse(self.correlation(a))[1]):
+            for i in np.flatnonzero(self.certified(self.correlation(a))):
                 np.testing.assert_array_equal(inverse[i], inverse[i].T)
                 resid = np.abs(inverse[i] @ a[i] - np.eye(4))
                 assert np.all(resid <= 1e-12 * (np.abs(inverse[i]) @ np.abs(a[i])) + 1e-12)
@@ -569,7 +578,7 @@ class TestInvertPsdStack:
         (info,) = seen
         assert info.shape == (2500, 4, 4)
         c = self.correlation(info)
-        assert fisher._cholesky_inverse(c)[1].all()
+        assert self.certified(c).all()
         gamma, rank = invert_psd_stack(info)
         assert (rank == 4).all()
         w, q = np.linalg.eigh(c)
@@ -654,12 +663,90 @@ class TestInvertPsdStackBits:
 
     def test_mixed_stacks(self):
         classes = self.classes()
-        assert not fisher._cholesky_inverse(TestInvertPsdStack.correlation(classes["indefinite"]))[1].any()
+        assert not TestInvertPsdStack.certified(TestInvertPsdStack.correlation(classes["indefinite"])).any()
         mats = np.concatenate(list(classes.values()))
         self.assert_same_bits(mats)
         self.assert_same_bits(mats[np.random.default_rng(7).permutation(len(mats))])
         self.assert_same_bits(classes["certified"])
         self.assert_same_bits(np.eye(3)[None] + np.zeros((2, 1, 1)))
+
+
+def integral_info_reference(theta, window, nu_t, n_eff):
+    """fisher._integral_info as it was before the stack stayed in (4, 4, m)
+    planes: verbatim but for the module names and for _closed_form's
+    planes, which it took as (rows, 4, 4)."""
+    lo, hi = float(window[0]), float(window[1])
+    if not (0 <= lo < hi):
+        raise ValueError(f"window must satisfy 0 <= lo < hi, got ({lo}, {hi})")
+    if nu_t <= 0:
+        raise ValueError(f"nu_t must be > 0, got {nu_t}")
+    if n_eff < 1:
+        raise ValueError(f"n_eff must be >= 1, got {n_eff}")
+    theta = np.asarray(theta, dtype=float)
+    closed, u, r = fisher._closed_rows(theta, lo, hi)
+    info = np.empty((theta.shape[0], 4, 4))
+    if closed.any():
+        info[closed] = fisher._closed_form(theta[closed], u[:, closed], r[closed]).transpose(2, 0, 1)
+    if not closed.all():
+        info[~closed] = fisher._outer_integral(theta[~closed], lo, hi)
+    return fisher._symmetrize((n_eff + 2.0) / nu_t * info)
+
+
+def integral_covariance_stack_reference(theta, window, nu_t, n_eff):
+    """fisher.integral_covariance_stack as it was before the stack stayed in planes."""
+    return invert_psd_stack_reference(integral_info_reference(theta, window, nu_t, n_eff))[0]
+
+
+class TestIntegralStackBits:
+    """The information and the bounds of a stack keep the references' bits."""
+
+    @staticmethod
+    def scan_stack(xi2=1.0, kappa2=1.0):
+        """The shipped scan's (2500, 4) stack, with the instrument's kappa2 scaled."""
+        cfg = load_config(CONFIG_DIR / "scan_reference.json")
+        inst = dataclasses.replace(cfg.instrument, kappa2=cfg.instrument.kappa2 * kappa2)
+        theta = params_from_conditions_array(cfg.scan.n_values[:, None], cfg.scan.p_values[None, :], xi2, inst)
+        acq = cfg.acquisition
+        return theta.reshape(-1, 4), (acq.fit_lo, acq.fit_hi), acq.coarse_spacing, acq.n_eff
+
+    @staticmethod
+    def assert_same_bits(got, want):
+        assert got.shape == want.shape and got.dtype == want.dtype
+        np.testing.assert_array_equal(got.view(np.uint8), want.view(np.uint8))
+
+    def check(self, theta, window, nu_t, n_eff):
+        # in grid order and shuffled: the information as planes, and the bounds
+        for rows in (theta, theta[np.random.default_rng(17).permutation(len(theta))]):
+            with np.errstate(all="ignore"):
+                info = fisher._integral_info(rows, window, nu_t, n_eff)
+                want = integral_info_reference(rows, window, nu_t, n_eff)
+            self.assert_same_bits(np.ascontiguousarray(info.transpose(2, 0, 1)), want)
+            self.assert_same_bits(
+                integral_covariance_stack(rows, window, nu_t, n_eff),
+                integral_covariance_stack_reference(rows, window, nu_t, n_eff),
+            )
+
+    @pytest.mark.parametrize(
+        "xi2, kappa2, off_band",
+        [(1.0, 1.0, 0), (0.55, 1.0, 0), (1.0, 0.1, 39), (1.0, 1e-3, 2500)],
+        ids=["xi2_1", "xi2_0.55", "kappa2_0.1", "kappa2_1e-3"],
+    )
+    def test_scan_stacks(self, xi2, kappa2, off_band):
+        # the shipped grids take the closed form alone, a tenth of kappa2
+        # mixes both paths, and a thousandth takes the quadrature alone
+        theta, window, nu_t, n_eff = self.scan_stack(xi2, kappa2)
+        assert np.sum(~fisher._closed_rows(theta, *window)[0]) == off_band
+        self.check(theta, window, nu_t, n_eff)
+
+    def test_singular_rows_among_the_scan(self):
+        # s_at 0 (rank 2) and a line far outside the window (the
+        # eigen-factorization's verdict) among every 50th cell of the mixed stack
+        theta, window, nu_t, n_eff = self.scan_stack(1.0, 0.1)
+        singular = np.array([(1.0, 42.6e3, 0.0, 1e3), (2.0, 1e6, 4.0, 1e3), (1.0, 20e3, 0.0, 500.0)])
+        rows = np.concatenate([theta[::50], singular])
+        gamma = integral_covariance_stack(rows, window, nu_t, n_eff)
+        assert np.isnan(gamma[-3:]).all()
+        self.check(rows, window, nu_t, n_eff)
 
 
 class TestWishartStd:
