@@ -199,6 +199,8 @@ def cmd_kstats(args) -> int:
         raise ConfigError(f"{args.sample}: could not parse sample values ({exc})") from exc
     if x.ndim != 1:
         raise ConfigError(f"{args.sample}: expected one value per line")
+    if not np.isfinite(x).all():
+        raise ConfigError(f"{args.sample}: sample values must be finite")
     # extreme values overflow to inf or NaN, which kstats.json writes as null
     try:
         k2, k4, var_k2 = k_statistics(x)

@@ -34,13 +34,13 @@ bound is the inverse information matrix; rank-deficient information is
 reported instead of pseudo-inverted.
 
 The integral and the inverse work on stacks of (4, 4, m) planes, one (m,)
-array per entry: `_closed_form` writes the rows in its band, `_integral_info`
-the rest from `_outer_integral` (each row alone, on its own panels), and
-`invert_psd_stack` equilibrates them into the [C | I] buffer of a Cholesky in
-array operations, keeping an eigen-factorization for the matrices whose pivots
-do not certify full rank. Only L^-T L^-1 leaves the planes, as (m, n, n), for
-one batched matmul: a product on the planes would not repeat its FMA sums bit
-for bit.
+array per entry: `_integral_info` takes `_closed_form` of every row, then
+writes `_outer_integral` (each row alone, on its own panels) over the rows
+off the band, and `invert_psd_stack` equilibrates them into the [C | I]
+buffer of a Cholesky in array operations, keeping an eigen-factorization for
+the matrices whose pivots do not certify full rank. Only L^-T L^-1 leaves
+the planes, as (m, n, n), for one batched matmul: a product on the planes
+would not repeat its FMA sums bit for bit.
 `integral_covariance_stack` is the bound of a whole stack (the (n, P) scan),
 and `fisher_integral` is its one-row slice, equal to it bit for bit. Every
 bound is a row of an `invert_psd_stack` call, and NaN is the one way a bound
@@ -389,9 +389,10 @@ def _closed_rows(theta: np.ndarray, lo: float, hi: float):
 def _integral_info(theta, window, nu_t: float, n_eff: float) -> np.ndarray:
     """The symmetric integral-form information of each row of theta, as (4, 4, rows) planes.
 
-    The rows that _closed_rows certifies take _closed_form, every other row
-    _outer_integral. Each path works row by row, so a row gets the same bits
-    alone or in any stack.
+    _closed_form is taken on every row, and _outer_integral is written over
+    the rows that _closed_rows does not certify, where there are any. Both
+    work row by row (the closed form elementwise), so a row gets the same
+    bits alone or in any stack.
     """
     lo, hi = float(window[0]), float(window[1])
     if not (0 <= lo < hi):
@@ -402,12 +403,11 @@ def _integral_info(theta, window, nu_t: float, n_eff: float) -> np.ndarray:
         raise ValueError(f"n_eff must be >= 1, got {n_eff}")
     theta = np.asarray(theta, dtype=float)
     closed, u, r = _closed_rows(theta, lo, hi)
-    if closed.all():
+    with np.errstate(all="ignore"):  # rows off the band may overflow; they are overwritten
         info = _closed_form(theta, u, r)
-    else:
-        info = np.empty((4, 4, theta.shape[0]))
-        info[..., closed] = _closed_form(theta[closed], u[:, closed], r[closed])
-        info[..., ~closed] = _outer_integral(theta[~closed], lo, hi).transpose(1, 2, 0)
+    off = ~closed
+    if off.any():
+        info[..., off] = _outer_integral(theta[off], lo, hi).transpose(1, 2, 0)
     info *= (n_eff + 2.0) / nu_t
     return _symmetrize(info, (0, 1), out=info)  # _closed_form's c_i c_j and c_j c_i round apart
 

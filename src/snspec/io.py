@@ -14,10 +14,10 @@ error-free product gives the scaled value as hi + lo, hence the correctly
 rounded 17-digit integer and the text. Zeros, NaN, infinities and values
 outside that range go through '%.17g' % v one by one. Each value fills a
 fixed-width byte row padded with NULs, which are deleted when the rows are
-joined. The scan table formats each grid axis value once, since its long
-format repeats it on many rows, and both tables are written in blocks of
-_BLOCK_ROWS rows, so the text never grows with the table. Writers emit LF
-newlines and sorted JSON keys so identical inputs give byte-identical files.
+joined. Both tables go through one block loop, _write_csv, which formats
+_BLOCK_ROWS rows of floats at a time, so the text never grows with the
+table. Writers emit LF newlines and sorted JSON keys so identical inputs
+give byte-identical files.
 write_json is the one place that turns numpy values into JSON: an array is
 written as its nested lists (a numpy float is a float already). JSON files
 hold no NaN or Infinity, which RFC 8259 lacks: a non-finite float is null.
@@ -174,17 +174,18 @@ def _format17(x) -> np.ndarray:
     words = out.view(np.uint64)
     words &= np.take(_MASK, (np.signbit(flat) * 23 + k + 6) * 17 + last, axis=0)
     rest = np.flatnonzero(~exact)
-    if rest.size:
-        text = np.array([b"%.17g" % v for v in flat[rest].tolist()], dtype=f"S{_WIDTH}")
-        out[rest] = text.view(np.uint8).reshape(-1, _WIDTH)
+    text = np.array([b"%.17g" % v for v in flat[rest].tolist()], dtype=f"S{_WIDTH}")
+    out[rest] = text.view(np.uint8).reshape(-1, _WIDTH)
     return out.reshape(x.shape + (_WIDTH,))
 
 
-def _write_csv(path, header, blocks) -> None:
-    """header, then each (rows, columns, _WIDTH) block of formatted values."""
+def _write_csv(path, header, n_rows, rows) -> None:
+    """header, then n_rows rows of floats; rows(start, stop) gives rows start
+    to stop - 1 as a (stop - start, columns) table, _BLOCK_ROWS at a time."""
     with open(path, "wb") as fh:
         fh.write(",".join(header).encode() + b"\n")
-        for block in blocks:
+        for start in range(0, n_rows, _BLOCK_ROWS):
+            block = _format17(rows(start, min(start + _BLOCK_ROWS, n_rows)))
             block[:, :, _SEP] = ord(",")
             block[:, -1, _SEP] = ord("\n")
             fh.write(block.tobytes().translate(None, b"\0"))
@@ -200,8 +201,7 @@ def _spectrum(path, nu, s_bar, n_eff) -> Spectrum:
 def write_spectrum_csv(path, sp: Spectrum) -> None:
     """Spectrum to two-column CSV in np.savetxt's bytes; n_eff is not stored."""
     values = np.column_stack((sp.nu, sp.s_bar))
-    blocks = (_format17(values[start:start + _BLOCK_ROWS]) for start in range(0, len(values), _BLOCK_ROWS))
-    _write_csv(path, SPECTRUM_HEADER, blocks)
+    _write_csv(path, SPECTRUM_HEADER, len(values), lambda start, stop: values[start:stop])
 
 
 def read_spectrum_csv(path, n_eff: int = 1) -> Spectrum:
@@ -251,25 +251,14 @@ def read_spectrum_json(path) -> Spectrum:
 
 
 def write_scan_csv(path, sg) -> None:
-    """ScanGrid to long-format CSV, one row per (n, P) cell, in np.savetxt's bytes.
-
-    Each n and P value is formatted once, as the grid repeats it; each row
-    gathers its n, its P and its four formatted surface values.
-    """
-    n_text, p_text = _format17(sg.n_values), _format17(sg.p_values)
+    """ScanGrid to long-format CSV, one row per (n, P) cell, in np.savetxt's bytes."""
     cells = sg.surfaces.reshape(4, -1)
 
-    def blocks():
-        for start in range(0, cells.shape[1], _BLOCK_ROWS):
-            stop = min(start + _BLOCK_ROWS, cells.shape[1])
-            n, p = np.divmod(np.arange(start, stop), len(p_text))
-            block = np.empty((stop - start, 6, _WIDTH), np.uint8)
-            block[:, 0] = np.take(n_text, n, axis=0)
-            block[:, 1] = np.take(p_text, p, axis=0)
-            block[:, 2:] = _format17(cells[:, start:stop].T)
-            yield block
+    def rows(start, stop):
+        n, p = np.divmod(np.arange(start, stop), len(sg.p_values))
+        return np.column_stack((sg.n_values[n], sg.p_values[p], cells[:, start:stop].T))
 
-    _write_csv(path, SCAN_HEADER, blocks())
+    _write_csv(path, SCAN_HEADER, cells.shape[1], rows)
 
 
 def _finite(x):

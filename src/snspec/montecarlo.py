@@ -115,10 +115,7 @@ def trial_seeds(master_seed: int, n_trials: int) -> np.ndarray:
     w + 1) uint32 array whose row k holds master_seed's w 32-bit words,
     lowest first, then k (one word, as n_trials <= 2^32). default_rng(row k)
     has the state of default_rng((master_seed, k))."""
-    n = operator.index(master_seed)
-    if n < 0:
-        raise ValueError(f"master_seed must be a nonnegative integer, got {n}")
-    words = _seed_words(n)
+    words = _seed_words(operator.index(master_seed))
     seeds = np.empty((n_trials, len(words) + 1), dtype=np.uint32)
     seeds[:, :-1] = words
     seeds[:, -1] = np.arange(n_trials)

@@ -420,8 +420,8 @@ def sample_periodogram_exact_stack(v, cfg: AcquisitionConfig, seeds, bins: slice
         rng.standard_gamma(float(n_eff), out=row)
     if first + count > n:  # the range runs past the stream's end: grid order again
         out = np.concatenate((out[:, first:], out[:, : first + count - n]), axis=1)
-    elif first:
-        return out[:, first:] * scale
+    else:
+        out = out[:, first:]
     out *= scale
     return out
 

@@ -809,6 +809,16 @@ class TestKstats:
         assert doc["n_samples"] == 5
         assert capsys.readouterr().err == ""
 
+    @pytest.mark.parametrize(
+        "text", ["1\n2\nnan\n4\n5\n", "inf\n2\n3\n4\n", "1\n-inf\n3\n4\n"], ids=["nan", "inf", "-inf"]
+    )
+    def test_non_finite_value_names_the_file(self, tmp_path, capsys, text):
+        sample = tmp_path / "x.txt"
+        sample.write_text(text)
+        assert run("kstats", sample, "--out", tmp_path / "o") == 2
+        assert capsys.readouterr().err == f"error: {sample}: sample values must be finite\n"
+        assert not (tmp_path / "o").exists()
+
     def test_too_few_values(self, tmp_path, capsys):
         sample = tmp_path / "x.txt"
         sample.write_text("1\n2\n3\n")

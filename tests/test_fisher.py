@@ -738,6 +738,30 @@ class TestIntegralStackBits:
         assert np.sum(~fisher._closed_rows(theta, *window)[0]) == off_band
         self.check(theta, window, nu_t, n_eff)
 
+    @pytest.mark.parametrize(
+        "kappa2, off_band", [(1.0, 0), (0.1, 39), (1e-3, 2500), (None, 1)],
+        ids=["shipped", "kappa2_0.1", "kappa2_1e-3", "weak_line"],
+    )
+    def test_only_off_band_rows_reach_the_quadrature(self, kappa2, off_band, monkeypatch):
+        # every row takes the closed form; the quadrature sees the rows off
+        # the band and no other, in stack order
+        if kappa2 is None:
+            theta, window, nu_t, n_eff = np.array([(1.0, 42.6e3, 0.05, 1e3)]), WINDOW, 100.0, 50
+        else:
+            theta, window, nu_t, n_eff = self.scan_stack(1.0, kappa2)
+        seen, outer = [], fisher._outer_integral
+
+        def recording(rows, lo, hi):
+            seen.append(rows.copy())
+            return outer(rows, lo, hi)
+
+        monkeypatch.setattr(fisher, "_outer_integral", recording)
+        with np.errstate(all="ignore"):
+            fisher._integral_info(theta, window, nu_t, n_eff)
+        got = np.concatenate(seen) if seen else np.empty((0, 4))
+        assert len(got) == off_band
+        np.testing.assert_array_equal(got, theta[~fisher._closed_rows(theta, *window)[0]])
+
     def test_singular_rows_among_the_scan(self):
         # s_at 0 (rank 2) and a line far outside the window (the
         # eigen-factorization's verdict) among every 50th cell of the mixed stack

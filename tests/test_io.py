@@ -213,7 +213,7 @@ class TestScanCsv:
 
     def test_peak_memory_is_one_block(self, tmp_path):
         # numpy reports its buffers to tracemalloc. A 256 x 1024 grid written
-        # in blocks of 4096 rows peaks at 5.3 MiB; the writer that built the
+        # in blocks of 4096 rows peaks at 5.7 MiB; the writer that built the
         # whole text from a tuple of every value peaked at 110.5 MiB.
         rng = np.random.default_rng(7)
         sg = ScanGrid(
