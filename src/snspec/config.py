@@ -99,7 +99,12 @@ class _Section:
         # json yields bool for true and false, and a bool is not a number
         if isinstance(value, bool) or not isinstance(value, types):
             raise ConfigError(f"{self.path}.{key}: expected {noun}, got {value!r}")
-        return float(value) if kind is float else value
+        if kind is not float:
+            return value
+        try:
+            return float(value)
+        except OverflowError:  # an integer literal past the largest float
+            raise ConfigError(f"{self.path}.{key}: expected {noun} within the float range") from None
 
     def build(self, cls, *args, **fields):
         """cls(*args, **fields), with the range errors of its constructor named by section."""

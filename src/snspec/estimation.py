@@ -140,13 +140,13 @@ def _score(theta: np.ndarray, nu: np.ndarray, s: np.ndarray):
     np.divide(s, f, out=ratio)  # in the bare line's buffer, which the fit does not use
     np.log(f, out=f)
     f += ratio
-    objective = f.sum(axis=1)
+    objective = np.add.reduce(f, axis=1)
     ratio -= 1.0
     jac = jac.transpose(1, 0, 2)  # (rows, 4, bins)
     normal = jac @ jac.transpose(0, 2, 1)
     score = (jac @ ratio[..., None])[..., 0]
-    ok = np.isfinite(objective + score.sum(axis=1) + normal.sum(axis=(1, 2)))
-    return objective, normal, score, ok & (normal.diagonal(0, 1, 2) > 0.0).all(axis=1)
+    ok = np.isfinite(objective + np.add.reduce(score, axis=1) + np.add.reduce(normal, axis=(1, 2)))
+    return objective, normal, score, ok & np.logical_and.reduce(normal.diagonal(0, 1, 2) > 0.0, axis=1)
 
 
 def mle_fit_stack(nu, s_bar, window):
@@ -206,7 +206,7 @@ def _solve(theta, nu, s, bounds):
     has converged; and after its trial when an accepted step fell by at
     most tol (converged) or at _MAX_STEPS steps (not converged)."""
     objective, normal, score, ok = _score(theta, nu, s)
-    ok &= (s > 0.0).any(axis=1)  # an all-zero window: W = sum ln f has no minimum
+    ok &= np.logical_or.reduce(s > 0.0, axis=1)  # an all-zero window: W = sum ln f has no minimum
     steps, converged, failed = np.zeros(len(s), dtype=int), np.zeros(len(s), dtype=bool), ~ok
     rows = np.flatnonzero(ok)
     th, objective, normal, score, s = theta[rows], objective[rows], normal[rows], score[rows], s[rows]
@@ -217,18 +217,19 @@ def _solve(theta, nu, s, bounds):
         inverse, rank = invert_psd_stack(normal + damping[:, None, :] * eye)
         delta = (inverse @ score[:, :, None])[..., 0]
         # the decrease of W that the scoring model predicts for this step
-        predicted = 0.5 * (delta * (damping * delta + score)).sum(axis=1)
+        predicted = 0.5 * np.add.reduce(delta * (damping * delta + score), axis=1)
         trial = th + delta
         trial[:, 1].clip(*bounds, out=trial[:, 1])
         # before the trial: a rank loss fails, a predicted fall of at most tol converges
         now_failed = rank < 4
         now_converged = ~now_failed & ~(predicted > tol)
         leave = now_failed | now_converged
-        if leave.any():
+        if np.logical_or.reduce(leave):
             # the model's range: s_ph, s_at and delta_nu^2, which it forms, finite and above 0
             p = _params(trial)
             p[:, 3] *= p[:, 3]
-            taken = now_converged & np.isfinite(p).all(axis=1) & (p[:, _LOG] > 0.0).all(axis=1)
+            taken = now_converged & np.logical_and.reduce(np.isfinite(p), axis=1)
+            taken &= np.logical_and.reduce(p[:, _LOG] > 0.0, axis=1)
             out, keep = rows[leave], ~leave
             theta[out] = np.where(taken[:, None], trial, th)[leave]
             steps[out], converged[out], failed[out] = step + taken[leave], now_converged[leave], now_failed[leave]
@@ -242,7 +243,7 @@ def _solve(theta, nu, s, bounds):
         accept = t_ok & (gain > 0.0)
         # Madsen, Nielsen & Tingleff's damping update
         shrink = np.maximum(1.0 / 3.0, 1.0 - (2.0 * gain - 1.0) ** 3)
-        if accept.all():  # the common step: the trial is the new state
+        if np.logical_and.reduce(accept):  # the common step: the trial is the new state
             lam *= shrink
             grow.fill(2.0)
             th, objective, normal, score = trial, t_objective, t_normal, t_score
@@ -255,7 +256,7 @@ def _solve(theta, nu, s, bounds):
         # after it: an accepted step that fell by at most tol converges its row
         stop = accept & (fall <= tol)
         leave = stop | (step >= _MAX_STEPS)
-        if leave.any():
+        if np.logical_or.reduce(leave):
             out, keep = rows[leave], ~leave
             theta[out], steps[out], converged[out] = th[leave], step, stop[leave]
             rows, th, objective, normal, score, s, lam, grow = (

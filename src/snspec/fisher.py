@@ -40,7 +40,15 @@ off the band, and `invert_psd_stack` equilibrates them into the [C | I]
 buffer of a Cholesky in array operations, keeping an eigen-factorization for
 the matrices whose pivots do not certify full rank. Only L^-T L^-1 leaves
 the planes, as (m, n, n), for one batched matmul: a product on the planes
-would not repeat its FMA sums bit for bit.
+would not repeat its FMA sums bit for bit. A stack of exactly one 4 x 4
+matrix, as each pass of a one-spectrum fit and each one-row bound passes,
+first goes to `_invert_one`: the same steps in straight-line Python floats,
+where the planes spend their time dispatching about 45 numpy calls on
+planes of one element. It defers to the planes, which then decide the matrix, wherever a
+Python float would raise or the pivots do not certify full rank, and it
+keeps the product a matmul on a (1, 4, 4) array, so OpenBLAS sums it with
+the same FMAs and every output keeps its bits. Stacks of two rows or more
+(the scan's grid, a validate block) take the planes alone.
 `integral_covariance_stack` is the bound of a whole stack (the (n, P) scan),
 and `fisher_integral` is its one-row slice, equal to it bit for bit. Every
 bound is a row of an `invert_psd_stack` call, and NaN is the one way a bound
@@ -50,6 +58,7 @@ says that the information is singular.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -111,8 +120,17 @@ def invert_psd_stack(a: np.ndarray):
     stay zero in the correlation form, so they add only zero eigenvalues and
     the rank is that of the remaining submatrix. A matrix with a non-finite
     entry has rank 0 and never reaches the eigen-factorization.
+
+    A (1, 4, 4) stack is first offered to _invert_one, which takes the same
+    steps in Python floats and returns the same bits for a certified matrix;
+    any other matrix it hands back to the planes (module docstring).
     """
-    a = np.asarray(a, dtype=float).transpose(1, 2, 0)
+    a = np.asarray(a, dtype=float)
+    if a.shape == (1, 4, 4):
+        one = _invert_one(a)
+        if one is not None:
+            return one
+    a = a.transpose(1, 2, 0)
     n, m = a.shape[0], a.shape[-1]
     d = np.sqrt(np.maximum(a.diagonal(), 0.0))
     zero = d <= 0
@@ -158,6 +176,74 @@ def _cholesky_inverse(b: np.ndarray):
         certified = det > float(n) ** n * RANK_TOL
         inv_l = np.ascontiguousarray(b[:, n:].transpose(2, 0, 1))
         return inv_l.swapaxes(1, 2) @ inv_l, certified
+
+
+# _cholesky_inverse's certificate at n = 4, float(n) ** n * RANK_TOL
+_DET_FLOOR_4 = 4.0**4 * RANK_TOL
+
+
+def _invert_one(a: np.ndarray):
+    """invert_psd_stack of a (1, 4, 4) stack in Python floats, or None to defer.
+
+    The steps and their order are those of the planes, entry by entry: the
+    scale s_ik = d_i d_k, the symmetrized correlation form, and the
+    elimination of [C | I] on its upper rows, with L^-1's upper entries the
+    +0.0 the planes hold there and each of its lower entries started from
+    0.0 - x y, as the planes start them, so a zero keeps its sign. IEEE
+    arithmetic rounds the same in floats and in arrays, so a certified
+    matrix gets the planes' bits. Python raises on sqrt(x < 0) and x / 0
+    where numpy returns NaN or inf, so a diagonal entry or a pivot that is
+    not positive and finite returns None before either is taken, as does a
+    det that does not certify: the planes then decide the matrix.
+    """
+    (a00, a01, a02, a03), (a10, a11, a12, a13), (a20, a21, a22, a23), (a30, a31, a32, a33) = a[0].tolist()
+    if not (0.0 < a00 < math.inf and 0.0 < a11 < math.inf and 0.0 < a22 < math.inf and 0.0 < a33 < math.inf):
+        return None
+    d0, d1, d2, d3 = math.sqrt(a00), math.sqrt(a11), math.sqrt(a22), math.sqrt(a33)
+    s00, s01, s02, s03 = d0 * d0, d0 * d1, d0 * d2, d0 * d3
+    s11, s12, s13, s22, s23, s33 = d1 * d1, d1 * d2, d1 * d3, d2 * d2, d2 * d3, d3 * d3
+    t0, t1, t2, t3 = a00 / s00, a11 / s11, a22 / s22, a33 / s33
+    c00, c11, c22, c33 = 0.5 * (t0 + t0), 0.5 * (t1 + t1), 0.5 * (t2 + t2), 0.5 * (t3 + t3)
+    c01, c02, c03 = 0.5 * (a01 / s01 + a10 / s01), 0.5 * (a02 / s02 + a20 / s02), 0.5 * (a03 / s03 + a30 / s03)
+    c12, c13, c23 = 0.5 * (a12 / s12 + a21 / s12), 0.5 * (a13 / s13 + a31 / s13), 0.5 * (a23 / s23 + a32 / s23)
+    # row 0
+    p0 = c00
+    if not 0.0 < p0 < math.inf:
+        return None
+    r = math.sqrt(p0)
+    c01, c02, c03, l00 = c01 / r, c02 / r, c03 / r, 1.0 / r
+    c11, c12, c13 = c11 - c01 * c01, c12 - c01 * c02, c13 - c01 * c03
+    c22, c23, c33 = c22 - c02 * c02, c23 - c02 * c03, c33 - c03 * c03
+    l10, l20, l30 = 0.0 - c01 * l00, 0.0 - c02 * l00, 0.0 - c03 * l00
+    # row 1
+    p1 = c11
+    if not 0.0 < p1 < math.inf:
+        return None
+    r = math.sqrt(p1)
+    c12, c13, l10, l11 = c12 / r, c13 / r, l10 / r, 1.0 / r
+    c22, c23, c33 = c22 - c12 * c12, c23 - c12 * c13, c33 - c13 * c13
+    l20, l30 = l20 - c12 * l10, l30 - c13 * l10
+    l21, l31 = 0.0 - c12 * l11, 0.0 - c13 * l11
+    # row 2
+    p2 = c22
+    if not 0.0 < p2 < math.inf:
+        return None
+    r = math.sqrt(p2)
+    c23, l20, l21, l22 = c23 / r, l20 / r, l21 / r, 1.0 / r
+    c33 = c33 - c23 * c23
+    l30, l31, l32 = l30 - c23 * l20, l31 - c23 * l21, 0.0 - c23 * l22
+    # row 3
+    p3 = c33
+    if not 0.0 < p3 < math.inf:
+        return None
+    r = math.sqrt(p3)
+    l30, l31, l32, l33 = l30 / r, l31 / r, l32 / r, 1.0 / r
+    if not p0 * p1 * p2 * p3 > _DET_FLOOR_4:
+        return None
+    inv_l = np.array([[[l00, 0.0, 0.0, 0.0], [l10, l11, 0.0, 0.0], [l20, l21, l22, 0.0], [l30, l31, l32, l33]]])
+    inverse = inv_l.swapaxes(1, 2) @ inv_l
+    inverse /= np.array([[s00, s01, s02, s03], [s01, s11, s12, s13], [s02, s12, s22, s23], [s03, s13, s23, s33]])
+    return inverse, np.array([4])
 
 
 def _eigh_inverse(corr: np.ndarray, zero: np.ndarray):

@@ -28,6 +28,7 @@ import csv
 import io
 import json
 import math
+import sys
 from typing import Any
 
 import numpy as np
@@ -286,10 +287,13 @@ def write_json(path, payload: dict[str, Any]) -> None:
 
 def read_json(path) -> dict[str, Any]:
     with open(path) as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from exc
+        text = fh.read()
+    try:
+        doc = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from exc
+    except ValueError as exc:  # an integer literal past the interpreter's digit limit
+        raise ConfigError(f"{path}: an integer has more than {sys.get_int_max_str_digits()} digits") from exc
     if not isinstance(doc, dict):
         raise ConfigError(f"{path}: top level must be a JSON object")
     return doc

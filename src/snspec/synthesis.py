@@ -133,6 +133,10 @@ class AcquisitionConfig:
             raise ConfigError(
                 f"n_bin must be an integer from 1 to M/2 - 1 = {m // 2 - 1}, got {self.n_bin!r}"
             )
+        try:
+            float(self.n_eff)  # the fit and the bounds take n_eff as a float
+        except OverflowError:
+            raise ConfigError("n_bin * n_ave must lie within the float range") from None
         if not (0.0 <= self.fit_lo < self.fit_hi <= self.nyquist):
             raise ConfigError(
                 f"fit window [{self.fit_lo}, {self.fit_hi}] Hz must satisfy "

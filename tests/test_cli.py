@@ -72,7 +72,12 @@ SCAN = {
 
 def write_config(tmp_path, body, name="run.json"):
     path = tmp_path / name
-    path.write_text(json.dumps(body, indent=1))
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)  # so that json writes integer literals the reader refuses
+    try:
+        path.write_text(json.dumps(body, indent=1))
+    finally:
+        sys.set_int_max_str_digits(limit)
     return str(path)
 
 
@@ -509,6 +514,25 @@ class TestUsageChecks:
         assert capsys.readouterr().err == f"error: {cfg}.monte_carlo.n_trials: must be at most 1048576\n"
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize(
+        "section, key, value, message",
+        [
+            ("acquisition", "delta_s", 10**400, "config.acquisition.delta_s: expected a number within the float range"),
+            ("acquisition", "n_ave", 10**400, "n_bin * n_ave must lie within the float range"),
+            ("monte_carlo", "n_trials", 10**4999, "{cfg}: an integer has more than {limit} digits"),
+        ],
+        ids=["float-field", "n_ave", "5000-digits"],
+    )
+    def test_number_past_the_float_range_exits_config(self, tmp_path, capsys, section, key, value, message):
+        # each ended in a traceback (OverflowError) or in exit 4
+        body = copy.deepcopy(BASE)
+        body[section][key] = value
+        cfg = write_config(tmp_path, body)
+        assert run("crb", "--config", cfg, "--out", tmp_path / "o") == 2
+        limit = sys.get_int_max_str_digits()
+        assert capsys.readouterr().err == "error: " + message.format(cfg=cfg, limit=limit) + "\n"
+        assert not (tmp_path / "o").exists()
+
 
 def shipped(name, **updates):
     """A shipped config with the given sections updated."""
@@ -538,7 +562,7 @@ FUZZ_BASES = {
 FUZZ_LEAVES = sorted({leaf for doc in FUZZ_BASES.values() for leaf in config_leaves(doc)})
 # the edges of every JSON type, and integers past any count the host can hold
 FUZZ_VALUES = [
-    0, -1, 1, 2**62, 2**63, 1e300, -1e300, 1e-300, 5e-324, float("nan"), float("inf"), float("-inf"),
+    0, -1, 1, 2**62, 2**63, 10**400, 1e300, -1e300, 1e-300, 5e-324, float("nan"), float("inf"), float("-inf"),
     True, False, None, "reference", [], {}, DELETE,
 ]
 
@@ -594,9 +618,21 @@ class TestExitCodeContract:
             base=st.sampled_from(sorted(FUZZ_BASES)),
             edits=st.lists(st.tuples(st.sampled_from(FUZZ_LEAVES), st.sampled_from(FUZZ_VALUES)), min_size=1, max_size=3),
             command=st.sampled_from(["synth", "fit", "validate", "crb", "scan"]),
+            want=st.none(),  # an example may name the one exit code it must end in
         )
-        @hypothesis.example(base="scan_reference", edits=[(("scan", "n_points"), 2**63)], command="crb")
-        def check(base, edits, command):
+        @hypothesis.example(base="scan_reference", edits=[(("scan", "n_points"), 2**63)], command="crb", want=None)
+        # a number past the float range, and an integer past the digit limit
+        # of Python's int parsing, are bad config: exit 2
+        @hypothesis.example(
+            base="validate_reference", edits=[(("acquisition", "delta_s"), 10**400)], command="crb", want=2
+        )
+        @hypothesis.example(
+            base="validate_reference", edits=[(("acquisition", "n_ave"), 10**400)], command="crb", want=2
+        )
+        @hypothesis.example(
+            base="validate_reference", edits=[(("monte_carlo", "n_trials"), 10**4999)], command="crb", want=2
+        )
+        def check(base, edits, command, want):
             doc = copy.deepcopy(FUZZ_BASES[base])
             for (*path, key), value in edits:
                 section = doc
@@ -614,7 +650,7 @@ class TestExitCodeContract:
             capsys.readouterr()
             code = run(command, *([spectrum] if command == "fit" else []), "--config", cfg, "--out", out)
             err = capsys.readouterr().err
-            assert code in (0, 2, 3, 4)
+            assert code in (0, 2, 3, 4) if want is None else code == want
             if code:
                 assert len(err.splitlines()) == 1, err
                 assert not out.exists()

@@ -661,6 +661,55 @@ class TestInvertPsdStackBits:
             for a in mats:
                 self.assert_same_bits(a[None])
 
+    def test_one_matrix_keeps_the_reference_bits(self):
+        # a (1, 4, 4) stack takes _invert_one unless it defers: damped Gram
+        # matrices, as the fit's scoring step forms them, in units 2^+-500
+        # apart and some a few ulp from symmetric, and every matrix of the
+        # classes above
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+        listed = [a for mats in self.classes().values() for a in mats]
+
+        def damped_gram(seed, k, lam, skew):
+            rng = np.random.default_rng(seed)
+            x = rng.normal(size=(4, k))
+            g = x @ x.T
+            g += lam * np.diag(np.diag(g))
+            g *= 1.0 + skew * np.finfo(float).eps * rng.integers(-2, 3, size=(4, 4))
+            d = np.ldexp(1.0, rng.integers(-500, 501, size=4))
+            return g * d[:, None] * d[None, :]
+
+        gram = st.builds(
+            damped_gram, st.integers(0, 2**32 - 1), st.integers(1, 7),
+            st.one_of(st.just(0.0), st.floats(0.0, 1e6)), st.sampled_from([0.0, 1.0]),
+        )
+
+        @hypothesis.settings(deadline=None, derandomize=True, database=None, max_examples=300)
+        @hypothesis.given(a=st.one_of(gram, st.sampled_from(listed)))
+        def check(a):
+            with np.errstate(over="ignore"):  # an inverse past the float range is inf on both paths
+                self.assert_same_bits(a[None])
+
+        check()
+
+    def test_only_a_one_matrix_4x4_stack_takes_the_kernel(self, monkeypatch):
+        seen = []
+        kernel = fisher._invert_one
+
+        def recording(a):
+            out = kernel(a)
+            seen.append((a.shape, out is not None))
+            return out
+
+        monkeypatch.setattr(fisher, "_invert_one", recording)
+        classes = self.classes()
+        invert_psd_stack(classes["certified"][:1])
+        invert_psd_stack(classes["rank-deficient"][:1])
+        assert seen == [((1, 4, 4), True), ((1, 4, 4), False)]
+        invert_psd_stack(classes["certified"][:2])
+        invert_psd_stack(np.eye(3)[None])
+        assert len(seen) == 2
+
     def test_mixed_stacks(self):
         classes = self.classes()
         assert not TestInvertPsdStack.certified(TestInvertPsdStack.correlation(classes["indefinite"])).any()
