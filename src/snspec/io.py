@@ -25,6 +25,7 @@ hold no NaN or Infinity, which RFC 8259 lacks: a non-finite float is null.
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import json
 import math
@@ -58,7 +59,7 @@ _BLOCK_ROWS = 4096
 # and deletes what its form does not print. '%.17g' prints k in -4..16 in fixed
 # notation, the rest as d0[.d1..]e-05 and e-06; trailing zero digits go, and
 # with them a dot that has no digit after it. Rows are 48 bytes wide, so that
-# the sixteen digits after d0 are eight aligned words ".d.d".
+# the sixteen digits after d0 are four aligned 8-byte words ".d.d.d.d".
 _WIDTH, _SEP = 48, 44
 _HEAD = np.frombuffer(b"-0.000\0\0", np.uint64)[0]
 _TAIL = np.frombuffer(b"e-0\0\0\0\0\0", np.uint64)[0]
@@ -74,14 +75,20 @@ def _split(a):
 # 10^j for j = 0..22, each an exact double, with its split halves
 _POW = np.array([float(10**j) for j in range(23)])
 _POW_HI, _POW_LO = _split(_POW)
-# pair i (0..7) holds digits 2i+1 and 2i+2; index 100 i + p is its word for
-# the two digits p, and the index of its last nonzero digit (0: none)
-_PAIR_WORD = np.tile(
-    np.frombuffer(b"".join(b".%d.%d" % divmod(p, 10) for p in range(100)), np.uint32), 8
-)
-_PAIR_LAST = (
-    (2 * np.arange(8)[:, None] + np.where(np.arange(100) % 10 == 0, 1, 2)) * (np.arange(100) != 0)
-).ravel().astype(np.uint8)
+
+
+@functools.cache
+def _group_tables():
+    """(words, last): words[p] is the word ".d.d.d.d" of the four digits p,
+    and last[10^4 g + p] the index of their last nonzero digit (0: none) in
+    group g, which holds digits 4g+1..4g+4."""
+    p = np.arange(10**4)
+    digits = p // np.array([1000, 100, 10, 1])[:, None] % 10
+    text = np.full((10**4, 8), ord("."), np.uint8)
+    text[:, 1::2] = 48 + digits.T
+    t = np.argmax(digits[::-1] != 0, axis=0)  # zeros after the last nonzero digit
+    last = np.where(p != 0, 4 - t + 4 * np.arange(4)[:, None], 0)
+    return text.view(np.uint64).ravel(), last.ravel().astype(np.uint8)
 
 
 def _masks():
@@ -141,24 +148,25 @@ def _decimal(a):
 def _rows(k, digits):
     """Each value's row with all of its characters, and the index (0..16) of
     its last nonzero digit."""
-    # d0..d8 and d9..d16 as int32, then their pairs of digits from the right
+    words, last = _group_tables()
+    # d0..d8 and d9..d16 as int32, then their groups of four digits from the right
     halves = np.empty((2, digits.size), np.int32)
     np.floor_divide(digits, 10**8, out=halves[0], casting="unsafe")
     halves[1] = digits - 10**8 * halves[0].astype(np.int64)
-    pairs = np.empty((2, 4, digits.size), np.intp)
-    for level in (3, 2, 1, 0):
-        q = halves // 100
-        np.subtract(halves, 100 * q, out=pairs[:, level])
-        halves = q
-    pairs += 100 * np.arange(8).reshape(2, 4, 1)
-    pairs = pairs.reshape(8, -1)
+    groups = np.empty((2, 2, digits.size), np.intp)
+    q = halves // 10**4
+    np.subtract(halves, 10**4 * q, out=groups[:, 1])
+    d0 = q // 10**4  # d0, and 0 for the lower half
+    np.subtract(q, 10**4 * d0, out=groups[:, 0])
+    groups = groups.reshape(4, -1)
     out = np.empty((digits.size, _WIDTH), np.uint8)
     out.view(np.uint64)[:, 0] = _HEAD
     out.view(np.uint64)[:, 5] = _TAIL
-    out.view(np.uint32)[:, 2:10] = np.take(_PAIR_WORD, pairs).T
-    out[:, 7] = 48 + halves[0]
+    out.view(np.uint64)[:, 1:5] = np.take(words, groups).T
+    out[:, 7] = 48 + d0[0]
     out[:, 43] = 48 - k
-    return out, np.maximum.reduce(np.take(_PAIR_LAST, pairs))
+    groups += 10**4 * np.arange(4)[:, None]
+    return out, np.maximum.reduce(np.take(last, groups))
 
 
 def _format17(x) -> np.ndarray:
@@ -286,14 +294,28 @@ def write_json(path, payload: dict[str, Any]) -> None:
 
 
 def read_json(path) -> dict[str, Any]:
+    """The JSON object in the file at path; a malformed document, a key
+    written twice in one object and nesting past the parser's recursion
+    limit are each a ConfigError naming the file."""
+
+    def unique_keys(pairs):
+        doc = {}
+        for key, value in pairs:
+            if key in doc:
+                raise ConfigError(f"{path}: key '{key}' is written more than once in one object")
+            doc[key] = value
+        return doc
+
     with open(path) as fh:
         text = fh.read()
     try:
-        doc = json.loads(text)
+        doc = json.loads(text, object_pairs_hook=unique_keys)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from exc
     except ValueError as exc:  # an integer literal past the interpreter's digit limit
         raise ConfigError(f"{path}: an integer has more than {sys.get_int_max_str_digits()} digits") from exc
+    except RecursionError as exc:
+        raise ConfigError(f"{path}: arrays or objects nested too deeply to parse") from exc
     if not isinstance(doc, dict):
         raise ConfigError(f"{path}: top level must be a JSON object")
     return doc

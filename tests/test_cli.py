@@ -534,6 +534,40 @@ class TestUsageChecks:
         assert not (tmp_path / "o").exists()
 
 
+# one value of 200 000 nested arrays, deeper than the parser's recursion limit
+DEEP = "[" * 200_000 + "]" * 200_000
+
+
+class TestJsonDocuments:
+    """A JSON file too deep to parse, or with a key written twice, exits 2 naming the file."""
+
+    def test_config_nested_past_the_recursion_limit(self, tmp_path, capsys):
+        # ended in a RecursionError traceback (exit 1)
+        cfg = tmp_path / "deep.json"
+        cfg.write_text(json.dumps(BASE)[:-1] + ', "deep": ' + DEEP + "}")
+        assert run("crb", "--config", cfg, "--out", tmp_path / "o") == 2
+        assert capsys.readouterr().err == f"error: {cfg}: arrays or objects nested too deeply to parse\n"
+        assert not (tmp_path / "o").exists()
+
+    def test_spectrum_nested_past_the_recursion_limit(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, BASE)
+        spectrum = tmp_path / "spectrum.json"
+        spectrum.write_text('{"nu_hz": ' + DEEP + ', "psd_uv2_per_hz": [1.0], "n_eff": 50}')
+        assert run("fit", spectrum, "--config", cfg, "--out", tmp_path / "o") == 2
+        assert capsys.readouterr().err == f"error: {spectrum}: arrays or objects nested too deeply to parse\n"
+        assert not (tmp_path / "o").exists()
+
+    def test_repeated_key(self, tmp_path, capsys):
+        # ran on the last value, 7 trials, and exited 0
+        body = copy.deepcopy(BASE)
+        body["monte_carlo"]["n_trials"] = 100
+        cfg = tmp_path / "twice.json"
+        cfg.write_text(json.dumps(body).replace('"n_trials": 100', '"n_trials": 100, "n_trials": 7'))
+        assert run("validate", "--config", cfg, "--out", tmp_path / "o") == 2
+        assert capsys.readouterr().err == f"error: {cfg}: key 'n_trials' is written more than once in one object\n"
+        assert not (tmp_path / "o").exists()
+
+
 def shipped(name, **updates):
     """A shipped config with the given sections updated."""
     with open(os.path.join(CONFIG_DIR, name)) as fh:

@@ -95,6 +95,16 @@ class TestFormat17:
 
         check()
 
+    def test_group_tables_hold_every_group_of_four_digits(self):
+        # every entry against the text and last-digit rule of its digits: a
+        # wrong entry can hide from sampled values
+        words, last = snspec.io._group_tables()
+        groups = ["%04d" % p for p in range(10**4)]
+        assert words.tobytes() == "".join(".%s.%s.%s.%s" % tuple(s) for s in groups).encode()
+        for g in range(4):  # group g holds digits 4g+1..4g+4
+            want_last = [4 * g + len(s.rstrip("0")) if s != "0000" else 0 for s in groups]
+            assert last[g * 10**4 : (g + 1) * 10**4].tolist() == want_last
+
 
 class TestSpectrumCsv:
     def test_round_trip_is_bit_exact(self, tmp_path):
@@ -213,7 +223,7 @@ class TestScanCsv:
 
     def test_peak_memory_is_one_block(self, tmp_path):
         # numpy reports its buffers to tracemalloc. A 256 x 1024 grid written
-        # in blocks of 4096 rows peaks at 5.7 MiB; the writer that built the
+        # in blocks of 4096 rows peaks at 5.3 MiB; the writer that built the
         # whole text from a tuple of every value peaked at 110.5 MiB.
         rng = np.random.default_rng(7)
         sg = ScanGrid(
